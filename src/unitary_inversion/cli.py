@@ -182,7 +182,7 @@ def _format_table(mode: str, results: dict, d_range, n_range) -> str:
 
 def cmd_tables(args) -> int:
     config = SolverConfig(feasibility_tol=args.tol_feas, gap_tol=args.tol_gap)
-    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
+    modes = args.modes
     refs = reference_tables.reference_cells()
     d_range = range(args.d_min, args.d_max + 1)
     n_range = range(args.n_min, args.n_max + 1)
@@ -193,9 +193,9 @@ def cmd_tables(args) -> int:
     for mode in modes:
         for d in d_range:
             for n in n_range:
-                if comb_sdp.reduced_svec_size(d, n) > args.svec_cap:
-                    continue
                 problem = _build_problem(mode, d, n, args.svec_cap)
+                if problem is None:
+                    continue
                 solution = solve(problem, config)
                 if solution.status != "optimal":
                     failures += 1
@@ -254,6 +254,21 @@ def cmd_tables(args) -> int:
     return EXIT_TOLERANCE if breaches else EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
+def _reduced_modes(text: str) -> list[str]:
+    modes = [m.strip() for m in text.split(",") if m.strip()]
+    if not modes or not set(modes) <= {"seq", "par"}:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of seq and par, got {text!r}"
+        )
+    return modes
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uinv",
@@ -262,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run the seven-qubit inversion circuit")
-    sim.add_argument("--trials", type=int, default=100)
+    sim.add_argument("--trials", type=_positive_int, default=100)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument(
         "--mode", choices=("standard", "catalytic", "adversarial"), default="standard"
@@ -297,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     tab.add_argument("--d-max", type=int, default=6)
     tab.add_argument("--n-min", type=int, default=1)
     tab.add_argument("--n-max", type=int, default=5)
-    tab.add_argument("--modes", type=str, default="seq,par")
+    tab.add_argument("--modes", type=_reduced_modes, default="seq,par")
     tab.add_argument("--svec-cap", type=int, default=comb_sdp.REDUCED_SVEC_CAP)
     tab.add_argument("--tol-gap", type=float, default=1e-6)
     tab.add_argument("--tol-feas", type=float, default=1e-8)

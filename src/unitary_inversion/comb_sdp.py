@@ -18,13 +18,15 @@ factors, in those orders, so "last factor" lemmas apply to F and O_n.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse
 
 from . import tensor
-from .sdp import SdpConstraint, SdpProblem
+from .sdp import SdpProblem, _SvecIndexer
 from .symmetric_group import (
     YoungDiagram,
     cycle_permutation,
@@ -140,44 +142,67 @@ def _objective_list(d: int, n: int) -> list[np.ndarray]:
 
 
 def _entry_rows(
-    terms: list[tuple[float, np.ndarray, np.ndarray, int]],
+    terms: list[tuple[float, np.ndarray, np.ndarray | None, int]],
     out_rows: int,
     out_cols: int,
-    rhs_fn,
-) -> list[SdpConstraint]:
-    """Scalar equality rows from a matrix identity sum_t scale*(P x Q) C (P x Q)^T = RHS.
+    indexer: _SvecIndexer,
+) -> scipy.sparse.csr_matrix:
+    """Rows of a homogeneous matrix identity sum_t scale * T_t(C_t) = 0.
 
-    ``terms`` lists (scale, P, Q, block_index); entries are generated over
-    the upper triangle of the (out_rows*out_cols) output matrix after
-    symmetrizing coefficients, and ``rhs_fn(p, q)`` supplies the target.
+    ``terms`` lists (scale, P, Q, block_index).  With a matrix Q the term is
+    (P x Q) C (P x Q)^T; with Q = None it is the partial trace
+    Tr_2[(P x 1) C (P x 1)^T] x 1 over the block's second factor, which
+    pairs only output entries with equal column labels.  One row per
+    upper-triangle entry (p, q) of the (out_rows*out_cols) output matrix,
+    row-major, with coefficients symmetrized and summed in term order; rows
+    without a nonzero coefficient are dropped.
     """
-    rows: list[SdpConstraint] = []
-    for g1 in range(out_rows):
-        for b1 in range(out_cols):
-            p = g1 * out_cols + b1
-            for g2 in range(out_rows):
-                for b2 in range(out_cols):
-                    q = g2 * out_cols + b2
-                    if q < p:
-                        continue
-                    coeffs: dict[int, np.ndarray] = {}
-                    for scale, pm, qm, key in terms:
-                        u = np.kron(pm[g1], qm[b1])
-                        v = np.kron(pm[g2], qm[b2])
-                        contrib = scale * np.outer(v, u)
-                        contrib = (contrib + contrib.T) / 2.0
-                        if not contrib.any():
-                            continue
-                        if key in coeffs:
-                            coeffs[key] += contrib
-                        else:
-                            coeffs[key] = contrib
-                    coeffs = {k: m for k, m in coeffs.items() if np.abs(m).max() > 0.0}
-                    rhs = rhs_fn(p, q)
-                    if not coeffs and rhs == 0.0:
-                        continue
-                    rows.append(SdpConstraint(coeffs, rhs))
-    return rows
+    size = out_rows * out_cols
+    keys, values = [], []
+    for scale, pm, qm, key in terms:
+        if qm is None:
+            width = indexer.dims[key] // pm.shape[1]
+            u = np.kron(pm, np.ones((out_cols, width)))
+            p, c = np.nonzero(u)
+            label = p % out_cols * width + c % width
+        else:
+            u = np.kron(pm, qm)
+            p, c = np.nonzero(u)
+            label = np.zeros_like(p)
+        # entry (p, q), p <= q, pairs the nonzeros of rows p and q of u that
+        # carry equal labels (the output column and the traced index)
+        first, second = np.nonzero((p[:, None] <= p[None, :]) & (label[:, None] == label[None, :]))
+        p, q, r, c = p[first], p[second], c[second], c[first]
+        val = scale * (u[q, r] * u[p, c])
+        lo, hi = np.minimum(r, c), np.maximum(r, c)
+        pair = p * size - p * (p - 1) // 2 + q - p
+        keys.append(pair * indexer.total + indexer.column(key, lo, hi))
+        values.append(np.where(lo == hi, val, val / 2.0))
+    entries, where = np.unique(np.concatenate(keys), return_inverse=True)
+    acc = np.zeros(entries.size)
+    np.add.at(acc, where, np.concatenate(values))
+    pair, col = np.divmod(entries, indexer.total)
+    acc *= indexer.scale_vector[col]
+    nonzero = acc != 0.0
+    present, row = np.unique(pair[nonzero], return_inverse=True)
+    return scipy.sparse.csr_matrix(
+        (acc[nonzero], (row, col[nonzero])), shape=(present.size, indexer.total)
+    )
+
+
+def _reduced_problem(d: int, n: int, mode: str, indexer: _SvecIndexer, row_sets) -> SdpProblem:
+    """Stack homogeneous row sets, then the trace normalization, into one program."""
+    # normalization: the fully contracted scalar equals one, i.e. the total
+    # trace over all blocks is d^(n+1)
+    trace = scipy.sparse.csr_matrix(indexer.pack([np.eye(s) for s in indexer.dims]))
+    a = scipy.sparse.vstack(row_sets + [trace], format="csr")
+    rhs = np.zeros(a.shape[0])
+    rhs[-1] = float(d ** (n + 1))
+    problem = SdpProblem(
+        indexer.dims, _objective_list(d, n), a, rhs, metadata={"d": d, "n": n, "mode": mode}
+    )
+    problem.validate()
+    return problem
 
 
 def _shape_chains(base: YoungDiagram, top_boxes: int, d: int) -> list[tuple[YoungDiagram, ...]]:
@@ -211,9 +236,8 @@ def build_sequential_sdp(d: int, n: int) -> SdpProblem:
     """
     if d < 2 or n < 1:
         raise ValueError("need d >= 2 and n >= 1")
-    keys = block_keys(d, n)
-    key_index = {k: i for i, k in enumerate(keys)}
-    sizes = reduced_block_dims(d, n)
+    key_index = {k: i for i, k in enumerate(block_keys(d, n))}
+    indexer = _SvecIndexer(reduced_block_dims(d, n))
     top = n + 1
 
     def level_terms(alpha: YoungDiagram, beta: YoungDiagram, level: int):
@@ -227,13 +251,11 @@ def build_sequential_sdp(d: int, n: int) -> SdpProblem:
                 out.append((scale, p, q, key_index[(mu, nu)]))
         return out
 
-    constraints: list[SdpConstraint] = []
+    row_sets = []
     for level in range(1, top + 1):
         for gamma in young_diagrams(level - 1, d):
-            d_gamma = tableau_count(gamma)
             for beta in young_diagrams(level, d):
-                d_beta = tableau_count(beta)
-                terms: list[tuple[float, np.ndarray, np.ndarray, int]] = []
+                terms = []
                 for alpha in gamma.children(max_depth=d):
                     x = embedding_matrix(gamma, alpha)
                     for scale, p, q, key in level_terms(alpha, beta, level):
@@ -242,21 +264,10 @@ def build_sequential_sdp(d: int, n: int) -> SdpProblem:
                     x = embedding_matrix(delta, beta)
                     for scale, p, q, key in level_terms(gamma, delta, level - 1):
                         terms.append((-scale / su_dim(delta, d), p, x.T @ q, key))
-                constraints.extend(
-                    _entry_rows(terms, d_gamma, d_beta, lambda p, q: 0.0)
+                row_sets.append(
+                    _entry_rows(terms, tableau_count(gamma), tableau_count(beta), indexer)
                 )
-    # normalization: the fully contracted scalar equals one, i.e. the total
-    # trace over all blocks is d^(n+1)
-    trace_coeffs = {key_index[k]: np.eye(size) for k, size in zip(keys, sizes)}
-    constraints.append(SdpConstraint(trace_coeffs, float(d**top)))
-    problem = SdpProblem(
-        sizes,
-        _objective_list(d, n),
-        constraints,
-        metadata={"d": d, "n": n, "mode": "seq"},
-    )
-    problem.validate()
-    return problem
+    return _reduced_problem(d, n, "seq", indexer, row_sets)
 
 
 def build_parallel_sdp(d: int, n: int) -> SdpProblem:
@@ -268,73 +279,30 @@ def build_parallel_sdp(d: int, n: int) -> SdpProblem:
     """
     if d < 2 or n < 1:
         raise ValueError("need d >= 2 and n >= 1")
-    keys = block_keys(d, n)
-    key_index = {k: i for i, k in enumerate(keys)}
-    sizes = reduced_block_dims(d, n)
-    top = n + 1
-    shapes_top = young_diagrams(top, d)
-    constraints: list[SdpConstraint] = []
+    key_index = {k: i for i, k in enumerate(block_keys(d, n))}
+    indexer = _SvecIndexer(reduced_block_dims(d, n))
+    shapes_top = young_diagrams(n + 1, d)
+    row_sets = []
     for alpha in young_diagrams(n, d):
-        d_alpha = tableau_count(alpha)
-        children = [mu for mu in alpha.children(max_depth=d)]
+        children = alpha.children(max_depth=d)
         embeddings = {mu: embedding_matrix(alpha, mu) for mu in children}
         # substituted right-hand side: (D^alpha)_{a1 a2} * delta_{k1 k2} / d^(n+1)
         # with D^alpha = sum_{mu, nu'} Tr_2[(X x 1) C^{mu nu'} (X x 1)^T]
-        d_terms: list[tuple[float, np.ndarray, int]] = []
-        for mu in children:
-            for nu in shapes_top:
-                d_terms.append((1.0, embeddings[mu], key_index[(mu, nu)]))
+        trace_terms = [
+            (-1.0 / (d ** (n + 1)), embeddings[mu], None, key_index[(mu, nu)])
+            for mu in children
+            for nu in shapes_top
+        ]
         for nu in shapes_top:
             d_nu = tableau_count(nu)
             terms = [
                 (1.0 / su_dim(nu, d), embeddings[mu], np.eye(d_nu), key_index[(mu, nu)])
                 for mu in children
             ]
-            rows: list[SdpConstraint] = []
-            for a1 in range(d_alpha):
-                for k1 in range(d_nu):
-                    p = a1 * d_nu + k1
-                    for a2 in range(d_alpha):
-                        for k2 in range(d_nu):
-                            q = a2 * d_nu + k2
-                            if q < p:
-                                continue
-                            coeffs: dict[int, np.ndarray] = {}
-                            for scale, pm, qm, key in terms:
-                                u = np.kron(pm[a1], qm[k1])
-                                v = np.kron(pm[a2], qm[k2])
-                                contrib = scale * np.outer(v, u)
-                                contrib = (contrib + contrib.T) / 2.0
-                                if contrib.any():
-                                    coeffs[key] = coeffs.get(key, 0) + contrib
-                            if k1 == k2:
-                                for scale, xm, key in d_terms:
-                                    size_nu = tableau_count(keys[key][1])
-                                    contrib = -scale / (d ** (n + 1)) * np.kron(
-                                        np.outer(xm[a2], xm[a1]), np.eye(size_nu)
-                                    )
-                                    contrib = (contrib + contrib.T) / 2.0
-                                    coeffs[key] = coeffs.get(key, 0) + contrib
-                            coeffs = {
-                                k: np.asarray(mmat)
-                                for k, mmat in coeffs.items()
-                                if np.abs(mmat).max() > 0.0
-                            }
-                            if coeffs:
-                                rows.append(SdpConstraint(coeffs, 0.0))
-            constraints.extend(rows)
-    trace_coeffs = {
-        key_index[k]: np.eye(size) for k, size in zip(keys, sizes)
-    }
-    constraints.append(SdpConstraint(trace_coeffs, float(d ** (n + 1))))
-    problem = SdpProblem(
-        sizes,
-        _objective_list(d, n),
-        constraints,
-        metadata={"d": d, "n": n, "mode": "par"},
-    )
-    problem.validate()
-    return problem
+            row_sets.append(
+                _entry_rows(terms + trace_terms, tableau_count(alpha), d_nu, indexer)
+            )
+    return _reduced_problem(d, n, "par", indexer, row_sets)
 
 
 # ---------------------------------------------------------------------------
@@ -402,27 +370,21 @@ def _ptrace(mat: np.ndarray, keep: list[int], dims: tuple[int, ...]) -> np.ndarr
     return tensor.partial_trace(mat, keep, dims=dims).entries.real
 
 
-def _full_rows(
-    lhs_coeff,
-    out_regs: list[int],
-    dims: tuple[int, ...],
-    rhs_fn,
-) -> list[SdpConstraint]:
+def _full_rows(lhs_coeff, out_regs: list[int], dims: tuple[int, ...], rhs_fn):
     """Rows Tr(A C) = rhs for each upper-triangle entry of a register-matrix identity.
 
     ``lhs_coeff(e)`` maps an elementary output matrix to the coefficient
     matrix A via adjoints of the partial traces and embeddings involved.
+    Yields ({0: A}, rhs) pairs for :meth:`SdpProblem.from_rows`.
     """
     out_dim = int(np.prod([dims[r] for r in out_regs])) if out_regs else 1
-    rows = []
     for p in range(out_dim):
         for q in range(p, out_dim):
             e = np.zeros((out_dim, out_dim))
             e[p, q] = 0.5
             e[q, p] += 0.5
             coeff = lhs_coeff(e)
-            rows.append(SdpConstraint({0: (coeff + coeff.T) / 2.0}, rhs_fn(p, q)))
-    return rows
+            yield {0: (coeff + coeff.T) / 2.0}, rhs_fn(p, q)
 
 
 def build_full_sdp(d: int, n: int, mode: str, dim_cap: int = FULL_SPACE_DIM_CAP) -> SdpProblem:
@@ -437,7 +399,7 @@ def build_full_sdp(d: int, n: int, mode: str, dim_cap: int = FULL_SPACE_DIM_CAP)
     dims = full_register_dims(d, n)
     reg = register_indices(n)
     all_regs = list(range(2 * n + 2))
-    constraints: list[SdpConstraint] = []
+    row_sets = []
 
     if mode == "seq":
         # level i spaces: C_i lives on (P, I_1..I_i, O_1..O_{i-1})
@@ -466,11 +428,9 @@ def build_full_sdp(d: int, n: int, mode: str, dim_cap: int = FULL_SPACE_DIM_CAP)
                     b = scale_im1 * float(np.trace(e)) * np.eye(total)
                 return a - b
 
-            constraints.extend(_full_rows(lhs_coeff, lhs_regs, dims, lambda p, q: 0.0))
+            row_sets.append(_full_rows(lhs_coeff, lhs_regs, dims, lambda p, q: 0.0))
         # normalization: fully contracted scalar equals one
-        constraints.append(
-            SdpConstraint({0: np.eye(total) * float(d ** -(n + 1))}, 1.0)
-        )
+        row_sets.append([({0: np.eye(total) * float(d ** -(n + 1))}, 1.0)])
     else:
         # parallel: Tr_F C = Tr_{O F} C x 1_O / d^n  and  Tr_{I O F} C = d^n 1_P
         f_reg = reg["F"]
@@ -487,12 +447,12 @@ def build_full_sdp(d: int, n: int, mode: str, dim_cap: int = FULL_SPACE_DIM_CAP)
             b = tensor.embed_operator(inner, inner_regs, dims).real / float(d**n)
             return a - b
 
-        constraints.extend(_full_rows(par_coeff, lhs_regs, dims, lambda p, q: 0.0))
+        row_sets.append(_full_rows(par_coeff, lhs_regs, dims, lambda p, q: 0.0))
 
         def p_coeff(e):
             return tensor.embed_operator(e, [reg["P"]], dims).real
 
-        constraints.extend(
+        row_sets.append(
             _full_rows(
                 p_coeff,
                 [reg["P"]],
@@ -502,14 +462,12 @@ def build_full_sdp(d: int, n: int, mode: str, dim_cap: int = FULL_SPACE_DIM_CAP)
         )
 
     omega = full_performance_operator(d, n)
-    problem = SdpProblem(
+    return SdpProblem.from_rows(
         [total],
         [(omega + omega.T) / 2.0],
-        constraints,
+        itertools.chain.from_iterable(row_sets),
         metadata={"d": d, "n": n, "mode": f"full-{mode}"},
     )
-    problem.validate()
-    return problem
 
 
 def maximally_mixed_comb(d: int, n: int) -> np.ndarray:

@@ -6,6 +6,14 @@ primal-dual path-following iteration with a Mehrotra predictor-corrector
 and a Newton direction symmetrized at the dual iterate.  The contract is
 the certificate (duality gap plus residuals), not the algorithm.
 
+The constraints are one sparse matrix A in CSR form, one row per equality
+and one column per svec coordinate: blocks in order, each block's upper
+triangle row by row, off-diagonal entries scaled by sqrt(2), so that
+A @ svec(X) is the vector of sum_b Tr(A_{i,b} X_b).  Builders emit rows
+of A directly; :meth:`SdpProblem.from_rows` packs per-block coefficient
+matrices.  The JSON instance format stores each row per block as the
+upper triangle of its coefficient matrix.
+
 Constraint rows are preprocessed: exact duplicates collapse, and a
 rank-revealing QR drops dependent rows after checking their right-hand
 sides for consistency (an inconsistency is reported as infeasibility).
@@ -20,56 +28,78 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 _SYM_ATOL = 1e-10
 _PIVOT_THRESHOLD = 1e-10
 _BOUNDARY_FRACTION = 0.98
-
-
-@dataclass(frozen=True)
-class SdpConstraint:
-    """One equality: sum over listed blocks of Tr(coeff * X_block) = rhs."""
-
-    coeffs: dict[int, np.ndarray]
-    rhs: float
+# rows per batched product in the Schur complement
+_SCHUR_CHUNK = 64
 
 
 @dataclass
 class SdpProblem:
-    """Block-diagonal SDP in equality standard form (maximization)."""
+    """Block-diagonal SDP in equality standard form (maximization): a @ svec(X) = rhs."""
 
     block_dims: list[int]
     objective: list[np.ndarray]
-    constraints: list[SdpConstraint]
+    a: scipy.sparse.csr_matrix
+    rhs: np.ndarray
     metadata: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_rows(cls, block_dims, objective, rows, metadata=None) -> "SdpProblem":
+        """Pack rows given as ({block index: symmetric coefficient}, rhs) pairs."""
+        dims = [int(s) for s in block_dims]
+        indexer = _SvecIndexer(dims)
+        cols, vals, indptr, rhs = [np.empty(0, dtype=int)], [np.empty(0)], [0], []
+        for coeffs, value in rows:
+            if not math.isfinite(value):
+                raise ValueError("constraint right-hand side must be finite")
+            mats = [np.zeros((s, s)) for s in dims]
+            for b, mat in coeffs.items():
+                if not 0 <= b < len(dims):
+                    raise ValueError(f"constraint references unknown block {b}")
+                _check_symmetric(mat, dims[b], "constraint")
+                mats[b] = np.real(mat)
+            vec = indexer.pack(mats)
+            cols.append(np.flatnonzero(vec))
+            vals.append(vec[cols[-1]])
+            indptr.append(indptr[-1] + cols[-1].size)
+            rhs.append(float(value))
+        a = scipy.sparse.csr_matrix(
+            (np.concatenate(vals), np.concatenate(cols), indptr), shape=(len(rhs), indexer.total)
+        )
+        problem = cls(dims, list(objective), a, np.array(rhs), dict(metadata or {}))
+        problem.validate()
+        return problem
 
     def validate(self) -> None:
         if len(self.objective) != len(self.block_dims):
             raise ValueError("one objective matrix per block required")
         for dim, mat in zip(self.block_dims, self.objective):
             _check_symmetric(mat, dim, "objective")
-        for c in self.constraints:
-            if not math.isfinite(c.rhs):
-                raise ValueError("constraint right-hand side must be finite")
-            for b, mat in c.coeffs.items():
-                if not 0 <= b < len(self.block_dims):
-                    raise ValueError(f"constraint references unknown block {b}")
-                _check_symmetric(mat, self.block_dims[b], "constraint")
+        svec = sum(s * (s + 1) // 2 for s in self.block_dims)
+        if self.a.shape != (len(self.rhs), svec):
+            raise ValueError(f"constraint matrix shape {self.a.shape} is not ({len(self.rhs)}, {svec})")
+        if not (np.isfinite(self.a.data).all() and np.isfinite(self.rhs).all()):
+            raise ValueError("constraint data must be finite")
 
     def to_json(self) -> str:
+        indexer = _SvecIndexer(list(self.block_dims))
+        constraints = []
+        for row, value in zip(self.a, self.rhs):
+            vec = row.toarray()[0]
+            blocks = [
+                {"index": b, "coeff_upper_triangle": [float(x) for x in vec[span] / scale]}
+                for b, (span, scale) in enumerate(zip(indexer.spans, indexer.scales))
+                if vec[span].any()
+            ]
+            constraints.append({"blocks": blocks, "rhs": float(value)})
         payload = {
             "block_dims": list(self.block_dims),
             "objective": [_upper_triangle(m) for m in self.objective],
-            "constraints": [
-                {
-                    "blocks": [
-                        {"index": b, "coeff_upper_triangle": _upper_triangle(m)}
-                        for b, m in sorted(c.coeffs.items())
-                    ],
-                    "rhs": c.rhs,
-                }
-                for c in self.constraints
-            ],
+            "constraints": constraints,
         }
         payload.update({k: self.metadata[k] for k in ("d", "n", "mode") if k in self.metadata})
         return json.dumps(payload, sort_keys=True)
@@ -77,21 +107,14 @@ class SdpProblem:
     @classmethod
     def from_json(cls, text: str) -> "SdpProblem":
         data = json.loads(text)
-        dims = [int(x) for x in data["block_dims"]]
-        objective = [_from_upper_triangle(v, s) for v, s in zip(data["objective"], dims)]
-        constraints = []
-        for c in data["constraints"]:
-            coeffs = {
-                int(e["index"]): _from_upper_triangle(
-                    e["coeff_upper_triangle"], dims[int(e["index"])]
-                )
-                for e in c["blocks"]
-            }
-            constraints.append(SdpConstraint(coeffs, float(c["rhs"])))
+        objective = [_from_upper_triangle(v) for v in data["objective"]]
+        rows = [
+            ({int(e["index"]): _from_upper_triangle(e["coeff_upper_triangle"]) for e in c["blocks"]},
+             float(c["rhs"]))
+            for c in data["constraints"]
+        ]
         metadata = {k: data[k] for k in ("d", "n", "mode") if k in data}
-        problem = cls(dims, objective, constraints, metadata)
-        problem.validate()
-        return problem
+        return cls.from_rows(data["block_dims"], objective, rows, metadata)
 
 
 def _check_symmetric(mat: np.ndarray, dim: int, what: str) -> None:
@@ -110,7 +133,8 @@ def _upper_triangle(mat: np.ndarray) -> list[float]:
     return [float(x) for x in mat[idx]]
 
 
-def _from_upper_triangle(values, dim: int) -> np.ndarray:
+def _from_upper_triangle(values) -> np.ndarray:
+    dim = (math.isqrt(8 * len(values) + 1) - 1) // 2
     mat = np.zeros((dim, dim))
     mat[np.triu_indices(dim)] = values
     return mat + np.triu(mat, 1).T
@@ -121,8 +145,6 @@ class SolverConfig:
     feasibility_tol: float = 1e-8
     gap_tol: float = 1e-6
     max_iterations: int = 200
-    initial_point_scale: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.feasibility_tol <= 0 or self.gap_tol <= 0:
@@ -164,33 +186,30 @@ class _SvecIndexer:
 
     def __init__(self, dims: list[int]):
         self.dims = dims
-        self.offsets = []
-        total = 0
-        self.index_pairs = []
-        for s in dims:
-            self.offsets.append(total)
-            iu = np.triu_indices(s)
-            self.index_pairs.append(iu)
-            total += s * (s + 1) // 2
-        self.total = total
+        self.index_pairs = [np.triu_indices(s) for s in dims]
         root2 = math.sqrt(2.0)
-        self.scales = []
-        for s, (ii, jj) in zip(dims, self.index_pairs):
-            sc = np.where(ii == jj, 1.0, root2)
-            self.scales.append(sc)
+        self.scales = [np.where(ii == jj, 1.0, root2) for ii, jj in self.index_pairs]
+        self.scale_vector = np.concatenate([np.empty(0)] + self.scales)
+        self.total = self.scale_vector.size
+        ends = np.cumsum([scale.size for scale in self.scales], dtype=int)
+        self.spans = [slice(int(end) - scale.size, int(end)) for end, scale in zip(ends, self.scales)]
+
+    def column(self, b: int, lo, hi):
+        """svec column of entry (lo, hi), lo <= hi, of block b."""
+        return self.spans[b].start + lo * self.dims[b] - lo * (lo - 1) // 2 + hi - lo
 
     def pack(self, mats: list[np.ndarray]) -> np.ndarray:
         out = np.empty(self.total)
         for b, m in enumerate(mats):
             ii, jj = self.index_pairs[b]
-            out[self.offsets[b] : self.offsets[b] + ii.size] = m[ii, jj] * self.scales[b]
+            out[self.spans[b]] = m[ii, jj] * self.scales[b]
         return out
 
     def unpack(self, vec: np.ndarray) -> list[np.ndarray]:
         mats = []
         for b, s in enumerate(self.dims):
             ii, jj = self.index_pairs[b]
-            chunk = vec[self.offsets[b] : self.offsets[b] + ii.size] / self.scales[b]
+            chunk = vec[self.spans[b]] / self.scales[b]
             m = np.zeros((s, s))
             m[ii, jj] = chunk
             m[jj, ii] = chunk
@@ -198,12 +217,12 @@ class _SvecIndexer:
         return mats
 
 
-def _preprocess_rows(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """Deduplicate and drop linearly dependent rows.
+def _preprocess_rows(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Deduplicate and drop linearly dependent rows of a dense constraint matrix.
 
-    Returns (A_kept, rhs_kept, kept_indices, consistent).  ``consistent``
-    is False when a dropped row's right-hand side disagrees with the kept
-    rows, which certifies primal infeasibility.
+    Returns (kept_indices, consistent).  ``consistent`` is False when a
+    dropped row's right-hand side disagrees with the kept rows, which
+    certifies primal infeasibility.
     """
     m = a.shape[0]
     seen: dict[bytes, int] = {}
@@ -213,7 +232,7 @@ def _preprocess_rows(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.nda
         if key in seen:
             j = seen[key]
             if abs(rhs[i] - rhs[j]) > 1e-12 * max(1.0, abs(rhs[j])):
-                return a[order], rhs[order], np.array(order, dtype=int), False
+                return np.array(order, dtype=int), False
         else:
             seen[key] = i
             order.append(i)
@@ -223,11 +242,11 @@ def _preprocess_rows(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.nda
     nonzero = norms > _PIVOT_THRESHOLD
     for i in np.where(~nonzero)[0]:
         if abs(rhs[i]) > 1e-12:
-            return a, rhs, np.array(order, dtype=int), False
+            return np.array(order, dtype=int), False
     a, rhs = a[nonzero], rhs[nonzero]
     kept_orig = np.array(order, dtype=int)[nonzero]
     if a.shape[0] == 0:
-        return a, rhs, kept_orig, True
+        return kept_orig, True
     _, r, piv = scipy.linalg.qr(a.T, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     rank = int(np.sum(diag > _PIVOT_THRESHOLD * max(diag[0], 1e-300)))
@@ -239,8 +258,44 @@ def _preprocess_rows(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.nda
         rhs_pred = coeffs.T @ rhs[keep]
         scale = max(1.0, float(np.abs(rhs).max()))
         if np.abs(rhs_pred - rhs[drop]).max() > 1e-8 * scale:
-            return a[keep], rhs[keep], kept_orig[keep], False
-    return a[keep], rhs[keep], kept_orig[keep], True
+            return kept_orig[keep], False
+    return kept_orig[keep], True
+
+
+def _block_rows(a: scipy.sparse.csr_matrix, indexer: _SvecIndexer) -> list[tuple[np.ndarray, scipy.sparse.csr_matrix]]:
+    """Per block: the rows touching it and those rows restricted to its columns."""
+    out = []
+    for span in indexer.spans:
+        a_b = a[:, span]
+        rows = np.flatnonzero(np.diff(a_b.indptr))
+        out.append((rows, a_b[rows]))
+    return out
+
+
+def _schur_complement(
+    block_rows, indexer: _SvecIndexer, x: list[np.ndarray], zinv: list[np.ndarray], m: int
+) -> np.ndarray:
+    """M_ij = Tr(A_i sym(X A_j Z^{-1})), summed block by block.
+
+    The products X_b A_jb Z_b^{-1} of the rows touching block b are formed
+    in batches of ``_SCHUR_CHUNK`` rows, which bounds the scratch memory of
+    large blocks.
+    """
+    big_m = np.zeros((m, m))
+    for b, (rows, a_b) in enumerate(block_rows):
+        s = indexer.dims[b]
+        ii, jj = indexer.index_pairs[b]
+        scale = indexer.scales[b]
+        for start in range(0, rows.size, _SCHUR_CHUNK):
+            chunk = slice(start, start + _SCHUR_CHUNK)
+            coeffs = a_b[chunk].toarray() / scale
+            mats = np.zeros((coeffs.shape[0], s, s))
+            mats[:, ii, jj] = coeffs
+            mats[:, jj, ii] = coeffs
+            t = x[b] @ mats @ zinv[b]
+            packed = (t[:, ii, jj] + t[:, jj, ii]) / 2.0 * scale
+            big_m[np.ix_(rows, rows[chunk])] += a_b @ packed.T
+    return (big_m + big_m.T) / 2.0
 
 
 def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
@@ -274,28 +329,20 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     dims = list(problem.block_dims)
     nblocks = len(dims)
     indexer = _SvecIndexer(dims)
-    cvec = indexer.pack([np.asarray(m, dtype=float) for m in problem.objective])
+    c_mats = [np.asarray(mat, dtype=float) for mat in problem.objective]
+    cvec = indexer.pack(c_mats)
 
-    m_rows = len(problem.constraints)
-    a_full = np.zeros((m_rows, indexer.total))
-    rhs_full = np.zeros(m_rows)
-    for i, constraint in enumerate(problem.constraints):
-        mats = [np.zeros((s, s)) for s in dims]
-        for b, mat in constraint.coeffs.items():
-            mats[b] = np.asarray(mat, dtype=float)
-        a_full[i] = indexer.pack(mats)
-        rhs_full[i] = constraint.rhs
-
-    a, rhs, kept, consistent = _preprocess_rows(a_full, rhs_full)
+    m_rows = problem.a.shape[0]
+    kept, consistent = _preprocess_rows(problem.a.toarray(), problem.rhs)
     if not consistent:
         zeros = [np.zeros((s, s)) for s in dims]
         return SdpSolution(zeros, np.zeros(m_rows), 0.0, math.inf, math.inf, "infeasible_detected")
+    a = problem.a[kept]
+    rhs = problem.rhs[kept]
     m = a.shape[0]
+    block_rows = _block_rows(a, indexer)
 
-    a_mats = [indexer.unpack(a[i]) for i in range(m)]
-    c_mats = [np.asarray(mat, dtype=float) for mat in problem.objective]
-
-    tau = config.initial_point_scale * max(
+    tau = max(
         1.0,
         float(np.abs(rhs).max()) if m else 1.0,
         max(float(np.abs(mat).max()) for mat in c_mats) if nblocks else 1.0,
@@ -349,18 +396,10 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
             s = scipy.linalg.solve_triangular(l, mat, lower=True)
             return scipy.linalg.solve_triangular(l.T, s, lower=False)
 
+        # symmetrize the rounded inverses so that svec pairings see both triangles
         zinv = [zinv_apply(b, np.eye(dims[b])) for b in range(nblocks)]
-
-        # Schur complement M_ij = Tr(A_i sym(X A_j Z^{-1}))
-        w_cols = np.empty((m, indexer.total))
-        for j in range(m):
-            packed = []
-            for b in range(nblocks):
-                t = x[b] @ a_mats[j][b] @ zinv[b]
-                packed.append((t + t.T) / 2.0)
-            w_cols[j] = indexer.pack(packed)
-        big_m = a @ w_cols.T
-        big_m = (big_m + big_m.T) / 2.0
+        zinv = [(zi + zi.T) / 2.0 for zi in zinv]
+        big_m = _schur_complement(block_rows, indexer, x, zinv, m)
 
         def solve_m(rhs_vec: np.ndarray) -> np.ndarray:
             jitter = 0.0
@@ -374,17 +413,11 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
                     jitter = max(jitter * 10.0, 1e-14 * max(base, 1.0))
             return np.linalg.lstsq(big_m, rhs_vec, rcond=None)[0]
 
-        az = np.array(
-            [
-                sum(float(np.tensordot(a_mats[i][b], zinv[b])) for b in range(nblocks))
-                for i in range(m)
-            ]
-        )
+        az = apply_a(zinv)
 
         def direction(sigma_mu: float, cross: list[np.ndarray] | None):
             # Solve M dy = sigma*mu*A(Z^-1) + A(sym(X Rd Z^-1) - K) - b, then
             # dZ = A*dy - Rd and dX from the symmetrized complementarity row.
-            wvec = np.empty(m)
             extra = []
             for b in range(nblocks):
                 t = x[b] @ rd[b] @ zinv[b]
@@ -392,11 +425,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
                 if cross is not None:
                     term = term - cross[b]
                 extra.append(term)
-            for i in range(m):
-                wvec[i] = sum(
-                    float(np.tensordot(a_mats[i][b], extra[b])) for b in range(nblocks)
-                )
-            rhs_vec = sigma_mu * az + wvec - rhs
+            rhs_vec = sigma_mu * az + apply_a(extra) - rhs
             dy = solve_m(rhs_vec)
             atdy = adjoint(dy)
             dz = [atdy[b] - rd[b] for b in range(nblocks)]
@@ -440,7 +469,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     pobj = float(cvec @ indexer.pack(x))
     dobj = float(rhs @ y)
     gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-    residual = float(np.abs(rhs_full - a_full @ indexer.pack(x)).max()) if m_rows else 0.0
+    residual = float(np.abs(problem.rhs - problem.a @ indexer.pack(x)).max()) if m_rows else 0.0
     dual_full = np.zeros(m_rows)
     dual_full[kept] = y
     if status == "optimal" and residual > config.feasibility_tol * norm_rhs:
@@ -468,35 +497,30 @@ class VerificationReport:
 
 
 def verify(problem: SdpProblem, solution: SdpSolution) -> VerificationReport:
-    """Recompute residuals from scratch, independent of solver bookkeeping."""
+    """Recompute residuals from the original rows, independent of solver bookkeeping."""
     if len(solution.blocks) != len(problem.block_dims):
         raise ValueError("solution block count does not match problem")
     for mat, s in zip(solution.blocks, problem.block_dims):
         if mat.shape != (s, s):
             raise ValueError("solution block shape mismatch")
+    indexer = _SvecIndexer(list(problem.block_dims))
+    costs = [np.asarray(cost, dtype=float) for cost in problem.objective]
     objective = 0.0
-    for mat, cost in zip(solution.blocks, problem.objective):
-        objective += float(np.sum(np.asarray(cost, dtype=float) * mat))
-    violation = 0.0
-    for c in problem.constraints:
-        value = sum(float(np.sum(np.asarray(m, dtype=float) * solution.blocks[b])) for b, m in c.coeffs.items())
-        violation = max(violation, abs(value - c.rhs))
+    for mat, cost in zip(solution.blocks, costs):
+        objective += float(np.sum(cost * mat))
+    m_rows = problem.a.shape[0]
+    xvec = indexer.pack([(b + b.T) / 2.0 for b in solution.blocks])
+    violation = float(np.abs(problem.a @ xvec - problem.rhs).max()) if m_rows else 0.0
     minima = tuple(float(np.linalg.eigvalsh((b + b.T) / 2.0)[0]) for b in solution.blocks)
     dual_obj = None
     dual_min = None
     gap = None
-    if solution.dual is not None and len(solution.dual) == len(problem.constraints):
-        dual_obj = float(
-            sum(yi * c.rhs for yi, c in zip(solution.dual, problem.constraints))
+    if solution.dual is not None and len(solution.dual) == m_rows:
+        dual_obj = float(problem.rhs @ solution.dual)
+        slack = [aty - cost for aty, cost in zip(indexer.unpack(problem.a.T @ solution.dual), costs)]
+        dual_min = min(
+            (float(np.linalg.eigvalsh((zb + zb.T) / 2.0)[0]) for zb in slack), default=math.inf
         )
-        zmin = math.inf
-        for b, s in enumerate(problem.block_dims):
-            zb = -np.asarray(problem.objective[b], dtype=float)
-            for yi, c in zip(solution.dual, problem.constraints):
-                if b in c.coeffs:
-                    zb = zb + yi * np.asarray(c.coeffs[b], dtype=float)
-            zmin = min(zmin, float(np.linalg.eigvalsh((zb + zb.T) / 2.0)[0]))
-        dual_min = zmin
         gap = abs(objective - dual_obj) / (1.0 + abs(objective) + abs(dual_obj))
     return VerificationReport(
         objective=objective,

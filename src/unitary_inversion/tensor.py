@@ -13,11 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Centralized tolerances: construction-time algebraic checks, simulation
-# assertions, and solver-dependent comparisons.
+# Tolerance of the construction-time algebraic checks (unitarity,
+# Hermiticity, determinant), shared with the representation data.
 CONSTRUCTION_ATOL = 1e-12
-PHYSICS_ATOL = 1e-10
-SOLVER_ATOL = 1e-4
 
 
 def _as_dims(dims) -> tuple[int, ...]:

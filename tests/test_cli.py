@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from unitary_inversion.cli import main
 
 
@@ -154,3 +156,19 @@ def test_manifest_written_for_simulate(tmp_path, capsys):
     assert manifest["command"] == "simulate"
     assert "simulate.json" in manifest["artifact_hashes"]
     assert manifest["wall_time"] > 0
+
+
+def test_tables_rejects_modes_outside_seq_and_par(capsys):
+    for modes in ("foo", "full-seq", "seq,full-par", ","):
+        with pytest.raises(SystemExit) as exc:
+            main(["tables", "--modes", modes])
+        assert exc.value.code == 2
+        assert "--modes" in capsys.readouterr().err
+
+
+def test_simulate_rejects_non_positive_trials(capsys):
+    for trials in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--trials", trials])
+        assert exc.value.code == 2
+        assert "--trials" in capsys.readouterr().err

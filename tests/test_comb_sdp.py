@@ -3,7 +3,7 @@ import pytest
 
 from unitary_inversion import comb_sdp as cs
 from unitary_inversion import tensor
-from unitary_inversion.sdp import SdpProblem, solve
+from unitary_inversion.sdp import SdpProblem, _SvecIndexer, solve
 from unitary_inversion.symmetric_group import (
     YoungDiagram,
     su_dim,
@@ -13,11 +13,8 @@ from unitary_inversion.symmetric_group import (
 
 
 def constraint_residual(problem: SdpProblem, blocks: list[np.ndarray]) -> float:
-    worst = 0.0
-    for c in problem.constraints:
-        value = sum(float(np.tensordot(m, blocks[b])) for b, m in c.coeffs.items())
-        worst = max(worst, abs(value - c.rhs))
-    return worst
+    values = problem.a @ _SvecIndexer(problem.block_dims).pack(blocks)
+    return float(np.abs(values - problem.rhs).max())
 
 
 def comb_blocks_in_problem_order(d: int, n: int, comb: cs.ReducedComb) -> list[np.ndarray]:
@@ -226,3 +223,55 @@ def test_problem_json_has_schema_fields():
     first = payload["constraints"][0]
     assert "rhs" in first and "blocks" in first
     assert {"index", "coeff_upper_triangle"} == set(first["blocks"][0])
+
+
+def test_row_counts_are_pinned():
+    # the row generators must neither drop nor duplicate rows
+    reduced = {(2, 3): (53, 45), (3, 3): (95, 88), (2, 4): (343, 325), (4, 3): (105, 93)}
+    for (d, n), (seq_rows, par_rows) in reduced.items():
+        assert cs.build_sequential_sdp(d, n).a.shape[0] == seq_rows
+        assert cs.build_parallel_sdp(d, n).a.shape[0] == par_rows
+    full = {(2, 1): (40, 39), (2, 2): (568, 531), (3, 1): (385, 384)}
+    for (d, n), (seq_rows, par_rows) in full.items():
+        assert cs.build_full_sdp(d, n, "seq").a.shape[0] == seq_rows
+        assert cs.build_full_sdp(d, n, "par").a.shape[0] == par_rows
+
+
+def dense_entry_rows(terms, out_rows, out_cols, dims):
+    """Reference for the shared row generator: one dense coefficient per output entry."""
+    indexer = _SvecIndexer(dims)
+    rows = []
+    for p in range(out_rows * out_cols):
+        for q in range(p, out_rows * out_cols):
+            (g1, b1), (g2, b2) = divmod(p, out_cols), divmod(q, out_cols)
+            mats = [np.zeros((s, s)) for s in dims]
+            for scale, pm, qm, key in terms:
+                if qm is None:
+                    width = dims[key] // pm.shape[1]
+                    contrib = scale * (b1 == b2) * np.kron(np.outer(pm[g2], pm[g1]), np.eye(width))
+                else:
+                    contrib = scale * np.outer(np.kron(pm[g2], qm[b2]), np.kron(pm[g1], qm[b1]))
+                mats[key] += (contrib + contrib.T) / 2.0
+            packed = indexer.pack(mats)
+            if packed.any():
+                rows.append(packed)
+    return np.array(rows)
+
+
+def test_entry_rows_match_dense_definition():
+    rng = np.random.default_rng(3)
+    dims = [6, 4]
+
+    def sparse_random(shape):
+        return rng.standard_normal(shape) * (rng.random(shape) < 0.5)
+
+    terms = [
+        (0.7, sparse_random((2, 2)), sparse_random((3, 3)), 0),
+        (1.1, sparse_random((2, 2)), sparse_random((3, 2)), 1),
+        (-0.3, sparse_random((2, 2)), None, 1),
+        (0.5, np.eye(2), None, 0),
+    ]
+    sparse = cs._entry_rows(terms, 2, 3, _SvecIndexer(dims)).toarray()
+    dense = dense_entry_rows(terms, 2, 3, dims)
+    assert sparse.shape == dense.shape
+    assert np.abs(sparse - dense).max() <= 1e-14
