@@ -15,15 +15,23 @@ matrices.  The JSON instance format stores each row per block as the
 upper triangle of its coefficient matrix.
 
 Constraint rows are preprocessed: exact duplicates collapse, and a
-rank-revealing QR drops dependent rows after checking their right-hand
-sides for consistency (an inconsistency is reported as infeasibility).
+column-pivoted QR of the transposed rows drops dependent rows.  Q is never
+formed; each dropped row's right-hand side is checked for consistency
+through R11^{-1} R12 (an inconsistency is reported as infeasibility).
 All data must be real symmetric; complex or unsymmetric input is rejected.
+
+Each iteration factors every matrix once.  One Cholesky factor of the
+Schur complement serves both the predictor and the corrector.  Each block
+of X and Z is factored when the step-halving check accepts the new
+iterate, and the next iteration reuses those factors for Z^{-1} and for
+both step lengths.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,18 +225,25 @@ class _SvecIndexer:
         return mats
 
 
-def _preprocess_rows(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Deduplicate and drop linearly dependent rows of a dense constraint matrix.
+def _preprocess_rows(a: scipy.sparse.csr_matrix, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Deduplicate and drop linearly dependent rows of the constraint matrix.
+
+    The rows are densified here, collapsed when exactly equal, and ranked by
+    a column-pivoted QR of their transpose (LAPACK ``geqp3``).  Q is never
+    formed: a dropped row equals the kept rows combined with the
+    coefficients R11^{-1} R12 (R11 the leading rank x rank triangle of R,
+    R12 the columns beside it), and its right-hand side must match the same
+    combination of theirs.
 
     Returns (kept_indices, consistent).  ``consistent`` is False when a
     dropped row's right-hand side disagrees with the kept rows, which
     certifies primal infeasibility.
     """
-    m = a.shape[0]
+    dense = a.toarray()
     seen: dict[bytes, int] = {}
     order: list[int] = []
-    for i in range(m):
-        key = a[i].tobytes()
+    for i in range(dense.shape[0]):
+        key = dense[i].tobytes()
         if key in seen:
             j = seen[key]
             if abs(rhs[i] - rhs[j]) > 1e-12 * max(1.0, abs(rhs[j])):
@@ -236,28 +251,27 @@ def _preprocess_rows(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
         else:
             seen[key] = i
             order.append(i)
-    a = a[order]
     rhs = rhs[order]
-    norms = np.linalg.norm(a, axis=1)
-    nonzero = norms > _PIVOT_THRESHOLD
+    nonzero = np.linalg.norm(dense, axis=1)[order] > _PIVOT_THRESHOLD
     for i in np.where(~nonzero)[0]:
         if abs(rhs[i]) > 1e-12:
             return np.array(order, dtype=int), False
-    a, rhs = a[nonzero], rhs[nonzero]
     kept_orig = np.array(order, dtype=int)[nonzero]
-    if a.shape[0] == 0:
+    rhs = rhs[nonzero]
+    if kept_orig.size == 0:
         return kept_orig, True
-    _, r, piv = scipy.linalg.qr(a.T, mode="economic", pivoting=True)
+    rows_t = dense[kept_orig].T
+    del dense  # the QR overwrites rows_t in place; no second dense copy stays alive
+    r, piv = scipy.linalg.qr(rows_t, overwrite_a=True, mode="raw", pivoting=True)[1:]
     diag = np.abs(np.diag(r))
     rank = int(np.sum(diag > _PIVOT_THRESHOLD * max(diag[0], 1e-300)))
     keep = np.sort(piv[:rank])
-    drop = np.sort(piv[rank:])
-    if drop.size:
+    if rank < piv.size:
         # dropped rows must be consistent combinations of the kept ones
-        coeffs, *_ = np.linalg.lstsq(a[keep].T, a[drop].T, rcond=None)
-        rhs_pred = coeffs.T @ rhs[keep]
+        coeffs = scipy.linalg.solve_triangular(r[:rank, :rank], r[:rank, rank:])
+        rhs_pred = coeffs.T @ rhs[piv[:rank]]
         scale = max(1.0, float(np.abs(rhs).max()))
-        if np.abs(rhs_pred - rhs[drop]).max() > 1e-8 * scale:
+        if np.abs(rhs_pred - rhs[piv[rank:]]).max() > 1e-8 * scale:
             return kept_orig[keep], False
     return kept_orig[keep], True
 
@@ -298,12 +312,44 @@ def _schur_complement(
     return (big_m + big_m.T) / 2.0
 
 
-def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
-    """Largest alpha with x + alpha*dx staying positive semidefinite."""
-    try:
-        l = np.linalg.cholesky(x)
-    except np.linalg.LinAlgError:
-        return 0.0
+def _schur_solver(big_m: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Factor the Schur complement once; return a function solving M v = r.
+
+    Cholesky of M, retried with a diagonal jitter growing tenfold from
+    1e-14 * max(1, Tr(M)/m) when rounding leaves M numerically singular;
+    least squares when eight attempts fail.
+    """
+    m = big_m.shape[0]
+    base = np.trace(big_m) / max(1, m)
+    jitter = 0.0
+    for _ in range(8):
+        try:
+            l = np.linalg.cholesky(big_m + jitter * np.eye(m) if jitter else big_m)
+        except np.linalg.LinAlgError:
+            jitter = max(jitter * 10.0, 1e-14 * max(base, 1.0))
+            continue
+
+        def solve_chol(rhs_vec: np.ndarray) -> np.ndarray:
+            sol = scipy.linalg.solve_triangular(l, rhs_vec, lower=True)
+            return scipy.linalg.solve_triangular(l.T, sol, lower=False)
+
+        return solve_chol
+    return lambda rhs_vec: np.linalg.lstsq(big_m, rhs_vec, rcond=None)[0]
+
+
+def _cholesky_blocks(mats: list[np.ndarray]) -> list[np.ndarray] | None:
+    """Cholesky factors of every block, or None at the first that is not positive definite."""
+    factors = []
+    for m in mats:
+        try:
+            factors.append(np.linalg.cholesky(m))
+        except np.linalg.LinAlgError:
+            return None
+    return factors
+
+
+def _max_step(l: np.ndarray, dx: np.ndarray) -> float:
+    """Largest alpha with L L^T + alpha*dx staying positive semidefinite."""
     s = scipy.linalg.solve_triangular(l, dx, lower=True)
     s = scipy.linalg.solve_triangular(l, s.T, lower=True)
     w = np.linalg.eigvalsh((s + s.T) / 2.0)
@@ -313,13 +359,28 @@ def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
     return -1.0 / lam
 
 
-def _chol_ok(mats: list[np.ndarray]) -> bool:
-    for m in mats:
-        try:
-            np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:
-            return False
-    return True
+def _step_length(factors: list[np.ndarray] | None, steps: list[np.ndarray]) -> float:
+    """Fraction-to-boundary step for blocks given by their Cholesky factors; 0 without factors."""
+    if factors is None:
+        return 0.0
+    return min(1.0, _BOUNDARY_FRACTION * min(_max_step(l, d) for l, d in zip(factors, steps)))
+
+
+def _damped_update(
+    mats: list[np.ndarray], steps: list[np.ndarray], alpha: float
+) -> tuple[float, list[np.ndarray], list[np.ndarray] | None]:
+    """Halve alpha until every mats[b] + alpha*steps[b] factors (at most 40 halvings).
+
+    Rounding can leave the fraction-to-boundary step just outside the cone.
+    Returns alpha, the updated blocks and their Cholesky factors, which the
+    next iteration reuses; the factors are None if the last halving failed too.
+    """
+    for halvings in range(41):
+        new = [m + alpha * d for m, d in zip(mats, steps)]
+        factors = _cholesky_blocks(new)
+        if factors is not None or halvings == 40:
+            return alpha, new, factors
+        alpha *= 0.5
 
 
 def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
@@ -333,7 +394,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     cvec = indexer.pack(c_mats)
 
     m_rows = problem.a.shape[0]
-    kept, consistent = _preprocess_rows(problem.a.toarray(), problem.rhs)
+    kept, consistent = _preprocess_rows(problem.a, problem.rhs)
     if not consistent:
         zeros = [np.zeros((s, s)) for s in dims]
         return SdpSolution(zeros, np.zeros(m_rows), 0.0, math.inf, math.inf, "infeasible_detected")
@@ -349,6 +410,8 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     )
     x = [tau * np.eye(s) for s in dims]
     z = [tau * np.eye(s) for s in dims]
+    x_chol = _cholesky_blocks(x)
+    z_chol = _cholesky_blocks(z)
     y = np.zeros(m)
     ntotal = sum(dims)
 
@@ -383,36 +446,19 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
             status = "infeasible_detected"
             break
 
-        zinv_chol = []
-        try:
-            for b in range(nblocks):
-                zinv_chol.append(np.linalg.cholesky(z[b]))
-        except np.linalg.LinAlgError:
+        if z_chol is None:
             status = "max_iter"
             break
 
         def zinv_apply(b: int, mat: np.ndarray) -> np.ndarray:
-            l = zinv_chol[b]
+            l = z_chol[b]
             s = scipy.linalg.solve_triangular(l, mat, lower=True)
             return scipy.linalg.solve_triangular(l.T, s, lower=False)
 
         # symmetrize the rounded inverses so that svec pairings see both triangles
         zinv = [zinv_apply(b, np.eye(dims[b])) for b in range(nblocks)]
         zinv = [(zi + zi.T) / 2.0 for zi in zinv]
-        big_m = _schur_complement(block_rows, indexer, x, zinv, m)
-
-        def solve_m(rhs_vec: np.ndarray) -> np.ndarray:
-            jitter = 0.0
-            base = np.trace(big_m) / max(1, m)
-            for _ in range(8):
-                try:
-                    l = np.linalg.cholesky(big_m + jitter * np.eye(m))
-                    sol = scipy.linalg.solve_triangular(l, rhs_vec, lower=True)
-                    return scipy.linalg.solve_triangular(l.T, sol, lower=False)
-                except np.linalg.LinAlgError:
-                    jitter = max(jitter * 10.0, 1e-14 * max(base, 1.0))
-            return np.linalg.lstsq(big_m, rhs_vec, rcond=None)[0]
-
+        solve_m = _schur_solver(_schur_complement(block_rows, indexer, x, zinv, m))
         az = apply_a(zinv)
 
         def direction(sigma_mu: float, cross: list[np.ndarray] | None):
@@ -436,8 +482,8 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
             return dx, dy, dz
 
         dx_aff, dy_aff, dz_aff = direction(0.0, None)
-        ap = min(1.0, _BOUNDARY_FRACTION * min(_max_step(x[b], dx_aff[b]) for b in range(nblocks)))
-        ad = min(1.0, _BOUNDARY_FRACTION * min(_max_step(z[b], dz_aff[b]) for b in range(nblocks)))
+        ap = _step_length(x_chol, dx_aff)
+        ad = _step_length(z_chol, dz_aff)
         mu_aff = sum(
             float(np.tensordot(x[b] + ap * dx_aff[b], z[b] + ad * dz_aff[b]))
             for b in range(nblocks)
@@ -450,20 +496,8 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
             cross.append((t + t.T) / 2.0)
         dx, dy, dz = direction(sigma * mu, cross)
 
-        ap = min(1.0, _BOUNDARY_FRACTION * min(_max_step(x[b], dx[b]) for b in range(nblocks)))
-        ad = min(1.0, _BOUNDARY_FRACTION * min(_max_step(z[b], dz[b]) for b in range(nblocks)))
-        # Cholesky failure from rounding triggers step halving.
-        for _ in range(40):
-            if _chol_ok([x[b] + ap * dx[b] for b in range(nblocks)]):
-                break
-            ap *= 0.5
-        for _ in range(40):
-            if _chol_ok([z[b] + ad * dz[b] for b in range(nblocks)]):
-                break
-            ad *= 0.5
-        for b in range(nblocks):
-            x[b] = x[b] + ap * dx[b]
-            z[b] = z[b] + ad * dz[b]
+        ap, x, x_chol = _damped_update(x, dx, _step_length(x_chol, dx))
+        ad, z, z_chol = _damped_update(z, dz, _step_length(z_chol, dz))
         y = y + ad * dy
 
     pobj = float(cvec @ indexer.pack(x))

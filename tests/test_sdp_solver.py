@@ -2,12 +2,15 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
-from unitary_inversion.comb_sdp import build_sequential_sdp
+from unitary_inversion.comb_sdp import build_parallel_sdp, build_sequential_sdp
 from unitary_inversion.sdp import (
     SdpProblem,
     SolverConfig,
+    _preprocess_rows,
+    _schur_solver,
     _SvecIndexer,
     solve,
     verify,
@@ -249,3 +252,125 @@ def test_from_rows_rejects_bad_rows():
     for rows in bad_rows:
         with pytest.raises(ValueError):
             SdpProblem.from_rows([2], [good], rows)
+
+
+def reference_preprocess(a, rhs):
+    """Row preprocessing as first written: economic pivoted QR, then lstsq on the rows."""
+    a = a.toarray()
+    seen, order = {}, []
+    for i in range(a.shape[0]):
+        key = a[i].tobytes()
+        if key in seen:
+            if abs(rhs[i] - rhs[seen[key]]) > 1e-12 * max(1.0, abs(rhs[seen[key]])):
+                return np.array(order, dtype=int), False
+        else:
+            seen[key] = i
+            order.append(i)
+    a, rhs = a[order], rhs[order]
+    nonzero = np.linalg.norm(a, axis=1) > 1e-10
+    if np.any(np.abs(rhs[~nonzero]) > 1e-12):
+        return np.array(order, dtype=int), False
+    a, rhs = a[nonzero], rhs[nonzero]
+    kept = np.array(order, dtype=int)[nonzero]
+    _, r, piv = scipy.linalg.qr(a.T, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = int(np.sum(diag > 1e-10 * max(diag[0], 1e-300)))
+    keep, drop = np.sort(piv[:rank]), np.sort(piv[rank:])
+    if drop.size:
+        coeffs, *_ = np.linalg.lstsq(a[keep].T, a[drop].T, rcond=None)
+        scale = max(1.0, float(np.abs(rhs).max()))
+        if np.abs(coeffs.T @ rhs[keep] - rhs[drop]).max() > 1e-8 * scale:
+            return kept[keep], False
+    return kept[keep], True
+
+
+@pytest.mark.parametrize("build", [build_sequential_sdp, build_parallel_sdp])
+@pytest.mark.parametrize("d", [2, 3])
+def test_preprocess_rows_matches_reference(build, d):
+    problem = build(d, 3)
+    kept, consistent = _preprocess_rows(problem.a, problem.rhs)
+    ref_kept, ref_consistent = reference_preprocess(problem.a, problem.rhs)
+    assert np.array_equal(kept, ref_kept)
+    assert consistent is ref_consistent is True
+    assert kept.size < problem.a.shape[0]
+
+
+@pytest.mark.parametrize("offset, consistent", [(1e-6, False), (1e-12, True)])
+def test_preprocess_rows_checks_dropped_combination(offset, consistent):
+    rng = np.random.default_rng(7)
+    basis = [random_symmetric(rng, 3) for _ in range(3)]
+    values = [3.0, -2.0, 5.0]
+    weights = [2.5, -0.7, 1.3]
+    combo = sum(w * m for w, m in zip(weights, basis))
+    combo_rhs = float(np.dot(weights, values))
+    scale = max(1.0, abs(combo_rhs), *map(abs, values))
+    rows = [({0: m}, v) for m, v in zip(basis, values)]
+    rows.append(({0: combo}, combo_rhs + offset * scale))
+    problem = SdpProblem.from_rows([3], [np.eye(3)], rows)
+    kept, flag = _preprocess_rows(problem.a, problem.rhs)
+    ref_kept, ref_flag = reference_preprocess(problem.a, problem.rhs)
+    assert flag is ref_flag is consistent
+    assert kept.size == 3 and np.array_equal(kept, ref_kept)
+
+
+def counting(monkeypatch, name):
+    """Replace np.linalg.<name> by a wrapper that records (rows, succeeded) per call."""
+    real = getattr(np.linalg, name)
+    calls = []
+
+    def wrapper(mat, *args, **kwargs):
+        try:
+            out = real(mat, *args, **kwargs)
+        except np.linalg.LinAlgError:
+            calls.append((np.shape(mat)[0], False))
+            raise
+        calls.append((np.shape(mat)[0], True))
+        return out
+
+    monkeypatch.setattr(np.linalg, name, wrapper)
+    return calls
+
+
+def test_schur_solver_paths(monkeypatch):
+    chol = counting(monkeypatch, "cholesky")
+    lstsq = counting(monkeypatch, "lstsq")
+    rhs = np.array([1.0, 1.0])
+
+    # positive definite: one factorization serves every solve
+    big_m = np.array([[4.0, 1.0], [1.0, 3.0]])
+    solver = _schur_solver(big_m)
+    for _ in range(2):
+        assert np.abs(big_m @ solver(rhs) - rhs).max() <= 1e-14
+    assert chol == [(2, True)] and lstsq == []
+
+    # singular positive semidefinite: plain Cholesky fails, a jittered one succeeds
+    chol.clear()
+    big_m = np.ones((2, 2))
+    sol = _schur_solver(big_m)(rhs)
+    assert chol[0] == (2, False) and chol[-1] == (2, True) and lstsq == []
+    assert np.abs(big_m @ sol - rhs).max() <= 1e-8
+
+    # indefinite: all eight attempts fail and least squares takes over
+    chol.clear()
+    big_m = np.diag([1.0, -1.0])
+    solver = _schur_solver(big_m)
+    assert chol == [(2, False)] * 8 and lstsq == []
+    assert np.array_equal(solver(rhs), [1.0, -1.0])
+    assert lstsq == [(2, True)]
+
+
+def test_solve_factors_each_matrix_once_per_iteration(monkeypatch):
+    problem = build_sequential_sdp(2, 3)
+    m = _preprocess_rows(problem.a, problem.rhs)[0].size
+    nblocks = len(problem.block_dims)
+    assert m not in problem.block_dims
+    calls = counting(monkeypatch, "cholesky")
+    solution = solve(problem)
+    assert solution.status == "optimal"
+    schur = [ok for rows, ok in calls if rows == m]
+    blocks = [ok for rows, ok in calls if rows != m]
+    # the last iteration only checks convergence
+    assert schur == [True] * (solution.iterations - 1)
+    # X and Z once per block at the start and after each step, plus halving retries
+    retries = blocks.count(False)
+    assert blocks.count(True) <= 2 * nblocks * solution.iterations + nblocks * retries
