@@ -123,7 +123,7 @@ def cmd_solve(args) -> int:
     start = time.perf_counter()
     try:
         problem = _build_problem(args.mode, args.d, args.n, args.svec_cap)
-    except ValueError as exc:
+    except ValueError as exc:  # the full-space dimension cap
         print(f"size cap: {exc}", file=sys.stderr)
         return EXIT_SIZE_CAP
     if problem is None:
@@ -260,6 +260,18 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _local_dim(text: str) -> int:
+    if int(text) < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {text}")
+    return int(text)
+
+
+def _positive_float(text: str) -> float:
+    if not float(text) > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return float(text)
+
+
 def _reduced_modes(text: str) -> list[str]:
     modes = [m.strip() for m in text.split(",") if m.strip()]
     if not modes or not set(modes) <= {"seq", "par"}:
@@ -282,40 +294,32 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument(
         "--mode", choices=("standard", "catalytic", "adversarial"), default="standard"
     )
-    sim.add_argument(
-        "--catalytic", dest="mode", action="store_const", const="catalytic",
-        help="alias for --mode catalytic",
-    )
-    sim.add_argument(
-        "--adversarial-catalyst", dest="mode", action="store_const", const="adversarial",
-        help="alias for --mode adversarial",
-    )
     sim.add_argument("--build-path", choices=("gate", "matrix"), default="gate")
     sim.add_argument("--json", action="store_true")
     sim.add_argument("--out", type=str, default=None)
     sim.set_defaults(func=cmd_simulate)
 
     slv = sub.add_parser("solve", help="assemble and solve one inversion SDP")
-    slv.add_argument("--d", type=int, required=True)
-    slv.add_argument("--n", type=int, required=True)
+    slv.add_argument("--d", type=_local_dim, required=True)
+    slv.add_argument("--n", type=_positive_int, required=True)
     slv.add_argument("--mode", choices=("seq", "par", "full-seq", "full-par"), default="seq")
-    slv.add_argument("--tol-gap", type=float, default=1e-6)
-    slv.add_argument("--tol-feas", type=float, default=1e-8)
-    slv.add_argument("--max-iterations", type=int, default=200)
+    slv.add_argument("--tol-gap", type=_positive_float, default=1e-6)
+    slv.add_argument("--tol-feas", type=_positive_float, default=1e-8)
+    slv.add_argument("--max-iterations", type=_positive_int, default=200)
     slv.add_argument("--svec-cap", type=int, default=comb_sdp.REDUCED_SVEC_CAP)
     slv.add_argument("--json", action="store_true")
     slv.add_argument("--out", type=str, default=None)
     slv.set_defaults(func=cmd_solve)
 
     tab = sub.add_parser("tables", help="reproduce the fidelity tables")
-    tab.add_argument("--d-min", type=int, default=2)
-    tab.add_argument("--d-max", type=int, default=6)
-    tab.add_argument("--n-min", type=int, default=1)
-    tab.add_argument("--n-max", type=int, default=5)
+    tab.add_argument("--d-min", type=_local_dim, default=2)
+    tab.add_argument("--d-max", type=_local_dim, default=6)
+    tab.add_argument("--n-min", type=_positive_int, default=1)
+    tab.add_argument("--n-max", type=_positive_int, default=5)
     tab.add_argument("--modes", type=_reduced_modes, default="seq,par")
     tab.add_argument("--svec-cap", type=int, default=comb_sdp.REDUCED_SVEC_CAP)
-    tab.add_argument("--tol-gap", type=float, default=1e-6)
-    tab.add_argument("--tol-feas", type=float, default=1e-8)
+    tab.add_argument("--tol-gap", type=_positive_float, default=1e-6)
+    tab.add_argument("--tol-feas", type=_positive_float, default=1e-8)
     tab.add_argument("--json", action="store_true")
     tab.add_argument("--out", type=str, default=None)
     tab.set_defaults(func=cmd_tables)

@@ -13,7 +13,11 @@ as brute-force oracles for cross-validating the reduction at desk scale.
 Register bookkeeping for the full space: global factor order is
 [P, I_1..I_n, O_1..O_n, F].  The commutant machinery treats the group
 (I_1, ..., I_n, F) and the group (P, O_1, ..., O_n) as (n+1)-fold tensor
-factors, in those orders, so "last factor" lemmas apply to F and O_n.
+factors, in those orders, so "last factor" lemmas apply to F and O_n.  The
+performance operator pairs (I_1..I_n, F) with (O_1..O_n, P) instead.  Each
+commutant routine regroups the full-register matrix once into
+(first group) x (second group) order with :func:`_regroup` and contracts
+it against stacked matrix units with ``einsum``.
 """
 
 from __future__ import annotations
@@ -324,46 +328,52 @@ def register_indices(n: int) -> dict[str, object]:
     }
 
 
-def _input_group(n: int) -> list[int]:
-    reg = register_indices(n)
-    return list(reg["I"]) + [reg["F"]]
+def _regroup(mat: np.ndarray, d: int, order, inverse: bool = False) -> np.ndarray:
+    """Reorder the tensor factors of a full-register matrix.
+
+    Factor k of the result is factor ``order[k]`` of ``mat``; with
+    ``inverse`` the reordering is undone instead.
+    """
+    count = len(order)
+    axes = [int(a) for a in (np.argsort(order) if inverse else order)]
+    total = d**count
+    shaped = mat.reshape((d,) * (2 * count))
+    return shaped.transpose(axes + [count + a for a in axes]).reshape(total, total)
 
 
-def _output_group(n: int) -> list[int]:
+def _commutant_groups(n: int) -> tuple[list[int], list[int]]:
+    """Register positions of the groups (I_1..I_n, F) and (P, O_1..O_n)."""
     reg = register_indices(n)
-    return [reg["P"]] + list(reg["O"])
+    return list(reg["I"]) + [reg["F"]], [reg["P"]] + list(reg["O"])
 
 
 @lru_cache(maxsize=None)
-def _matrix_unit_cached(mu: YoungDiagram, i: int, j: int, d: int) -> np.ndarray:
-    e = matrix_unit(mu, i, j, d)
-    e.setflags(write=False)
-    return e
+def _matrix_units(mu: YoungDiagram, d: int) -> np.ndarray:
+    """Read-only stack E[i, j] = E^mu_ij on (C^d)^(boxes)."""
+    count = tableau_count(mu)
+    stack = np.array(
+        [[matrix_unit(mu, i, j, d) for j in range(count)] for i in range(count)]
+    )
+    stack.setflags(write=False)
+    return stack
 
 
 def full_performance_operator(d: int, n: int) -> np.ndarray:
     """Haar-averaged objective on the full register space.
 
-    Assembled from commutant matrix units placed on the register groups
-    (I_1..I_n, F) and (O_1..O_n, P); the second group's order encodes the
-    cyclic pairing between the future/past registers and the call slots.
+    Sum over diagrams mu and tableau pairs (i, j) of E^mu_ij on the group
+    (I_1..I_n, F) times E^mu_ij on the group (O_1..O_n, P), over d^2 m_mu;
+    the second group's order encodes the cyclic pairing between the
+    future/past registers and the call slots.
     """
-    dims = full_register_dims(d, n)
-    reg = register_indices(n)
-    group_a = list(reg["I"]) + [reg["F"]]
-    group_b = list(reg["O"]) + [reg["P"]]
-    total = d ** (2 * n + 2)
-    omega = np.zeros((total, total))
+    side = d ** (n + 1)
+    omega = np.zeros((side,) * 4)
     for mu in young_diagrams(n + 1, d):
-        m_mu = su_dim(mu, d)
-        for i in range(tableau_count(mu)):
-            for j in range(tableau_count(mu)):
-                e = _matrix_unit_cached(mu, i, j, d)
-                omega += (
-                    tensor.embed_operator(e, group_a, dims).real
-                    @ tensor.embed_operator(e, group_b, dims).real
-                ) / (d * d * m_mu)
-    return omega
+        e = _matrix_units(mu, d)
+        omega += np.einsum("ijac,ijbd->abcd", e, e, optimize=True) / (d * d * su_dim(mu, d))
+    inputs, outputs = _commutant_groups(n)
+    order = inputs + outputs[1:] + outputs[:1]
+    return _regroup(omega.reshape(side * side, -1), d, order, inverse=True)
 
 
 def _ptrace(mat: np.ndarray, keep: list[int], dims: tuple[int, ...]) -> np.ndarray:
@@ -477,19 +487,21 @@ def maximally_mixed_comb(d: int, n: int) -> np.ndarray:
 
 
 def check_commutant_symmetry(full: np.ndarray, d: int, n: int, samples: int = 2, seed: int = 1234) -> float:
-    """Largest commutator norm against sampled collective rotations."""
-    dims = full_register_dims(d, n)
-    group_a = _input_group(n)
-    group_b = _output_group(n)
+    """Largest commutator norm against sampled collective rotations.
+
+    The rotations are v^(x n+1) on (I_1..I_n, F) times w^(x n+1) on
+    (P, O_1..O_n); the commutator is taken in that grouped order, which
+    only permutes its entries.
+    """
+    inputs, outputs = _commutant_groups(n)
+    mat = _regroup(np.asarray(full), d, inputs + outputs)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
         v = tensor.haar_unitary(d, rng).entries
         w = tensor.haar_unitary(d, rng).entries
-        big = tensor.embed_operator(
-            tensor.kron_all(*([v] * (n + 1))), group_a, dims
-        ) @ tensor.embed_operator(tensor.kron_all(*([w] * (n + 1))), group_b, dims)
-        comm = full @ big - big @ full
+        big = np.kron(tensor.kron_all(*([v] * (n + 1))), tensor.kron_all(*([w] * (n + 1))))
+        comm = mat @ big - big @ mat
         worst = max(worst, float(np.abs(comm).max()))
     return worst
 
@@ -497,9 +509,13 @@ def check_commutant_symmetry(full: np.ndarray, d: int, n: int, samples: int = 2,
 def reduce_comb(full: np.ndarray | tensor.DensityOrChoiMatrix, d: int, n: int) -> ReducedComb:
     """Extract reduced blocks from a collectively symmetric full-space matrix.
 
-    Coefficients come from Hilbert-Schmidt pairing with the commutant
-    matrix units; round-tripping through :func:`expand_comb` reproduces the
-    input for matrices inside the commutant.
+    Block entry [(i, k), (j, l)] of pair (mu, nu) is the Hilbert-Schmidt
+    pairing Tr(C . E^mu_ji on (I_1..I_n, F) . E^nu_lk on (P, O_1..O_n)),
+    real part.  With C regrouped to that order as C[x, y, u, v] (row
+    (x, y), column (u, v)) this is the contraction
+    sum C[x, y, u, v] E^mu_ji[u, x] E^nu_lk[v, y].  Round-tripping through
+    :func:`expand_comb` reproduces the input for matrices inside the
+    commutant.
     """
     mat = full.entries if isinstance(full, tensor.DensityOrChoiMatrix) else np.asarray(full)
     total = d ** (2 * n + 2)
@@ -508,54 +524,37 @@ def reduce_comb(full: np.ndarray | tensor.DensityOrChoiMatrix, d: int, n: int) -
     sym_err = check_commutant_symmetry(mat, d, n)
     if sym_err > 1e-8 * max(1.0, float(np.abs(mat).max())):
         raise ValueError(f"input is not collectively symmetric (deviation {sym_err:.3e})")
-    dims = full_register_dims(d, n)
-    group_a = _input_group(n)
-    group_b = _output_group(n)
+    side = d ** (n + 1)
+    inputs, outputs = _commutant_groups(n)
+    grouped = _regroup(np.real(mat), d, inputs + outputs).reshape((side,) * 4)
     blocks: dict[tuple[YoungDiagram, YoungDiagram], np.ndarray] = {}
     for mu in young_diagrams(n + 1, d):
-        d_mu = tableau_count(mu)
         for nu in young_diagrams(n + 1, d):
-            d_nu = tableau_count(nu)
-            block = np.zeros((d_mu * d_nu, d_mu * d_nu))
-            for i in range(d_mu):
-                for j in range(d_mu):
-                    e_mu = tensor.embed_operator(
-                        _matrix_unit_cached(mu, j, i, d), group_a, dims
-                    ).real
-                    for k in range(d_nu):
-                        for l in range(d_nu):
-                            e_nu = tensor.embed_operator(
-                                _matrix_unit_cached(nu, l, k, d), group_b, dims
-                            ).real
-                            value = float(np.real(np.trace(mat @ e_mu @ e_nu)))
-                            block[i * d_nu + k, j * d_nu + l] = value
-            blocks[(mu, nu)] = block
+            size = tableau_count(mu) * tableau_count(nu)
+            block = np.einsum(
+                "xyuv,jiux,lkvy->ikjl", grouped, _matrix_units(mu, d), _matrix_units(nu, d),
+                optimize=True,
+            )
+            blocks[(mu, nu)] = block.reshape(size, size)
     return ReducedComb(d, n, blocks)
 
 
 def expand_comb(comb: ReducedComb) -> np.ndarray:
-    """Rebuild the full-space matrix from reduced blocks."""
+    """Rebuild the full-space matrix from reduced blocks.
+
+    The inverse of :func:`reduce_comb` on the commutant: the sum of
+    block[(i, k), (j, l)] / (m_mu m_nu) times E^mu_ij on (I_1..I_n, F)
+    times E^nu_kl on (P, O_1..O_n).
+    """
     d, n = comb.d, comb.n
-    dims = full_register_dims(d, n)
-    group_a = _input_group(n)
-    group_b = _output_group(n)
-    total = d ** (2 * n + 2)
-    out = np.zeros((total, total))
+    side = d ** (n + 1)
+    out = np.zeros((side,) * 4)
     for (mu, nu), block in comb.blocks.items():
         d_mu, d_nu = tableau_count(mu), tableau_count(nu)
-        m_mu, m_nu = su_dim(mu, d), su_dim(nu, d)
-        for i in range(d_mu):
-            for j in range(d_mu):
-                e_mu = tensor.embed_operator(
-                    _matrix_unit_cached(mu, i, j, d), group_a, dims
-                ).real
-                for k in range(d_nu):
-                    for l in range(d_nu):
-                        c = block[i * d_nu + k, j * d_nu + l]
-                        if c == 0.0:
-                            continue
-                        e_nu = tensor.embed_operator(
-                            _matrix_unit_cached(nu, k, l, d), group_b, dims
-                        ).real
-                        out += (c / (m_mu * m_nu)) * (e_mu @ e_nu)
-    return out
+        coeff = block.reshape(d_mu, d_nu, d_mu, d_nu) / (su_dim(mu, d) * su_dim(nu, d))
+        out += np.einsum(
+            "ikjl,ijac,klbd->abcd", coeff, _matrix_units(mu, d), _matrix_units(nu, d),
+            optimize=True,
+        )
+    inputs, outputs = _commutant_groups(n)
+    return _regroup(out.reshape(side * side, -1), d, inputs + outputs, inverse=True)

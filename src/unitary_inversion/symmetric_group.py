@@ -5,8 +5,8 @@ enumerated recursively by the row of the box holding the largest entry, in
 increasing row order, with the remaining boxes ordered as in the parent
 shape's own canonical list.  The ordering is subgroup adapted: restricting
 the representation to permutations fixing n gives blocks that are exactly
-the parent-shape representations, in parent-canonical order.  Embedding and
-restriction matrices below rely on this.
+the parent-shape representations, in parent-canonical order.  Embedding
+matrices below rely on this.
 
 Representation matrices use Young's orthogonal form, so every matrix is
 real orthogonal and the group-algebra matrix units are real symmetric
@@ -16,15 +16,12 @@ under index swap.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-
-from .tensor import CONSTRUCTION_ATOL
 
 # matrix_unit cost grows as n! * d^(2n); the guard keeps accidental calls cheap.
 MATRIX_UNIT_MAX_BOXES = 4
@@ -169,10 +166,6 @@ class StandardTableau:
                 if x == value:
                     return r, c
         raise ValueError(f"{value} not present in tableau")
-
-    def content(self, value: int) -> int:
-        r, c = self.position(value)
-        return c - r
 
     def restrict(self, k: int) -> "StandardTableau":
         """Sub-tableau holding entries 1..k."""
@@ -345,13 +338,6 @@ def permutation_matrix(diagram: YoungDiagram, perm) -> np.ndarray:
     return mat
 
 
-def compose(p, q) -> tuple[int, ...]:
-    """Composition p after q, one-line notation."""
-    p = check_permutation(p)
-    q = check_permutation(q)
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
 def cycle_permutation(n: int) -> tuple[int, ...]:
     """The long cycle sending slot i to i+1 (0-based one-line notation)."""
     return tuple((i + 1) % n for i in range(n))
@@ -377,26 +363,6 @@ def embedding_matrix(parent: YoungDiagram, child: YoungDiagram) -> np.ndarray:
     return mat
 
 
-def restriction_matrix(sub: YoungDiagram, full: YoungDiagram) -> np.ndarray:
-    """0/1 matrix pairing sub-shape tableaux with multi-box extensions.
-
-    Entry (a, m) is 1 exactly when restricting full-shape tableau m to the
-    first ``sub.boxes`` entries yields sub-shape tableau a.  The one-box
-    case coincides with :func:`embedding_matrix`.
-    """
-    if not full.contains(sub):
-        raise ValueError(f"{sub.rows} is not contained in {full.rows}")
-    sub_index = _tableau_index(sub)
-    full_tabs = standard_tableaux(full)
-    mat = np.zeros((tableau_count(sub), len(full_tabs)))
-    k = sub.boxes
-    for m, t in enumerate(full_tabs):
-        restricted = t.restrict(k)
-        if restricted.shape == sub:
-            mat[sub_index[restricted], m] = 1.0
-    return mat
-
-
 def permutation_operator(perm, d: int, n: int) -> np.ndarray:
     """Operator permuting tensor factors of (C^d)^n.
 
@@ -406,18 +372,9 @@ def permutation_operator(perm, d: int, n: int) -> np.ndarray:
     perm = check_permutation(perm)
     if len(perm) != n:
         raise ValueError(f"permutation length {len(perm)} != {n}")
-    inverse = np.argsort(perm)
+    axes = [int(a) for a in np.argsort(perm)] + list(range(n, 2 * n))
     total = d**n
-    mat = np.zeros((total, total))
-    for digits in itertools.product(range(d), repeat=n):
-        col = 0
-        for x in digits:
-            col = col * d + x
-        row = 0
-        for k in range(n):
-            row = row * d + digits[inverse[k]]
-        mat[row, col] = 1.0
-    return mat
+    return np.eye(total).reshape((d,) * (2 * n)).transpose(axes).reshape(total, total)
 
 
 def matrix_unit(
@@ -450,36 +407,3 @@ def matrix_unit(
         if coeff != 0.0:
             out += coeff * permutation_operator(sigma, d, n)
     return out * (dim / math.factorial(n))
-
-
-@dataclass(frozen=True)
-class IrrepTable:
-    """Per-shape bundle: dimensions and orthogonal generator matrices."""
-
-    shape: YoungDiagram
-    d_mu: int
-    m_mu: int
-    generators: tuple[np.ndarray, ...]
-
-    def to_json(self) -> str:
-        payload = {
-            "shape": list(self.shape.rows),
-            "d_mu": self.d_mu,
-            "m_mu": self.m_mu,
-            "generators": [g.tolist() for g in self.generators],
-        }
-        return json.dumps(payload, sort_keys=True)
-
-
-def irrep_table(diagram: YoungDiagram, d: int) -> IrrepTable:
-    """Assemble and sanity check the irrep data for one shape."""
-    gens = tuple(
-        _generator_cached(diagram, k) for k in range(1, diagram.boxes)
-    )
-    dim = tableau_count(diagram)
-    for g in gens:
-        if np.abs(g @ g.T - np.eye(dim)).max() > CONSTRUCTION_ATOL:
-            raise AssertionError("generator is not orthogonal")
-        if np.abs(g @ g - np.eye(dim)).max() > CONSTRUCTION_ATOL:
-            raise AssertionError("generator is not an involution")
-    return IrrepTable(diagram, dim, su_dim(diagram, d), gens)

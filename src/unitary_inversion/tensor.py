@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # Tolerance of the construction-time algebraic checks (unitarity,
-# Hermiticity, determinant), shared with the representation data.
+# Hermiticity, determinant).
 CONSTRUCTION_ATOL = 1e-12
 
 
@@ -40,10 +40,6 @@ class Statevector:
                 f"amplitude vector of length {amps.size} does not match dims {self.dims}"
             )
         object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def total_dim(self) -> int:
-        return self.amplitudes.size
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -107,9 +103,6 @@ class DenseUnitary:
             err = np.abs(m.conj().T @ m - np.eye(self.dim)).max()
             if err > CONSTRUCTION_ATOL:
                 raise ValueError(f"matrix is not unitary (deviation {err:.3e})")
-
-    def dagger(self) -> "DenseUnitary":
-        return DenseUnitary(self.entries.conj().T, check=False)
 
     def determinant(self) -> complex:
         return complex(np.linalg.det(self.entries))

@@ -172,3 +172,26 @@ def test_simulate_rejects_non_positive_trials(capsys):
             main(["simulate", "--trials", trials])
         assert exc.value.code == 2
         assert "--trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["solve", "--d", "1", "--n", "1"], "--d"),
+        (["solve", "--d", "2", "--n", "0"], "--n"),
+        (["solve", "--d", "2", "--n", "1", "--max-iterations", "0"], "--max-iterations"),
+        (["solve", "--d", "2", "--n", "1", "--tol-gap", "0"], "--tol-gap"),
+        (["solve", "--d", "2", "--n", "1", "--tol-feas", "-1e-8"], "--tol-feas"),
+        (["tables", "--d-min", "1"], "--d-min"),
+        (["tables", "--d-max", "1"], "--d-max"),
+        (["tables", "--n-min", "0"], "--n-min"),
+        (["tables", "--n-max", "0"], "--n-max"),
+        (["tables", "--tol-gap", "nan"], "--tol-gap"),
+        (["tables", "--tol-feas", "0"], "--tol-feas"),
+    ],
+)
+def test_invalid_sizes_and_tolerances_are_usage_errors(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err

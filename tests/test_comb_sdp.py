@@ -6,6 +6,7 @@ from unitary_inversion import tensor
 from unitary_inversion.sdp import SdpProblem, _SvecIndexer, solve
 from unitary_inversion.symmetric_group import (
     YoungDiagram,
+    matrix_unit,
     su_dim,
     tableau_count,
     young_diagrams,
@@ -95,23 +96,64 @@ def test_reduce_identity_structure():
         assert np.abs(block - expected).max() <= 1e-10
 
 
-def test_reduce_round_trip_on_commutant_element():
-    d, n = 2, 1
-    rng = np.random.default_rng(8)
-    # random symmetric element of the commutant via expansion with random blocks
-    keys = cs.block_keys(d, n)
+COMMUTANT_SIZES = ((2, 1), (2, 2), (3, 1))
+
+
+def random_commutant_blocks(d: int, n: int, seed: int) -> dict:
+    rng = np.random.default_rng(seed)
     blocks = {}
-    for mu, nu in keys:
+    for mu, nu in cs.block_keys(d, n):
         size = tableau_count(mu) * tableau_count(nu)
         g = rng.standard_normal((size, size))
         blocks[(mu, nu)] = g + g.T
-    comb = cs.ReducedComb(d, n, blocks)
-    full = cs.expand_comb(comb)
-    back = cs.reduce_comb(full, d, n)
-    for key in keys:
-        assert np.abs(back.blocks[key] - blocks[key]).max() <= 1e-8
-    rebuilt = cs.expand_comb(back)
-    assert np.abs(rebuilt - full).max() <= 1e-8
+    return blocks
+
+
+def test_reduce_round_trip_on_commutant_element():
+    for d, n in COMMUTANT_SIZES:
+        # random symmetric element of the commutant via expansion with random blocks
+        blocks = random_commutant_blocks(d, n, 8)
+        full = cs.expand_comb(cs.ReducedComb(d, n, blocks))
+        back = cs.reduce_comb(full, d, n)
+        for key, block in blocks.items():
+            assert np.abs(back.blocks[key] - block).max() <= 1e-8
+        rebuilt = cs.expand_comb(back)
+        assert np.abs(rebuilt - full).max() <= 1e-8
+
+
+def embedded_units(mu, d: int, n: int, regs: list[int]) -> dict:
+    """E^mu_ij placed on the listed registers, written out with embed_operator."""
+    dims = cs.full_register_dims(d, n)
+    count = tableau_count(mu)
+    return {
+        (i, j): tensor.embed_operator(matrix_unit(mu, i, j, d), regs, dims).real
+        for i in range(count)
+        for j in range(count)
+    }
+
+
+@pytest.mark.parametrize("d, n", COMMUTANT_SIZES)
+def test_commutant_pairing_matches_definition(d, n):
+    # pins the register grouping (I_1..I_n, F) / (P, O_1..O_n) and the index
+    # order of both directions, which a round trip alone cannot see
+    reg = cs.register_indices(n)
+    inputs = list(reg["I"]) + [reg["F"]]
+    outputs = [reg["P"]] + list(reg["O"])
+    blocks = random_commutant_blocks(d, n, 5)
+    full = cs.expand_comb(cs.ReducedComb(d, n, blocks))
+    reduced = cs.reduce_comb(full, d, n)
+    expected = np.zeros_like(full)
+    for (mu, nu), block in blocks.items():
+        e_in = embedded_units(mu, d, n, inputs)
+        e_out = embedded_units(nu, d, n, outputs)
+        d_mu, d_nu = tableau_count(mu), tableau_count(nu)
+        m_mu, m_nu = su_dim(mu, d), su_dim(nu, d)
+        for i, j, k, l in np.ndindex(d_mu, d_mu, d_nu, d_nu):
+            row, col = i * d_nu + k, j * d_nu + l
+            value = np.trace(full @ e_in[(j, i)] @ e_out[(l, k)])
+            assert abs(reduced.blocks[(mu, nu)][row, col] - value) <= 1e-12
+            expected += block[row, col] / (m_mu * m_nu) * (e_in[(i, j)] @ e_out[(k, l)])
+    assert np.abs(full - expected).max() <= 1e-12
 
 
 def test_reduce_rejects_unsymmetric_input():

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -12,15 +11,12 @@ from unitary_inversion.symmetric_group import (
     YoungDiagram,
     adjacent_transposition_word,
     check_permutation,
-    compose,
     cycle_permutation,
     embedding_matrix,
     generator_matrix,
-    irrep_table,
     matrix_unit,
     permutation_matrix,
     permutation_operator,
-    restriction_matrix,
     standard_tableaux,
     su_dim,
     tableau_count,
@@ -184,7 +180,7 @@ def test_permutation_matrix_is_homomorphism():
         for _ in range(50):
             p = tuple(int(x) for x in rng.permutation(n))
             q = tuple(int(x) for x in rng.permutation(n))
-            lhs = permutation_matrix(diagram, compose(p, q))
+            lhs = permutation_matrix(diagram, tuple(p[q[i]] for i in range(n)))
             rhs = permutation_matrix(diagram, p) @ permutation_matrix(diagram, q)
             assert np.abs(lhs - rhs).max() <= 1e-10
             mat = permutation_matrix(diagram, p)
@@ -200,7 +196,7 @@ def test_word_decomposition_reconstructs_permutation():
         rebuilt = tuple(range(n))
         for k in reversed(word):
             s = tuple(k if i == k - 1 else k - 1 if i == k else i for i in range(n))
-            rebuilt = compose(s, rebuilt)
+            rebuilt = tuple(s[rebuilt[i]] for i in range(n))
         assert rebuilt == perm
 
 
@@ -242,17 +238,6 @@ def test_branching_census_two_one():
     assert ones == len(children) * tableau_count(parent)
 
 
-def test_restriction_matrix_composes_embeddings():
-    base = YoungDiagram((2, 1))
-    for full in young_diagrams(5, 3):
-        if not full.contains(base):
-            continue
-        r = restriction_matrix(base, full)
-        # rows partition the tableaux whose restriction hits the base shape
-        assert set(np.unique(r)).issubset({0.0, 1.0})
-        assert (r.sum(axis=0) <= 1.0).all()
-
-
 def test_permutation_operator_examples():
     assert np.array_equal(permutation_operator((0, 1), 2, 2), np.eye(4))
     swap = permutation_operator((1, 0), 2, 2)
@@ -268,7 +253,7 @@ def test_permutation_operator_homomorphism():
         d = int(rng.integers(2, 4))
         p = tuple(int(x) for x in rng.permutation(n))
         q = tuple(int(x) for x in rng.permutation(n))
-        lhs = permutation_operator(compose(p, q), d, n)
+        lhs = permutation_operator(tuple(p[q[i]] for i in range(n)), d, n)
         rhs = permutation_operator(p, d, n) @ permutation_operator(q, d, n)
         assert np.array_equal(lhs, rhs)
 
@@ -366,16 +351,6 @@ def test_partial_trace_of_matrix_units():
                         else:
                             expected = np.zeros_like(reduced)
                         assert np.abs(reduced - expected).max() <= 1e-10
-
-
-def test_irrep_table_json_dump():
-    table = irrep_table(YoungDiagram((2, 1)), 3)
-    payload = json.loads(table.to_json())
-    assert payload["shape"] == [2, 1]
-    assert payload["d_mu"] == 2
-    assert payload["m_mu"] == 8
-    assert len(payload["generators"]) == 2
-    assert np.asarray(payload["generators"][0]).shape == (2, 2)
 
 
 def test_diagram_validation():
