@@ -213,6 +213,9 @@ def cmd_tables(args) -> int:
                         breaches += 1
                 results[(mode, d, n)] = entry
     wall = time.perf_counter() - start
+    if not results:
+        print(f"size cap: every reduced instance exceeds svec cap {args.svec_cap}", file=sys.stderr)
+        return EXIT_SIZE_CAP
 
     deviation_lines = ["mode,d,n,computed,reference,tolerance,deviation,status"]
     for (mode, d, n), entry in sorted(results.items()):
@@ -306,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--tol-gap", type=_positive_float, default=1e-6)
     slv.add_argument("--tol-feas", type=_positive_float, default=1e-8)
     slv.add_argument("--max-iterations", type=_positive_int, default=200)
-    slv.add_argument("--svec-cap", type=int, default=comb_sdp.REDUCED_SVEC_CAP)
+    slv.add_argument("--svec-cap", type=_positive_int, default=comb_sdp.REDUCED_SVEC_CAP)
     slv.add_argument("--json", action="store_true")
     slv.add_argument("--out", type=str, default=None)
     slv.set_defaults(func=cmd_solve)
@@ -317,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     tab.add_argument("--n-min", type=_positive_int, default=1)
     tab.add_argument("--n-max", type=_positive_int, default=5)
     tab.add_argument("--modes", type=_reduced_modes, default="seq,par")
-    tab.add_argument("--svec-cap", type=int, default=comb_sdp.REDUCED_SVEC_CAP)
+    tab.add_argument("--svec-cap", type=_positive_int, default=comb_sdp.REDUCED_SVEC_CAP)
     tab.add_argument("--tol-gap", type=_positive_float, default=1e-6)
     tab.add_argument("--tol-feas", type=_positive_float, default=1e-8)
     tab.add_argument("--json", action="store_true")
@@ -327,7 +330,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "tables":
+        for name in ("d", "n"):
+            low, high = getattr(args, f"{name}_min"), getattr(args, f"{name}_max")
+            if low > high:
+                parser.error(f"--{name}-min {low} exceeds --{name}-max {high}")
     return args.func(args)
 
 

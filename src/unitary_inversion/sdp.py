@@ -14,8 +14,10 @@ of A directly; :meth:`SdpProblem.from_rows` packs per-block coefficient
 matrices.  The JSON instance format stores each row per block as the
 upper triangle of its coefficient matrix.
 
-Constraint rows are preprocessed: exact duplicates collapse, and a
-column-pivoted QR of the transposed rows drops dependent rows.  Q is never
+Constraint rows are preprocessed on the CSR matrix: exact duplicates
+collapse, and dependent rows are dropped by one column-pivoted QR per
+connected component of rows that share svec columns, with one rank
+threshold for all components (see :func:`_preprocess_rows`).  Q is never
 formed; each dropped row's right-hand side is checked for consistency
 through R11^{-1} R12 (an inconsistency is reported as infeasibility).
 All data must be real symmetric; complex or unsymmetric input is rejected.
@@ -37,6 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.csgraph
+import scipy.sparse.linalg
 
 _SYM_ATOL = 1e-10
 _PIVOT_THRESHOLD = 1e-10
@@ -228,22 +232,40 @@ class _SvecIndexer:
 def _preprocess_rows(a: scipy.sparse.csr_matrix, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
     """Deduplicate and drop linearly dependent rows of the constraint matrix.
 
-    The rows are densified here, collapsed when exactly equal, and ranked by
-    a column-pivoted QR of their transpose (LAPACK ``geqp3``).  Q is never
-    formed: a dropped row equals the kept rows combined with the
-    coefficients R11^{-1} R12 (R11 the leading rank x rank triangle of R,
-    R12 the columns beside it), and its right-hand side must match the same
-    combination of theirs.
+    Rows collapse when exactly equal in canonical CSR form (sorted columns,
+    no stored zeros); rows of norm at most ``_PIVOT_THRESHOLD`` must have a
+    zero right-hand side.  The other rows are split into connected
+    components, two rows being joined when they share an svec column, and
+    each component is ranked by a column-pivoted QR (LAPACK ``geqp3``) of
+    its rows' transpose, restricted to the columns they touch.  The whole
+    matrix is never densified.
+
+    Rows of different components have disjoint supports and so are
+    orthogonal.  A pivot counts toward the rank when it exceeds
+    ``_PIVOT_THRESHOLD`` times the largest norm of all rows, the first
+    pivot of one QR of every row; then, in exact arithmetic, rank and pivot
+    order within each component match that global QR.  Under rounding,
+    ties between rows of equal norm can break differently, which changes
+    which rows are kept but not the space they span.
+
+    Q is never formed: a dropped row equals the kept rows of its component
+    combined with the coefficients R11^{-1} R12 (R11 the leading rank x
+    rank triangle of the component's R, R12 the columns beside it; zero at
+    rank 0), and its right-hand side must match the same combination of
+    theirs to 1e-8 times the largest right-hand side.
 
     Returns (kept_indices, consistent).  ``consistent`` is False when a
     dropped row's right-hand side disagrees with the kept rows, which
     certifies primal infeasibility.
     """
-    dense = a.toarray()
+    a = scipy.sparse.csr_matrix(a, copy=True)
+    a.sum_duplicates()
+    a.eliminate_zeros()
     seen: dict[bytes, int] = {}
     order: list[int] = []
-    for i in range(dense.shape[0]):
-        key = dense[i].tobytes()
+    for i in range(a.shape[0]):
+        lo, hi = a.indptr[i], a.indptr[i + 1]
+        key = a.indices[lo:hi].tobytes() + a.data[lo:hi].tobytes()
         if key in seen:
             j = seen[key]
             if abs(rhs[i] - rhs[j]) > 1e-12 * max(1.0, abs(rhs[j])):
@@ -251,38 +273,60 @@ def _preprocess_rows(a: scipy.sparse.csr_matrix, rhs: np.ndarray) -> tuple[np.nd
         else:
             seen[key] = i
             order.append(i)
-    rhs = rhs[order]
-    nonzero = np.linalg.norm(dense, axis=1)[order] > _PIVOT_THRESHOLD
-    for i in np.where(~nonzero)[0]:
-        if abs(rhs[i]) > 1e-12:
-            return np.array(order, dtype=int), False
+    norms = scipy.sparse.linalg.norm(a[order], axis=1)
+    nonzero = norms > _PIVOT_THRESHOLD
+    if np.any(np.abs(rhs[order][~nonzero]) > 1e-12):
+        return np.array(order, dtype=int), False
     kept_orig = np.array(order, dtype=int)[nonzero]
-    rhs = rhs[nonzero]
     if kept_orig.size == 0:
         return kept_orig, True
-    rows_t = dense[kept_orig].T
-    del dense  # the QR overwrites rows_t in place; no second dense copy stays alive
-    r, piv = scipy.linalg.qr(rows_t, overwrite_a=True, mode="raw", pivoting=True)[1:]
-    diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > _PIVOT_THRESHOLD * max(diag[0], 1e-300)))
-    keep = np.sort(piv[:rank])
-    if rank < piv.size:
-        # dropped rows must be consistent combinations of the kept ones
-        coeffs = scipy.linalg.solve_triangular(r[:rank, :rank], r[:rank, rank:])
-        rhs_pred = coeffs.T @ rhs[piv[:rank]]
-        scale = max(1.0, float(np.abs(rhs).max()))
-        if np.abs(rhs_pred - rhs[piv[rank:]]).max() > 1e-8 * scale:
-            return kept_orig[keep], False
-    return kept_orig[keep], True
+    rows, rhs, norms = a[kept_orig], rhs[kept_orig], norms[nonzero]
+    threshold = _PIVOT_THRESHOLD * norms.max()
+    scale = max(1.0, float(np.abs(rhs).max()))
+    pattern = abs(rows)
+    labels = scipy.sparse.csgraph.connected_components(pattern @ pattern.T, directed=False)[1]
+    # members of each component in row order, so that pivot ties break as in one global QR
+    members = np.argsort(labels, kind="stable")
+    keep = []
+    consistent = True
+    for comp in np.split(members, np.cumsum(np.bincount(labels))[:-1]):
+        if comp.size == 1:
+            diag, piv = norms[comp], np.zeros(1, dtype=int)
+        else:
+            sub = rows[comp]
+            sub = sub[:, np.unique(sub.indices)]
+            r, piv = scipy.linalg.qr(sub.toarray().T, overwrite_a=True, mode="raw", pivoting=True)[1:]
+            diag = np.abs(np.diag(r))
+        rank = int(np.sum(diag > threshold))
+        keep.append(comp[piv[:rank]])
+        if rank < comp.size:
+            # dropped rows must be consistent combinations of the kept ones
+            pred = 0.0
+            if rank:
+                coeffs = scipy.linalg.solve_triangular(r[:rank, :rank], r[:rank, rank:])
+                pred = coeffs.T @ rhs[comp[piv[:rank]]]
+            if np.abs(pred - rhs[comp[piv[rank:]]]).max() > 1e-8 * scale:
+                consistent = False
+    return kept_orig[np.sort(np.concatenate(keep))], consistent
 
 
-def _block_rows(a: scipy.sparse.csr_matrix, indexer: _SvecIndexer) -> list[tuple[np.ndarray, scipy.sparse.csr_matrix]]:
-    """Per block: the rows touching it and those rows restricted to its columns."""
+def _block_rows(a: scipy.sparse.csr_matrix, indexer: _SvecIndexer) -> list[tuple[scipy.sparse.csr_matrix, list]]:
+    """Per block: the rows touching it, restricted to its columns, and their batches.
+
+    A batch is the CSR slice of up to ``_SCHUR_CHUNK`` of those rows and the
+    ``np.ix_`` index of the Schur complement entries it adds to.  Both
+    depend only on the kept rows, so they are built once per solve.
+    """
     out = []
     for span in indexer.spans:
         a_b = a[:, span]
         rows = np.flatnonzero(np.diff(a_b.indptr))
-        out.append((rows, a_b[rows]))
+        a_b = a_b[rows]
+        batches = [
+            (a_b[start:start + _SCHUR_CHUNK], np.ix_(rows, rows[start:start + _SCHUR_CHUNK]))
+            for start in range(0, rows.size, _SCHUR_CHUNK)
+        ]
+        out.append((a_b, batches))
     return out
 
 
@@ -296,19 +340,18 @@ def _schur_complement(
     large blocks.
     """
     big_m = np.zeros((m, m))
-    for b, (rows, a_b) in enumerate(block_rows):
+    for b, (a_b, batches) in enumerate(block_rows):
         s = indexer.dims[b]
         ii, jj = indexer.index_pairs[b]
         scale = indexer.scales[b]
-        for start in range(0, rows.size, _SCHUR_CHUNK):
-            chunk = slice(start, start + _SCHUR_CHUNK)
-            coeffs = a_b[chunk].toarray() / scale
+        for batch, target in batches:
+            coeffs = batch.toarray() / scale
             mats = np.zeros((coeffs.shape[0], s, s))
             mats[:, ii, jj] = coeffs
             mats[:, jj, ii] = coeffs
             t = x[b] @ mats @ zinv[b]
             packed = (t[:, ii, jj] + t[:, jj, ii]) / 2.0 * scale
-            big_m[np.ix_(rows, rows[chunk])] += a_b @ packed.T
+            big_m[target] += a_b @ packed.T
     return (big_m + big_m.T) / 2.0
 
 

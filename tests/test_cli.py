@@ -118,6 +118,17 @@ def test_tables_marks_skipped_cells(tmp_path, capsys):
     assert "1.0000" in table
 
 
+def test_tables_size_cap_rejecting_every_cell(capsys):
+    code = main(
+        ["tables", "--d-min", "2", "--d-max", "3", "--n-min", "2", "--n-max", "3",
+         "--svec-cap", "1", "--json"]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "svec cap 1" in captured.err
+
+
 def test_tables_breach_exit_code(monkeypatch, capsys):
     from unitary_inversion import reference_tables as rt
 
@@ -188,6 +199,10 @@ def test_simulate_rejects_non_positive_trials(capsys):
         (["tables", "--n-max", "0"], "--n-max"),
         (["tables", "--tol-gap", "nan"], "--tol-gap"),
         (["tables", "--tol-feas", "0"], "--tol-feas"),
+        (["solve", "--d", "2", "--n", "1", "--svec-cap", "0"], "--svec-cap"),
+        (["tables", "--svec-cap", "-1"], "--svec-cap"),
+        (["tables", "--d-min", "4", "--d-max", "2"], "--d-min"),
+        (["tables", "--n-min", "3", "--n-max", "2"], "--n-min"),
     ],
 )
 def test_invalid_sizes_and_tolerances_are_usage_errors(argv, flag, capsys):

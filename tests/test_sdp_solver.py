@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from unitary_inversion.comb_sdp import build_parallel_sdp, build_sequential_sdp
+from unitary_inversion.comb_sdp import build_full_sdp, build_parallel_sdp, build_sequential_sdp
 from unitary_inversion.sdp import (
     SdpProblem,
     SolverConfig,
@@ -284,15 +284,34 @@ def reference_preprocess(a, rhs):
     return kept[keep], True
 
 
+def assert_same_row_space(problem):
+    """Kept rows match the reference in number and consistency, are independent and span every row.
+
+    Which of several rows of equal norm is kept is a rounding tie-break, so
+    the kept indices themselves may differ from the reference.
+    """
+    kept, consistent = _preprocess_rows(problem.a, problem.rhs)
+    ref_kept, ref_consistent = reference_preprocess(problem.a, problem.rhs)
+    assert kept.size == ref_kept.size < problem.a.shape[0]
+    assert consistent is ref_consistent is True
+    rows = problem.a.toarray()
+    basis = rows[kept]
+    assert np.linalg.matrix_rank(basis) == kept.size
+    _, _, vt = np.linalg.svd(basis, full_matrices=False)
+    off_span = np.linalg.norm(rows - (rows @ vt.T) @ vt, axis=1)
+    assert np.all(off_span <= 1e-10 * np.linalg.norm(rows, axis=1))
+
+
 @pytest.mark.parametrize("build", [build_sequential_sdp, build_parallel_sdp])
 @pytest.mark.parametrize("d", [2, 3])
 def test_preprocess_rows_matches_reference(build, d):
-    problem = build(d, 3)
-    kept, consistent = _preprocess_rows(problem.a, problem.rhs)
-    ref_kept, ref_consistent = reference_preprocess(problem.a, problem.rhs)
-    assert np.array_equal(kept, ref_kept)
-    assert consistent is ref_consistent is True
-    assert kept.size < problem.a.shape[0]
+    assert_same_row_space(build(d, 3))
+
+
+@pytest.mark.parametrize("mode", ["seq", "par"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_preprocess_rows_matches_reference_full_space(mode, n):
+    assert_same_row_space(build_full_sdp(2, n, mode))
 
 
 @pytest.mark.parametrize("offset, consistent", [(1e-6, False), (1e-12, True)])
@@ -311,6 +330,78 @@ def test_preprocess_rows_checks_dropped_combination(offset, consistent):
     ref_kept, ref_flag = reference_preprocess(problem.a, problem.rhs)
     assert flag is ref_flag is consistent
     assert kept.size == 3 and np.array_equal(kept, ref_kept)
+
+
+def diagonal_rows_problem(rows):
+    """One 2x2 block per row group; each row is (block, diagonal coefficients, rhs)."""
+    nblocks = 1 + max(b for b, _, _ in rows)
+    return SdpProblem.from_rows(
+        [2] * nblocks, [np.eye(2)] * nblocks, [({b: np.diag(diag)}, value) for b, diag, value in rows]
+    )
+
+
+def test_preprocess_rows_checks_every_component():
+    # block 0 holds a consistent dependent row, block 1 an inconsistent one
+    problem = diagonal_rows_problem([
+        (0, [1.0, 0.0], 1.0), (0, [0.0, 1.0], 2.0), (0, [1.0, 1.0], 3.0),
+        (1, [1.0, 0.0], 1.0), (1, [0.0, 1.0], 1.0), (1, [1.0, 1.0], 3.0),
+    ])
+    kept, consistent = _preprocess_rows(problem.a, problem.rhs)
+    assert consistent is reference_preprocess(problem.a, problem.rhs)[1] is False
+    assert kept.size == 4
+
+
+def test_preprocess_rows_threshold_is_global():
+    # a large component, a mid-scale one with a dependent row, and rows below
+    # 1e-10 times the largest norm: a two-row component and a single row
+    tiny = 1e-9
+    problem = diagonal_rows_problem([
+        (0, [1e3, 0.0], 5.0), (0, [0.0, 2e3], 1.0),
+        (1, [1.0, 0.0], 1.0), (1, [0.0, 3.0], 2.0), (1, [2.0, 3.0], 4.0),
+        (2, [tiny, 0.0], 0.0), (2, [tiny, tiny], 0.0),
+        (3, [0.0, 2 * tiny], 0.0),
+    ])
+    kept, consistent = _preprocess_rows(problem.a, problem.rhs)
+    ref_kept, ref_consistent = reference_preprocess(problem.a, problem.rhs)
+    assert consistent is ref_consistent is True
+    assert np.array_equal(kept, ref_kept)
+    assert np.array_equal(kept, [0, 1, 3, 4])
+
+
+@pytest.mark.parametrize("value, consistent", [(0.0, True), (1e-3, False)])
+def test_preprocess_rows_rank_zero_component(value, consistent):
+    # both rows of block 1 fall below the threshold set by block 0
+    problem = diagonal_rows_problem([
+        (0, [1e4, 0.0], 1.0),
+        (1, [1e-9, 0.0], 0.0), (1, [1e-9, 1e-9], value),
+    ])
+    kept, flag = _preprocess_rows(problem.a, problem.rhs)
+    ref_kept, ref_flag = reference_preprocess(problem.a, problem.rhs)
+    assert flag is ref_flag is consistent
+    assert np.array_equal(kept, ref_kept) and np.array_equal(kept, [0])
+
+
+def test_preprocess_rows_factors_components_not_the_matrix(monkeypatch):
+    problem = build_sequential_sdp(3, 4)
+    real_qr = scipy.linalg.qr
+    real_toarray = type(problem.a).toarray
+    qr_shapes, dense_shapes = [], []
+
+    def qr(mat, *args, **kwargs):
+        qr_shapes.append(mat.shape)
+        return real_qr(mat, *args, **kwargs)
+
+    def toarray(mat, *args, **kwargs):
+        dense_shapes.append(mat.shape)
+        return real_toarray(mat, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "qr", qr)
+    monkeypatch.setattr(type(problem.a), "toarray", toarray)
+    kept, consistent = _preprocess_rows(problem.a, problem.rhs)
+    assert consistent and kept.size == 1043
+    # QR inputs are transposed: one column per constraint row of a component
+    assert qr_shapes and max(cols for _, cols in qr_shapes) <= 233
+    assert dense_shapes and max(rows for rows, _ in dense_shapes) <= 233
 
 
 def counting(monkeypatch, name):
