@@ -397,14 +397,14 @@ def _full_rows(lhs_coeff, out_regs: list[int], dims: tuple[int, ...], rhs_fn):
             yield {0: (coeff + coeff.T) / 2.0}, rhs_fn(p, q)
 
 
-def build_full_sdp(d: int, n: int, mode: str, dim_cap: int = FULL_SPACE_DIM_CAP) -> SdpProblem:
+def build_full_sdp(d: int, n: int, mode: str) -> SdpProblem:
     """Brute-force SDP on the unreduced Choi matrix (oracle use only)."""
     if mode not in ("seq", "par"):
         raise ValueError("mode must be 'seq' or 'par'")
     total = d ** (2 * n + 2)
-    if total > dim_cap:
+    if total > FULL_SPACE_DIM_CAP:
         raise ValueError(
-            f"full-space dimension {total} exceeds cap {dim_cap} for (d={d}, n={n})"
+            f"full-space dimension {total} exceeds cap {FULL_SPACE_DIM_CAP} for (d={d}, n={n})"
         )
     dims = full_register_dims(d, n)
     reg = register_indices(n)

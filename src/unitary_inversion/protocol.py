@@ -52,24 +52,15 @@ def rotation_y(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-@dataclass(frozen=True)
-class CgAngle:
-    """Coupling angle for adding one spin-1/2 to total spin j."""
-
-    j: float
-    m_prime: float
-    theta: float
-
-
-def cg_angle(j: float, m_prime: float) -> CgAngle:
-    """Angle with cos(theta) = sqrt((j + m' + 1/2) / (2j + 1))."""
+def cg_angle(j: float, m_prime: float) -> float:
+    """Angle theta of adding one spin-1/2 to spin j: cos(theta) = sqrt((j + m' + 1/2) / (2j + 1))."""
     if j < 0 or abs(round(2 * j) - 2 * j) > 1e-12 or abs(round(2 * m_prime) - 2 * m_prime) > 1e-12:
         raise ValueError(f"j and m' must be non-negative half-integers: ({j}, {m_prime})")
     if abs(m_prime) > j + 0.5 + 1e-12:
         raise ValueError(f"no valid coupling for (j={j}, m'={m_prime})")
     ratio = (j + m_prime + 0.5) / (2.0 * j + 1.0)
     ratio = min(1.0, max(0.0, ratio))
-    return CgAngle(j, m_prime, math.acos(math.sqrt(ratio)))
+    return math.acos(math.sqrt(ratio))
 
 
 def _controlled(n: int, controls: dict[int, int], targets: tuple[int, ...], op: np.ndarray) -> np.ndarray:
@@ -196,7 +187,7 @@ def _spin_state(j: float, m: float, n: int) -> np.ndarray:
         if j0 < 0 or j0 > (n - 1) / 2.0 or abs(m) > j0 + 0.5:
             continue
         ang = cg_angle(j0, m)
-        c, s = math.cos(ang.theta), math.sin(ang.theta)
+        c, s = math.cos(ang), math.sin(ang)
         # row selected by whether j = j0 - 1/2 or j0 + 1/2
         if abs(j - (j0 - 0.5)) < 1e-9:
             coeff_down, coeff_up = c, -s  # partner qubit |0> vs |1>
@@ -247,7 +238,7 @@ def build_vcg3_matrix() -> DenseUnitary:
     # j' = 1/2 labels (j'-bit 0), m-register holds m' + 1/2 in {0, 1}.
     for mreg, m_prime in ((0, -0.5), (1, 0.5)):
         ang1 = cg_angle(1.0, m_prime)
-        c1, s1 = math.cos(ang1.theta), math.sin(ang1.theta)
+        c1, s1 = math.cos(ang1), math.sin(ang1)
         # multiplicity bit 0: descended from the triplet of the first two qubits
         col = reg_state(0, mreg, 0)
         vec = c1 * basis16(reg_state(1, int(round(m_prime + 1.5)), 0))
@@ -255,7 +246,7 @@ def build_vcg3_matrix() -> DenseUnitary:
         columns[col] = vec
         # multiplicity bit 1: descended from the singlet
         ang0 = cg_angle(0.0, m_prime)
-        c0, s0 = math.cos(ang0.theta), math.sin(ang0.theta)
+        c0, s0 = math.cos(ang0), math.sin(ang0)
         vec = np.zeros(16, dtype=complex)
         if s0 != 0.0:
             vec += s0 * basis16(reg_state(0, 0, 0))
@@ -266,7 +257,7 @@ def build_vcg3_matrix() -> DenseUnitary:
     for mreg in range(4):
         m_prime = mreg - 1.5
         ang1 = cg_angle(1.0, m_prime)
-        c1, s1 = math.cos(ang1.theta), math.sin(ang1.theta)
+        c1, s1 = math.cos(ang1), math.sin(ang1)
         vec = np.zeros(16, dtype=complex)
         if s1 != 0.0:
             vec += s1 * basis16(reg_state(1, int(round(m_prime + 1.5)), 0))

@@ -60,7 +60,3 @@ def reference_cells() -> dict[tuple[str, int, int], ReferenceCell]:
                     mode, d, n, value, _tolerance(mode, d, n, value)
                 )
     return cells
-
-
-def reference_value(mode: str, d: int, n: int) -> ReferenceCell | None:
-    return reference_cells().get((mode, d, n))

@@ -11,8 +11,8 @@ and one column per svec coordinate: blocks in order, each block's upper
 triangle row by row, off-diagonal entries scaled by sqrt(2), so that
 A @ svec(X) is the vector of sum_b Tr(A_{i,b} X_b).  Builders emit rows
 of A directly; :meth:`SdpProblem.from_rows` packs per-block coefficient
-matrices.  The JSON instance format stores each row per block as the
-upper triangle of its coefficient matrix.
+matrices.  The JSON instance format stores A as its CSR arrays, so a
+round trip through it is exact.
 
 Constraint rows are preprocessed on the CSR matrix: exact duplicates
 collapse, and dependent rows are dropped by one column-pivoted QR per
@@ -98,20 +98,11 @@ class SdpProblem:
             raise ValueError("constraint data must be finite")
 
     def to_json(self) -> str:
-        indexer = _SvecIndexer(list(self.block_dims))
-        constraints = []
-        for row, value in zip(self.a, self.rhs):
-            vec = row.toarray()[0]
-            blocks = [
-                {"index": b, "coeff_upper_triangle": [float(x) for x in vec[span] / scale]}
-                for b, (span, scale) in enumerate(zip(indexer.spans, indexer.scales))
-                if vec[span].any()
-            ]
-            constraints.append({"blocks": blocks, "rhs": float(value)})
         payload = {
             "block_dims": list(self.block_dims),
             "objective": [_upper_triangle(m) for m in self.objective],
-            "constraints": constraints,
+            "a": {k: getattr(self.a, k).tolist() for k in ("indptr", "indices", "data")},
+            "rhs": self.rhs.tolist(),
         }
         payload.update({k: self.metadata[k] for k in ("d", "n", "mode") if k in self.metadata})
         return json.dumps(payload, sort_keys=True)
@@ -119,14 +110,23 @@ class SdpProblem:
     @classmethod
     def from_json(cls, text: str) -> "SdpProblem":
         data = json.loads(text)
+        dims = [int(s) for s in data["block_dims"]]
+        rhs = np.array(data["rhs"], dtype=float)
+        indptr, indices = (np.asarray(data["a"][k]) for k in ("indptr", "indices"))
+        if any(v.size and v.dtype.kind != "i" for v in (indptr, indices)):
+            raise ValueError("constraint indptr and indices must be integer arrays")
+        svec = sum(s * (s + 1) // 2 for s in dims)
+        a = scipy.sparse.csr_matrix(
+            (np.array(data["a"]["data"], dtype=float), indices, indptr), shape=(len(rhs), svec)
+        )
+        a.check_format(full_check=True)
+        if a.nnz != indices.size:
+            raise ValueError(f"indptr ends at {a.nnz} of {indices.size} stored entries")
         objective = [_from_upper_triangle(v) for v in data["objective"]]
-        rows = [
-            ({int(e["index"]): _from_upper_triangle(e["coeff_upper_triangle"]) for e in c["blocks"]},
-             float(c["rhs"]))
-            for c in data["constraints"]
-        ]
         metadata = {k: data[k] for k in ("d", "n", "mode") if k in data}
-        return cls.from_rows(data["block_dims"], objective, rows, metadata)
+        problem = cls(dims, objective, a, rhs, metadata)
+        problem.validate()
+        return problem
 
 
 def _check_symmetric(mat: np.ndarray, dim: int, what: str) -> None:
@@ -147,9 +147,11 @@ def _upper_triangle(mat: np.ndarray) -> list[float]:
 
 def _from_upper_triangle(values) -> np.ndarray:
     dim = (math.isqrt(8 * len(values) + 1) - 1) // 2
+    ii, jj = np.triu_indices(dim)
     mat = np.zeros((dim, dim))
-    mat[np.triu_indices(dim)] = values
-    return mat + np.triu(mat, 1).T
+    mat[ii, jj] = values
+    mat[jj, ii] = values
+    return mat
 
 
 @dataclass(frozen=True)

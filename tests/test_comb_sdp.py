@@ -243,7 +243,7 @@ def test_parallel_reference_values():
 
 def test_full_space_cap():
     with pytest.raises(ValueError):
-        cs.build_full_sdp(2, 5, "seq", dim_cap=256)
+        cs.build_full_sdp(2, 6, "seq")
     with pytest.raises(ValueError):
         cs.build_full_sdp(2, 1, "other")
 
@@ -262,9 +262,12 @@ def test_problem_json_has_schema_fields():
     payload = json.loads(problem.to_json())
     assert payload["d"] == 2 and payload["n"] == 2 and payload["mode"] == "par"
     assert payload["block_dims"] == cs.reduced_block_dims(2, 2)
-    first = payload["constraints"][0]
-    assert "rhs" in first and "blocks" in first
-    assert {"index", "coeff_upper_triangle"} == set(first["blocks"][0])
+    assert set(payload) == {"d", "n", "mode", "block_dims", "objective", "a", "rhs"}
+    assert set(payload["a"]) == {"indptr", "indices", "data"}
+    assert payload["a"]["indptr"] == problem.a.indptr.tolist()
+    assert payload["a"]["indices"] == problem.a.indices.tolist()
+    assert len(payload["a"]["data"]) == problem.a.nnz
+    assert len(payload["rhs"]) == problem.a.shape[0]
 
 
 def test_row_counts_are_pinned():

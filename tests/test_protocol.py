@@ -21,9 +21,9 @@ def label(bits):
 
 
 def test_cg_angle_values():
-    assert math.cos(pr.cg_angle(1.0, 0.5).theta) == pytest.approx(math.sqrt(2 / 3), abs=1e-14)
-    assert math.cos(pr.cg_angle(1.0, -0.5).theta) == pytest.approx(math.sqrt(1 / 3), abs=1e-14)
-    assert math.cos(pr.cg_angle(0.5, 0.0).theta) == pytest.approx(math.sqrt(1 / 2), abs=1e-14)
+    assert math.cos(pr.cg_angle(1.0, 0.5)) == pytest.approx(math.sqrt(2 / 3), abs=1e-14)
+    assert math.cos(pr.cg_angle(1.0, -0.5)) == pytest.approx(math.sqrt(1 / 3), abs=1e-14)
+    assert math.cos(pr.cg_angle(0.5, 0.0)) == pytest.approx(math.sqrt(1 / 2), abs=1e-14)
 
 
 def test_cg_angle_validation():

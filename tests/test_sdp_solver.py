@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -179,11 +180,11 @@ def test_solution_json_fields():
 
 
 def test_problem_json_roundtrip():
-    problem = build_sequential_sdp(2, 2)
+    # (2, 3) rather than (2, 2): its objective holds negative zeros
+    problem = build_sequential_sdp(2, 3)
     rebuilt = SdpProblem.from_json(problem.to_json())
-    assert rebuilt.block_dims == problem.block_dims
-    assert rebuilt.metadata["mode"] == "seq"
-    assert rebuilt.a.shape[0] == problem.a.shape[0]
+    assert_same_instance(rebuilt, problem)
+    assert rebuilt.metadata == {"d": 2, "n": 3, "mode": "seq"}
     a = solve(problem)
     b = solve(rebuilt)
     assert abs(a.objective_value - b.objective_value) <= 1e-9
@@ -227,17 +228,41 @@ def test_constraint_matrix_matches_dense_definition():
 def test_constraint_matrix_json_roundtrip():
     problem, _ = random_rows_problem()
     rebuilt = SdpProblem.from_json(problem.to_json())
+    assert_same_instance(rebuilt, problem)
+
+
+def assert_same_instance(rebuilt, problem):
+    assert rebuilt.block_dims == problem.block_dims
     assert rebuilt.a.shape == problem.a.shape
-    assert np.abs((rebuilt.a - problem.a).toarray()).max() <= 1e-15
-    assert np.abs(rebuilt.rhs - problem.rhs).max() <= 1e-15
+    for key in ("indptr", "indices", "data"):
+        assert getattr(rebuilt.a, key).dtype == getattr(problem.a, key).dtype
+        assert getattr(rebuilt.a, key).tobytes() == getattr(problem.a, key).tobytes()
+    assert rebuilt.rhs.tobytes() == problem.rhs.tobytes()
+    for got, want in zip(rebuilt.objective, problem.objective, strict=True):
+        assert np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
 
 
 def test_from_json_rejects_unknown_block():
     problem, _ = random_rows_problem()
     payload = json.loads(problem.to_json())
-    payload["constraints"][0]["blocks"][0]["index"] = 7
-    with pytest.raises(ValueError):
-        SdpProblem.from_json(json.dumps(payload))
+    a, objective = payload["a"], payload["objective"]
+    svec = problem.a.shape[1]
+    malformed = {
+        # a column past the last svec coordinate names no block entry
+        "column out of range": ("a", {**a, "indices": a["indices"][:-1] + [svec]}),
+        "decreasing indptr": ("a", {**a, "indptr": [0, a["indptr"][2] + 1] + a["indptr"][2:]}),
+        "indptr length": ("a", {**a, "indptr": a["indptr"][:-1]}),
+        "entries past indptr": ("a", {**a, "indices": a["indices"] + [0], "data": a["data"] + [1.0]}),
+        "nan data": ("a", {**a, "data": [math.nan] + a["data"][1:]}),
+        "float indices": ("a", {**a, "indices": [i + 0.5 for i in a["indices"]]}),
+        "float indptr": ("a", {**a, "indptr": [float(i) for i in a["indptr"]]}),
+        "objective triangle length": ("objective", [objective[0][:-1]] + objective[1:]),
+        "objective of a smaller block": ("objective", [objective[0][:3]] + objective[1:]),
+    }
+    SdpProblem.from_json(json.dumps(payload))
+    for key, value in malformed.values():
+        with pytest.raises(ValueError):
+            SdpProblem.from_json(json.dumps({**payload, key: value}))
 
 
 def test_from_rows_rejects_bad_rows():
