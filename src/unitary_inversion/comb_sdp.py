@@ -16,8 +16,8 @@ Register bookkeeping for the full space: global factor order is
 factors, in those orders, so "last factor" lemmas apply to F and O_n.  The
 performance operator pairs (I_1..I_n, F) with (O_1..O_n, P) instead.  Each
 commutant routine regroups the full-register matrix once into
-(first group) x (second group) order with :func:`_regroup` and contracts
-it against stacked matrix units with ``einsum``.
+(first group) x (second group) order with :func:`tensor.permute_factors`
+and contracts it against stacked matrix units with ``einsum``.
 """
 
 from __future__ import annotations
@@ -328,19 +328,6 @@ def register_indices(n: int) -> dict[str, object]:
     }
 
 
-def _regroup(mat: np.ndarray, d: int, order, inverse: bool = False) -> np.ndarray:
-    """Reorder the tensor factors of a full-register matrix.
-
-    Factor k of the result is factor ``order[k]`` of ``mat``; with
-    ``inverse`` the reordering is undone instead.
-    """
-    count = len(order)
-    axes = [int(a) for a in (np.argsort(order) if inverse else order)]
-    total = d**count
-    shaped = mat.reshape((d,) * (2 * count))
-    return shaped.transpose(axes + [count + a for a in axes]).reshape(total, total)
-
-
 def _commutant_groups(n: int) -> tuple[list[int], list[int]]:
     """Register positions of the groups (I_1..I_n, F) and (P, O_1..O_n)."""
     reg = register_indices(n)
@@ -373,32 +360,43 @@ def full_performance_operator(d: int, n: int) -> np.ndarray:
         omega += np.einsum("ijac,ijbd->abcd", e, e, optimize=True) / (d * d * su_dim(mu, d))
     inputs, outputs = _commutant_groups(n)
     order = inputs + outputs[1:] + outputs[:1]
-    return _regroup(omega.reshape(side * side, -1), d, order, inverse=True)
+    return tensor.permute_factors(
+        omega.reshape(side * side, -1), full_register_dims(d, n), np.argsort(order)
+    )
 
 
-def _ptrace(mat: np.ndarray, keep: list[int], dims: tuple[int, ...]) -> np.ndarray:
-    return tensor.partial_trace(mat, keep, dims=dims).entries.real
+def _full_rows(out_regs, inner_regs, scales, diag, dims):
+    """Rows of a Tr_~out(C) - b Tr_~inner(C) x 1 = diag 1 over the out registers.
 
-
-def _full_rows(lhs_coeff, out_regs: list[int], dims: tuple[int, ...], rhs_fn):
-    """Rows Tr(A C) = rhs for each upper-triangle entry of a register-matrix identity.
-
-    ``lhs_coeff(e)`` maps an elementary output matrix to the coefficient
-    matrix A via adjoints of the partial traces and embeddings involved.
-    Yields ({0: A}, rhs) pairs for :meth:`SdpProblem.from_rows`.
+    One row Tr(A C) = rhs per upper-triangle entry of the out-register
+    identity; A is the adjoint of its left side applied to the symmetrized
+    elementary matrix e, a e x 1 - b Tr_(out - inner)(e) x 1.  Empty
+    register lists stand for the scalar total trace; ``inner_regs=None``
+    drops the second term.  Yields ({0: A}, rhs) pairs for
+    :meth:`SdpProblem.from_rows`.
     """
-    out_dim = int(np.prod([dims[r] for r in out_regs])) if out_regs else 1
+    a, b = scales
+    out_dims = [dims[r] for r in out_regs]
+    out_dim = int(np.prod(out_dims))
     for p in range(out_dim):
         for q in range(p, out_dim):
             e = np.zeros((out_dim, out_dim))
             e[p, q] = 0.5
             e[q, p] += 0.5
-            coeff = lhs_coeff(e)
-            yield {0: (coeff + coeff.T) / 2.0}, rhs_fn(p, q)
+            coeff = a * tensor.embed_operator(e, out_regs, dims)
+            if inner_regs is not None:
+                keep = [out_regs.index(r) for r in inner_regs]
+                inner = tensor.partial_trace(e, keep, out_dims)
+                coeff = coeff - b * tensor.embed_operator(inner, inner_regs, dims)
+            yield {0: (coeff + coeff.T) / 2.0}, diag if p == q else 0.0
 
 
 def build_full_sdp(d: int, n: int, mode: str) -> SdpProblem:
-    """Brute-force SDP on the unreduced Choi matrix (oracle use only)."""
+    """Brute-force SDP on the unreduced Choi matrix (oracle use only).
+
+    Every constraint family is one register identity handled by
+    :func:`_full_rows`, given as (out, inner, (a, b), diag).
+    """
     if mode not in ("seq", "par"):
         raise ValueError("mode must be 'seq' or 'par'")
     total = d ** (2 * n + 2)
@@ -408,74 +406,30 @@ def build_full_sdp(d: int, n: int, mode: str) -> SdpProblem:
         )
     dims = full_register_dims(d, n)
     reg = register_indices(n)
-    all_regs = list(range(2 * n + 2))
-    row_sets = []
-
     if mode == "seq":
-        # level i spaces: C_i lives on (P, I_1..I_i, O_1..O_{i-1})
+        # level i: C_i = d^-(n+1-i) Tr C over all but (P, I_1..I_i, O_1..O_{i-1}),
+        # F counting as I_{n+1}; Tr_{I_i} C_i = C_{i-1} x 1 on O_{i-1} (on P at
+        # i = 1, where C_0 = d^-(n+1) Tr C is a scalar)
+        families = []
         for i in range(1, n + 2):
-            i_regs = list(reg["I"][: min(i, n)]) + ([reg["F"]] if i == n + 1 else [])
-            o_regs = list(reg["O"][: i - 1])
-            kept_i = sorted([reg["P"]] + i_regs + o_regs)
-            drop_count = (n + 1 - i)
-            scale_i = float(d ** -drop_count)
-            last_i = i_regs[-1]
-            lhs_regs = sorted(set(kept_i) - {last_i})
-            rhs_inner = sorted(set(lhs_regs) - ({o_regs[-1]} if o_regs else {reg["P"]}))
-            scale_im1 = float(d ** -(drop_count + 1))
-
-            def lhs_coeff(e, lhs_regs=lhs_regs, scale_i=scale_i, rhs_inner=rhs_inner,
-                          scale_im1=scale_im1):
-                a = scale_i * tensor.embed_operator(e, lhs_regs, dims).real
-                if rhs_inner:
-                    inner = _ptrace(
-                        e,
-                        [lhs_regs.index(r) for r in rhs_inner],
-                        tuple(dims[r] for r in lhs_regs),
-                    )
-                    b = scale_im1 * tensor.embed_operator(inner, rhs_inner, dims).real
-                else:
-                    b = scale_im1 * float(np.trace(e)) * np.eye(total)
-                return a - b
-
-            row_sets.append(_full_rows(lhs_coeff, lhs_regs, dims, lambda p, q: 0.0))
+            out = [reg["P"]] + list(reg["I"][: i - 1]) + list(reg["O"][: i - 1])
+            lifted = reg["O"][i - 2] if i > 1 else reg["P"]
+            inner = [r for r in out if r != lifted]
+            scales = (float(d ** -(n + 1 - i)), float(d ** -(n + 2 - i)))
+            families.append((out, inner, scales, 0.0))
         # normalization: fully contracted scalar equals one
-        row_sets.append([({0: np.eye(total) * float(d ** -(n + 1))}, 1.0)])
+        families.append(([], None, (float(d ** -(n + 1)), 0.0), 1.0))
     else:
         # parallel: Tr_F C = Tr_{O F} C x 1_O / d^n  and  Tr_{I O F} C = d^n 1_P
-        f_reg = reg["F"]
-        lhs_regs = sorted(set(all_regs) - {f_reg})
-        inner_regs = sorted([reg["P"]] + list(reg["I"]))
-
-        def par_coeff(e):
-            a = tensor.embed_operator(e, lhs_regs, dims).real
-            inner = _ptrace(
-                e,
-                [lhs_regs.index(r) for r in inner_regs],
-                tuple(dims[r] for r in lhs_regs),
-            )
-            b = tensor.embed_operator(inner, inner_regs, dims).real / float(d**n)
-            return a - b
-
-        row_sets.append(_full_rows(par_coeff, lhs_regs, dims, lambda p, q: 0.0))
-
-        def p_coeff(e):
-            return tensor.embed_operator(e, [reg["P"]], dims).real
-
-        row_sets.append(
-            _full_rows(
-                p_coeff,
-                [reg["P"]],
-                dims,
-                lambda p, q: float(d**n) if p == q else 0.0,
-            )
-        )
-
+        families = [
+            (list(range(2 * n + 1)), [reg["P"]] + list(reg["I"]), (1.0, 1.0 / float(d**n)), 0.0),
+            ([reg["P"]], None, (1.0, 0.0), float(d**n)),
+        ]
     omega = full_performance_operator(d, n)
     return SdpProblem.from_rows(
         [total],
         [(omega + omega.T) / 2.0],
-        itertools.chain.from_iterable(row_sets),
+        itertools.chain.from_iterable(_full_rows(*f, dims) for f in families),
         metadata={"d": d, "n": n, "mode": f"full-{mode}"},
     )
 
@@ -486,7 +440,7 @@ def maximally_mixed_comb(d: int, n: int) -> np.ndarray:
     return np.eye(total) / float(d ** (n + 1))
 
 
-def check_commutant_symmetry(full: np.ndarray, d: int, n: int, samples: int = 2, seed: int = 1234) -> float:
+def check_commutant_symmetry(full: np.ndarray, d: int, n: int) -> float:
     """Largest commutator norm against sampled collective rotations.
 
     The rotations are v^(x n+1) on (I_1..I_n, F) times w^(x n+1) on
@@ -494,10 +448,10 @@ def check_commutant_symmetry(full: np.ndarray, d: int, n: int, samples: int = 2,
     only permutes its entries.
     """
     inputs, outputs = _commutant_groups(n)
-    mat = _regroup(np.asarray(full), d, inputs + outputs)
-    rng = np.random.default_rng(seed)
+    mat = tensor.permute_factors(full, full_register_dims(d, n), inputs + outputs)
+    rng = np.random.default_rng(1234)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(2):
         v = tensor.haar_unitary(d, rng).entries
         w = tensor.haar_unitary(d, rng).entries
         big = np.kron(tensor.kron_all(*([v] * (n + 1))), tensor.kron_all(*([w] * (n + 1))))
@@ -506,7 +460,7 @@ def check_commutant_symmetry(full: np.ndarray, d: int, n: int, samples: int = 2,
     return worst
 
 
-def reduce_comb(full: np.ndarray | tensor.DensityOrChoiMatrix, d: int, n: int) -> ReducedComb:
+def reduce_comb(full: np.ndarray, d: int, n: int) -> ReducedComb:
     """Extract reduced blocks from a collectively symmetric full-space matrix.
 
     Block entry [(i, k), (j, l)] of pair (mu, nu) is the Hilbert-Schmidt
@@ -517,7 +471,7 @@ def reduce_comb(full: np.ndarray | tensor.DensityOrChoiMatrix, d: int, n: int) -
     :func:`expand_comb` reproduces the input for matrices inside the
     commutant.
     """
-    mat = full.entries if isinstance(full, tensor.DensityOrChoiMatrix) else np.asarray(full)
+    mat = np.asarray(full)
     total = d ** (2 * n + 2)
     if mat.shape != (total, total):
         raise ValueError(f"matrix shape {mat.shape} does not match (d={d}, n={n})")
@@ -526,7 +480,8 @@ def reduce_comb(full: np.ndarray | tensor.DensityOrChoiMatrix, d: int, n: int) -
         raise ValueError(f"input is not collectively symmetric (deviation {sym_err:.3e})")
     side = d ** (n + 1)
     inputs, outputs = _commutant_groups(n)
-    grouped = _regroup(np.real(mat), d, inputs + outputs).reshape((side,) * 4)
+    grouped = tensor.permute_factors(np.real(mat), full_register_dims(d, n), inputs + outputs)
+    grouped = grouped.reshape((side,) * 4)
     blocks: dict[tuple[YoungDiagram, YoungDiagram], np.ndarray] = {}
     for mu in young_diagrams(n + 1, d):
         for nu in young_diagrams(n + 1, d):
@@ -557,4 +512,6 @@ def expand_comb(comb: ReducedComb) -> np.ndarray:
             optimize=True,
         )
     inputs, outputs = _commutant_groups(n)
-    return _regroup(out.reshape(side * side, -1), d, inputs + outputs, inverse=True)
+    return tensor.permute_factors(
+        out.reshape(side * side, -1), full_register_dims(d, n), np.argsort(inputs + outputs)
+    )

@@ -273,7 +273,6 @@ class ProtocolCircuit:
 
     v1: DenseUnitary
     v2: DenseUnitary
-    build_path: str
 
     @property
     def wire_roles(self) -> dict[str, tuple[int, ...]]:
@@ -323,7 +322,7 @@ def build_protocol(path: str = "gate") -> ProtocolCircuit:
         raise ValueError(f"unknown build path {path!r}")
     v1 = DenseUnitary(_assemble_v1(vcg2.entries, vcg3.entries))
     v2 = DenseUnitary(_assemble_v2(vcg2.entries, vcg3.entries))
-    return ProtocolCircuit(v1, v2, path)
+    return ProtocolCircuit(v1, v2)
 
 
 def _require_su2(u: DenseUnitary | np.ndarray) -> np.ndarray:

@@ -347,20 +347,19 @@ def embedding_matrix(parent: YoungDiagram, child: YoungDiagram) -> np.ndarray:
     """0/1 matrix pairing parent tableaux with one-box extensions.
 
     Entry (c, a) is 1 exactly when deleting the largest entry of child
-    tableau a leaves parent tableau c.  Rows are orthonormal: every parent
-    tableau extends uniquely into a fixed child shape.
+    tableau a leaves parent tableau c.  The canonical order lists child
+    tableaux grouped by the row of their largest entry, each group in its
+    parent's order, so the matrix is an identity shifted past the groups
+    of the removable rows above the added box.
     """
     if child.boxes != parent.boxes + 1 or not child.contains(parent):
         raise ValueError(f"{child.rows} is not a one-box extension of {parent.rows}")
-    parent_index = _tableau_index(parent)
-    child_tabs = standard_tableaux(child)
-    mat = np.zeros((tableau_count(parent), len(child_tabs)))
-    k = child.boxes
-    for a, t in enumerate(child_tabs):
-        restricted = t.restrict(k - 1)
-        if restricted.shape == parent:
-            mat[parent_index[restricted], a] = 1.0
-    return mat
+    padded = parent.rows + (0,)
+    added = next(r for r, length in enumerate(child.rows) if length != padded[r])
+    offset = sum(
+        tableau_count(child.remove_box(r)) for r in child.removable_rows() if r < added
+    )
+    return np.eye(tableau_count(parent), tableau_count(child), k=offset)
 
 
 def permutation_operator(perm, d: int, n: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # Tolerance of the construction-time algebraic checks (unitarity,
-# Hermiticity, determinant).
+# determinant).
 CONSTRUCTION_ATOL = 1e-12
 
 
@@ -104,38 +104,8 @@ class DenseUnitary:
             if err > CONSTRUCTION_ATOL:
                 raise ValueError(f"matrix is not unitary (deviation {err:.3e})")
 
-    def determinant(self) -> complex:
-        return complex(np.linalg.det(self.entries))
-
     def __matmul__(self, other: "DenseUnitary") -> "DenseUnitary":
         return DenseUnitary(self.entries @ other.entries, check=False)
-
-
-@dataclass(frozen=True)
-class DensityOrChoiMatrix:
-    """Square matrix over a labeled tensor factorization of subsystems."""
-
-    entries: np.ndarray
-    dims: tuple[int, ...]
-    labels: tuple[str, ...] | None = None
-    hermitian: bool = field(default=True, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "dims", _as_dims(self.dims))
-        m = np.asarray(self.entries, dtype=complex)
-        total = math.prod(self.dims)
-        if m.shape != (total, total):
-            raise ValueError(f"matrix shape {m.shape} does not match dims {self.dims}")
-        object.__setattr__(self, "entries", m)
-        if self.labels is not None and len(self.labels) != len(self.dims):
-            raise ValueError("labels must match number of subsystems")
-        if self.hermitian:
-            err = np.abs(m - m.conj().T).max()
-            if err > CONSTRUCTION_ATOL:
-                raise ValueError(f"matrix is not Hermitian (deviation {err:.3e})")
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.entries))
 
 
 def _check_targets(targets, n: int) -> tuple[int, ...]:
@@ -172,29 +142,38 @@ def apply_to_subsystems(state: Statevector, u: DenseUnitary | np.ndarray, target
     return Statevector(out, dims)
 
 
+def permute_factors(mat: np.ndarray, dims, order) -> np.ndarray:
+    """Reorder the tensor factors of a square matrix, rows and columns alike.
+
+    Factor k of the result is factor ``order[k]`` of ``mat`` (of dimension
+    ``dims[order[k]]``); ``np.argsort(order)`` undoes the reordering.
+    """
+    dims = _as_dims(dims)
+    total = math.prod(dims)
+    mat = np.asarray(mat)
+    if mat.shape != (total, total):
+        raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
+    axes = [int(k) for k in order]
+    axes += [len(dims) + k for k in axes]
+    return mat.reshape(dims * 2).transpose(axes).reshape(total, total)
+
+
 def embed_operator(op: np.ndarray, targets, dims) -> np.ndarray:
     """Matrix acting as ``op`` on the listed subsystems and identity elsewhere.
 
     ``targets`` gives the subsystems hosting the consecutive tensor factors
-    of ``op``, so the listed order matters.
+    of ``op``, so the listed order matters.  The result keeps ``op``'s dtype.
     """
     dims = _as_dims(dims)
     n = len(dims)
     targets = _check_targets(targets, n)
-    op = np.asarray(op, dtype=complex)
+    op = np.asarray(op)
     target_dim = math.prod(dims[t] for t in targets)
     if op.shape != (target_dim, target_dim):
         raise ValueError(f"operator shape {op.shape} does not match targets {targets}")
-    rest = [i for i in range(n) if i not in targets]
-    rest_dim = math.prod(dims[i] for i in rest)
-    big = np.kron(op, np.eye(rest_dim))
-    # big acts on factor order targets + rest; permute into natural order.
-    perm = list(targets) + rest
-    inverse = list(np.argsort(perm))
-    shaped = big.reshape([dims[i] for i in perm] * 2)
-    axes = inverse + [n + i for i in inverse]
-    total = math.prod(dims)
-    return shaped.transpose(axes).reshape(total, total)
+    order = list(targets) + [i for i in range(n) if i not in targets]
+    big = np.kron(op, np.eye(math.prod(dims) // target_dim))
+    return permute_factors(big, [dims[i] for i in order], np.argsort(order))
 
 
 def kron_all(*mats: np.ndarray) -> np.ndarray:
@@ -204,39 +183,22 @@ def kron_all(*mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def partial_trace(m: DensityOrChoiMatrix | np.ndarray, keep, dims=None) -> DensityOrChoiMatrix:
+def partial_trace(mat: np.ndarray, keep, dims) -> np.ndarray:
     """Trace out every subsystem not listed in ``keep``.
 
-    Kept subsystems stay in their original relative order; the total trace
-    is preserved.
+    Kept subsystems stay in their original relative order; ``keep=()``
+    gives the 1x1 total trace.
     """
-    if isinstance(m, DensityOrChoiMatrix):
-        dims = m.dims
-        labels = m.labels
-        mat = m.entries
-    else:
-        if dims is None:
-            raise ValueError("dims required when tracing a bare array")
-        dims = _as_dims(dims)
-        labels = None
-        mat = np.asarray(m, dtype=complex)
+    dims = _as_dims(dims)
     n = len(dims)
     keep = sorted(set(int(k) for k in keep))
     if any(not 0 <= k < n for k in keep):
         raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
-    tensor = mat.reshape(list(dims) * 2)
-    discard = [i for i in range(n) if i not in keep]
-    current = list(range(n))
-    for subsystem in reversed(discard):
-        axis = current.index(subsystem)
-        tensor = np.trace(tensor, axis1=axis, axis2=axis + len(current))
-        current.pop(axis)
-    kept_dims = tuple(dims[k] for k in keep)
-    total = math.prod(kept_dims) if kept_dims else 1
-    kept_labels = tuple(labels[k] for k in keep) if labels is not None else None
-    return DensityOrChoiMatrix(
-        tensor.reshape(total, total), kept_dims or (1,), kept_labels, hermitian=False
-    )
+    rest = [i for i in range(n) if i not in keep]
+    kept = math.prod(dims[k] for k in keep)
+    traced = math.prod(dims[i] for i in rest)
+    moved = permute_factors(mat, dims, keep + rest).reshape(kept, traced, kept, traced)
+    return np.trace(moved, axis1=1, axis2=3)
 
 
 def reduced_density_matrix(state: Statevector, keep) -> np.ndarray:

@@ -219,7 +219,7 @@ def test_criterion_7_representation_suite():
                             matrix_unit(mu, i, j, d),
                             keep=range(boxes - 1),
                             dims=(d,) * boxes,
-                        ).entries
+                        )
                         ra, rb = ti.restrict(boxes - 1), tj.restrict(boxes - 1)
                         if ra.shape == rb.shape:
                             a = standard_tableaux(ra.shape).index(ra)

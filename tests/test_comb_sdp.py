@@ -282,6 +282,64 @@ def test_row_counts_are_pinned():
         assert cs.build_full_sdp(d, n, "par").a.shape[0] == par_rows
 
 
+def lifted_marginal(c, d: int, n: int, out: list[int], inner: list[int]) -> np.ndarray:
+    """Tr over the registers outside ``inner``, times 1 on ``out`` minus ``inner``.
+
+    Written as one einsum over the register axes of C: kept registers carry
+    row axes a.. and column axes m.., traced ones A.. on both sides; the
+    result's factors follow the sorted ``out``.
+    """
+    count = 2 * n + 2
+    rows, cols, sums = "abcdefghijkl"[:count], "mnopqrstuvwx"[:count], "ABCDEFGHIJKL"
+    traced = "".join(rows[k] if k in inner else sums[k] for k in range(count))
+    traced += "".join(cols[k] if k in inner else sums[k] for k in range(count))
+    ones = [rows[k] + cols[k] for k in out if k not in inner]
+    target = "".join(rows[k] for k in out) + "".join(cols[k] for k in out)
+    operands = [c.reshape((d,) * (2 * count))] + [np.eye(d)] * len(ones)
+    side = d ** len(out)
+    return np.einsum(",".join([traced] + ones) + "->" + target, *operands).reshape(side, side)
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 2), (3, 1)])
+def test_full_space_rows_match_register_maps(d, n):
+    # A @ svec(C) - rhs lists the upper triangle of each comb condition's
+    # residual, family by family, for any symmetric C
+    rng = np.random.default_rng(31)
+    total = d ** (2 * n + 2)
+    c = rng.standard_normal((total, total))
+    c = c + c.T
+    reg = cs.register_indices(n)
+    p, ins, outs, f = reg["P"], list(reg["I"]), list(reg["O"]), reg["F"]
+
+    def marginal(keep):
+        return lifted_marginal(c, d, n, sorted(keep), sorted(keep))
+
+    # sequential: C_i = d^-(n+1-i) Tr C over all but (P, I_1..I_i, O_1..O_{i-1}),
+    # with F as I_{n+1}; Tr_{I_i} C_i = C_{i-1} x 1_{O_{i-1}} (1_P at i = 1),
+    # and C_0 = d^-(n+1) Tr C = 1
+    seq = []
+    for i in range(1, n + 2):
+        out = sorted([p] + ins[: i - 1] + outs[: i - 1])
+        lifted = outs[i - 2] if i > 1 else p
+        inner = [r for r in out if r != lifted]
+        residual = float(d) ** -(n + 1 - i) * marginal(out)
+        residual -= float(d) ** -(n + 2 - i) * lifted_marginal(c, d, n, out, inner)
+        seq.append(residual)
+    seq.append(np.array([[float(d) ** -(n + 1) * np.trace(c) - 1.0]]))
+    # parallel: Tr_F C = Tr_{O F} C x 1_O / d^n and Tr_{I O F} C = d^n 1_P
+    out = sorted([p] + ins + outs)
+    par = [
+        marginal(out) - lifted_marginal(c, d, n, out, [p] + ins) / d**n,
+        marginal([p]) - d**n * np.eye(d),
+    ]
+    for mode, residuals in (("seq", seq), ("par", par)):
+        problem = cs.build_full_sdp(d, n, mode)
+        values = problem.a @ _SvecIndexer([total]).pack([c]) - problem.rhs
+        expected = np.concatenate([m[np.triu_indices(m.shape[0])] for m in residuals])
+        assert values.shape == expected.shape
+        assert np.abs(values - expected).max() <= 1e-9 * np.abs(c).max()
+
+
 def dense_entry_rows(terms, out_rows, out_cols, dims):
     """Reference for the shared row generator: one dense coefficient per output entry."""
     indexer = _SvecIndexer(dims)

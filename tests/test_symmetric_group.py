@@ -220,6 +220,24 @@ def test_embedding_matrix_examples():
                 )
 
 
+def test_embedding_matrix_matches_restriction():
+    # definition: entry (c, a) is 1 when child tableau a restricts to parent tableau c
+    count = 0
+    for boxes in range(7):
+        for parent in young_diagrams(boxes, max(boxes, 1)):
+            parent_tabs = standard_tableaux(parent)
+            for child in parent.children():
+                child_tabs = standard_tableaux(child)
+                expected = np.zeros((len(parent_tabs), len(child_tabs)))
+                for a, t in enumerate(child_tabs):
+                    restricted = t.restrict(boxes)
+                    if restricted.shape == parent:
+                        expected[parent_tabs.index(restricted), a] = 1.0
+                assert np.array_equal(embedding_matrix(parent, child), expected)
+                count += 1
+    assert count == 75
+
+
 def test_embedding_matrix_rejects_non_extensions():
     with pytest.raises(ValueError):
         embedding_matrix(YoungDiagram((2,)), YoungDiagram((2,)))
@@ -342,7 +360,7 @@ def test_partial_trace_of_matrix_units():
                         e = matrix_unit(mu, i, j, d)
                         reduced = partial_trace(
                             e, keep=range(boxes - 1), dims=(d,) * boxes
-                        ).entries
+                        )
                         alpha, a = _restricted_index(ti, boxes - 1)
                         beta, b = _restricted_index(tj, boxes - 1)
                         if alpha == beta:

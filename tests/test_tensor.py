@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from unitary_inversion.tensor import (
     DenseUnitary,
-    DensityOrChoiMatrix,
     Statevector,
     apply_to_subsystems,
     basis_state,
@@ -13,6 +12,7 @@ from unitary_inversion.tensor import (
     haar_unitary,
     kron_all,
     partial_trace,
+    permute_factors,
     project_to_special_unitary,
     random_state,
     reduced_density_matrix,
@@ -121,18 +121,16 @@ def test_partial_trace_product_states():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    m = DensityOrChoiMatrix(np.kron(a, b), (2, 2), hermitian=False)
-    reduced = partial_trace(m, keep=(0,))
-    assert np.allclose(reduced.entries, np.trace(b) * a, atol=1e-12)
+    reduced = partial_trace(np.kron(a, b), keep=(0,), dims=(2, 2))
+    assert np.allclose(reduced, np.trace(b) * a, atol=1e-12)
 
 
 def test_partial_trace_preserves_total_trace():
     rng = np.random.default_rng(1)
     h = rng.standard_normal((8, 8))
     h = h + h.T
-    m = DensityOrChoiMatrix(h, (2, 2, 2))
-    reduced = partial_trace(m, keep=(1,))
-    assert abs(reduced.trace() - m.trace()) <= 1e-12
+    reduced = partial_trace(h, keep=(1,), dims=(2, 2, 2))
+    assert abs(np.trace(reduced) - np.trace(h)) <= 1e-12
 
 
 def test_singlet_marginals_are_maximally_mixed():
@@ -148,7 +146,51 @@ def test_partial_trace_inverts_tensor_embedding():
     a = a + a.T
     embedded = np.kron(a, np.eye(3) / 3)
     reduced = partial_trace(embedded, keep=(0, 1), dims=(2, 2, 3))
-    assert np.abs(reduced.entries - a).max() <= 1e-12
+    assert np.abs(reduced - a).max() <= 1e-12
+
+
+def test_partial_trace_keeping_nothing_is_total_trace():
+    rng = np.random.default_rng(7)
+    m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    reduced = partial_trace(m, keep=(), dims=(2, 3, 2))
+    assert reduced.shape == (1, 1)
+    assert abs(reduced[0, 0] - np.trace(m)) <= 1e-12
+
+
+def test_partial_trace_matches_einsum_reference():
+    rng = np.random.default_rng(8)
+    m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    # trace the middle factor: rows (a, b, c), columns (x, b, z)
+    expected = np.einsum("abcxbz->acxz", m.reshape(2, 3, 2, 2, 3, 2)).reshape(4, 4)
+    reduced = partial_trace(m, keep=(0, 2), dims=(2, 3, 2))
+    assert np.abs(reduced - expected).max() <= 1e-12
+
+
+def test_partial_trace_rejects_mismatched_shape():
+    # 8 x 32 has the 256 entries of a (2, 2, 2, 2) matrix but the wrong shape
+    with pytest.raises(ValueError):
+        partial_trace(np.zeros((8, 32)), keep=(0,), dims=(2, 2, 2, 2))
+    with pytest.raises(ValueError):
+        partial_trace(np.zeros((4, 4)), keep=(2,), dims=(2, 2))
+
+
+def test_permute_factors_matches_permuted_kron():
+    rng = np.random.default_rng(9)
+    dims = (2, 3, 2)
+    factors = [rng.standard_normal((k, k)) for k in dims]
+    order = (2, 0, 1)
+    mat = kron_all(*factors)
+    permuted = permute_factors(mat, dims, order)
+    assert np.abs(permuted - kron_all(*[factors[k] for k in order])).max() <= 1e-12
+    back = permute_factors(permuted, [dims[k] for k in order], np.argsort(order))
+    assert np.array_equal(back, mat)
+
+
+def test_embed_operator_on_no_targets_is_scaled_identity():
+    out = embed_operator(np.array([[2.5]]), (), (2, 3))
+    assert out.dtype == np.float64
+    assert np.array_equal(out, 2.5 * np.eye(6))
+    assert embed_operator(np.eye(2), (1,), (2, 2)).dtype == np.float64
 
 
 def test_embed_operator_matches_kron_on_sorted_targets():
@@ -174,7 +216,3 @@ def test_unitary_check_on_construction():
         DenseUnitary(np.array([[1.0, 0.0], [0.0, 2.0]]))
     DenseUnitary(np.array([[1.0, 0.0], [0.0, 2.0]]), check=False)
 
-
-def test_hermitian_check_on_construction():
-    with pytest.raises(ValueError):
-        DensityOrChoiMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), (2,))
