@@ -49,7 +49,7 @@ def _write_artifacts(out_dir: str, files: dict[str, str], manifest: dict) -> Non
 
 def cmd_simulate(args) -> int:
     rng = np.random.default_rng(args.seed)
-    circuit = protocol.default_circuit(args.build_path)
+    circuit = protocol.build_protocol()
     start = time.perf_counter()
     records = []
     for _ in range(args.trials):
@@ -73,7 +73,6 @@ def cmd_simulate(args) -> int:
     payload = {
         "command": "simulate",
         "mode": args.mode,
-        "build_path": args.build_path,
         "trials": args.trials,
         "seed": args.seed,
         "per_trial": records,
@@ -297,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument(
         "--mode", choices=("standard", "catalytic", "adversarial"), default="standard"
     )
-    sim.add_argument("--build-path", choices=("gate", "matrix"), default="gate")
     sim.add_argument("--json", action="store_true")
     sim.add_argument("--out", type=str, default=None)
     sim.set_defaults(func=cmd_simulate)

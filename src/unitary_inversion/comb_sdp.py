@@ -452,8 +452,8 @@ def check_commutant_symmetry(full: np.ndarray, d: int, n: int) -> float:
     rng = np.random.default_rng(1234)
     worst = 0.0
     for _ in range(2):
-        v = tensor.haar_unitary(d, rng).entries
-        w = tensor.haar_unitary(d, rng).entries
+        v = tensor.haar_unitary(d, rng)
+        w = tensor.haar_unitary(d, rng)
         big = np.kron(tensor.kron_all(*([v] * (n + 1))), tensor.kron_all(*([w] * (n + 1))))
         comm = mat @ big - big @ mat
         worst = max(worst, float(np.abs(comm).max()))

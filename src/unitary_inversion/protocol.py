@@ -12,26 +12,29 @@ Two build paths exist for the Clebsch-Gordan blocks: ``gate`` multiplies
 out the explicit gate sequence, ``matrix`` writes the defining coupling
 relations column by column and completes them to a unitary.  Both agree on
 every state the protocol can reach; behavior off that subspace is not
-specified and may differ.
+specified and may differ.  The gate path is the protocol; the matrix path
+is the reference that the tests and the benchmark compare it against, and
+no user option selects it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .tensor import (
-    DenseUnitary,
-    Statevector,
     apply_to_subsystems,
     basis_state,
+    check_unitary,
     embed_operator,
     reduced_density_matrix,
 )
 
 NUM_WIRES = 7
+DIMS = (2,) * NUM_WIRES
 # Wire roles (0-based): 0 input qubit, 1-2 singlet pair, 3-6 ancillas.
 INPUT_WIRE = 0
 SINGLET_WIRES = (1, 2)
@@ -39,6 +42,7 @@ ANCILLA_WIRES = (3, 4, 5, 6)
 CALL_WIRE = 1  # every black-box call acts here
 
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+_ANCILLAS_ZERO = basis_state((2,) * len(ANCILLA_WIRES), (0,) * len(ANCILLA_WIRES))
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SWAP = np.array(
@@ -56,37 +60,20 @@ def cg_angle(j: float, m_prime: float) -> float:
     """Angle theta of adding one spin-1/2 to spin j: cos(theta) = sqrt((j + m' + 1/2) / (2j + 1))."""
     if j < 0 or abs(round(2 * j) - 2 * j) > 1e-12 or abs(round(2 * m_prime) - 2 * m_prime) > 1e-12:
         raise ValueError(f"j and m' must be non-negative half-integers: ({j}, {m_prime})")
-    if abs(m_prime) > j + 0.5 + 1e-12:
+    up = j + m_prime + 0.5  # must be an integer for the coupling to exist
+    if abs(m_prime) > j + 0.5 + 1e-12 or abs(round(up) - up) > 1e-12:
         raise ValueError(f"no valid coupling for (j={j}, m'={m_prime})")
-    ratio = (j + m_prime + 0.5) / (2.0 * j + 1.0)
+    ratio = up / (2.0 * j + 1.0)
     ratio = min(1.0, max(0.0, ratio))
     return math.acos(math.sqrt(ratio))
 
 
 def _controlled(n: int, controls: dict[int, int], targets: tuple[int, ...], op: np.ndarray) -> np.ndarray:
     """Gate applying ``op`` to ``targets`` when every control matches its value."""
-    dim = 2**n
-    mat = np.eye(dim, dtype=complex)
-    t = len(targets)
-    for col in range(dim):
-        bits = [(col >> (n - 1 - q)) & 1 for q in range(n)]
-        if any(bits[q] != v for q, v in controls.items()):
-            continue
-        tin = 0
-        for q in targets:
-            tin = (tin << 1) | bits[q]
-        mat[:, col] = 0.0
-        for tout in range(2**t):
-            if op[tout, tin] == 0.0:
-                continue
-            new_bits = list(bits)
-            for pos, q in enumerate(targets):
-                new_bits[q] = (tout >> (t - 1 - pos)) & 1
-            row = 0
-            for b in new_bits:
-                row = (row << 1) | b
-            mat[row, col] = op[tout, tin]
-    return mat
+    hit = np.zeros(2 ** len(controls))
+    hit[np.ravel_multi_index(tuple(controls.values()), (2,) * len(controls))] = 1.0
+    gate = np.kron(np.diag(hit), op) + np.kron(np.diag(1.0 - hit), np.eye(len(op)))
+    return embed_operator(gate, tuple(controls) + tuple(targets), (2,) * n)
 
 
 def _product(n: int, gates: list[np.ndarray]) -> np.ndarray:
@@ -97,7 +84,7 @@ def _product(n: int, gates: list[np.ndarray]) -> np.ndarray:
     return mat
 
 
-def build_vcg2() -> DenseUnitary:
+def build_vcg2() -> np.ndarray:
     """Three-qubit coupling circuit: two qubits plus |0> to (j, m) labels.
 
     Output registers: wire 0 holds the j bit, wires 1-2 hold m + j.
@@ -112,10 +99,10 @@ def build_vcg2() -> DenseUnitary:
         _controlled(3, {}, (0, 1), _SWAP),
         _controlled(3, {}, (1, 2), _SWAP),
     ]
-    return DenseUnitary(_product(3, gates))
+    return check_unitary(_product(3, gates))
 
 
-def build_vcg3() -> DenseUnitary:
+def build_vcg3() -> np.ndarray:
     """Four-qubit coupling circuit: (j, m) labels plus one qubit to (j', m', p') labels.
 
     Wire layout: 0 j-bit in / j'-bit out, 1-2 m-register in / m'-register
@@ -139,7 +126,7 @@ def build_vcg3() -> DenseUnitary:
         _controlled(4, {0: 1}, (1, 2), _SWAP),
         _controlled(4, {0: 1, 1: 1}, (2,), _X),
     ]
-    return DenseUnitary(_product(4, gates))
+    return check_unitary(_product(4, gates))
 
 
 def _complete_isometry(columns: dict[int, np.ndarray], dim: int) -> np.ndarray:
@@ -200,7 +187,7 @@ def _spin_state(j: float, m: float, n: int) -> np.ndarray:
     return out
 
 
-def build_vcg2_matrix() -> DenseUnitary:
+def build_vcg2_matrix() -> np.ndarray:
     """Coupling transform for two qubits from its defining relations.
 
     Columns of the inverse are pinned on every valid (j, m) label; the
@@ -215,10 +202,10 @@ def build_vcg2_matrix() -> DenseUnitary:
             col = (jbit << 2) | reg
             columns[col] = np.kron(_spin_state(j, m, 2), [1.0, 0.0]).astype(complex)
             m += 1.0
-    return DenseUnitary(_complete_isometry(columns, 8).conj().T)
+    return check_unitary(_complete_isometry(columns, 8).conj().T)
 
 
-def build_vcg3_matrix() -> DenseUnitary:
+def build_vcg3_matrix() -> np.ndarray:
     """Coupling transform for (two-qubit labels + one qubit) from its relations.
 
     For each valid (j', m', p') label the inverse maps to the superposition
@@ -264,69 +251,62 @@ def build_vcg3_matrix() -> DenseUnitary:
         if c1 != 0.0:
             vec += c1 * basis16(reg_state(1, int(round(m_prime + 0.5)), 1))
         columns[reg_state(1, mreg, 1)] = vec
-    return DenseUnitary(_complete_isometry(columns, 16).conj().T)
+    return check_unitary(_complete_isometry(columns, 16).conj().T)
 
 
 @dataclass(frozen=True)
 class ProtocolCircuit:
-    """The two fixed seven-qubit unitaries plus the wire-role map."""
+    """The two fixed seven-qubit unitaries."""
 
-    v1: DenseUnitary
-    v2: DenseUnitary
-
-    @property
-    def wire_roles(self) -> dict[str, tuple[int, ...]]:
-        return {
-            "input": (INPUT_WIRE,),
-            "singlet": SINGLET_WIRES,
-            "ancilla": ANCILLA_WIRES,
-        }
+    v1: np.ndarray
+    v2: np.ndarray
 
 
 def _assemble_v1(vcg2: np.ndarray, vcg3: np.ndarray) -> np.ndarray:
-    dims = (2,) * NUM_WIRES
     gates = [
-        embed_operator(_SWAP, (2, 5), dims),
-        embed_operator(vcg2, (0, 1, 2), dims),
-        embed_operator(np.asarray(_controlled(2, {0: 1}, (1,), _X)), (0, 6), dims),
-        embed_operator(vcg3.conj().T, (3, 4, 5, 6), dims),
-        embed_operator(_SWAP, (3, 6), dims),
-        embed_operator(_SWAP, (1, 3), dims),
+        embed_operator(_SWAP, (2, 5), DIMS),
+        embed_operator(vcg2, (0, 1, 2), DIMS),
+        embed_operator(_controlled(2, {0: 1}, (1,), _X), (0, 6), DIMS),
+        embed_operator(vcg3.conj().T, (3, 4, 5, 6), DIMS),
+        embed_operator(_SWAP, (3, 6), DIMS),
+        embed_operator(_SWAP, (1, 3), DIMS),
     ]
     return _product(NUM_WIRES, gates)
 
 
 def _assemble_v2(vcg2: np.ndarray, vcg3: np.ndarray) -> np.ndarray:
-    dims = (2,) * NUM_WIRES
     gates = [
-        embed_operator(_SWAP, (1, 3), dims),
-        embed_operator(vcg3, (0, 1, 2, 3), dims),
-        embed_operator(_SWAP, (4, 6), dims),
-        embed_operator(np.asarray(_controlled(2, {0: 1}, (1,), _X)), (4, 3), dims),
-        embed_operator(_SWAP, (5, 6), dims),
-        embed_operator(vcg2.conj().T, (4, 5, 6), dims),
-        embed_operator(_SWAP, (2, 4), dims),
-        embed_operator(_SWAP, (1, 5), dims),
-        embed_operator(_SWAP, (0, 4), dims),
+        embed_operator(_SWAP, (1, 3), DIMS),
+        embed_operator(vcg3, (0, 1, 2, 3), DIMS),
+        embed_operator(_SWAP, (4, 6), DIMS),
+        embed_operator(_controlled(2, {0: 1}, (1,), _X), (4, 3), DIMS),
+        embed_operator(_SWAP, (5, 6), DIMS),
+        embed_operator(vcg2.conj().T, (4, 5, 6), DIMS),
+        embed_operator(_SWAP, (2, 4), DIMS),
+        embed_operator(_SWAP, (1, 5), DIMS),
+        embed_operator(_SWAP, (0, 4), DIMS),
     ]
     return _product(NUM_WIRES, gates)
 
 
+@lru_cache(maxsize=None)
 def build_protocol(path: str = "gate") -> ProtocolCircuit:
-    """Assemble the two fixed unitaries from either build path."""
+    """The two fixed unitaries from either build path, built once and read-only."""
     if path == "gate":
         vcg2, vcg3 = build_vcg2(), build_vcg3()
     elif path == "matrix":
         vcg2, vcg3 = build_vcg2_matrix(), build_vcg3_matrix()
     else:
         raise ValueError(f"unknown build path {path!r}")
-    v1 = DenseUnitary(_assemble_v1(vcg2.entries, vcg3.entries))
-    v2 = DenseUnitary(_assemble_v2(vcg2.entries, vcg3.entries))
+    v1 = check_unitary(_assemble_v1(vcg2, vcg3))
+    v2 = check_unitary(_assemble_v2(vcg2, vcg3))
+    v1.setflags(write=False)
+    v2.setflags(write=False)
     return ProtocolCircuit(v1, v2)
 
 
-def _require_su2(u: DenseUnitary | np.ndarray) -> np.ndarray:
-    mat = u.entries if isinstance(u, DenseUnitary) else np.asarray(u, dtype=complex)
+def _require_su2(u: np.ndarray) -> np.ndarray:
+    mat = np.asarray(u, dtype=complex)
     if mat.shape != (2, 2):
         raise ValueError("expected a single-qubit operator")
     if np.abs(mat.conj().T @ mat - np.eye(2)).max() > 1e-10:
@@ -341,7 +321,7 @@ def _require_su2(u: DenseUnitary | np.ndarray) -> np.ndarray:
 
 
 def _as_qubit_state(phi) -> np.ndarray:
-    vec = phi.amplitudes if isinstance(phi, Statevector) else np.asarray(phi, dtype=complex)
+    vec = np.asarray(phi, dtype=complex)
     if vec.shape != (2,):
         raise ValueError("expected a single-qubit state")
     norm = np.linalg.norm(vec)
@@ -350,56 +330,49 @@ def _as_qubit_state(phi) -> np.ndarray:
     return vec
 
 
-def _initial_state(phi: np.ndarray, pair: np.ndarray) -> Statevector:
-    amps = np.kron(np.kron(phi, pair), basis_state((2,) * 4, (0, 0, 0, 0)).amplitudes)
-    return Statevector(amps, (2,) * NUM_WIRES)
+def _initial_state(phi: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    return np.kron(np.kron(phi, pair), _ANCILLAS_ZERO)
 
 
-def expected_output(u: np.ndarray, phi: np.ndarray) -> Statevector:
+def expected_output(u: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Exact final state: -(U x 1)|psi^-> on wires 1-2, U^{-1}|phi> on wire 3."""
     pair_out = np.kron(u, np.eye(2)) @ SINGLET
     wire3 = u.conj().T @ phi
-    amps = -np.kron(np.kron(pair_out, wire3), basis_state((2,) * 4, (0, 0, 0, 0)).amplitudes)
-    return Statevector(amps, (2,) * NUM_WIRES)
+    return -np.kron(np.kron(pair_out, wire3), _ANCILLAS_ZERO)
 
 
-def _run_rounds(state: Statevector, u: np.ndarray, circuit: ProtocolCircuit, skip_first_call: bool) -> Statevector:
-    sequence = ["call", "v1", "call", "v2", "call", "v1", "call", "v2"]
-    if skip_first_call:
-        sequence = sequence[1:]
-    for step in sequence:
-        if step == "call":
-            state = apply_to_subsystems(state, u, (CALL_WIRE,))
-        elif step == "v1":
-            state = apply_to_subsystems(state, circuit.v1, tuple(range(NUM_WIRES)))
-        else:
-            state = apply_to_subsystems(state, circuit.v2, tuple(range(NUM_WIRES)))
+def _run_rounds(state: np.ndarray, u: np.ndarray, circuit: ProtocolCircuit, catalytic: bool) -> np.ndarray:
+    """Two rounds of (call, V1, call, V2); a catalytic run skips the first call."""
+    for k, v in enumerate((circuit.v1, circuit.v2, circuit.v1, circuit.v2)):
+        if k or not catalytic:
+            state = apply_to_subsystems(state, u, (CALL_WIRE,), DIMS)
+        state = apply_to_subsystems(state, v, range(NUM_WIRES), DIMS)
     return state
 
 
 def run_inversion(
-    u: DenseUnitary | np.ndarray,
-    phi: Statevector | np.ndarray,
+    u: np.ndarray,
+    phi: np.ndarray,
     circuit: ProtocolCircuit | None = None,
-) -> tuple[Statevector, float]:
+) -> tuple[np.ndarray, float]:
     """Simulate the four-call inversion circuit; returns (final state, fidelity).
 
     Fidelity is the squared overlap with the exact expected output.
     """
     mat = _require_su2(u)
     vec = _as_qubit_state(phi)
-    circuit = circuit or default_circuit()
+    circuit = circuit or build_protocol()
     state = _initial_state(vec, SINGLET)
-    final = _run_rounds(state, mat, circuit, skip_first_call=False)
-    return final, final.fidelity(expected_output(mat, vec))
+    final = _run_rounds(state, mat, circuit, catalytic=False)
+    return final, abs(complex(np.vdot(final, expected_output(mat, vec)))) ** 2
 
 
 def run_catalytic(
-    u: DenseUnitary | np.ndarray,
-    phi: Statevector | np.ndarray,
-    catalyst: Statevector | np.ndarray,
+    u: np.ndarray,
+    phi: np.ndarray,
+    catalyst: np.ndarray,
     circuit: ProtocolCircuit | None = None,
-) -> tuple[Statevector, float, float]:
+) -> tuple[np.ndarray, float, float]:
     """Three-call run with the first call replaced by a supplied pair state.
 
     The pair state enters on the wires the first call would have produced
@@ -408,53 +381,50 @@ def run_catalytic(
     """
     mat = _require_su2(u)
     vec = _as_qubit_state(phi)
-    cat = catalyst.amplitudes if isinstance(catalyst, Statevector) else np.asarray(catalyst, dtype=complex)
+    cat = np.asarray(catalyst, dtype=complex)
     if cat.shape != (4,):
         raise ValueError("catalyst must be a two-qubit state")
     if abs(np.linalg.norm(cat) - 1.0) > 1e-10:
         raise ValueError("catalyst must be normalized")
-    circuit = circuit or default_circuit()
+    circuit = circuit or build_protocol()
     state = _initial_state(vec, cat)
-    final = _run_rounds(state, mat, circuit, skip_first_call=True)
-    rho_pair = reduced_density_matrix(final, (0, 1))
+    final = _run_rounds(state, mat, circuit, catalytic=True)
+    rho_pair = reduced_density_matrix(final, (0, 1), DIMS)
     catalyst_fidelity = float(np.real(cat.conj() @ rho_pair @ cat))
-    rho_target = reduced_density_matrix(final, (2,))
+    rho_target = reduced_density_matrix(final, (2,), DIMS)
     target = mat.conj().T @ vec
     target_fidelity = float(np.real(target.conj() @ rho_target @ target))
     return final, catalyst_fidelity, target_fidelity
 
 
-def honest_catalyst(u: DenseUnitary | np.ndarray) -> Statevector:
+def honest_catalyst(u: np.ndarray) -> np.ndarray:
     """The pair state (U x 1)|psi^-> the protocol regenerates."""
     mat = _require_su2(u)
-    return Statevector(np.kron(mat, np.eye(2)) @ SINGLET, (2, 2))
+    return np.kron(mat, np.eye(2)) @ SINGLET
 
 
-def ancilla_restoration(state: Statevector) -> float:
+def ancilla_restoration(state: np.ndarray) -> float:
     """Probability that all four ancilla wires read zero."""
-    rho = reduced_density_matrix(state, ANCILLA_WIRES)
+    rho = reduced_density_matrix(state, ANCILLA_WIRES, DIMS)
     return float(np.real(rho[0, 0]))
 
 
-def call_operator(u: DenseUnitary | np.ndarray, circuit: ProtocolCircuit) -> np.ndarray:
+def call_operator(u: np.ndarray, circuit: ProtocolCircuit) -> np.ndarray:
     """One round of the protocol as a matrix: V2 (call) V1 (call)."""
-    mat = u.entries if isinstance(u, DenseUnitary) else np.asarray(u, dtype=complex)
-    dims = (2,) * NUM_WIRES
-    ucall = embed_operator(mat, (CALL_WIRE,), dims)
-    return circuit.v2.entries @ ucall @ circuit.v1.entries @ ucall
+    ucall = embed_operator(np.asarray(u, dtype=complex), (CALL_WIRE,), DIMS)
+    return circuit.v2 @ ucall @ circuit.v1 @ ucall
 
 
 def pair_basis_states(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The vectors |phi>|psi^->|0^4> and |psi^->|phi>|0^4>."""
-    anc = basis_state((2,) * 4, (0, 0, 0, 0)).amplitudes
-    v = np.kron(np.kron(phi, SINGLET), anc)
-    w = np.kron(np.kron(SINGLET, phi), anc)
+    v = np.kron(np.kron(phi, SINGLET), _ANCILLAS_ZERO)
+    w = np.kron(np.kron(SINGLET, phi), _ANCILLAS_ZERO)
     return v, w
 
 
 def empirical_transfer_matrix(
-    u: DenseUnitary | np.ndarray,
-    phi: Statevector | np.ndarray,
+    u: np.ndarray,
+    phi: np.ndarray,
     circuit: ProtocolCircuit | None = None,
 ) -> tuple[np.ndarray, float]:
     """2x2 matrix of the conjugated round operator on span{|v>, |w>}.
@@ -465,10 +435,9 @@ def empirical_transfer_matrix(
     """
     mat = _require_su2(u)
     vec = _as_qubit_state(phi)
-    circuit = circuit or default_circuit()
-    dims = (2,) * NUM_WIRES
+    circuit = circuit or build_protocol()
     f = call_operator(mat, circuit)
-    u1 = embed_operator(mat, (INPUT_WIRE,), dims)
+    u1 = embed_operator(mat, (INPUT_WIRE,), DIMS)
     g = u1.conj().T @ f @ u1
     v, w = pair_basis_states(vec)
     basis = np.column_stack([v, w])
@@ -477,12 +446,3 @@ def empirical_transfer_matrix(
     residual = float(np.abs(images - basis @ coeffs).max())
     return coeffs, residual
 
-
-_DEFAULT_CIRCUIT: dict[str, ProtocolCircuit] = {}
-
-
-def default_circuit(path: str = "gate") -> ProtocolCircuit:
-    """Cached protocol circuit; building it is pure and deterministic."""
-    if path not in _DEFAULT_CIRCUIT:
-        _DEFAULT_CIRCUIT[path] = build_protocol(path)
-    return _DEFAULT_CIRCUIT[path]

@@ -9,7 +9,6 @@ index k - 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,35 +24,7 @@ def _as_dims(dims) -> tuple[int, ...]:
     return dims
 
 
-@dataclass(frozen=True)
-class Statevector:
-    """Complex amplitude vector over a list of subsystem dimensions."""
-
-    amplitudes: np.ndarray
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "dims", _as_dims(self.dims))
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.size != math.prod(self.dims):
-            raise ValueError(
-                f"amplitude vector of length {amps.size} does not match dims {self.dims}"
-            )
-        object.__setattr__(self, "amplitudes", amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def overlap(self, other: "Statevector") -> complex:
-        """Inner product <self|other>."""
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def fidelity(self, other: "Statevector") -> float:
-        """Squared overlap |<self|other>|^2."""
-        return abs(self.overlap(other)) ** 2
-
-
-def basis_state(dims, digits) -> Statevector:
+def basis_state(dims, digits) -> np.ndarray:
     """Computational basis state |digits[0] digits[1] ...> over ``dims``."""
     dims = _as_dims(dims)
     digits = tuple(int(x) for x in digits)
@@ -64,48 +35,26 @@ def basis_state(dims, digits) -> Statevector:
         index = index * d + x
     amps = np.zeros(math.prod(dims), dtype=complex)
     amps[index] = 1.0
-    return Statevector(amps, dims)
+    return amps
 
 
-def tensor_states(*states: Statevector) -> Statevector:
-    amps = states[0].amplitudes
-    dims: tuple[int, ...] = states[0].dims
-    for s in states[1:]:
-        amps = np.kron(amps, s.amplitudes)
-        dims = dims + s.dims
-    return Statevector(amps, dims)
-
-
-def random_state(dims, rng) -> Statevector:
+def random_state(dims, rng) -> np.ndarray:
     """Haar-random pure state (normalized complex Gaussian vector)."""
     rng = np.random.default_rng(rng)
-    dims = _as_dims(dims)
-    total = math.prod(dims)
+    total = math.prod(_as_dims(dims))
     v = rng.standard_normal(total) + 1j * rng.standard_normal(total)
-    return Statevector(v / np.linalg.norm(v), dims)
+    return v / np.linalg.norm(v)
 
 
-@dataclass(frozen=True)
-class DenseUnitary:
-    """Dense square matrix, checked unitary on construction unless disabled."""
-
-    entries: np.ndarray
-    dim: int = 0
-    check: bool = field(default=True, repr=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "dim", m.shape[0])
-        if self.check:
-            err = np.abs(m.conj().T @ m - np.eye(self.dim)).max()
-            if err > CONSTRUCTION_ATOL:
-                raise ValueError(f"matrix is not unitary (deviation {err:.3e})")
-
-    def __matmul__(self, other: "DenseUnitary") -> "DenseUnitary":
-        return DenseUnitary(self.entries @ other.entries, check=False)
+def check_unitary(mat) -> np.ndarray:
+    """``mat`` as a complex array; raises unless it is a square unitary matrix."""
+    m = np.asarray(mat, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    err = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
+    if err > CONSTRUCTION_ATOL:
+        raise ValueError(f"matrix is not unitary (deviation {err:.3e})")
+    return m
 
 
 def _check_targets(targets, n: int) -> tuple[int, ...]:
@@ -117,16 +66,19 @@ def _check_targets(targets, n: int) -> tuple[int, ...]:
     return targets
 
 
-def apply_to_subsystems(state: Statevector, u: DenseUnitary | np.ndarray, targets) -> Statevector:
-    """Apply ``u`` to the listed subsystems (in the listed order).
+def apply_to_subsystems(state: np.ndarray, u: np.ndarray, targets, dims) -> np.ndarray:
+    """Apply ``u`` to the listed subsystems (in the listed order) of a state over ``dims``.
 
     All other subsystems are untouched; the operation is norm preserving
     when ``u`` is unitary.
     """
-    dims = state.dims
+    dims = _as_dims(dims)
     n = len(dims)
     targets = _check_targets(targets, n)
-    mat = u.entries if isinstance(u, DenseUnitary) else np.asarray(u, dtype=complex)
+    state = np.asarray(state)
+    if state.shape != (math.prod(dims),):
+        raise ValueError(f"state of shape {state.shape} does not match dims {dims}")
+    mat = np.asarray(u, dtype=complex)
     target_dim = math.prod(dims[t] for t in targets)
     if mat.shape != (target_dim, target_dim):
         raise ValueError(
@@ -134,12 +86,11 @@ def apply_to_subsystems(state: Statevector, u: DenseUnitary | np.ndarray, target
         )
     rest = [i for i in range(n) if i not in targets]
     perm = list(targets) + rest
-    tensor = state.amplitudes.reshape(dims).transpose(perm)
+    tensor = state.reshape(dims).transpose(perm)
     tensor = tensor.reshape(target_dim, -1)
     tensor = (mat @ tensor).reshape([dims[i] for i in perm])
     inverse = np.argsort(perm)
-    out = tensor.transpose(inverse).reshape(-1)
-    return Statevector(out, dims)
+    return tensor.transpose(inverse).reshape(-1)
 
 
 def permute_factors(mat: np.ndarray, dims, order) -> np.ndarray:
@@ -201,9 +152,9 @@ def partial_trace(mat: np.ndarray, keep, dims) -> np.ndarray:
     return np.trace(moved, axis1=1, axis2=3)
 
 
-def reduced_density_matrix(state: Statevector, keep) -> np.ndarray:
-    """Reduced density matrix of a pure state on the kept subsystems."""
-    dims = state.dims
+def reduced_density_matrix(state: np.ndarray, keep, dims) -> np.ndarray:
+    """Reduced density matrix of a pure state over ``dims`` on the kept subsystems."""
+    dims = _as_dims(dims)
     n = len(dims)
     keep = sorted(set(int(k) for k in keep))
     if any(not 0 <= k < n for k in keep):
@@ -211,11 +162,11 @@ def reduced_density_matrix(state: Statevector, keep) -> np.ndarray:
     rest = [i for i in range(n) if i not in keep]
     perm = keep + rest
     dk = math.prod(dims[k] for k in keep)
-    psi = state.amplitudes.reshape(dims).transpose(perm).reshape(dk, -1)
+    psi = np.asarray(state).reshape(dims).transpose(perm).reshape(dk, -1)
     return psi @ psi.conj().T
 
 
-def haar_unitary(d: int, seed) -> DenseUnitary:
+def haar_unitary(d: int, seed) -> np.ndarray:
     """Haar-random special unitary on C^d.
 
     Complex Gaussian matrix, QR with the phase of the R diagonal absorbed
@@ -231,14 +182,14 @@ def haar_unitary(d: int, seed) -> DenseUnitary:
     u = q * phases
     det = np.linalg.det(u)
     u = u * np.exp(-1j * np.angle(det) / d)
-    return DenseUnitary(u)
+    return check_unitary(u)
 
 
-def project_to_special_unitary(u: DenseUnitary | np.ndarray) -> DenseUnitary:
+def project_to_special_unitary(u: np.ndarray) -> np.ndarray:
     """Divide out a determinant root.  Never applied implicitly."""
-    mat = u.entries if isinstance(u, DenseUnitary) else np.asarray(u, dtype=complex)
+    mat = np.asarray(u, dtype=complex)
     d = mat.shape[0]
     det = np.linalg.det(mat)
     if abs(abs(det) - 1.0) > CONSTRUCTION_ATOL * 100:
         raise ValueError("input is not unitary; cannot normalize determinant")
-    return DenseUnitary(mat * np.exp(-1j * np.angle(det) / d))
+    return check_unitary(mat * np.exp(-1j * np.angle(det) / d))

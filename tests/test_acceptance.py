@@ -74,7 +74,7 @@ def oracle_results():
 
 
 def test_criterion_1_exact_inversion():
-    circuit = pr.default_circuit("gate")
+    circuit = pr.build_protocol()
     rng = np.random.default_rng(20240501)
     start = time.perf_counter()
     worst = 1.0
@@ -92,7 +92,7 @@ def test_criterion_1_exact_inversion():
 
 
 def test_criterion_2_catalyst_property():
-    circuit = pr.default_circuit("gate")
+    circuit = pr.build_protocol()
     rng = np.random.default_rng(20240502)
     worst = 1.0
     for _ in range(50):
@@ -104,7 +104,7 @@ def test_criterion_2_catalyst_property():
         worst = min(worst, cat_fid, target_fid)
     erasure = 0.0
     for _ in range(10):
-        u = haar_unitary(2, rng).entries
+        u = haar_unitary(2, rng)
         regenerated = np.kron(np.eye(2), u) @ np.kron(u, np.eye(2)) @ pr.SINGLET
         erasure = max(erasure, float(np.abs(regenerated - pr.SINGLET).max()))
     report(
@@ -115,7 +115,7 @@ def test_criterion_2_catalyst_property():
 
 
 def test_criterion_3_transfer_matrix():
-    circuit = pr.default_circuit("gate")
+    circuit = pr.build_protocol()
     expected = np.array([[-1.0, -1.0], [1.0, -2.0]]) / math.sqrt(3.0)
     rng = np.random.default_rng(20240503)
     worst = 0.0

@@ -6,18 +6,19 @@ import pytest
 from unitary_inversion import protocol as pr
 from unitary_inversion.tensor import (
     basis_state,
+    embed_operator,
     haar_unitary,
     random_state,
     reduced_density_matrix,
 )
 
-GATE = pr.default_circuit("gate")
-MATRIX = pr.default_circuit("matrix")
+GATE = pr.build_protocol()
+MATRIX = pr.build_protocol("matrix")
 TRANSFER = np.array([[-1.0, -1.0], [1.0, -2.0]]) / math.sqrt(3.0)
 
 
 def label(bits):
-    return basis_state((2,) * len(bits), bits).amplitudes
+    return basis_state((2,) * len(bits), bits)
 
 
 def test_cg_angle_values():
@@ -31,18 +32,41 @@ def test_cg_angle_validation():
         pr.cg_angle(0.5, 1.5)
     with pytest.raises(ValueError):
         pr.cg_angle(0.3, 0.0)
+    # j + m' + 1/2 must be an integer for a spin-1/2 coupling to exist
+    with pytest.raises(ValueError):
+        pr.cg_angle(1.0, 0.0)
+    with pytest.raises(ValueError):
+        pr.cg_angle(0.5, 0.5)
+
+
+def test_controlled_gates_match_explicit_matrices():
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+    # CNOT, control wire 0 on value 1
+    cnot = np.eye(4)[[0, 1, 3, 2]]
+    assert np.array_equal(pr._controlled(2, {0: 1}, (1,), x), cnot)
+    # control on value 0, target above the control: flip wire 0 when wire 1 reads 0
+    flip_on_zero = np.eye(4)[[2, 1, 0, 3]]
+    assert np.array_equal(pr._controlled(2, {1: 0}, (0,), x), flip_on_zero)
+    # Fredkin on reversed targets: swapping wires 2 and 1 is the same swap
+    fredkin = np.eye(8)[[0, 1, 2, 3, 4, 6, 5, 7]]
+    assert np.array_equal(pr._controlled(3, {0: 1}, (2, 1), swap), fredkin)
+    # no controls: the plain embedding
+    ry = pr.rotation_y(0.7)
+    assert np.array_equal(pr._controlled(3, {}, (2, 0), np.kron(ry, x)),
+                          embed_operator(np.kron(ry, x), (2, 0), (2, 2, 2)))
 
 
 def test_pair_coupling_circuit_unitary():
     for build in (pr.build_vcg2, pr.build_vcg2_matrix):
-        v = build().entries
+        v = build()
         assert np.abs(v.conj().T @ v - np.eye(8)).max() <= 1e-12
 
 
 def test_pair_coupling_labels():
     # spin-aligned pairs map onto the stretched labels; the antisymmetric
     # pair lands on the j=0 label (third register returns to zero)
-    v = pr.build_vcg2().entries
+    v = pr.build_vcg2()
     assert np.abs(v @ label((1, 1, 0)) - label((1, 1, 0))).max() <= 1e-12
     assert np.abs(v @ label((0, 0, 0)) - label((1, 0, 0))).max() <= 1e-12
     singlet_in = np.kron(pr.SINGLET, [1.0, 0.0])
@@ -52,7 +76,7 @@ def test_pair_coupling_labels():
 
 
 def test_pair_coupling_symmetric_combination():
-    v = pr.build_vcg2().entries
+    v = pr.build_vcg2()
     plus = (label((0, 1, 0)) + label((1, 0, 0))) / math.sqrt(2)
     out = v @ plus
     assert abs(abs(out[int("101", 2)]) - 1.0) <= 1e-12  # |1>|01> label
@@ -67,21 +91,21 @@ def test_triple_coupling_defining_relations():
         (label((0, 0, 0, 1)), label((0, 0, 0, 0))),
     ]
     for build in (pr.build_vcg3, pr.build_vcg3_matrix):
-        vdg = build().entries.conj().T
+        vdg = build().conj().T
         for state, expected in relations:
             assert np.abs(vdg @ state - expected).max() <= 1e-12
 
 
 def test_triple_coupling_unitary():
     for build in (pr.build_vcg3, pr.build_vcg3_matrix):
-        v = build().entries
+        v = build()
         assert np.abs(v.conj().T @ v - np.eye(16)).max() <= 1e-12
 
 
 def test_protocol_unitaries():
     for circ in (GATE, MATRIX):
         for v in (circ.v1, circ.v2):
-            assert np.abs(v.entries.conj().T @ v.entries - np.eye(128)).max() <= 1e-12
+            assert np.abs(v.conj().T @ v - np.eye(128)).max() <= 1e-12
 
 
 def test_inversion_identity_input():
@@ -89,7 +113,7 @@ def test_inversion_identity_input():
     assert fid >= 1 - 1e-12
     expected = pr.expected_output(np.eye(2), np.array([1.0, 0.0]))
     # the exact output carries the overall minus sign baked into expected_output
-    assert abs(np.vdot(expected.amplitudes, state.amplitudes) - 1.0) <= 1e-10
+    assert abs(np.vdot(expected, state) - 1.0) <= 1e-10
 
 
 def test_inversion_exact_over_haar_samples():
@@ -107,10 +131,10 @@ def test_inversion_output_phase_pinned_for_both_builds():
     rng = np.random.default_rng(5)
     u = haar_unitary(2, rng)
     phi = random_state((2,), rng)
-    expected = pr.expected_output(u.entries, phi.amplitudes)
+    expected = pr.expected_output(u, phi)
     for circ in (GATE, MATRIX):
         state, _ = pr.run_inversion(u, phi, circ)
-        overlap = np.vdot(expected.amplitudes, state.amplitudes)
+        overlap = np.vdot(expected, state)
         assert abs(overlap - 1.0) <= 1e-10
 
 
@@ -122,7 +146,7 @@ def test_build_paths_agree_on_protocol_outputs():
         a, fa = pr.run_inversion(u, phi, GATE)
         b, fb = pr.run_inversion(u, phi, MATRIX)
         assert abs(fa - fb) <= 1e-10
-        assert abs(abs(np.vdot(a.amplitudes, b.amplitudes)) - 1.0) <= 1e-10
+        assert abs(abs(np.vdot(a, b)) - 1.0) <= 1e-10
 
 
 def test_third_wire_marginal_for_explicit_rotation():
@@ -131,7 +155,7 @@ def test_third_wire_marginal_for_explicit_rotation():
     phi = np.array([1.0, 0.0])
     state, fid = pr.run_inversion(u, phi, GATE)
     assert fid >= 1 - 1e-10
-    rho = reduced_density_matrix(state, (2,))
+    rho = reduced_density_matrix(state, (2,), pr.DIMS)
     target = u.conj().T @ phi
     assert abs(np.real(target.conj() @ rho @ target) - 1.0) <= 1e-10
 
@@ -183,7 +207,7 @@ def test_catalytic_honest_run():
 def test_extra_call_erases_catalyst():
     rng = np.random.default_rng(11)
     for _ in range(10):
-        u = haar_unitary(2, rng).entries
+        u = haar_unitary(2, rng)
         erased = np.kron(np.eye(2), u) @ np.kron(u, np.eye(2)) @ pr.SINGLET
         assert np.abs(erased - pr.SINGLET).max() <= 1e-12
 
@@ -210,9 +234,3 @@ def test_catalyst_validation():
             np.eye(2), np.array([1.0, 0.0]), np.array([1.0, 1.0, 0.0, 0.0])
         )
 
-
-def test_wire_roles():
-    roles = GATE.wire_roles
-    assert roles["input"] == (0,)
-    assert roles["singlet"] == (1, 2)
-    assert roles["ancilla"] == (3, 4, 5, 6)
