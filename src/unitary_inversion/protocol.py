@@ -37,7 +37,6 @@ NUM_WIRES = 7
 DIMS = (2,) * NUM_WIRES
 # Wire roles (0-based): 0 input qubit, 1-2 singlet pair, 3-6 ancillas.
 INPUT_WIRE = 0
-SINGLET_WIRES = (1, 2)
 ANCILLA_WIRES = (3, 4, 5, 6)
 CALL_WIRE = 1  # every black-box call acts here
 
@@ -289,9 +288,13 @@ def _assemble_v2(vcg2: np.ndarray, vcg3: np.ndarray) -> np.ndarray:
     return _product(NUM_WIRES, gates)
 
 
-@lru_cache(maxsize=None)
 def build_protocol(path: str = "gate") -> ProtocolCircuit:
     """The two fixed unitaries from either build path, built once and read-only."""
+    return _build_protocol(path)
+
+
+@lru_cache(maxsize=None)
+def _build_protocol(path: str) -> ProtocolCircuit:
     if path == "gate":
         vcg2, vcg3 = build_vcg2(), build_vcg3()
     elif path == "matrix":

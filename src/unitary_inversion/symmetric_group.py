@@ -23,10 +23,6 @@ from functools import lru_cache
 
 import numpy as np
 
-# matrix_unit cost grows as n! * d^(2n); the guard keeps accidental calls cheap.
-MATRIX_UNIT_MAX_BOXES = 4
-MATRIX_UNIT_MAX_DIM = 3
-
 
 @dataclass(frozen=True, order=True)
 class YoungDiagram:
@@ -376,33 +372,22 @@ def permutation_operator(perm, d: int, n: int) -> np.ndarray:
     return np.eye(total).reshape((d,) * (2 * n)).transpose(axes).reshape(total, total)
 
 
-def matrix_unit(
-    diagram: YoungDiagram,
-    i: int,
-    j: int,
-    d: int,
-    allow_large: bool = False,
-) -> np.ndarray:
-    """Commutant basis element E^mu_ij on (C^d)^n via the group algebra.
+@lru_cache(maxsize=None)
+def matrix_unit(diagram: YoungDiagram, d: int) -> np.ndarray:
+    """Read-only stack E[i, j] = E^mu_ij of commutant basis elements on (C^d)^n.
 
     E^mu_ij = (d_mu / n!) * sum_sigma [pi_mu(sigma)]_ij P_sigma, a real
     matrix satisfying Tr E^mu_ij = m_mu delta_ij and the matrix-unit
-    product rule.  Factorial cost; guarded to small sizes unless
-    ``allow_large``.
+    product rule.  One pass over S_n adds each permutation's operator to
+    every (i, j) at once: n! * d_mu^2 * d^(2n) work, cached per (diagram, d).
     """
     n = diagram.boxes
-    if not allow_large and (n > MATRIX_UNIT_MAX_BOXES or d > MATRIX_UNIT_MAX_DIM):
-        raise ValueError(
-            f"matrix_unit guarded to n <= {MATRIX_UNIT_MAX_BOXES}, "
-            f"d <= {MATRIX_UNIT_MAX_DIM}; pass allow_large=True to override"
-        )
     dim = tableau_count(diagram)
-    if not (0 <= i < dim and 0 <= j < dim):
-        raise ValueError(f"tableau indices ({i}, {j}) out of range for d_mu={dim}")
     total = d**n
-    out = np.zeros((total, total))
+    out = np.zeros((dim, dim, total, total))
     for sigma in itertools.permutations(range(n)):
-        coeff = permutation_matrix(diagram, sigma)[i, j]
-        if coeff != 0.0:
-            out += coeff * permutation_operator(sigma, d, n)
-    return out * (dim / math.factorial(n))
+        pi = permutation_matrix(diagram, sigma)
+        out += pi[:, :, None, None] * permutation_operator(sigma, d, n)
+    out *= dim / math.factorial(n)
+    out.setflags(write=False)
+    return out

@@ -127,13 +127,6 @@ def embed_operator(op: np.ndarray, targets, dims) -> np.ndarray:
     return permute_factors(big, [dims[i] for i in order], np.argsort(order))
 
 
-def kron_all(*mats: np.ndarray) -> np.ndarray:
-    out = np.asarray(mats[0], dtype=complex)
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
 def partial_trace(mat: np.ndarray, keep, dims) -> np.ndarray:
     """Trace out every subsystem not listed in ``keep``.
 

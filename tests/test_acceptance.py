@@ -181,7 +181,7 @@ def test_criterion_7_representation_suite():
             for mu in young_diagrams(boxes, d):
                 dim = tableau_count(mu)
                 units = {
-                    (i, j): matrix_unit(mu, i, j, d)
+                    (i, j): matrix_unit(mu, d)[i, j]
                     for i in range(dim)
                     for j in range(dim)
                 }
@@ -199,13 +199,13 @@ def test_criterion_7_representation_suite():
             for alpha in young_diagrams(boxes, d):
                 for a in range(tableau_count(alpha)):
                     for b in range(tableau_count(alpha)):
-                        lhs = np.kron(matrix_unit(alpha, a, b, d), np.eye(d))
+                        lhs = np.kron(matrix_unit(alpha, d)[a, b], np.eye(d))
                         rhs = np.zeros_like(lhs)
                         for child in alpha.children(max_depth=d):
                             x = embedding_matrix(alpha, child)
-                            rhs += matrix_unit(
-                                child, int(np.argmax(x[a])), int(np.argmax(x[b])), d
-                            )
+                            rhs += matrix_unit(child, d)[
+                                int(np.argmax(x[a])), int(np.argmax(x[b]))
+                            ]
                         worst = max(worst, float(np.abs(lhs - rhs).max()))
     for d in (2, 3):
         for boxes in (2, 3, 4):
@@ -216,7 +216,7 @@ def test_criterion_7_representation_suite():
                 for i, ti in enumerate(tabs):
                     for j, tj in enumerate(tabs):
                         reduced = partial_trace(
-                            matrix_unit(mu, i, j, d),
+                            matrix_unit(mu, d)[i, j],
                             keep=range(boxes - 1),
                             dims=(d,) * boxes,
                         )
@@ -226,7 +226,7 @@ def test_criterion_7_representation_suite():
                             b = standard_tableaux(rb.shape).index(rb)
                             expected = (
                                 su_dim(mu, d) / su_dim(ra.shape, d)
-                            ) * matrix_unit(ra.shape, a, b, d)
+                            ) * matrix_unit(ra.shape, d)[a, b]
                         else:
                             expected = np.zeros_like(reduced)
                         worst = max(worst, float(np.abs(reduced - expected).max()))

@@ -76,6 +76,11 @@ def test_solve_size_cap_exit_code(capsys):
     code = main(["solve", "--d", "3", "--n", "3", "--mode", "full-seq"])
     capsys.readouterr()
     assert code == 3
+    code = main(["solve", "--d", "2", "--n", "4", "--mode", "full-seq"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "full-space dimension 1024 exceeds cap" in err
+    assert "matrix_unit" not in err
 
 
 def test_solve_out_writes_reproducible_instance(tmp_path, capsys):

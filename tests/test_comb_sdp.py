@@ -110,7 +110,7 @@ def random_commutant_blocks(d: int, n: int, seed: int) -> dict:
 
 
 def test_reduce_round_trip_on_commutant_element():
-    for d, n in COMMUTANT_SIZES:
+    for d, n in COMMUTANT_SIZES + ((2, 4),):
         # random symmetric element of the commutant via expansion with random blocks
         blocks = random_commutant_blocks(d, n, 8)
         full = cs.expand_comb(cs.ReducedComb(d, n, blocks))
@@ -126,7 +126,7 @@ def embedded_units(mu, d: int, n: int, regs: list[int]) -> dict:
     dims = cs.full_register_dims(d, n)
     count = tableau_count(mu)
     return {
-        (i, j): tensor.embed_operator(matrix_unit(mu, i, j, d), regs, dims).real
+        (i, j): tensor.embed_operator(matrix_unit(mu, d)[i, j], regs, dims).real
         for i in range(count)
         for j in range(count)
     }
@@ -165,7 +165,7 @@ def test_reduce_rejects_unsymmetric_input():
 
 
 def test_reduce_of_full_objective_matches_performance_blocks():
-    for d, n in ((2, 1), (2, 2), (3, 1)):
+    for d, n in ((2, 1), (2, 2), (3, 1), (2, 4)):
         omega = cs.full_performance_operator(d, n)
         comb = cs.reduce_comb(omega, d, n)
         perf = cs.performance_blocks(d, n)
@@ -179,7 +179,7 @@ def test_reduce_of_full_objective_matches_performance_blocks():
 
 
 def test_full_objective_trace_and_positivity():
-    for d, n in ((2, 1), (2, 2), (3, 1)):
+    for d, n in ((2, 1), (2, 2), (3, 1), (4, 1)):
         omega = cs.full_performance_operator(d, n)
         assert np.abs(omega - omega.T).max() <= 1e-10
         assert np.linalg.eigvalsh(omega)[0] >= -1e-10
@@ -244,6 +244,8 @@ def test_parallel_reference_values():
 def test_full_space_cap():
     with pytest.raises(ValueError):
         cs.build_full_sdp(2, 6, "seq")
+    with pytest.raises(ValueError):
+        cs.build_full_sdp(2, 4, "seq")
     with pytest.raises(ValueError):
         cs.build_full_sdp(2, 1, "other")
 

@@ -108,6 +108,13 @@ def test_protocol_unitaries():
             assert np.abs(v.conj().T @ v - np.eye(128)).max() <= 1e-12
 
 
+def test_build_protocol_caches_one_circuit_per_path():
+    assert pr.build_protocol() is pr.build_protocol("gate") is GATE
+    assert pr.build_protocol("matrix") is MATRIX
+    with pytest.raises(ValueError):
+        pr.build_protocol("other")
+
+
 def test_inversion_identity_input():
     state, fid = pr.run_inversion(np.eye(2), np.array([1.0, 0.0]), GATE)
     assert fid >= 1 - 1e-12

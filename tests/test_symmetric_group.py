@@ -277,51 +277,42 @@ def test_permutation_operator_homomorphism():
 
 
 def test_matrix_unit_trace_and_products():
-    for d in (2, 3):
-        for n in (2, 3):
-            for mu in young_diagrams(n, d):
-                dim = tableau_count(mu)
-                units = {
-                    (i, j): matrix_unit(mu, i, j, d)
-                    for i in range(dim)
-                    for j in range(dim)
-                }
-                for (i, j), e in units.items():
-                    assert np.abs(e - e.conj()).max() <= 1e-10  # real
-                    expected_trace = su_dim(mu, d) if i == j else 0.0
-                    assert abs(np.trace(e) - expected_trace) <= 1e-10
-                for (i, j), e1 in units.items():
-                    for (k, l), e2 in units.items():
-                        product = e1 @ e2
-                        expected = units[(i, l)] if j == k else np.zeros_like(product)
-                        assert np.abs(product - expected).max() <= 1e-10
+    for d, n in ((2, 2), (2, 3), (2, 5), (3, 2), (3, 3)):
+        for mu in young_diagrams(n, d):
+            dim = tableau_count(mu)
+            units = {
+                (i, j): matrix_unit(mu, d)[i, j]
+                for i in range(dim)
+                for j in range(dim)
+            }
+            for (i, j), e in units.items():
+                assert np.abs(e - e.conj()).max() <= 1e-10  # real
+                expected_trace = su_dim(mu, d) if i == j else 0.0
+                assert abs(np.trace(e) - expected_trace) <= 1e-10
+            for (i, j), e1 in units.items():
+                for (k, l), e2 in units.items():
+                    product = e1 @ e2
+                    expected = units[(i, l)] if j == k else np.zeros_like(product)
+                    assert np.abs(product - expected).max() <= 1e-10
 
 
 def test_matrix_unit_cross_sector_products_vanish():
     d, n = 2, 3
     shapes = young_diagrams(n, d)
-    e1 = matrix_unit(shapes[0], 0, 0, d)
-    e2 = matrix_unit(shapes[1], 0, 1, d)
+    e1 = matrix_unit(shapes[0], d)[0, 0]
+    e2 = matrix_unit(shapes[1], d)[0, 1]
     assert np.abs(e1 @ e2).max() <= 1e-10
 
 
 def test_matrix_unit_singlet():
-    e = matrix_unit(YoungDiagram((1, 1)), 0, 0, 2)
+    e = matrix_unit(YoungDiagram((1, 1)), 2)[0, 0]
     singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
     assert np.abs(e - np.outer(singlet, singlet)).max() <= 1e-12
 
 
 def test_matrix_unit_vanishes_beyond_depth():
-    e = matrix_unit(YoungDiagram((1, 1, 1)), 0, 0, 2)
+    e = matrix_unit(YoungDiagram((1, 1, 1)), 2)[0, 0]
     assert np.abs(e).max() <= 1e-12
-
-
-def test_matrix_unit_guard():
-    with pytest.raises(ValueError):
-        matrix_unit(YoungDiagram((3, 2)), 0, 0, 2)
-    with pytest.raises(ValueError):
-        matrix_unit(YoungDiagram((2,)), 0, 0, 4)
-    matrix_unit(YoungDiagram((3, 2)), 0, 0, 2, allow_large=True)
 
 
 def _restricted_index(tableau, boxes):
@@ -337,13 +328,13 @@ def test_branching_identity():
                 dim = tableau_count(alpha)
                 for a in range(dim):
                     for b in range(dim):
-                        lhs = np.kron(matrix_unit(alpha, a, b, d), np.eye(d))
+                        lhs = np.kron(matrix_unit(alpha, d)[a, b], np.eye(d))
                         rhs = np.zeros_like(lhs)
                         for child in alpha.children(max_depth=d):
                             x = embedding_matrix(alpha, child)
-                            rhs += matrix_unit(
-                                child, int(np.argmax(x[a])), int(np.argmax(x[b])), d
-                            )
+                            rhs += matrix_unit(child, d)[
+                                int(np.argmax(x[a])), int(np.argmax(x[b]))
+                            ]
                         assert np.abs(lhs - rhs).max() <= 1e-10
 
 
@@ -357,7 +348,7 @@ def test_partial_trace_of_matrix_units():
                 tabs = standard_tableaux(mu)
                 for i, ti in enumerate(tabs):
                     for j, tj in enumerate(tabs):
-                        e = matrix_unit(mu, i, j, d)
+                        e = matrix_unit(mu, d)[i, j]
                         reduced = partial_trace(
                             e, keep=range(boxes - 1), dims=(d,) * boxes
                         )
@@ -365,7 +356,7 @@ def test_partial_trace_of_matrix_units():
                         beta, b = _restricted_index(tj, boxes - 1)
                         if alpha == beta:
                             ratio = su_dim(mu, d) / su_dim(alpha, d)
-                            expected = ratio * matrix_unit(alpha, a, b, d)
+                            expected = ratio * matrix_unit(alpha, d)[a, b]
                         else:
                             expected = np.zeros_like(reduced)
                         assert np.abs(reduced - expected).max() <= 1e-10

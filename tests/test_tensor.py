@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from unitary_inversion.tensor import (
     check_unitary,
     embed_operator,
     haar_unitary,
-    kron_all,
     partial_trace,
     permute_factors,
     project_to_special_unitary,
@@ -184,9 +185,9 @@ def test_permute_factors_matches_permuted_kron():
     dims = (2, 3, 2)
     factors = [rng.standard_normal((k, k)) for k in dims]
     order = (2, 0, 1)
-    mat = kron_all(*factors)
+    mat = functools.reduce(np.kron, factors)
     permuted = permute_factors(mat, dims, order)
-    assert np.abs(permuted - kron_all(*[factors[k] for k in order])).max() <= 1e-12
+    assert np.abs(permuted - functools.reduce(np.kron, [factors[k] for k in order])).max() <= 1e-12
     back = permute_factors(permuted, [dims[k] for k in order], np.argsort(order))
     assert np.array_equal(back, mat)
 
@@ -211,7 +212,7 @@ def test_tensor_states_and_basis():
     phi = basis_state((2,), (1,))
     psi = basis_state((2, 2), (0, 1))
     assert np.array_equal(np.kron(phi, psi), basis_state((2, 2, 2), (1, 0, 1)))
-    assert np.allclose(kron_all(np.eye(2), X), embed_operator(X, (1,), (2, 2)))
+    assert np.allclose(np.kron(np.eye(2), X), embed_operator(X, (1,), (2, 2)))
 
 
 def test_unitary_check_on_construction():
