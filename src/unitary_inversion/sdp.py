@@ -25,16 +25,36 @@ All data must be real symmetric; complex or unsymmetric input is rejected.
 Each iteration factors every matrix once.  One Cholesky factor of the
 Schur complement serves both the predictor and the corrector.  Each block
 of X and Z is factored when the step-halving check accepts the new
-iterate, and the next iteration reuses those factors for Z^{-1} and for
-both step lengths.
+iterate; the next iteration inverts those factors once and uses the
+inverses for Z^{-1} and for both step lengths.
+
+Blocks of equal size are held as one (count, s, s) stack, so the block
+Cholesky factors, their inverses, the step-length eigenvalues and the
+products of the search directions take one batched numpy call per
+distinct size rather than one call per block.  Batched LAPACK and matmul
+run the same routine on each matrix of a stack, so these match the
+per-block results bitwise.
+
+:func:`solve` runs under one OpenBLAS thread (numpy's and scipy's
+bundled builds) and restores the caller's thread counts on return.  Its
+matrices are small or moderate (the Schur complement has a few thousand
+rows at most), where a second thread costs more in hand-off than it
+gains, and where solver processes running side by side on few cores
+slow each other badly when each spins its own BLAS threads.  Threaded
+Cholesky and matmul also round differently from single-threaded ones,
+so one thread makes the results independent of the host's core count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -135,6 +155,9 @@ def _check_symmetric(mat: np.ndarray, dim: int, what: str) -> None:
         raise ValueError(f"{what} matrix must be real")
     if mat.shape != (dim, dim):
         raise ValueError(f"{what} matrix shape {mat.shape} does not match block size {dim}")
+    # a NaN would pass the symmetry test below, since NaN > tolerance is False
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{what} matrix must be finite")
     if np.abs(mat - mat.T).max() > _SYM_ATOL:
         raise ValueError(f"{what} matrix is not symmetric")
 
@@ -195,7 +218,10 @@ class SdpSolution:
 class _SvecIndexer:
     """Symmetric vectorization with sqrt(2)-scaled off-diagonals.
 
-    <svec(A), svec(B)> equals Tr(AB) for symmetric A, B.
+    <svec(A), svec(B)> equals Tr(AB) for symmetric A, B.  Blocks of equal
+    size form one group, held as a (count, s, s) stack by the ``*_stacks``
+    methods; ``sizes[g]`` and ``members[g]`` name group g's size and its
+    block indices in order.
     """
 
     def __init__(self, dims: list[int]):
@@ -207,28 +233,52 @@ class _SvecIndexer:
         self.total = self.scale_vector.size
         ends = np.cumsum([scale.size for scale in self.scales], dtype=int)
         self.spans = [slice(int(end) - scale.size, int(end)) for end, scale in zip(ends, self.scales)]
+        self.sizes = sorted(set(dims))
+        self.members = [[b for b, s in enumerate(dims) if s == size] for size in self.sizes]
+        # svec columns of each group, one row per member
+        self._columns = [
+            np.array([np.arange(self.spans[b].start, self.spans[b].stop) for b in mem], dtype=int)
+            for mem in self.members
+        ]
 
     def column(self, b: int, lo, hi):
         """svec column of entry (lo, hi), lo <= hi, of block b."""
         return self.spans[b].start + lo * self.dims[b] - lo * (lo - 1) // 2 + hi - lo
 
-    def pack(self, mats: list[np.ndarray]) -> np.ndarray:
+    def stack(self, mats: list[np.ndarray]) -> list[np.ndarray]:
+        return [np.stack([mats[b] for b in mem]) for mem in self.members]
+
+    def unstack(self, stacks: list[np.ndarray]) -> list[np.ndarray]:
+        """Per-block views into the stacks, in block order."""
+        mats = [None] * len(self.dims)
+        for mem, st in zip(self.members, stacks):
+            for b, mat in zip(mem, st):
+                mats[b] = mat
+        return mats
+
+    def pack_stacks(self, stacks: list[np.ndarray]) -> np.ndarray:
         out = np.empty(self.total)
-        for b, m in enumerate(mats):
-            ii, jj = self.index_pairs[b]
-            out[self.spans[b]] = m[ii, jj] * self.scales[b]
+        for mem, cols, st in zip(self.members, self._columns, stacks):
+            ii, jj = self.index_pairs[mem[0]]
+            out[cols] = st[:, ii, jj] * self.scales[mem[0]]
         return out
 
+    def unpack_stacks(self, vec: np.ndarray) -> list[np.ndarray]:
+        stacks = []
+        for size, mem, cols in zip(self.sizes, self.members, self._columns):
+            ii, jj = self.index_pairs[mem[0]]
+            chunk = vec[cols] / self.scales[mem[0]]
+            st = np.zeros((len(mem), size, size))
+            st[:, ii, jj] = chunk
+            st[:, jj, ii] = chunk
+            stacks.append(st)
+        return stacks
+
+    def pack(self, mats: list[np.ndarray]) -> np.ndarray:
+        return self.pack_stacks(self.stack(mats))
+
     def unpack(self, vec: np.ndarray) -> list[np.ndarray]:
-        mats = []
-        for b, s in enumerate(self.dims):
-            ii, jj = self.index_pairs[b]
-            chunk = vec[self.spans[b]] / self.scales[b]
-            m = np.zeros((s, s))
-            m[ii, jj] = chunk
-            m[jj, ii] = chunk
-            mats.append(m)
-        return mats
+        return self.unstack(self.unpack_stacks(vec))
 
 
 def _preprocess_rows(a: scipy.sparse.csr_matrix, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -375,68 +425,121 @@ def _schur_solver(big_m: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
             continue
 
         def solve_chol(rhs_vec: np.ndarray) -> np.ndarray:
-            sol = scipy.linalg.solve_triangular(l, rhs_vec, lower=True)
-            return scipy.linalg.solve_triangular(l.T, sol, lower=False)
+            # l and rhs_vec are formed by the solver from validated, finite data
+            sol = scipy.linalg.solve_triangular(l, rhs_vec, lower=True, check_finite=False)
+            return scipy.linalg.solve_triangular(l.T, sol, lower=False, check_finite=False)
 
         return solve_chol
     return lambda rhs_vec: np.linalg.lstsq(big_m, rhs_vec, rcond=None)[0]
 
 
-def _cholesky_blocks(mats: list[np.ndarray]) -> list[np.ndarray] | None:
-    """Cholesky factors of every block, or None at the first that is not positive definite."""
-    factors = []
-    for m in mats:
-        try:
-            factors.append(np.linalg.cholesky(m))
-        except np.linalg.LinAlgError:
-            return None
-    return factors
+def _sym(stack: np.ndarray) -> np.ndarray:
+    return (stack + stack.swapaxes(-1, -2)) / 2.0
 
 
-def _max_step(l: np.ndarray, dx: np.ndarray) -> float:
-    """Largest alpha with L L^T + alpha*dx staying positive semidefinite."""
-    s = scipy.linalg.solve_triangular(l, dx, lower=True)
-    s = scipy.linalg.solve_triangular(l, s.T, lower=True)
-    w = np.linalg.eigvalsh((s + s.T) / 2.0)
-    lam = w[0]
-    if lam >= -1e-14:
-        return math.inf
-    return -1.0 / lam
+def _cholesky_blocks(stacks: list[np.ndarray]) -> list[np.ndarray] | None:
+    """Cholesky factors of every stack, or None if any matrix is not positive definite."""
+    try:
+        return [np.linalg.cholesky(st) for st in stacks]
+    except np.linalg.LinAlgError:
+        return None
 
 
-def _step_length(factors: list[np.ndarray] | None, steps: list[np.ndarray]) -> float:
-    """Fraction-to-boundary step for blocks given by their Cholesky factors; 0 without factors."""
-    if factors is None:
+def _step_length(inverses: list[np.ndarray] | None, steps: list[np.ndarray]) -> float:
+    """Fraction-to-boundary step for blocks given by their inverse Cholesky factors; 0 without.
+
+    The largest alpha keeping L L^T + alpha*D positive semidefinite is
+    -1/lambda_min(L^-1 D L^-T), or unbounded when that eigenvalue is not
+    negative.
+    """
+    if inverses is None:
         return 0.0
-    return min(1.0, _BOUNDARY_FRACTION * min(_max_step(l, d) for l, d in zip(factors, steps)))
+    lam = min(
+        float(np.linalg.eigvalsh(_sym(li @ d @ li.swapaxes(-1, -2)))[:, 0].min())
+        for li, d in zip(inverses, steps)
+    )
+    if lam >= -1e-14:
+        return 1.0
+    return min(1.0, _BOUNDARY_FRACTION * (-1.0 / lam))
 
 
 def _damped_update(
-    mats: list[np.ndarray], steps: list[np.ndarray], alpha: float
+    stacks: list[np.ndarray], steps: list[np.ndarray], alpha: float
 ) -> tuple[float, list[np.ndarray], list[np.ndarray] | None]:
-    """Halve alpha until every mats[b] + alpha*steps[b] factors (at most 40 halvings).
+    """Halve alpha until every stacks[g] + alpha*steps[g] factors (at most 40 halvings).
 
     Rounding can leave the fraction-to-boundary step just outside the cone.
-    Returns alpha, the updated blocks and their Cholesky factors, which the
+    Returns alpha, the updated stacks and their Cholesky factors, which the
     next iteration reuses; the factors are None if the last halving failed too.
     """
     for halvings in range(41):
-        new = [m + alpha * d for m, d in zip(mats, steps)]
+        new = [st + alpha * d for st, d in zip(stacks, steps)]
         factors = _cholesky_blocks(new)
         if factors is not None or halvings == 40:
             return alpha, new, factors
         alpha *= 0.5
 
 
+@functools.cache
+def _openblas() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
+    """(get, set) thread-count functions of the OpenBLAS builds numpy and scipy load.
+
+    numpy's wheel bundles a 64-bit-integer build, scipy's a 32-bit one, and
+    each has its own thread pool.  Empty when neither exports the functions,
+    as with another BLAS.  Looked up on first use, not at import.
+    """
+    found = []
+    for package, pattern, suffix in (
+        (np, "numpy.libs/libscipy_openblas64_*.so", "64_"),
+        (scipy, "scipy.libs/libscipy_openblas-*.so", ""),
+    ):
+        for path in sorted(Path(package.__file__).resolve().parent.parent.glob(pattern)):
+            try:
+                lib = ctypes.CDLL(str(path))
+            except OSError:
+                continue
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is None or put is None:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            found.append((get, put))
+    return tuple(found)
+
+
+@contextlib.contextmanager
+def _blas_threads(count: int):
+    """Run the body with ``count`` OpenBLAS threads, then restore the caller's counts.
+
+    The counts are process-wide, so bodies running at once in threads of
+    one process see each other's setting.
+    """
+    controls = _openblas()
+    saved = [get() for get, _ in controls]
+    for _, put in controls:
+        put(count)
+    try:
+        yield
+    finally:
+        for (_, put), threads in zip(controls, saved):
+            put(threads)
+
+
 def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
-    """Solve the SDP; deterministic for fixed inputs."""
-    config = config or SolverConfig()
+    """Solve the SDP; deterministic for fixed inputs, whatever the caller's BLAS threads."""
+    with _blas_threads(1):
+        return _solve(problem, config or SolverConfig())
+
+
+def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
     problem.validate()
     dims = list(problem.block_dims)
     nblocks = len(dims)
     indexer = _SvecIndexer(dims)
     c_mats = [np.asarray(mat, dtype=float) for mat in problem.objective]
     cvec = indexer.pack(c_mats)
+    c = indexer.stack(c_mats)
 
     m_rows = problem.a.shape[0]
     kept, consistent = _preprocess_rows(problem.a, problem.rhs)
@@ -453,18 +556,22 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
         float(np.abs(rhs).max()) if m else 1.0,
         max(float(np.abs(mat).max()) for mat in c_mats) if nblocks else 1.0,
     )
-    x = [tau * np.eye(s) for s in dims]
-    z = [tau * np.eye(s) for s in dims]
+    # X, Z, their factors and every step are lists of per-size stacks
+    x = indexer.stack([tau * np.eye(s) for s in dims])
+    z = [st.copy() for st in x]
     x_chol = _cholesky_blocks(x)
     z_chol = _cholesky_blocks(z)
     y = np.zeros(m)
     ntotal = sum(dims)
 
-    def apply_a(xm: list[np.ndarray]) -> np.ndarray:
-        return a @ indexer.pack(xm)
+    def apply_a(stacks: list[np.ndarray]) -> np.ndarray:
+        return a @ indexer.pack_stacks(stacks)
 
     def adjoint(yv: np.ndarray) -> list[np.ndarray]:
-        return indexer.unpack(a.T @ yv)
+        return indexer.unpack_stacks(a.T @ yv)
+
+    def inner(left: list[np.ndarray], right: list[np.ndarray]) -> float:
+        return sum(float(np.vdot(lt, rt)) for lt, rt in zip(left, right))
 
     status = "max_iter"
     mu_history: list[float] = []
@@ -475,15 +582,14 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     for iteration in range(config.max_iterations):
         iterations = iteration + 1
         rp = rhs - apply_a(x)
-        aty = adjoint(y)
-        rd = [c_mats[b] - aty[b] + z[b] for b in range(nblocks)]
-        mu = sum(float(np.tensordot(x[b], z[b])) for b in range(nblocks)) / ntotal
+        rd = [cg - atyg + zg for cg, atyg, zg in zip(c, adjoint(y), z)]
+        mu = inner(x, z) / ntotal
         mu_history.append(mu)
-        pobj = float(cvec @ indexer.pack(x))
+        pobj = float(cvec @ indexer.pack_stacks(x))
         dobj = float(rhs @ y)
         gap_rel = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         pinf = float(np.abs(rp).max()) / norm_rhs if m else 0.0
-        dinf = max(float(np.abs(rd[b]).max()) for b in range(nblocks)) / norm_c
+        dinf = max(float(np.abs(rdg).max()) for rdg in rd) / norm_c
         if gap_rel <= config.gap_tol and pinf <= config.feasibility_tol and dinf <= config.feasibility_tol:
             status = "optimal"
             break
@@ -495,66 +601,54 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
             status = "max_iter"
             break
 
-        def zinv_apply(b: int, mat: np.ndarray) -> np.ndarray:
-            l = z_chol[b]
-            s = scipy.linalg.solve_triangular(l, mat, lower=True)
-            return scipy.linalg.solve_triangular(l.T, s, lower=False)
-
-        # symmetrize the rounded inverses so that svec pairings see both triangles
-        zinv = [zinv_apply(b, np.eye(dims[b])) for b in range(nblocks)]
-        zinv = [(zi + zi.T) / 2.0 for zi in zinv]
-        solve_m = _schur_solver(_schur_complement(block_rows, indexer, x, zinv, m))
+        # one inverse per factor serves Z^-1 and both step lengths; symmetrize
+        # the rounded Z^-1 so that svec pairings see both triangles
+        z_inv_chol = [np.linalg.inv(l) for l in z_chol]
+        x_inv_chol = None if x_chol is None else [np.linalg.inv(l) for l in x_chol]
+        zinv = [_sym(li.swapaxes(-1, -2) @ li) for li in z_inv_chol]
+        solve_m = _schur_solver(
+            _schur_complement(block_rows, indexer, indexer.unstack(x), indexer.unstack(zinv), m)
+        )
         az = apply_a(zinv)
 
-        def direction(sigma_mu: float, cross: list[np.ndarray] | None):
+        def direction(sigma_mu: float, cross: list):
             # Solve M dy = sigma*mu*A(Z^-1) + A(sym(X Rd Z^-1) - K) - b, then
             # dZ = A*dy - Rd and dX from the symmetrized complementarity row.
-            extra = []
-            for b in range(nblocks):
-                t = x[b] @ rd[b] @ zinv[b]
-                term = (t + t.T) / 2.0
-                if cross is not None:
-                    term = term - cross[b]
-                extra.append(term)
-            rhs_vec = sigma_mu * az + apply_a(extra) - rhs
-            dy = solve_m(rhs_vec)
-            atdy = adjoint(dy)
-            dz = [atdy[b] - rd[b] for b in range(nblocks)]
-            dx = []
-            for b in range(nblocks):
-                t = x[b] @ dz[b] @ zinv[b]
-                dx.append(sigma_mu * zinv[b] - x[b] - (t + t.T) / 2.0 - (cross[b] if cross is not None else 0.0))
+            extra = [_sym(xg @ rdg @ zig) - kg for xg, rdg, zig, kg in zip(x, rd, zinv, cross)]
+            dy = solve_m(sigma_mu * az + apply_a(extra) - rhs)
+            dz = [atdyg - rdg for atdyg, rdg in zip(adjoint(dy), rd)]
+            dx = [
+                sigma_mu * zig - xg - _sym(xg @ dzg @ zig) - kg
+                for xg, dzg, zig, kg in zip(x, dz, zinv, cross)
+            ]
             return dx, dy, dz
 
-        dx_aff, dy_aff, dz_aff = direction(0.0, None)
-        ap = _step_length(x_chol, dx_aff)
-        ad = _step_length(z_chol, dz_aff)
-        mu_aff = sum(
-            float(np.tensordot(x[b] + ap * dx_aff[b], z[b] + ad * dz_aff[b]))
-            for b in range(nblocks)
+        dx_aff, dy_aff, dz_aff = direction(0.0, [0.0] * len(x))
+        ap = _step_length(x_inv_chol, dx_aff)
+        ad = _step_length(z_inv_chol, dz_aff)
+        mu_aff = inner(
+            [xg + ap * dxg for xg, dxg in zip(x, dx_aff)], [zg + ad * dzg for zg, dzg in zip(z, dz_aff)]
         ) / ntotal
         sigma = min(1.0, max(0.0, (mu_aff / mu)) ** 3)
 
-        cross = []
-        for b in range(nblocks):
-            t = dx_aff[b] @ dz_aff[b] @ zinv[b]
-            cross.append((t + t.T) / 2.0)
+        cross = [_sym(dxg @ dzg @ zig) for dxg, dzg, zig in zip(dx_aff, dz_aff, zinv)]
         dx, dy, dz = direction(sigma * mu, cross)
 
-        ap, x, x_chol = _damped_update(x, dx, _step_length(x_chol, dx))
-        ad, z, z_chol = _damped_update(z, dz, _step_length(z_chol, dz))
+        ap, x, x_chol = _damped_update(x, dx, _step_length(x_inv_chol, dx))
+        ad, z, z_chol = _damped_update(z, dz, _step_length(z_inv_chol, dz))
         y = y + ad * dy
 
-    pobj = float(cvec @ indexer.pack(x))
+    xvec = indexer.pack_stacks(x)
+    pobj = float(cvec @ xvec)
     dobj = float(rhs @ y)
     gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-    residual = float(np.abs(problem.rhs - problem.a @ indexer.pack(x)).max()) if m_rows else 0.0
+    residual = float(np.abs(problem.rhs - problem.a @ xvec).max()) if m_rows else 0.0
     dual_full = np.zeros(m_rows)
     dual_full[kept] = y
     if status == "optimal" and residual > config.feasibility_tol * norm_rhs:
         status = "max_iter"
     return SdpSolution(
-        blocks=x,
+        blocks=indexer.unstack(x),
         dual=dual_full,
         objective_value=pobj,
         gap=gap,

@@ -10,6 +10,8 @@ from unitary_inversion.comb_sdp import build_full_sdp, build_parallel_sdp, build
 from unitary_inversion.sdp import (
     SdpProblem,
     SolverConfig,
+    _blas_threads,
+    _openblas,
     _preprocess_rows,
     _schur_solver,
     _SvecIndexer,
@@ -254,6 +256,8 @@ def test_from_json_rejects_unknown_block():
         "indptr length": ("a", {**a, "indptr": a["indptr"][:-1]}),
         "entries past indptr": ("a", {**a, "indices": a["indices"] + [0], "data": a["data"] + [1.0]}),
         "nan data": ("a", {**a, "data": [math.nan] + a["data"][1:]}),
+        "nan objective": ("objective", [[math.nan] + objective[0][1:]] + objective[1:]),
+        "inf objective": ("objective", [objective[0][:-1] + [math.inf]] + objective[1:]),
         "float indices": ("a", {**a, "indices": [i + 0.5 for i in a["indices"]]}),
         "float indptr": ("a", {**a, "indptr": [float(i) for i in a["indptr"]]}),
         "objective triangle length": ("objective", [objective[0][:-1]] + objective[1:]),
@@ -277,6 +281,12 @@ def test_from_rows_rejects_bad_rows():
     for rows in bad_rows:
         with pytest.raises(ValueError):
             SdpProblem.from_rows([2], [good], rows)
+    for value in (math.nan, math.inf, -math.inf):
+        for entry in ((0, 0), (0, 1)):
+            objective = good.copy()
+            objective[entry] = objective[entry[::-1]] = value
+            with pytest.raises(ValueError, match="finite"):
+                SdpProblem.from_rows([2], [objective], [({0: good}, 1.0)])
 
 
 def reference_preprocess(a, rhs):
@@ -430,17 +440,21 @@ def test_preprocess_rows_factors_components_not_the_matrix(monkeypatch):
 
 
 def counting(monkeypatch, name):
-    """Replace np.linalg.<name> by a wrapper that records (rows, succeeded) per call."""
+    """Replace np.linalg.<name> by a wrapper that records (size, matrices, succeeded) per call.
+
+    A call on a stack of shape (..., size, size) counts every matrix in it.
+    """
     real = getattr(np.linalg, name)
     calls = []
 
     def wrapper(mat, *args, **kwargs):
+        shape = np.shape(mat)
         try:
             out = real(mat, *args, **kwargs)
         except np.linalg.LinAlgError:
-            calls.append((np.shape(mat)[0], False))
+            calls.append((shape[-1], math.prod(shape[:-2]), False))
             raise
-        calls.append((np.shape(mat)[0], True))
+        calls.append((shape[-1], math.prod(shape[:-2]), True))
         return out
 
     monkeypatch.setattr(np.linalg, name, wrapper)
@@ -457,36 +471,65 @@ def test_schur_solver_paths(monkeypatch):
     solver = _schur_solver(big_m)
     for _ in range(2):
         assert np.abs(big_m @ solver(rhs) - rhs).max() <= 1e-14
-    assert chol == [(2, True)] and lstsq == []
+    assert chol == [(2, 1, True)] and lstsq == []
 
     # singular positive semidefinite: plain Cholesky fails, a jittered one succeeds
     chol.clear()
     big_m = np.ones((2, 2))
     sol = _schur_solver(big_m)(rhs)
-    assert chol[0] == (2, False) and chol[-1] == (2, True) and lstsq == []
+    assert chol[0] == (2, 1, False) and chol[-1] == (2, 1, True) and lstsq == []
     assert np.abs(big_m @ sol - rhs).max() <= 1e-8
 
     # indefinite: all eight attempts fail and least squares takes over
     chol.clear()
     big_m = np.diag([1.0, -1.0])
     solver = _schur_solver(big_m)
-    assert chol == [(2, False)] * 8 and lstsq == []
+    assert chol == [(2, 1, False)] * 8 and lstsq == []
     assert np.array_equal(solver(rhs), [1.0, -1.0])
-    assert lstsq == [(2, True)]
+    assert lstsq == [(2, 1, True)]
 
 
 def test_solve_factors_each_matrix_once_per_iteration(monkeypatch):
     problem = build_sequential_sdp(2, 3)
     m = _preprocess_rows(problem.a, problem.rhs)[0].size
     nblocks = len(problem.block_dims)
-    assert m not in problem.block_dims
+    nsizes = len(set(problem.block_dims))
+    assert m not in problem.block_dims and nsizes < nblocks
     calls = counting(monkeypatch, "cholesky")
     solution = solve(problem)
     assert solution.status == "optimal"
-    schur = [ok for rows, ok in calls if rows == m]
-    blocks = [ok for rows, ok in calls if rows != m]
+    schur = [(count, ok) for size, count, ok in calls if size == m]
+    blocks = [(count, ok) for size, count, ok in calls if size != m]
     # the last iteration only checks convergence
-    assert schur == [True] * (solution.iterations - 1)
+    assert schur == [(1, True)] * (solution.iterations - 1)
     # X and Z once per block at the start and after each step, plus halving retries
-    retries = blocks.count(False)
-    assert blocks.count(True) <= 2 * nblocks * solution.iterations + nblocks * retries
+    retries = sum(count for count, ok in blocks if not ok)
+    assert sum(count for count, ok in blocks if ok) <= 2 * nblocks * solution.iterations + nblocks * retries
+    # one stacked call per block size for X and for Z, plus halving retries
+    failed_calls = sum(not ok for _, ok in blocks)
+    assert len(blocks) <= 2 * nsizes * solution.iterations + nsizes * failed_calls
+
+
+def test_solve_is_independent_of_blas_threads():
+    controls = _openblas()
+    if not controls:
+        pytest.skip("no OpenBLAS thread control found")
+    problem = build_parallel_sdp(2, 4)
+    # a Schur complement this large is where threaded Cholesky and matmul change bits
+    assert _preprocess_rows(problem.a, problem.rhs)[0].size == 315
+    broken = SdpProblem(problem.block_dims, [np.full_like(c, np.nan) for c in problem.objective],
+                        problem.a, problem.rhs)
+    results = []
+    for threads in (2, 1):
+        with _blas_threads(threads):
+            solution = solve(problem)
+            assert [get() for get, _ in controls] == [threads] * len(controls)
+            with pytest.raises(ValueError, match="finite"):
+                solve(broken)
+            assert [get() for get, _ in controls] == [threads] * len(controls)
+        results.append((
+            solution.objective_value.hex(),
+            b"".join(block.tobytes() for block in solution.blocks),
+            solution.dual.tobytes(),
+        ))
+    assert results[0] == results[1]
