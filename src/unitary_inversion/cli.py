@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -269,9 +270,10 @@ def _local_dim(text: str) -> int:
 
 
 def _positive_float(text: str) -> float:
-    if not float(text) > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return float(text)
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
 
 
 def _reduced_modes(text: str) -> list[str]:

@@ -22,6 +22,15 @@ formed; each dropped row's right-hand side is checked for consistency
 through R11^{-1} R12 (an inconsistency is reported as infeasibility).
 All data must be real symmetric; complex or unsymmetric input is rejected.
 
+The Schur complement M_ij = Tr(A_i X A_j Z^{-1}) is assembled from each
+row's nonzeros (Fujisawa, Kojima & Nakata's "F2" formula, Math. Prog. 79,
+1997): X A_j Z^{-1} = sum_(p,q) A_j[p,q] X[:,p] Z^{-1}[q,:], a rank-k
+product costing 2 s^2 k flops when A_j has k nonzeros (both triangles) in
+a block of size s, against 4 s^3 for expanding A_j into a dense s x s
+matrix and multiplying on both sides.  No row of any program the
+repository builds has k > s (the trace row has k = s), so no dense path
+is kept.
+
 Each iteration factors every matrix once.  One Cholesky factor of the
 Schur complement serves both the predictor and the corrector.  Each block
 of X and Z is factored when the step-halving check accepts the new
@@ -184,8 +193,9 @@ class SolverConfig:
     max_iterations: int = 200
 
     def __post_init__(self):
-        if self.feasibility_tol <= 0 or self.gap_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        # NaN fails every comparison, and an infinite tolerance passes any iterate
+        if not all(math.isfinite(t) and t > 0 for t in (self.feasibility_tol, self.gap_tol)):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -363,47 +373,67 @@ def _preprocess_rows(a: scipy.sparse.csr_matrix, rhs: np.ndarray) -> tuple[np.nd
 
 
 def _block_rows(a: scipy.sparse.csr_matrix, indexer: _SvecIndexer) -> list[tuple[scipy.sparse.csr_matrix, list]]:
-    """Per block: the rows touching it, restricted to its columns, and their batches.
+    """Per block: the rows touching it as vec(A_ib) over s*s columns, and their batches.
 
-    A batch is the CSR slice of up to ``_SCHUR_CHUNK`` of those rows and the
-    ``np.ix_`` index of the Schur complement entries it adds to.  Both
-    depend only on the kept rows, so they are built once per solve.
+    A row's entries in block b are listed in matrix coordinates, both
+    triangles, each svec coefficient divided by its sqrt(2) scale, so that
+    they are the nonzeros of the symmetric A_ib, stored at column p*s + q of
+    one CSR matrix over the flattened s x s block.  Its rows are ordered by
+    entry count k, so that a batch of at most ``_SCHUR_CHUNK`` rows sharing
+    the same k is one slice of the stored entries.  A batch is that slice,
+    k, and the ``np.ix_`` index of the Schur complement entries it adds to.
+    All of this depends only on the kept rows, so it is built once per solve.
     """
     out = []
-    for span in indexer.spans:
-        a_b = a[:, span]
-        rows = np.flatnonzero(np.diff(a_b.indptr))
-        a_b = a_b[rows]
-        batches = [
-            (a_b[start:start + _SCHUR_CHUNK], np.ix_(rows, rows[start:start + _SCHUR_CHUNK]))
-            for start in range(0, rows.size, _SCHUR_CHUNK)
-        ]
-        out.append((a_b, batches))
+    for b, span in enumerate(indexer.spans):
+        s = indexer.dims[b]
+        ii, jj = indexer.index_pairs[b]
+        entries = a[:, span].tocoo()
+        lo, hi = ii[entries.col], jj[entries.col]
+        off = lo != hi
+        row = np.concatenate([entries.row, entries.row[off]])
+        flat = np.concatenate([lo * s + hi, hi[off] * s + lo[off]])
+        v = entries.data / indexer.scales[b][entries.col]
+        v = np.concatenate([v, v[off]])
+        rows, local, counts = np.unique(row, return_inverse=True, return_counts=True)
+        order = np.lexsort((local, counts[local]))
+        by_count = np.argsort(counts, kind="stable")
+        rows, counts = rows[by_count], counts[by_count]
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        vec_a = scipy.sparse.csr_matrix((v[order], flat[order], indptr), shape=(rows.size, s * s))
+        batches = []
+        for k in np.unique(counts):
+            first, last = np.searchsorted(counts, [k, k + 1])
+            for start in range(first, last, _SCHUR_CHUNK):
+                stop = min(start + _SCHUR_CHUNK, last)
+                batches.append((slice(indptr[start], indptr[stop]), k, np.ix_(rows, rows[start:stop])))
+        out.append((vec_a, batches))
     return out
 
 
 def _schur_complement(
-    block_rows, indexer: _SvecIndexer, x: list[np.ndarray], zinv: list[np.ndarray], m: int
+    block_rows, x: list[np.ndarray], zinv: list[np.ndarray], m: int
 ) -> np.ndarray:
-    """M_ij = Tr(A_i sym(X A_j Z^{-1})), summed block by block.
+    """M_ij = Tr(A_i X A_j Z^{-1}), summed block by block, then symmetrized.
 
-    The products X_b A_jb Z_b^{-1} of the rows touching block b are formed
-    in batches of ``_SCHUR_CHUNK`` rows, which bounds the scratch memory of
-    large blocks.
+    For a row j with entries (p, q, v) in block b, X A_jb Z^{-1} is the
+    rank-k sum of v X[:, p] Z^{-1}[q, :] over its entries (the "F2"
+    formula), one batched (rows, s, k) @ (rows, k, s) product per batch:
+    2 s^2 k flops per row, against 4 s^3 for expanding A_jb into a dense
+    s x s matrix and multiplying on both sides.  F2 is the cheaper form
+    while k < 2s; the largest k of any program the repository builds is s
+    (the trace row), where it costs half, so no dense path is kept.  As
+    A_ib is symmetric, Tr(A_ib T) = <vec A_ib, vec T>: each batch enters M
+    as one sparse-times-dense product with the block's vec(A_ib) rows,
+    scattered per batch so that scratch memory stays at ``_SCHUR_CHUNK``
+    products.
     """
     big_m = np.zeros((m, m))
-    for b, (a_b, batches) in enumerate(block_rows):
-        s = indexer.dims[b]
-        ii, jj = indexer.index_pairs[b]
-        scale = indexer.scales[b]
-        for batch, target in batches:
-            coeffs = batch.toarray() / scale
-            mats = np.zeros((coeffs.shape[0], s, s))
-            mats[:, ii, jj] = coeffs
-            mats[:, jj, ii] = coeffs
-            t = x[b] @ mats @ zinv[b]
-            packed = (t[:, ii, jj] + t[:, jj, ii]) / 2.0 * scale
-            big_m[target] += a_b @ packed.T
+    for (vec_a, batches), xb, zb in zip(block_rows, x, zinv):
+        for entries, k, target in batches:
+            p, q = np.divmod(vec_a.indices[entries].reshape(-1, k), xb.shape[0])
+            t = (xb[:, p] * vec_a.data[entries].reshape(-1, k)).transpose(1, 0, 2) @ zb[q]
+            big_m[target] += vec_a @ t.reshape(len(p), -1).T
     return (big_m + big_m.T) / 2.0
 
 
@@ -549,6 +579,8 @@ def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
     a = problem.a[kept]
     rhs = problem.rhs[kept]
     m = a.shape[0]
+    # a is fixed from here on, so its transpose (a CSC view) is built once
+    a_t = a.T
     block_rows = _block_rows(a, indexer)
 
     tau = max(
@@ -568,7 +600,7 @@ def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
         return a @ indexer.pack_stacks(stacks)
 
     def adjoint(yv: np.ndarray) -> list[np.ndarray]:
-        return indexer.unpack_stacks(a.T @ yv)
+        return indexer.unpack_stacks(a_t @ yv)
 
     def inner(left: list[np.ndarray], right: list[np.ndarray]) -> float:
         return sum(float(np.vdot(lt, rt)) for lt, rt in zip(left, right))
@@ -607,7 +639,7 @@ def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
         x_inv_chol = None if x_chol is None else [np.linalg.inv(l) for l in x_chol]
         zinv = [_sym(li.swapaxes(-1, -2) @ li) for li in z_inv_chol]
         solve_m = _schur_solver(
-            _schur_complement(block_rows, indexer, indexer.unstack(x), indexer.unstack(zinv), m)
+            _schur_complement(block_rows, indexer.unstack(x), indexer.unstack(zinv), m)
         )
         az = apply_a(zinv)
 

@@ -226,6 +226,8 @@ def test_simulate_rejects_non_positive_trials(capsys):
         (["tables", "--svec-cap", "-1"], "--svec-cap"),
         (["tables", "--d-min", "4", "--d-max", "2"], "--d-min"),
         (["tables", "--n-min", "3", "--n-max", "2"], "--n-min"),
+        (["solve", "--d", "2", "--n", "2", "--tol-gap", "inf", "--tol-feas", "inf"], "--tol-gap"),
+        (["tables", "--tol-feas", "-inf"], "--tol-feas"),
     ],
 )
 def test_invalid_sizes_and_tolerances_are_usage_errors(argv, flag, capsys):

@@ -12,7 +12,9 @@ from unitary_inversion.sdp import (
     SolverConfig,
     _blas_threads,
     _openblas,
+    _block_rows,
     _preprocess_rows,
+    _schur_complement,
     _schur_solver,
     _SvecIndexer,
     solve,
@@ -197,6 +199,11 @@ def test_config_validation():
         SolverConfig(gap_tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
+    # NaN fails every comparison, and an infinite tolerance accepts any iterate
+    for bad in (math.nan, math.inf, -math.inf):
+        for name in ("feasibility_tol", "gap_tol"):
+            with pytest.raises(ValueError, match="finite"):
+                SolverConfig(**{name: bad})
 
 
 def random_symmetric(rng, size):
@@ -489,6 +496,57 @@ def test_schur_solver_paths(monkeypatch):
     assert lstsq == [(2, 1, True)]
 
 
+def random_positive_definite(rng, size):
+    mat = rng.standard_normal((size, size))
+    return mat @ mat.T + size * np.eye(size)
+
+
+def untouched_block_problem():
+    rng = np.random.default_rng(8)
+    dims = [3, 2, 4]
+    rows = [({0: random_symmetric(rng, 3), 2: random_symmetric(rng, 4)}, 1.0)]
+    rows += [({b: random_symmetric(rng, dims[b])}, 0.5) for b in (0, 2, 2)]
+    problem = SdpProblem.from_rows(dims, [np.eye(s) for s in dims], rows)
+    assert problem.a[:, _SvecIndexer(dims).spans[1]].nnz == 0
+    return problem
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_sequential_sdp(2, 3),
+        lambda: build_parallel_sdp(3, 2),
+        lambda: build_full_sdp(2, 1, "seq"),
+        untouched_block_problem,
+    ],
+    ids=["seq-2-3", "par-3-2", "full-seq-2-1", "from-rows"],
+)
+def test_schur_complement_matches_dense_definition(build):
+    problem = build()
+    kept = _preprocess_rows(problem.a, problem.rhs)[0]
+    a = problem.a[kept]
+    indexer = _SvecIndexer(problem.block_dims)
+    block_rows = _block_rows(a, indexer)
+    dims = problem.block_dims
+    if len(dims) == 1:
+        # the trace row has one entry per diagonal element of the block
+        assert max(k for _, k, _ in block_rows[0][1]) == dims[0]
+    rng = np.random.default_rng(7)
+    x = [random_positive_definite(rng, s) for s in dims]
+    zinv = [random_positive_definite(rng, s) for s in dims]
+    coeffs = [indexer.unpack(row.toarray().ravel()) for row in a]
+    m = a.shape[0]
+    dense = np.zeros((m, m))
+    for i in range(m):
+        for j in range(m):
+            dense[i, j] = sum(
+                np.trace(ai @ xb @ aj @ zb) + np.trace(aj @ xb @ ai @ zb)
+                for ai, aj, xb, zb in zip(coeffs[i], coeffs[j], x, zinv)
+            ) / 2.0
+    big_m = _schur_complement(block_rows, x, zinv, m)
+    assert np.abs(big_m - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
 def test_solve_factors_each_matrix_once_per_iteration(monkeypatch):
     problem = build_sequential_sdp(2, 3)
     m = _preprocess_rows(problem.a, problem.rhs)[0].size
@@ -514,22 +572,23 @@ def test_solve_is_independent_of_blas_threads():
     controls = _openblas()
     if not controls:
         pytest.skip("no OpenBLAS thread control found")
-    problem = build_parallel_sdp(2, 4)
-    # a Schur complement this large is where threaded Cholesky and matmul change bits
-    assert _preprocess_rows(problem.a, problem.rhs)[0].size == 315
-    broken = SdpProblem(problem.block_dims, [np.full_like(c, np.nan) for c in problem.objective],
-                        problem.a, problem.rhs)
-    results = []
-    for threads in (2, 1):
-        with _blas_threads(threads):
-            solution = solve(problem)
-            assert [get() for get, _ in controls] == [threads] * len(controls)
-            with pytest.raises(ValueError, match="finite"):
-                solve(broken)
-            assert [get() for get, _ in controls] == [threads] * len(controls)
-        results.append((
-            solution.objective_value.hex(),
-            b"".join(block.tobytes() for block in solution.blocks),
-            solution.dual.tobytes(),
-        ))
-    assert results[0] == results[1]
+    # many blocks of several sizes, then one dense block; Schur complements this
+    # large are where threaded Cholesky and matmul change bits
+    for problem, kept_rows in ((build_parallel_sdp(2, 4), 315), (build_full_sdp(2, 2, "seq"), 421)):
+        assert _preprocess_rows(problem.a, problem.rhs)[0].size == kept_rows
+        broken = SdpProblem(problem.block_dims, [np.full_like(c, np.nan) for c in problem.objective],
+                            problem.a, problem.rhs)
+        results = []
+        for threads in (2, 1):
+            with _blas_threads(threads):
+                solution = solve(problem)
+                assert [get() for get, _ in controls] == [threads] * len(controls)
+                with pytest.raises(ValueError, match="finite"):
+                    solve(broken)
+                assert [get() for get, _ in controls] == [threads] * len(controls)
+            results.append((
+                solution.objective_value.hex(),
+                b"".join(block.tobytes() for block in solution.blocks),
+                solution.dual.tobytes(),
+            ))
+        assert results[0] == results[1]
