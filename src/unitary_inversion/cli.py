@@ -278,9 +278,9 @@ def _positive_float(text: str) -> float:
 
 def _reduced_modes(text: str) -> list[str]:
     modes = [m.strip() for m in text.split(",") if m.strip()]
-    if not modes or not set(modes) <= {"seq", "par"}:
+    if not modes or not set(modes) <= {"seq", "par"} or len(set(modes)) < len(modes):
         raise argparse.ArgumentTypeError(
-            f"expected a comma-separated list of seq and par, got {text!r}"
+            f"expected a comma-separated list of seq and par, each at most once, got {text!r}"
         )
     return modes
 

@@ -25,6 +25,7 @@ how :func:`reduce_comb` tests membership.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -164,31 +165,87 @@ def _entry_rows(
     upper-triangle entry (p, q) of the (out_rows*out_cols) output matrix,
     row-major, with coefficients symmetrized and summed in term order; rows
     without a nonzero coefficient are dropped.
+
+    Each term contributes only its own nonzeros.  Those of u = P x Q (for
+    Q = None, of P x ones(out_cols, width), where the position in the ones
+    block is the label: output column and traced index; a matrix Q has one
+    label) are the products of P's and Q's nonzeros, put in u's row-major
+    order.  Entry (p, q), p <= q, pairs a nonzero in row p of u with every
+    nonzero of the same term and label in a row q >= p.  All terms of the row
+    set are paired at once by index arithmetic on their concatenated
+    nonzeros: after a stable sort by (term, label), the partners of each
+    nonzero are one contiguous run, from the first of its row to the end of
+    its group.  The pairs are listed term by term, first nonzero, then
+    second, both row-major, so every coefficient is summed in the order of a
+    per-term loop over dense Kronecker products.  That keeps the rows
+    identical to the last bit, and with them the solver's trajectories:
+    the stalled tail of seq (2, 4) moves under any reordered sum.
     """
     size = out_rows * out_cols
-    keys, values = [], []
+    p_parts, q_parts, term_data = [], [], []
     for scale, pm, qm, key in terms:
+        rows, cols = np.nonzero(pm)
+        p_parts.append((rows, cols, pm[rows, cols]))
         if qm is None:
             width = indexer.dims[key] // pm.shape[1]
-            u = np.kron(pm, np.ones((out_cols, width)))
-            p, c = np.nonzero(u)
-            label = p % out_cols * width + c % width
+            rows, cols = np.divmod(np.arange(out_cols * width), width)
+            q_parts.append((rows, cols, np.ones(rows.size)))
+            term_data.append((out_cols, width, scale, key, True))
         else:
-            u = np.kron(pm, qm)
-            p, c = np.nonzero(u)
-            label = np.zeros_like(p)
-        # entry (p, q), p <= q, pairs the nonzeros of rows p and q of u that
-        # carry equal labels (the output column and the traced index)
-        first, second = np.nonzero((p[:, None] <= p[None, :]) & (label[:, None] == label[None, :]))
-        p, q, r, c = p[first], p[second], c[second], c[first]
-        val = scale * (u[q, r] * u[p, c])
-        lo, hi = np.minimum(r, c), np.maximum(r, c)
-        pair = p * size - p * (p - 1) // 2 + q - p
-        keys.append(pair * indexer.total + indexer.column(key, lo, hi))
-        values.append(np.where(lo == hi, val, val / 2.0))
-    entries, where = np.unique(np.concatenate(keys), return_inverse=True)
+            rows, cols = np.nonzero(qm)
+            q_parts.append((rows, cols, qm[rows, cols]))
+            term_data.append((*qm.shape, scale, key, False))
+    p_rows, p_cols, p_vals = (np.concatenate(x) for x in zip(*p_parts))
+    q_rows, q_cols, q_vals = (np.concatenate(x) for x in zip(*q_parts))
+    heights, widths, scales, blocks, traced = (np.array(x) for x in zip(*term_data))
+    p_count = np.array([part[0].size for part in p_parts], dtype=int)
+    q_count = np.array([part[0].size for part in q_parts], dtype=int)
+    q_start = np.cumsum(q_count) - q_count
+
+    # nonzeros of u: each P nonzero times every Q nonzero of its term, then
+    # the zero products dropped and each term's rest put in row-major order;
+    # a traced term's label is the position in its ones block
+    p_term = np.repeat(np.arange(len(terms)), p_count)
+    p_index = np.repeat(np.arange(p_term.size), q_count[p_term])
+    q_index = _ranges(q_start[p_term], q_count[p_term])
+    term = p_term[p_index]
+    u_row = p_rows[p_index] * heights[term] + q_rows[q_index]
+    u_col = p_cols[p_index] * widths[term] + q_cols[q_index]
+    u_val = p_vals[p_index] * q_vals[q_index]
+    label = np.where(traced[term], q_index - q_start[term], 0)
+    order = np.lexsort((u_col, u_row, term))
+    order = order[u_val[order] != 0]
+    term, u_row, u_col, u_val, label = (
+        x[order] for x in (term, u_row, u_col, u_val, label)
+    )
+
+    # partners of a nonzero: its group of equal (term, label), row-major,
+    # from the first nonzero of its row of u to the group's end
+    count = term.size
+    group = np.lexsort((label, term))
+    g_term, g_label, g_row = term[group], label[group], u_row[group]
+    new_group = np.ones(count, dtype=bool)
+    new_group[1:] = (g_term[1:] != g_term[:-1]) | (g_label[1:] != g_label[:-1])
+    new_row = new_group.copy()
+    new_row[1:] |= g_row[1:] != g_row[:-1]
+    pos = np.arange(count)
+    run_start = np.maximum.accumulate(np.where(new_row, pos, 0))
+    heads = np.flatnonzero(new_group)
+    group_end = np.append(heads[1:], count)[np.cumsum(new_group) - 1]
+    rank = np.empty(count, dtype=int)
+    rank[group] = pos
+    partners = (group_end - run_start)[rank]
+    first = np.repeat(pos, partners)
+    second = group[_ranges(run_start[rank], partners)]
+
+    p, q, r, c = u_row[first], u_row[second], u_col[second], u_col[first]
+    value = scales[term[first]] * (u_val[second] * u_val[first])
+    lo, hi = np.minimum(r, c), np.maximum(r, c)
+    pair = p * size - p * (p - 1) // 2 + q - p
+    keys = pair * indexer.total + indexer.column(blocks[term[first]], lo, hi)
+    entries, where = np.unique(keys, return_inverse=True)
     acc = np.zeros(entries.size)
-    np.add.at(acc, where, np.concatenate(values))
+    np.add.at(acc, where, np.where(lo == hi, value, value / 2.0))
     pair, col = np.divmod(entries, indexer.total)
     acc *= indexer.scale_vector[col]
     nonzero = acc != 0.0
@@ -196,6 +253,12 @@ def _entry_rows(
     return scipy.sparse.csr_matrix(
         (acc[nonzero], (row, col[nonzero])), shape=(present.size, indexer.total)
     )
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """arange(s, s + c) for each (s, c), concatenated in order."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts + counts - ends, counts)
 
 
 def _reduced_problem(d: int, n: int, mode: str, indexer: _SvecIndexer, row_sets) -> SdpProblem:
@@ -248,16 +311,17 @@ def build_sequential_sdp(d: int, n: int) -> SdpProblem:
     indexer = _SvecIndexer(reduced_block_dims(d, n))
     top = n + 1
 
+    @functools.cache
+    def chains(alpha: YoungDiagram):
+        """(top diagram, chain matrix) per growth chain from alpha, formed once per build."""
+        return [(c[-1], _chain_matrix(c)) for c in _shape_chains(alpha, top, d)]
+
     def level_terms(alpha: YoungDiagram, beta: YoungDiagram, level: int):
         """(scale, P, Q, block) with C_level^{alpha beta} = sum scale*(P x Q) C (P x Q)^T."""
-        out = []
         scale = float(d) ** -(top - level)
-        left = [(c[-1], _chain_matrix(c)) for c in _shape_chains(alpha, top, d)]
-        right = [(c[-1], _chain_matrix(c)) for c in _shape_chains(beta, top, d)]
-        for mu, p in left:
-            for nu, q in right:
-                out.append((scale, p, q, key_index[(mu, nu)]))
-        return out
+        return [
+            (scale, p, q, key_index[(mu, nu)]) for mu, p in chains(alpha) for nu, q in chains(beta)
+        ]
 
     row_sets = []
     for level in range(1, top + 1):

@@ -250,10 +250,12 @@ class _SvecIndexer:
             np.array([np.arange(self.spans[b].start, self.spans[b].stop) for b in mem], dtype=int)
             for mem in self.members
         ]
+        self._starts = np.array([span.start for span in self.spans], dtype=int)
+        self._dims = np.array(dims, dtype=int)
 
-    def column(self, b: int, lo, hi):
-        """svec column of entry (lo, hi), lo <= hi, of block b."""
-        return self.spans[b].start + lo * self.dims[b] - lo * (lo - 1) // 2 + hi - lo
+    def column(self, b, lo, hi):
+        """svec column of entry (lo, hi), lo <= hi, of block b; all three may be arrays."""
+        return self._starts[b] + lo * self._dims[b] - lo * (lo - 1) // 2 + hi - lo
 
     def stack(self, mats: list[np.ndarray]) -> list[np.ndarray]:
         return [np.stack([mats[b] for b in mem]) for mem in self.members]

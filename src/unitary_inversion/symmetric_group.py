@@ -219,8 +219,9 @@ def _hook_lengths(diagram: YoungDiagram) -> list[int]:
     return hooks
 
 
+@lru_cache(maxsize=None)
 def tableau_count(diagram: YoungDiagram) -> int:
-    """Number of standard tableaux (hook length formula, exact integers)."""
+    """Number of standard tableaux (hook length formula, exact integers), cached."""
     n = diagram.boxes
     if n == 0:
         return 1
@@ -228,8 +229,9 @@ def tableau_count(diagram: YoungDiagram) -> int:
     return math.factorial(n) // product
 
 
+@lru_cache(maxsize=None)
 def su_dim(diagram: YoungDiagram, d: int) -> int:
-    """Dimension of the SU(d) irrep labeled by the diagram.
+    """Dimension of the SU(d) irrep labeled by the diagram, cached.
 
     Counts semistandard fillings with entries <= d; zero when the diagram
     is deeper than d.  Exact integer arithmetic throughout.
@@ -339,14 +341,16 @@ def cycle_permutation(n: int) -> tuple[int, ...]:
     return tuple((i + 1) % n for i in range(n))
 
 
+@lru_cache(maxsize=None)
 def embedding_matrix(parent: YoungDiagram, child: YoungDiagram) -> np.ndarray:
-    """0/1 matrix pairing parent tableaux with one-box extensions.
+    """Read-only 0/1 matrix pairing parent tableaux with one-box extensions.
 
     Entry (c, a) is 1 exactly when deleting the largest entry of child
     tableau a leaves parent tableau c.  The canonical order lists child
     tableaux grouped by the row of their largest entry, each group in its
     parent's order, so the matrix is an identity shifted past the groups
-    of the removable rows above the added box.
+    of the removable rows above the added box.  Cached per pair, so every
+    caller shares one array.
     """
     if child.boxes != parent.boxes + 1 or not child.contains(parent):
         raise ValueError(f"{child.rows} is not a one-box extension of {parent.rows}")
@@ -355,7 +359,9 @@ def embedding_matrix(parent: YoungDiagram, child: YoungDiagram) -> np.ndarray:
     offset = sum(
         tableau_count(child.remove_box(r)) for r in child.removable_rows() if r < added
     )
-    return np.eye(tableau_count(parent), tableau_count(child), k=offset)
+    out = np.eye(tableau_count(parent), tableau_count(child), k=offset)
+    out.setflags(write=False)
+    return out
 
 
 def permutation_operator(perm, d: int, n: int) -> np.ndarray:

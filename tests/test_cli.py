@@ -193,7 +193,7 @@ def test_manifest_written_for_simulate(tmp_path, capsys):
 
 
 def test_tables_rejects_modes_outside_seq_and_par(capsys):
-    for modes in ("foo", "full-seq", "seq,full-par", ","):
+    for modes in ("foo", "full-seq", "seq,full-par", ",", "seq,seq", "par,seq,par"):
         with pytest.raises(SystemExit) as exc:
             main(["tables", "--modes", modes])
         assert exc.value.code == 2

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -278,6 +280,26 @@ def test_row_counts_are_pinned():
     for (d, n), (seq_rows, par_rows) in reduced.items():
         assert cs.build_sequential_sdp(d, n).a.shape[0] == seq_rows
         assert cs.build_parallel_sdp(d, n).a.shape[0] == par_rows
+    # nor move a bit: a reordered sum changes the seq (2, 4) trajectory.  The
+    # values are 0/1 products, scalar multiples and sequential sums, so the
+    # bytes do not depend on the BLAS build
+    digests = {
+        (2, 3): ("eb34faebbfcef7e6de60a1d5d0d5a9b68f115f9f4dce19f4ae1319da3ad80a0e",
+                 "8db9667a821f44e0d18fe2e89d8c7f00027acc4a17451f1b28b00635a2000f11"),
+        (3, 3): ("58e3b5835626b1c4ee48a99fb09c0544be7604a7787a66612f5533913f5e4673",
+                 "e4958a7801565c00fabb4cc8d23ea011f5dcca9a6207346b03342c45974969e5"),
+        (2, 4): ("f3c835cbb34183fa34eb6a199bc3e44fe5b8ef1d80657665d8a70125029404fa",
+                 "ce9f699b0a27997e159d4de46d99ed89ec8dcb47022ed314100f56e0c5dc4da9"),
+        (4, 3): ("a5868ef3914efb8d09334cac85c2f4207202981cfedabe3ee01eb70f6e3c715a",
+                 "b122cb2376db7bd00ed39f22fe8d1a22724a516907b5c180afeb902b4e5ed266"),
+    }
+    for (d, n), expected in digests.items():
+        for build, digest in zip((cs.build_sequential_sdp, cs.build_parallel_sdp), expected):
+            problem = build(d, n)
+            h = hashlib.sha256()
+            for arr in (problem.a.indptr, problem.a.indices, problem.a.data, problem.rhs):
+                h.update(arr.tobytes())
+            assert h.hexdigest() == digest, (build.__name__, d, n)
     full = {(2, 1): (40, 39), (2, 2): (568, 531), (3, 1): (385, 384)}
     for (d, n), (seq_rows, par_rows) in full.items():
         assert cs.build_full_sdp(d, n, "seq").a.shape[0] == seq_rows
@@ -360,23 +382,64 @@ def dense_entry_rows(terms, out_rows, out_cols, dims):
             packed = indexer.pack(mats)
             if packed.any():
                 rows.append(packed)
-    return np.array(rows)
+    return np.array(rows).reshape(-1, indexer.total)
 
 
-def test_entry_rows_match_dense_definition():
+def entry_row_cases():
+    """(terms, out_rows, out_cols, block dims) by name; P has out_rows rows, Q out_cols."""
     rng = np.random.default_rng(3)
-    dims = [6, 4]
 
     def sparse_random(shape):
         return rng.standard_normal(shape) * (rng.random(shape) < 0.5)
 
-    terms = [
+    mixed = [
         (0.7, sparse_random((2, 2)), sparse_random((3, 3)), 0),
         (1.1, sparse_random((2, 2)), sparse_random((3, 2)), 1),
         (-0.3, sparse_random((2, 2)), None, 1),
         (0.5, np.eye(2), None, 0),
     ]
-    sparse = cs._entry_rows(terms, 2, 3, _SvecIndexer(dims)).toarray()
-    dense = dense_entry_rows(terms, 2, 3, dims)
+    # 0/1 partial selections as the builders form them: x.T @ q has a zero
+    # row for each tableau that x does not select
+    x = np.eye(2, 3, k=1)
+    selections = [
+        (1.0, x.T, x.T @ np.eye(2, 3), 0),
+        (-1.0 / 3.0, x.T @ np.ones((2, 2)), np.eye(3, 2), 1),
+        (0.5, x.T, None, 0),
+    ]
+    empty = [
+        (0.9, np.zeros((2, 2)), sparse_random((3, 3)), 0),
+        (0.6, sparse_random((2, 2)), sparse_random((3, 2)), 1),
+        (0.4, np.zeros((2, 2)), None, 1),
+    ]
+    traced = [
+        (0.8, sparse_random((2, 2)), None, 0),
+        (-1.2, sparse_random((2, 3)), None, 1),
+    ]
+    # 0/1 entries and dyadic scales make the sums exact, so the first term
+    # cancels to zero, and so do the rows only it reaches (output row 1,
+    # which the second term's P leaves empty)
+    ones = (0.5, np.array([[1.0, 0.0], [1.0, 1.0]]), np.eye(3)[[0, 2, 1]], 0)
+    kept = np.array([[0.4, 0.0], [0.0, -1.3], [0.9, 0.2]])
+    partial = [ones, (1.1, np.array([[0.3, -0.8], [0.0, 0.0]]), kept, 1)]
+    partial.append((-ones[0],) + ones[1:])
+    exact = [(0.5, x.T, x.T @ np.eye(2, 3), 0), (0.25, x.T, None, 0)]
+    return {
+        "mixed": (mixed, 2, 3, [6, 4]),
+        "selections": (selections, 3, 3, [6, 4]),
+        "empty_term": (empty, 2, 3, [6, 4]),
+        "traced_wide": (traced, 2, 3, [6, 6]),
+        "cancelling": (partial, 2, 3, [6, 4]),
+        "all_cancel": (exact + [(-t[0],) + t[1:] for t in exact], 3, 3, [6, 4]),
+    }
+
+
+ENTRY_ROW_CASES = entry_row_cases()
+
+
+@pytest.mark.parametrize("case", list(ENTRY_ROW_CASES))
+def test_entry_rows_match_dense_definition(case):
+    terms, out_rows, out_cols, dims = ENTRY_ROW_CASES[case]
+    sparse = cs._entry_rows(terms, out_rows, out_cols, _SvecIndexer(dims)).toarray()
+    dense = dense_entry_rows(terms, out_rows, out_cols, dims)
     assert sparse.shape == dense.shape
-    assert np.abs(sparse - dense).max() <= 1e-14
+    assert np.abs(sparse - dense).max(initial=0.0) <= 1e-14

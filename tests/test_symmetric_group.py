@@ -218,6 +218,9 @@ def test_embedding_matrix_examples():
                 assert np.array_equal(
                     x @ x.T, np.eye(tableau_count(parent))
                 )
+                # cached and shared: a caller writing into it would corrupt later builds
+                assert embedding_matrix(parent, child) is x
+                assert not x.flags.writeable
 
 
 def test_embedding_matrix_matches_restriction():
