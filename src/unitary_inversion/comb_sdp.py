@@ -155,8 +155,8 @@ def _entry_rows(
     out_rows: int,
     out_cols: int,
     indexer: _SvecIndexer,
-) -> scipy.sparse.csr_matrix:
-    """Rows of a homogeneous matrix identity sum_t scale * T_t(C_t) = 0.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of a homogeneous matrix identity sum_t scale * T_t(C_t) = 0, as (row, column, value).
 
     ``terms`` lists (scale, P, Q, block_index).  With a matrix Q the term is
     (P x Q) C (P x Q)^T; with Q = None it is the partial trace
@@ -164,7 +164,9 @@ def _entry_rows(
     pairs only output entries with equal column labels.  One row per
     upper-triangle entry (p, q) of the (out_rows*out_cols) output matrix,
     row-major, with coefficients symmetrized and summed in term order; rows
-    without a nonzero coefficient are dropped.
+    without a nonzero coefficient are dropped.  The nonzeros come sorted by
+    row, then svec column, with rows numbered from 0, so that
+    :func:`_reduced_problem` stacks the row sets into one CSR matrix.
 
     Each term contributes only its own nonzeros.  Those of u = P x Q (for
     Q = None, of P x ones(out_cols, width), where the position in the ones
@@ -249,10 +251,8 @@ def _entry_rows(
     pair, col = np.divmod(entries, indexer.total)
     acc *= indexer.scale_vector[col]
     nonzero = acc != 0.0
-    present, row = np.unique(pair[nonzero], return_inverse=True)
-    return scipy.sparse.csr_matrix(
-        (acc[nonzero], (row, col[nonzero])), shape=(present.size, indexer.total)
-    )
+    row = np.unique(pair[nonzero], return_inverse=True)[1]
+    return row, col[nonzero], acc[nonzero]
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -262,11 +262,19 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def _reduced_problem(d: int, n: int, mode: str, indexer: _SvecIndexer, row_sets) -> SdpProblem:
-    """Stack homogeneous row sets, then the trace normalization, into one program."""
+    """Stack homogeneous row sets, then the trace normalization, into one CSR program."""
     # normalization: the fully contracted scalar equals one, i.e. the total
     # trace over all blocks is d^(n+1)
-    trace = scipy.sparse.csr_matrix(indexer.pack([np.eye(s) for s in indexer.dims]))
-    a = scipy.sparse.vstack(row_sets + [trace], format="csr")
+    trace = indexer.pack([np.eye(s) for s in indexer.dims])
+    trace_cols = np.flatnonzero(trace)
+    trace_row = (np.zeros(trace_cols.size, dtype=int), trace_cols, trace[trace_cols])
+    rows, cols, vals = zip(*row_sets, trace_row)
+    # every row of a set holds a nonzero, so bincount gives each row's length
+    lengths = np.concatenate([np.bincount(row) for row in rows])
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    a = scipy.sparse.csr_matrix(
+        (np.concatenate(vals), np.concatenate(cols), indptr), shape=(lengths.size, indexer.total)
+    )
     rhs = np.zeros(a.shape[0])
     rhs[-1] = float(d ** (n + 1))
     problem = SdpProblem(

@@ -29,12 +29,15 @@ product costing 2 s^2 k flops when A_j has k nonzeros (both triangles) in
 a block of size s, against 4 s^3 for expanding A_j into a dense s x s
 matrix and multiplying on both sides.  No row of any program the
 repository builds has k > s (the trace row has k = s), so no dense path
-is kept.
+is kept.  Only the lower triangle of M is built: each pair of rows is
+formed once per block, and added to a column-major buffer by one 1-D
+scatter per batch of rows.
 
-Each iteration factors every matrix once.  One Cholesky factor of the
-Schur complement serves both the predictor and the corrector.  Each block
-of X and Z is factored when the step-halving check accepts the new
-iterate; the next iteration inverts those factors once and uses the
+Each iteration factors every matrix once.  LAPACK ``potrf`` factors the
+lower triangle of the Schur complement in place, with no symmetrized
+copy, and that one factor serves both the predictor and the corrector.
+Each block of X and Z is factored when the step-halving check accepts the
+new iterate; the next iteration inverts those factors once and uses the
 inverses for Z^{-1} and for both step lengths.
 
 Blocks of equal size are held as one (count, s, s) stack, so the block
@@ -374,18 +377,28 @@ def _preprocess_rows(a: scipy.sparse.csr_matrix, rhs: np.ndarray) -> tuple[np.nd
     return kept_orig[np.sort(np.concatenate(keep))], consistent
 
 
-def _block_rows(a: scipy.sparse.csr_matrix, indexer: _SvecIndexer) -> list[tuple[scipy.sparse.csr_matrix, list]]:
-    """Per block: the rows touching it as vec(A_ib) over s*s columns, and their batches.
+def _block_rows(a: scipy.sparse.csr_matrix, indexer: _SvecIndexer) -> list[list[tuple]]:
+    """Per block: the batches of rows touching it, for the Schur complement's lower triangle.
 
     A row's entries in block b are listed in matrix coordinates, both
     triangles, each svec coefficient divided by its sqrt(2) scale, so that
     they are the nonzeros of the symmetric A_ib, stored at column p*s + q of
     one CSR matrix over the flattened s x s block.  Its rows are ordered by
     entry count k, so that a batch of at most ``_SCHUR_CHUNK`` rows sharing
-    the same k is one slice of the stored entries.  A batch is that slice,
-    k, and the ``np.ix_`` index of the Schur complement entries it adds to.
-    All of this depends only on the kept rows, so it is built once per solve.
+    the same k is one slice of the stored entries.  A batch is (p, q, v,
+    tail, target): its rows' entries as (rows, k) arrays, the block's rows
+    from the batch's first row onward (a CSR view of the stored entries),
+    and where each product of a tail row with a batch row goes in the flat
+    column-major m*m + 1 buffer of :func:`_schur_complement`.  A pair of
+    rows lands at (max, min) of their global indices, the lower triangle.
+    Inside the batch's own square both orders of a pair are formed; the one
+    whose tail row is the later (or the same) row is kept, and the other
+    goes to the spare last slot.  All of this depends only on the kept
+    rows, so it is built once per solve.
     """
+    m = a.shape[0]
+    # int32 halves the index memory; an m this large would need 17 GB for M itself
+    index_type = np.int32 if m * m < 2**31 - 1 else np.int64
     out = []
     for b, span in enumerate(indexer.spans):
         s = indexer.dims[b]
@@ -399,24 +412,35 @@ def _block_rows(a: scipy.sparse.csr_matrix, indexer: _SvecIndexer) -> list[tuple
         v = np.concatenate([v, v[off]])
         rows, local, counts = np.unique(row, return_inverse=True, return_counts=True)
         order = np.lexsort((local, counts[local]))
+        # int32 column indices and row pointers let every tail view them
+        flat, v = flat[order].astype(np.int32), v[order]
         by_count = np.argsort(counts, kind="stable")
-        rows, counts = rows[by_count], counts[by_count]
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        vec_a = scipy.sparse.csr_matrix((v[order], flat[order], indptr), shape=(rows.size, s * s))
+        rows, counts = rows[by_count].astype(index_type), counts[by_count]
+        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
         batches = []
         for k in np.unique(counts):
             first, last = np.searchsorted(counts, [k, k + 1])
             for start in range(first, last, _SCHUR_CHUNK):
                 stop = min(start + _SCHUR_CHUNK, last)
-                batches.append((slice(indptr[start], indptr[stop]), k, np.ix_(rows, rows[start:stop])))
-        out.append((vec_a, batches))
+                head = indptr[start]
+                tail = scipy.sparse.csr_matrix(
+                    (v[head:], flat[head:], indptr[start:] - head), shape=(rows.size - start, s * s)
+                )
+                batch = slice(head, indptr[stop])
+                p, q = np.divmod(flat[batch].reshape(-1, k), s)
+                later, earlier = rows[start:, None], rows[None, start:stop]
+                target = np.where(
+                    np.tri(rows.size - start, stop - start, dtype=bool),
+                    np.minimum(later, earlier) * m + np.maximum(later, earlier),
+                    m * m,
+                )
+                batches.append((p, q, v[batch].reshape(-1, k), tail, target.ravel()))
+        out.append(batches)
     return out
 
 
-def _schur_complement(
-    block_rows, x: list[np.ndarray], zinv: list[np.ndarray], m: int
-) -> np.ndarray:
-    """M_ij = Tr(A_i X A_j Z^{-1}), summed block by block, then symmetrized.
+def _schur_complement(block_rows, x: list[np.ndarray], zinv: list[np.ndarray], m: int) -> np.ndarray:
+    """Lower triangle of M_ij = Tr(A_i X A_j Z^{-1}), summed block by block.
 
     For a row j with entries (p, q, v) in block b, X A_jb Z^{-1} is the
     rank-k sum of v X[:, p] Z^{-1}[q, :] over its entries (the "F2"
@@ -426,43 +450,50 @@ def _schur_complement(
     while k < 2s; the largest k of any program the repository builds is s
     (the trace row), where it costs half, so no dense path is kept.  As
     A_ib is symmetric, Tr(A_ib T) = <vec A_ib, vec T>: each batch enters M
-    as one sparse-times-dense product with the block's vec(A_ib) rows,
-    scattered per batch so that scratch memory stays at ``_SCHUR_CHUNK``
-    products.
+    as one sparse-times-dense product with the block's rows from the
+    batch's first row onward, so each pair of rows is formed once per block,
+    and one 1-D scatter adds it to the lower triangle.  Scratch memory stays
+    at ``_SCHUR_CHUNK`` products.
+
+    Returns an (m, m) column-major view whose lower triangle, diagonal
+    included, is M; the strict upper triangle holds zeros.
     """
-    big_m = np.zeros((m, m))
-    for (vec_a, batches), xb, zb in zip(block_rows, x, zinv):
-        for entries, k, target in batches:
-            p, q = np.divmod(vec_a.indices[entries].reshape(-1, k), xb.shape[0])
-            t = (xb[:, p] * vec_a.data[entries].reshape(-1, k)).transpose(1, 0, 2) @ zb[q]
-            big_m[target] += vec_a @ t.reshape(len(p), -1).T
-    return (big_m + big_m.T) / 2.0
+    buf = np.zeros(m * m + 1)
+    for batches, xb, zb in zip(block_rows, x, zinv):
+        for p, q, v, tail, target in batches:
+            t = (xb[:, p] * v).transpose(1, 0, 2) @ zb[q]
+            np.add.at(buf, target, (tail @ t.reshape(len(p), -1).T).ravel())
+    return buf[:-1].reshape((m, m), order="F")
 
 
-def _schur_solver(big_m: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+def _schur_solver(assemble: Callable[[], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
     """Factor the Schur complement once; return a function solving M v = r.
 
-    Cholesky of M, retried with a diagonal jitter growing tenfold from
-    1e-14 * max(1, Tr(M)/m) when rounding leaves M numerically singular;
-    least squares when eight attempts fail.
+    ``assemble`` returns a fresh M, of which only the lower triangle is read.
+    LAPACK ``potrf`` factors that triangle in place; a failed attempt leaves
+    it partly overwritten, so each retry assembles M again.  The retries add
+    a diagonal jitter growing tenfold from 1e-14 * max(1, Tr(M)/m) when
+    rounding leaves M numerically singular; least squares on the mirrored
+    triangle takes over when eight attempts fail.
     """
+    big_m = assemble()
     m = big_m.shape[0]
     base = np.trace(big_m) / max(1, m)
     jitter = 0.0
-    for _ in range(8):
+    for attempt in range(8):
+        if attempt:
+            big_m = assemble()
+            big_m[np.diag_indices(m)] += jitter
         try:
-            l = np.linalg.cholesky(big_m + jitter * np.eye(m) if jitter else big_m)
+            # M is formed by the solver from validated, finite data
+            factor = scipy.linalg.cho_factor(big_m, lower=True, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError:
             jitter = max(jitter * 10.0, 1e-14 * max(base, 1.0))
             continue
-
-        def solve_chol(rhs_vec: np.ndarray) -> np.ndarray:
-            # l and rhs_vec are formed by the solver from validated, finite data
-            sol = scipy.linalg.solve_triangular(l, rhs_vec, lower=True, check_finite=False)
-            return scipy.linalg.solve_triangular(l.T, sol, lower=False, check_finite=False)
-
-        return solve_chol
-    return lambda rhs_vec: np.linalg.lstsq(big_m, rhs_vec, rcond=None)[0]
+        return lambda rhs_vec: scipy.linalg.cho_solve(factor, rhs_vec, check_finite=False)
+    lower = np.tril(assemble())
+    full = lower + np.tril(lower, -1).T
+    return lambda rhs_vec: np.linalg.lstsq(full, rhs_vec, rcond=None)[0]
 
 
 def _sym(stack: np.ndarray) -> np.ndarray:
@@ -641,7 +672,7 @@ def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
         x_inv_chol = None if x_chol is None else [np.linalg.inv(l) for l in x_chol]
         zinv = [_sym(li.swapaxes(-1, -2) @ li) for li in z_inv_chol]
         solve_m = _schur_solver(
-            _schur_complement(block_rows, indexer.unstack(x), indexer.unstack(zinv), m)
+            functools.partial(_schur_complement, block_rows, indexer.unstack(x), indexer.unstack(zinv), m)
         )
         az = apply_a(zinv)
 

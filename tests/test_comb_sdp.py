@@ -439,7 +439,12 @@ ENTRY_ROW_CASES = entry_row_cases()
 @pytest.mark.parametrize("case", list(ENTRY_ROW_CASES))
 def test_entry_rows_match_dense_definition(case):
     terms, out_rows, out_cols, dims = ENTRY_ROW_CASES[case]
-    sparse = cs._entry_rows(terms, out_rows, out_cols, _SvecIndexer(dims)).toarray()
+    indexer = _SvecIndexer(dims)
+    row, col, value = cs._entry_rows(terms, out_rows, out_cols, indexer)
+    # sorted by row, then column; a gap in the row numbers would overflow `sparse`
+    assert np.all(np.diff(row * indexer.total + col) > 0)
+    sparse = np.zeros((len(np.unique(row)), indexer.total))
+    sparse[row, col] = value
     dense = dense_entry_rows(terms, out_rows, out_cols, dims)
     assert sparse.shape == dense.shape
     assert np.abs(sparse - dense).max(initial=0.0) <= 1e-14

@@ -446,12 +446,12 @@ def test_preprocess_rows_factors_components_not_the_matrix(monkeypatch):
     assert dense_shapes and max(rows for rows, _ in dense_shapes) <= 233
 
 
-def counting(monkeypatch, name):
-    """Replace np.linalg.<name> by a wrapper that records (size, matrices, succeeded) per call.
+def counting(monkeypatch, module, name):
+    """Replace module.<name> by a wrapper that records (size, matrices, succeeded) per call.
 
     A call on a stack of shape (..., size, size) counts every matrix in it.
     """
-    real = getattr(np.linalg, name)
+    real = getattr(module, name)
     calls = []
 
     def wrapper(mat, *args, **kwargs):
@@ -464,36 +464,55 @@ def counting(monkeypatch, name):
         calls.append((shape[-1], math.prod(shape[:-2]), True))
         return out
 
-    monkeypatch.setattr(np.linalg, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
+def poisoned(mat):
+    """A column-major copy of mat, as the Schur complement comes, with a huge strict upper triangle."""
+    out = np.array(mat, dtype=float, order="F")
+    out[np.triu_indices(out.shape[0], 1)] = 1e300
+    return out
+
+
 def test_schur_solver_paths(monkeypatch):
-    chol = counting(monkeypatch, "cholesky")
-    lstsq = counting(monkeypatch, "lstsq")
+    # every path reads only the lower triangle: a poisoned strict upper
+    # triangle gives the answers of the full symmetric matrix
+    chol = counting(monkeypatch, scipy.linalg, "cho_factor")
+    lstsq = counting(monkeypatch, np.linalg, "lstsq")
     rhs = np.array([1.0, 1.0])
 
-    # positive definite: one factorization serves every solve
+    # positive definite: one factorization, in place, serves every solve
     big_m = np.array([[4.0, 1.0], [1.0, 3.0]])
-    solver = _schur_solver(big_m)
+    made = []
+
+    def assemble():
+        made.append(poisoned(big_m))
+        return made[-1]
+
+    solver = _schur_solver(assemble)
     for _ in range(2):
         assert np.abs(big_m @ solver(rhs) - rhs).max() <= 1e-14
     assert chol == [(2, 1, True)] and lstsq == []
+    assert len(made) == 1 and np.abs(np.tril(made[0]) - np.linalg.cholesky(big_m)).max() <= 1e-15
+    assert np.array_equal(solver(rhs), _schur_solver(big_m.copy)(rhs))
 
     # singular positive semidefinite: plain Cholesky fails, a jittered one succeeds
     chol.clear()
     big_m = np.ones((2, 2))
-    sol = _schur_solver(big_m)(rhs)
+    sol = _schur_solver(lambda: poisoned(big_m))(rhs)
     assert chol[0] == (2, 1, False) and chol[-1] == (2, 1, True) and lstsq == []
     assert np.abs(big_m @ sol - rhs).max() <= 1e-8
+    assert np.array_equal(sol, _schur_solver(big_m.copy)(rhs))
 
     # indefinite: all eight attempts fail and least squares takes over
     chol.clear()
     big_m = np.diag([1.0, -1.0])
-    solver = _schur_solver(big_m)
+    solver = _schur_solver(lambda: poisoned(big_m))
     assert chol == [(2, 1, False)] * 8 and lstsq == []
     assert np.array_equal(solver(rhs), [1.0, -1.0])
     assert lstsq == [(2, 1, True)]
+    assert np.array_equal(_schur_solver(big_m.copy)(rhs), [1.0, -1.0])
 
 
 def random_positive_definite(rng, size):
@@ -512,39 +531,43 @@ def untouched_block_problem():
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, split",
     [
-        lambda: build_sequential_sdp(2, 3),
-        lambda: build_parallel_sdp(3, 2),
-        lambda: build_full_sdp(2, 1, "seq"),
-        untouched_block_problem,
+        (lambda: build_sequential_sdp(2, 3), False),
+        (lambda: build_parallel_sdp(3, 2), False),
+        (lambda: build_full_sdp(2, 1, "seq"), False),
+        (untouched_block_problem, False),
+        (lambda: build_parallel_sdp(2, 4), True),
     ],
-    ids=["seq-2-3", "par-3-2", "full-seq-2-1", "from-rows"],
+    ids=["seq-2-3", "par-3-2", "full-seq-2-1", "from-rows", "par-2-4"],
 )
-def test_schur_complement_matches_dense_definition(build):
+def test_schur_complement_matches_dense_definition(build, split):
     problem = build()
     kept = _preprocess_rows(problem.a, problem.rhs)[0]
     a = problem.a[kept]
     indexer = _SvecIndexer(problem.block_dims)
     block_rows = _block_rows(a, indexer)
     dims = problem.block_dims
+    counts = [[p.shape[1] for p, *_ in batches] for batches in block_rows]
     if len(dims) == 1:
         # the trace row has one entry per diagonal element of the block
-        assert max(k for _, k, _ in block_rows[0][1]) == dims[0]
+        assert max(counts[0]) == dims[0]
+    # more than _SCHUR_CHUNK rows of one entry count in a block split into
+    # batches, each contracted against the rows from its first onward
+    assert any(len(ks) > len(set(ks)) for ks in counts) == split
     rng = np.random.default_rng(7)
     x = [random_positive_definite(rng, s) for s in dims]
     zinv = [random_positive_definite(rng, s) for s in dims]
-    coeffs = [indexer.unpack(row.toarray().ravel()) for row in a]
     m = a.shape[0]
+    # M_ij = sum_b vec(A_ib)^T (X_b kron Z_b^-1) vec(A_jb), vec row-major
+    coeffs = [indexer.unpack(row.toarray().ravel()) for row in a]
     dense = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            dense[i, j] = sum(
-                np.trace(ai @ xb @ aj @ zb) + np.trace(aj @ xb @ ai @ zb)
-                for ai, aj, xb, zb in zip(coeffs[i], coeffs[j], x, zinv)
-            ) / 2.0
+    for b, (xb, zb) in enumerate(zip(x, zinv)):
+        vec_a = np.array([mats[b].ravel() for mats in coeffs]).reshape(m, -1)
+        dense += vec_a @ np.kron(xb, zb) @ vec_a.T
     big_m = _schur_complement(block_rows, x, zinv, m)
-    assert np.abs(big_m - dense).max() <= 1e-13 * np.abs(dense).max()
+    assert np.abs(np.tril(big_m - dense)).max() <= 1e-13 * np.abs(dense).max()
+    assert not np.triu(big_m, 1).any()
 
 
 def test_solve_factors_each_matrix_once_per_iteration(monkeypatch):
@@ -553,11 +576,13 @@ def test_solve_factors_each_matrix_once_per_iteration(monkeypatch):
     nblocks = len(problem.block_dims)
     nsizes = len(set(problem.block_dims))
     assert m not in problem.block_dims and nsizes < nblocks
-    calls = counting(monkeypatch, "cholesky")
+    calls = counting(monkeypatch, np.linalg, "cholesky")
+    schur_calls = counting(monkeypatch, scipy.linalg, "cho_factor")
     solution = solve(problem)
     assert solution.status == "optimal"
-    schur = [(count, ok) for size, count, ok in calls if size == m]
+    schur = [(count, ok) for size, count, ok in schur_calls if size == m]
     blocks = [(count, ok) for size, count, ok in calls if size != m]
+    assert len(schur) == len(schur_calls) and len(blocks) == len(calls)
     # the last iteration only checks convergence
     assert schur == [(1, True)] * (solution.iterations - 1)
     # X and Z once per block at the start and after each step, plus halving retries
@@ -566,6 +591,25 @@ def test_solve_factors_each_matrix_once_per_iteration(monkeypatch):
     # one stacked call per block size for X and for Z, plus halving retries
     failed_calls = sum(not ok for _, ok in blocks)
     assert len(blocks) <= 2 * nsizes * solution.iterations + nsizes * failed_calls
+
+
+@pytest.mark.parametrize(
+    "build, iterations",
+    [
+        (lambda: build_sequential_sdp(2, 3), 11),
+        (lambda: build_sequential_sdp(3, 3), 12),
+        (lambda: build_parallel_sdp(2, 4), 13),
+        (lambda: build_parallel_sdp(4, 3), 13),
+        (lambda: build_full_sdp(2, 2, "seq"), 13),
+        (lambda: build_full_sdp(3, 1, "par"), 8),
+    ],
+    ids=["seq-2-3", "seq-3-3", "par-2-4", "par-4-3", "full-seq-2-2", "full-par-3-1"],
+)
+def test_trajectories_are_pinned(build, iterations):
+    # a change to the solver's arithmetic may move values in the last bits,
+    # but iteration counts move only for a reason recorded in CHANGES.md
+    solution = solve(build())
+    assert (solution.status, solution.iterations) == ("optimal", iterations)
 
 
 def test_solve_is_independent_of_blas_threads():
