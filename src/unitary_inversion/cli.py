@@ -150,6 +150,9 @@ def cmd_solve(args) -> int:
         "verified_constraint_violation": report.max_constraint_violation,
         "verified_min_eigenvalue": min(report.block_min_eigenvalues),
     }
+    if solution.status != "optimal":
+        payload["reason"] = solution.reason
+        print(f"solver {solution.status}: {solution.reason}", file=sys.stderr)
     text = json.dumps(payload, sort_keys=True, indent=2)
     if args.json:
         print(text)
@@ -197,13 +200,15 @@ def cmd_tables(args) -> int:
                 if problem is None:
                     continue
                 solution = solve(problem, config)
-                if solution.status != "optimal":
-                    failures += 1
                 entry = {
                     "value": solution.objective_value,
                     "gap": solution.gap,
                     "status": solution.status,
                 }
+                if solution.status != "optimal":
+                    failures += 1
+                    entry["reason"] = solution.reason
+                    print(f"{mode} d={d} n={n}: solver {solution.status}: {solution.reason}", file=sys.stderr)
                 ref = refs.get((mode, d, n))
                 if ref is not None:
                     entry["reference"] = ref.value

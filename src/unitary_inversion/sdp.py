@@ -36,9 +36,20 @@ scatter per batch of rows.
 Each iteration factors every matrix once.  LAPACK ``potrf`` factors the
 lower triangle of the Schur complement in place, with no symmetrized
 copy, and that one factor serves both the predictor and the corrector.
-Each block of X and Z is factored when the step-halving check accepts the
-new iterate; the next iteration inverts those factors once and uses the
-inverses for Z^{-1} and for both step lengths.
+X and Z move by the fraction-to-boundary step, and each of their blocks is
+factored once after the step; the next iteration inverts those factors
+once and uses the inverses for Z^{-1} and for both step lengths.
+
+A solve ends ``optimal`` when the relative gap and both infeasibilities
+meet the tolerances, and the residual on the original rows does too.
+Otherwise ``SdpSolution.reason`` names the cause and its iteration:
+``infeasible_detected`` when preprocessing certifies inconsistent rows
+(before any iteration), ``max_iter`` at the iteration limit, and
+``numerical_failure`` when the Schur complement, or X or Z after its step,
+is not positive definite, when X or y exceeds ``_DIVERGENCE_BOUND`` times
+the starting scale or is not finite (unbounded or infeasible programs), or
+when the residual on the original rows breaches the tolerance.  A failed
+solve returns the last iterate before the failure.
 
 Blocks of equal size are held as one (count, s, s) stack, so the block
 Cholesky factors, their inverses, the step-length eigenvalues and the
@@ -77,6 +88,8 @@ import scipy.sparse.linalg
 _SYM_ATOL = 1e-10
 _PIVOT_THRESHOLD = 1e-10
 _BOUNDARY_FRACTION = 0.98
+# iterates beyond this multiple of the starting scale end the solve as diverging
+_DIVERGENCE_BOUND = 1e12
 # rows per batched product in the Schur complement
 _SCHUR_CHUNK = 64
 
@@ -213,6 +226,8 @@ class SdpSolution:
     status: str
     iterations: int = 0
     mu_history: list[float] = field(default_factory=list)
+    # why the solve ended short of optimal; empty when it is optimal
+    reason: str = ""
 
     def to_json(self) -> str:
         payload = {
@@ -225,6 +240,8 @@ class SdpSolution:
                 float(np.linalg.eigvalsh(b)[0]) for b in self.blocks
             ],
         }
+        if self.status != "optimal":
+            payload["reason"] = self.reason
         return json.dumps(payload, sort_keys=True)
 
 
@@ -466,36 +483,6 @@ def _schur_complement(block_rows, x: list[np.ndarray], zinv: list[np.ndarray], m
     return buf[:-1].reshape((m, m), order="F")
 
 
-def _schur_solver(assemble: Callable[[], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """Factor the Schur complement once; return a function solving M v = r.
-
-    ``assemble`` returns a fresh M, of which only the lower triangle is read.
-    LAPACK ``potrf`` factors that triangle in place; a failed attempt leaves
-    it partly overwritten, so each retry assembles M again.  The retries add
-    a diagonal jitter growing tenfold from 1e-14 * max(1, Tr(M)/m) when
-    rounding leaves M numerically singular; least squares on the mirrored
-    triangle takes over when eight attempts fail.
-    """
-    big_m = assemble()
-    m = big_m.shape[0]
-    base = np.trace(big_m) / max(1, m)
-    jitter = 0.0
-    for attempt in range(8):
-        if attempt:
-            big_m = assemble()
-            big_m[np.diag_indices(m)] += jitter
-        try:
-            # M is formed by the solver from validated, finite data
-            factor = scipy.linalg.cho_factor(big_m, lower=True, overwrite_a=True, check_finite=False)
-        except np.linalg.LinAlgError:
-            jitter = max(jitter * 10.0, 1e-14 * max(base, 1.0))
-            continue
-        return lambda rhs_vec: scipy.linalg.cho_solve(factor, rhs_vec, check_finite=False)
-    lower = np.tril(assemble())
-    full = lower + np.tril(lower, -1).T
-    return lambda rhs_vec: np.linalg.lstsq(full, rhs_vec, rcond=None)[0]
-
-
 def _sym(stack: np.ndarray) -> np.ndarray:
     return (stack + stack.swapaxes(-1, -2)) / 2.0
 
@@ -508,15 +495,14 @@ def _cholesky_blocks(stacks: list[np.ndarray]) -> list[np.ndarray] | None:
         return None
 
 
-def _step_length(inverses: list[np.ndarray] | None, steps: list[np.ndarray]) -> float:
-    """Fraction-to-boundary step for blocks given by their inverse Cholesky factors; 0 without.
+def _step_length(inverses: list[np.ndarray], steps: list[np.ndarray]) -> float:
+    """Fraction-to-boundary step, at most 1, for blocks given by their inverse Cholesky factors.
 
     The largest alpha keeping L L^T + alpha*D positive semidefinite is
     -1/lambda_min(L^-1 D L^-T), or unbounded when that eigenvalue is not
-    negative.
+    negative; the step is ``_BOUNDARY_FRACTION`` of it.  The caller factors
+    the updated blocks, and a failed factor ends the solve.
     """
-    if inverses is None:
-        return 0.0
     lam = min(
         float(np.linalg.eigvalsh(_sym(li @ d @ li.swapaxes(-1, -2)))[:, 0].min())
         for li, d in zip(inverses, steps)
@@ -524,23 +510,6 @@ def _step_length(inverses: list[np.ndarray] | None, steps: list[np.ndarray]) -> 
     if lam >= -1e-14:
         return 1.0
     return min(1.0, _BOUNDARY_FRACTION * (-1.0 / lam))
-
-
-def _damped_update(
-    stacks: list[np.ndarray], steps: list[np.ndarray], alpha: float
-) -> tuple[float, list[np.ndarray], list[np.ndarray] | None]:
-    """Halve alpha until every stacks[g] + alpha*steps[g] factors (at most 40 halvings).
-
-    Rounding can leave the fraction-to-boundary step just outside the cone.
-    Returns alpha, the updated stacks and their Cholesky factors, which the
-    next iteration reuses; the factors are None if the last halving failed too.
-    """
-    for halvings in range(41):
-        new = [st + alpha * d for st, d in zip(stacks, steps)]
-        factors = _cholesky_blocks(new)
-        if factors is not None or halvings == 40:
-            return alpha, new, factors
-        alpha *= 0.5
 
 
 @functools.cache
@@ -608,7 +577,10 @@ def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
     kept, consistent = _preprocess_rows(problem.a, problem.rhs)
     if not consistent:
         zeros = [np.zeros((s, s)) for s in dims]
-        return SdpSolution(zeros, np.zeros(m_rows), 0.0, math.inf, math.inf, "infeasible_detected")
+        return SdpSolution(
+            zeros, np.zeros(m_rows), 0.0, math.inf, math.inf, "infeasible_detected",
+            reason="preprocessing found inconsistent constraint rows",
+        )
     a = problem.a[kept]
     rhs = problem.rhs[kept]
     m = a.shape[0]
@@ -638,11 +610,12 @@ def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
     def inner(left: list[np.ndarray], right: list[np.ndarray]) -> float:
         return sum(float(np.vdot(lt, rt)) for lt, rt in zip(left, right))
 
-    status = "max_iter"
+    status, reason = "max_iter", f"no convergence within {config.max_iterations} iterations"
     mu_history: list[float] = []
     iterations = 0
     norm_rhs = 1.0 + (float(np.abs(rhs).max()) if m else 0.0)
     norm_c = 1.0 + max((float(np.abs(mat).max()) for mat in c_mats), default=0.0)
+    divergence = _DIVERGENCE_BOUND * tau
 
     for iteration in range(config.max_iterations):
         iterations = iteration + 1
@@ -656,31 +629,39 @@ def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
         pinf = float(np.abs(rp).max()) / norm_rhs if m else 0.0
         dinf = max(float(np.abs(rdg).max()) for rdg in rd) / norm_c
         if gap_rel <= config.gap_tol and pinf <= config.feasibility_tol and dinf <= config.feasibility_tol:
-            status = "optimal"
+            status, reason = "optimal", ""
             break
-        if float(np.abs(y).max() if m else 0.0) > 1e12 and pinf > config.feasibility_tol:
-            status = "infeasible_detected"
-            break
-
-        if z_chol is None:
-            status = "max_iter"
+        # written so that a NaN fails the test too
+        x_max = max((float(np.abs(st).max()) for st in x), default=0.0)
+        y_max = float(np.abs(y).max()) if m else 0.0
+        if not (x_max <= divergence and y_max <= divergence):
+            status = "numerical_failure"
+            reason = (
+                f"iterates diverge (max |X| {x_max:.3g}, max |y| {y_max:.3g}, "
+                f"bound {divergence:.3g}) at iteration {iterations}"
+            )
             break
 
         # one inverse per factor serves Z^-1 and both step lengths; symmetrize
         # the rounded Z^-1 so that svec pairings see both triangles
         z_inv_chol = [np.linalg.inv(l) for l in z_chol]
-        x_inv_chol = None if x_chol is None else [np.linalg.inv(l) for l in x_chol]
+        x_inv_chol = [np.linalg.inv(l) for l in x_chol]
         zinv = [_sym(li.swapaxes(-1, -2) @ li) for li in z_inv_chol]
-        solve_m = _schur_solver(
-            functools.partial(_schur_complement, block_rows, indexer.unstack(x), indexer.unstack(zinv), m)
-        )
+        big_m = _schur_complement(block_rows, indexer.unstack(x), indexer.unstack(zinv), m)
+        try:
+            # potrf overwrites the lower triangle of M with its factor
+            factor = scipy.linalg.cho_factor(big_m, lower=True, overwrite_a=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            status = "numerical_failure"
+            reason = f"Schur complement not positive definite at iteration {iterations}"
+            break
         az = apply_a(zinv)
 
         def direction(sigma_mu: float, cross: list):
             # Solve M dy = sigma*mu*A(Z^-1) + A(sym(X Rd Z^-1) - K) - b, then
             # dZ = A*dy - Rd and dX from the symmetrized complementarity row.
             extra = [_sym(xg @ rdg @ zig) - kg for xg, rdg, zig, kg in zip(x, rd, zinv, cross)]
-            dy = solve_m(sigma_mu * az + apply_a(extra) - rhs)
+            dy = scipy.linalg.cho_solve(factor, sigma_mu * az + apply_a(extra) - rhs, check_finite=False)
             dz = [atdyg - rdg for atdyg, rdg in zip(adjoint(dy), rd)]
             dx = [
                 sigma_mu * zig - xg - _sym(xg @ dzg @ zig) - kg
@@ -699,9 +680,18 @@ def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
         cross = [_sym(dxg @ dzg @ zig) for dxg, dzg, zig in zip(dx_aff, dz_aff, zinv)]
         dx, dy, dz = direction(sigma * mu, cross)
 
-        ap, x, x_chol = _damped_update(x, dx, _step_length(x_inv_chol, dx))
-        ad, z, z_chol = _damped_update(z, dz, _step_length(z_inv_chol, dz))
-        y = y + ad * dy
+        # the factors of the new iterate serve the next iteration
+        ap = _step_length(x_inv_chol, dx)
+        ad = _step_length(z_inv_chol, dz)
+        x_new = [xg + ap * dxg for xg, dxg in zip(x, dx)]
+        z_new = [zg + ad * dzg for zg, dzg in zip(z, dz)]
+        x_chol, z_chol = _cholesky_blocks(x_new), _cholesky_blocks(z_new)
+        if x_chol is None or z_chol is None:
+            name, alpha = ("X", ap) if x_chol is None else ("Z", ad)
+            status = "numerical_failure"
+            reason = f"{name} not positive definite after step {alpha:.3g} at iteration {iterations}"
+            break
+        x, z, y = x_new, z_new, y + ad * dy
 
     xvec = indexer.pack_stacks(x)
     pobj = float(cvec @ xvec)
@@ -711,7 +701,11 @@ def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
     dual_full = np.zeros(m_rows)
     dual_full[kept] = y
     if status == "optimal" and residual > config.feasibility_tol * norm_rhs:
-        status = "max_iter"
+        status = "numerical_failure"
+        reason = (
+            f"residual {residual:.3g} on the original rows exceeds "
+            f"{config.feasibility_tol * norm_rhs:.3g} at iteration {iterations}"
+        )
     return SdpSolution(
         blocks=indexer.unstack(x),
         dual=dual_full,
@@ -721,6 +715,7 @@ def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
         status=status,
         iterations=iterations,
         mu_history=mu_history,
+        reason=reason,
     )
 
 

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from unitary_inversion import cli
 from unitary_inversion.cli import main
 
 
@@ -150,6 +152,28 @@ def test_tables_size_cap_rejecting_every_cell(capsys):
     assert code == 3
     assert captured.out == ""
     assert "svec cap 1" in captured.err
+
+
+def test_solver_failure_prints_its_reason(monkeypatch, capsys):
+    reason = "Schur complement not positive definite at iteration 3"
+    real = cli.solve
+
+    def failing(problem, config=None):
+        return dataclasses.replace(real(problem, config), status="numerical_failure", reason=reason)
+
+    monkeypatch.setattr(cli, "solve", failing)
+    assert main(["solve", "--d", "2", "--n", "1", "--json"]) == 4
+    captured = capsys.readouterr()
+    assert reason in captured.err
+    payload = json.loads(captured.out)
+    assert (payload["status"], payload["reason"]) == ("numerical_failure", reason)
+    argv = ["tables", "--d-max", "2", "--n-max", "1", "--modes", "seq", "--json"]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert "seq d=2 n=1" in captured.err and reason in captured.err
+    payload = json.loads(captured.out)
+    assert payload["cells"]["seq/d2/n1"]["reason"] == reason
+    assert payload["solver_failures"] == 1
 
 
 def test_tables_breach_exit_code(monkeypatch, capsys):

@@ -1,11 +1,14 @@
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
 
+from unitary_inversion import sdp
 from unitary_inversion.comb_sdp import build_full_sdp, build_parallel_sdp, build_sequential_sdp
 from unitary_inversion.sdp import (
     SdpProblem,
@@ -15,7 +18,6 @@ from unitary_inversion.sdp import (
     _block_rows,
     _preprocess_rows,
     _schur_complement,
-    _schur_solver,
     _SvecIndexer,
     solve,
     verify,
@@ -113,7 +115,9 @@ def test_infeasible_detected_by_preprocessing():
             ({0: np.array([[1.0]])}, 2.0),
         ],
     )
-    assert solve(problem).status == "infeasible_detected"
+    solution = solve(problem)
+    assert solution.status == "infeasible_detected"
+    assert solution.reason == "preprocessing found inconsistent constraint rows"
 
 
 def test_inconsistent_combination_detected():
@@ -130,6 +134,60 @@ def test_inconsistent_combination_detected():
         ],
     )
     assert solve(problem).status == "infeasible_detected"
+
+
+def diverging_problems():
+    e00 = np.diag([1.0, 0.0])
+    return {
+        # max Tr X with no constraint at all
+        "unconstrained": SdpProblem.from_rows([2], [np.eye(2)], []),
+        # max X11 subject to X00 = 1: feasible, and unbounded
+        "unbounded": SdpProblem.from_rows([2], [np.diag([0.0, 1.0])], [({0: e00}, 1.0)]),
+        # X = -1 has no positive semidefinite solution
+        "cone-infeasible": SdpProblem.from_rows([1], [np.zeros((1, 1))], [({0: np.eye(1)}, -1.0)]),
+    }
+
+
+@pytest.mark.parametrize("name", list(diverging_problems()))
+def test_diverging_iterates_end_as_numerical_failure(name):
+    # no overflow warning may escape before the solve stops
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solution = solve(diverging_problems()[name])
+    assert solution.status == "numerical_failure"
+    assert re.fullmatch(r"iterates diverge \(max \|X\| .+, max \|y\| .+, bound 1e\+12\) at iteration \d+",
+                        solution.reason)
+    assert solution.iterations < 10
+    assert json.loads(solution.to_json())["reason"] == solution.reason
+
+
+def test_non_finite_iterate_ends_the_solve(monkeypatch):
+    # Cholesky accepts a NaN block, so the divergence test must catch it
+    real = sdp._step_length
+    calls = []
+
+    def nan_step(inverses, steps):
+        # the seventh call is the second iteration's X corrector step
+        calls.append(None)
+        return math.nan if len(calls) == 7 else real(inverses, steps)
+
+    monkeypatch.setattr(sdp, "_step_length", nan_step)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solution = solve(build_sequential_sdp(2, 1))
+    assert solution.status == "numerical_failure"
+    assert re.fullmatch(r"iterates diverge \(max \|X\| nan, .+\) at iteration 3", solution.reason)
+
+
+def test_residual_on_original_rows_downgrades_optimal():
+    # 2X = 2 + 1e-8 is within preprocessing's consistency tolerance of X = 1,
+    # so one row is dropped; the kept one converges, leaving 5e-9 on the other
+    one = np.array([[1.0]])
+    problem = SdpProblem.from_rows([1], [one], [({0: one}, 1.0), ({0: 2 * one}, 2.0 + 1e-8)])
+    assert solve(problem).status == "optimal"
+    solution = solve(problem, SolverConfig(feasibility_tol=1e-9))
+    assert solution.status == "numerical_failure"
+    assert re.fullmatch(r"residual 5e-09 on the original rows exceeds 3e-09 at iteration \d+", solution.reason)
 
 
 def test_rejects_unsymmetric_and_complex_data():
@@ -468,51 +526,53 @@ def counting(monkeypatch, module, name):
     return calls
 
 
-def poisoned(mat):
-    """A column-major copy of mat, as the Schur complement comes, with a huge strict upper triangle."""
-    out = np.array(mat, dtype=float, order="F")
-    out[np.triu_indices(out.shape[0], 1)] = 1e300
-    return out
-
-
-def test_schur_solver_paths(monkeypatch):
-    # every path reads only the lower triangle: a poisoned strict upper
-    # triangle gives the answers of the full symmetric matrix
-    chol = counting(monkeypatch, scipy.linalg, "cho_factor")
-    lstsq = counting(monkeypatch, np.linalg, "lstsq")
-    rhs = np.array([1.0, 1.0])
-
-    # positive definite: one factorization, in place, serves every solve
-    big_m = np.array([[4.0, 1.0], [1.0, 3.0]])
+@pytest.mark.parametrize("kind", ["singular", "indefinite"])
+def test_schur_failure_ends_the_solve(monkeypatch, kind):
+    # no program the repository builds gives such an M, so the third one is spoiled
+    real = sdp._schur_complement
     made = []
 
-    def assemble():
-        made.append(poisoned(big_m))
+    def spoiled(*args):
+        made.append(real(*args))
+        if len(made) == 3:
+            if kind == "singular":
+                made[-1][:, 0] = 0.0
+            else:
+                made[-1][0, 0] = -1.0
         return made[-1]
 
-    solver = _schur_solver(assemble)
-    for _ in range(2):
-        assert np.abs(big_m @ solver(rhs) - rhs).max() <= 1e-14
-    assert chol == [(2, 1, True)] and lstsq == []
-    assert len(made) == 1 and np.abs(np.tril(made[0]) - np.linalg.cholesky(big_m)).max() <= 1e-15
-    assert np.array_equal(solver(rhs), _schur_solver(big_m.copy)(rhs))
+    monkeypatch.setattr(sdp, "_schur_complement", spoiled)
+    solution = solve(build_sequential_sdp(2, 1))
+    assert solution.status == "numerical_failure"
+    assert solution.reason == "Schur complement not positive definite at iteration 3"
+    assert solution.iterations == 3 and len(made) == 3
+    assert all(np.isfinite(block).all() for block in solution.blocks)
 
-    # singular positive semidefinite: plain Cholesky fails, a jittered one succeeds
-    chol.clear()
-    big_m = np.ones((2, 2))
-    sol = _schur_solver(lambda: poisoned(big_m))(rhs)
-    assert chol[0] == (2, 1, False) and chol[-1] == (2, 1, True) and lstsq == []
-    assert np.abs(big_m @ sol - rhs).max() <= 1e-8
-    assert np.array_equal(sol, _schur_solver(big_m.copy)(rhs))
 
-    # indefinite: all eight attempts fail and least squares takes over
-    chol.clear()
-    big_m = np.diag([1.0, -1.0])
-    solver = _schur_solver(lambda: poisoned(big_m))
-    assert chol == [(2, 1, False)] * 8 and lstsq == []
-    assert np.array_equal(solver(rhs), [1.0, -1.0])
-    assert lstsq == [(2, 1, True)]
-    assert np.array_equal(_schur_solver(big_m.copy)(rhs), [1.0, -1.0])
+@pytest.mark.parametrize("target, name", [(7, "X"), (8, "Z")], ids=["X", "Z"])
+def test_step_out_of_the_cone_ends_the_solve(monkeypatch, target, name):
+    # step lengths come in order X, Z (predictor), X, Z (corrector); the
+    # target-th call steps twice as far as the boundary of the cone
+    real = sdp._step_length
+    calls = []
+
+    def overshooting(inverses, steps):
+        calls.append(None)
+        if len(calls) != target:
+            return real(inverses, steps)
+        lam = min(
+            float(np.linalg.eigvalsh(sdp._sym(li @ d @ li.swapaxes(-1, -2)))[:, 0].min())
+            for li, d in zip(inverses, steps)
+        )
+        assert lam < 0
+        return 2.0 / -lam
+
+    monkeypatch.setattr(sdp, "_step_length", overshooting)
+    solution = solve(build_sequential_sdp(2, 1))
+    assert solution.status == "numerical_failure"
+    assert re.fullmatch(rf"{name} not positive definite after step \S+ at iteration 2", solution.reason)
+    # both corrector steps are taken before either block stack is factored
+    assert solution.iterations == 2 and len(calls) == 8
 
 
 def random_positive_definite(rng, size):
@@ -585,12 +645,11 @@ def test_solve_factors_each_matrix_once_per_iteration(monkeypatch):
     assert len(schur) == len(schur_calls) and len(blocks) == len(calls)
     # the last iteration only checks convergence
     assert schur == [(1, True)] * (solution.iterations - 1)
-    # X and Z once per block at the start and after each step, plus halving retries
-    retries = sum(count for count, ok in blocks if not ok)
-    assert sum(count for count, ok in blocks if ok) <= 2 * nblocks * solution.iterations + nblocks * retries
-    # one stacked call per block size for X and for Z, plus halving retries
-    failed_calls = sum(not ok for _, ok in blocks)
-    assert len(blocks) <= 2 * nsizes * solution.iterations + nsizes * failed_calls
+    # X and Z once per block at the start and after each step, in one
+    # stacked call per block size
+    assert all(ok for _, ok in blocks)
+    assert sum(count for count, _ in blocks) == 2 * nblocks * solution.iterations
+    assert len(blocks) == 2 * nsizes * solution.iterations
 
 
 @pytest.mark.parametrize(
