@@ -178,7 +178,12 @@ def _format_table(mode: str, results: dict, d_range, n_range) -> str:
         cells = []
         for n in n_range:
             r = results.get((mode, d, n))
-            cells.append("SKIPPED" if r is None else f"{r['value']:.4f}")
+            if r is None:
+                cells.append("SKIPPED")
+            elif r["status"] != "optimal":
+                cells.append("FAILED")
+            else:
+                cells.append(f"{r['value']:.4f}")
         lines.append(f"{d}," + ",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -226,10 +231,13 @@ def cmd_tables(args) -> int:
     for (mode, d, n), entry in sorted(results.items()):
         if "reference" not in entry:
             continue
-        ok = "ok" if entry["deviation"] <= entry["tolerance"] else "breach"
+        if entry["status"] != "optimal":
+            status = entry["status"]
+        else:
+            status = "ok" if entry["deviation"] <= entry["tolerance"] else "breach"
         deviation_lines.append(
             f"{mode},{d},{n},{entry['value']:.6f},{entry['reference']:.4f},"
-            f"{entry['tolerance']:.0e},{entry['deviation']:.2e},{ok}"
+            f"{entry['tolerance']:.0e},{entry['deviation']:.2e},{status}"
         )
     files = {"deviations.csv": "\n".join(deviation_lines) + "\n"}
     for mode in modes:

@@ -26,7 +26,6 @@ how :func:`reduce_comb` tests membership.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,9 +44,9 @@ from .symmetric_group import (
     young_diagrams,
 )
 
-# d^(2n+2) <= 3^6 admits n <= 3 at d=2, n <= 2 at d=3 and n=1 at d=4, 5;
-# full seq (2, 4) would materialize about 131k dense 1024^2 rows
-FULL_SPACE_DIM_CAP = 729
+# d^(2n+2) <= 5^4 admits n <= 3 at d=2 and n=1 at d=3, 4, 5; full (3, 2) keeps
+# 27k-29k of its 30k rows, a 5.7-6.9 GB dense Schur complement
+FULL_SPACE_DIM_CAP = 625
 REDUCED_SVEC_CAP = 2000
 
 
@@ -430,37 +429,19 @@ def full_performance_operator(d: int, n: int) -> np.ndarray:
     )
 
 
-def _full_rows(out_regs, inner_regs, scales, diag, dims):
-    """Rows of a Tr_~out(C) - b Tr_~inner(C) x 1 = diag 1 over the out registers.
-
-    One row Tr(A C) = rhs per upper-triangle entry of the out-register
-    identity; A is the adjoint of its left side applied to the symmetrized
-    elementary matrix e, a e x 1 - b Tr_(out - inner)(e) x 1.  Empty
-    register lists stand for the scalar total trace; ``inner_regs=None``
-    drops the second term.  Yields ({0: A}, rhs) pairs for
-    :meth:`SdpProblem.from_rows`.
-    """
-    a, b = scales
-    out_dims = [dims[r] for r in out_regs]
-    out_dim = int(np.prod(out_dims))
-    for p in range(out_dim):
-        for q in range(p, out_dim):
-            e = np.zeros((out_dim, out_dim))
-            e[p, q] = 0.5
-            e[q, p] += 0.5
-            coeff = a * tensor.embed_operator(e, out_regs, dims)
-            if inner_regs is not None:
-                keep = [out_regs.index(r) for r in inner_regs]
-                inner = tensor.partial_trace(e, keep, out_dims)
-                coeff = coeff - b * tensor.embed_operator(inner, inner_regs, dims)
-            yield {0: (coeff + coeff.T) / 2.0}, diag if p == q else 0.0
-
-
 def build_full_sdp(d: int, n: int, mode: str) -> SdpProblem:
     """Brute-force SDP on the unreduced Choi matrix (oracle use only).
 
-    Every constraint family is one register identity handled by
-    :func:`_full_rows`, given as (out, inner, (a, b), diag).
+    Each family (out, inner, (a, b), diag) is the register identity
+    a Tr_~out(C) - b Tr_~inner(C) x 1 = diag 1, the lifted registers last in
+    ``out`` (``inner=None`` drops the second term; [] is the total trace),
+    with one row per upper-triangle entry of the out-register identity.
+    The adjoint of a partial trace copies each out entry onto every entry
+    of C that it sums, so one embedding of a matrix of row labels over
+    ``out`` places every row's first term, and one embedding of each lifted
+    value's labels over ``inner`` its second.  An entry of C meets at most
+    one row per term, and a sum of two terms does not depend on their
+    order, so the rows match dense per-row adjoints bitwise.
     """
     if mode not in ("seq", "par"):
         raise ValueError("mode must be 'seq' or 'par'")
@@ -490,13 +471,31 @@ def build_full_sdp(d: int, n: int, mode: str) -> SdpProblem:
             (list(range(2 * n + 1)), [reg["P"]] + list(reg["I"]), (1.0, 1.0 / float(d**n)), 0.0),
             ([reg["P"]], None, (1.0, 0.0), float(d**n)),
         ]
+    upper = np.triu_indices(total)
+    weight = np.where(upper[0] == upper[1], 1.0, 0.5)
+    parts, rhs = [], []
+    for out, inner, (a, b), diag in families:
+        side = d ** len(out)
+        p, q = np.triu_indices(side)
+        label = np.zeros((side, side))  # rows count from 1: 0 marks no row
+        label[p, q] = label[q, p] = sum(map(len, rhs)) + 1 + np.arange(p.size)
+        lift = 0 if inner is None else side // d ** len(inner)
+        terms = [(a, label, out)] + [(-b, label[l::lift, l::lift], inner) for l in range(lift)]
+        for scale, labels, regs in terms:
+            hit = tensor.embed_operator(labels, regs, dims)[upper]
+            col = np.flatnonzero(hit)
+            parts.append((scale * weight[col], hit[col].astype(int) - 1, col))
+        rhs.append(np.where(p == q, diag, 0.0))
+    vals, rows, cols = map(np.concatenate, zip(*parts))
+    rhs = np.concatenate(rhs)
+    indexer = _SvecIndexer([total])
+    a = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(rhs.size, indexer.total))
+    a.data *= indexer.scale_vector[a.indices]
     omega = full_performance_operator(d, n)
-    return SdpProblem.from_rows(
-        [total],
-        [(omega + omega.T) / 2.0],
-        itertools.chain.from_iterable(_full_rows(*f, dims) for f in families),
-        metadata={"d": d, "n": n, "mode": f"full-{mode}"},
-    )
+    problem = SdpProblem([total], [(omega + omega.T) / 2.0], a, rhs,
+                         metadata={"d": d, "n": n, "mode": f"full-{mode}"})
+    problem.validate()
+    return problem
 
 
 def maximally_mixed_comb(d: int, n: int) -> np.ndarray:

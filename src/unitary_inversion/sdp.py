@@ -9,10 +9,9 @@ the certificate (duality gap plus residuals), not the algorithm.
 The constraints are one sparse matrix A in CSR form, one row per equality
 and one column per svec coordinate: blocks in order, each block's upper
 triangle row by row, off-diagonal entries scaled by sqrt(2), so that
-A @ svec(X) is the vector of sum_b Tr(A_{i,b} X_b).  Builders emit rows
-of A directly; :meth:`SdpProblem.from_rows` packs per-block coefficient
-matrices.  The JSON instance format stores A as its CSR arrays, so a
-round trip through it is exact.
+A @ svec(X) is the vector of sum_b Tr(A_{i,b} X_b).  Builders emit the
+rows of A directly, as CSR arrays.  The JSON instance format stores A as
+those arrays, so a round trip through it is exact.
 
 Constraint rows are preprocessed on the CSR matrix: exact duplicates
 collapse, and dependent rows are dropped by one column-pivoted QR per
@@ -104,38 +103,11 @@ class SdpProblem:
     rhs: np.ndarray
     metadata: dict = field(default_factory=dict)
 
-    @classmethod
-    def from_rows(cls, block_dims, objective, rows, metadata=None) -> "SdpProblem":
-        """Pack rows given as ({block index: symmetric coefficient}, rhs) pairs."""
-        dims = [int(s) for s in block_dims]
-        indexer = _SvecIndexer(dims)
-        cols, vals, indptr, rhs = [np.empty(0, dtype=int)], [np.empty(0)], [0], []
-        for coeffs, value in rows:
-            if not math.isfinite(value):
-                raise ValueError("constraint right-hand side must be finite")
-            mats = [np.zeros((s, s)) for s in dims]
-            for b, mat in coeffs.items():
-                if not 0 <= b < len(dims):
-                    raise ValueError(f"constraint references unknown block {b}")
-                _check_symmetric(mat, dims[b], "constraint")
-                mats[b] = np.real(mat)
-            vec = indexer.pack(mats)
-            cols.append(np.flatnonzero(vec))
-            vals.append(vec[cols[-1]])
-            indptr.append(indptr[-1] + cols[-1].size)
-            rhs.append(float(value))
-        a = scipy.sparse.csr_matrix(
-            (np.concatenate(vals), np.concatenate(cols), indptr), shape=(len(rhs), indexer.total)
-        )
-        problem = cls(dims, list(objective), a, np.array(rhs), dict(metadata or {}))
-        problem.validate()
-        return problem
-
     def validate(self) -> None:
         if len(self.objective) != len(self.block_dims):
             raise ValueError("one objective matrix per block required")
         for dim, mat in zip(self.block_dims, self.objective):
-            _check_symmetric(mat, dim, "objective")
+            _check_objective(mat, dim)
         svec = sum(s * (s + 1) // 2 for s in self.block_dims)
         if self.a.shape != (len(self.rhs), svec):
             raise ValueError(f"constraint matrix shape {self.a.shape} is not ({len(self.rhs)}, {svec})")
@@ -174,17 +146,17 @@ class SdpProblem:
         return problem
 
 
-def _check_symmetric(mat: np.ndarray, dim: int, what: str) -> None:
+def _check_objective(mat: np.ndarray, dim: int) -> None:
     mat = np.asarray(mat)
     if np.iscomplexobj(mat) and np.abs(mat.imag).max() > 0:
-        raise ValueError(f"{what} matrix must be real")
+        raise ValueError("objective matrix must be real")
     if mat.shape != (dim, dim):
-        raise ValueError(f"{what} matrix shape {mat.shape} does not match block size {dim}")
+        raise ValueError(f"objective matrix shape {mat.shape} does not match block size {dim}")
     # a NaN would pass the symmetry test below, since NaN > tolerance is False
     if not np.isfinite(mat).all():
-        raise ValueError(f"{what} matrix must be finite")
+        raise ValueError("objective matrix must be finite")
     if np.abs(mat - mat.T).max() > _SYM_ATOL:
-        raise ValueError(f"{what} matrix is not symmetric")
+        raise ValueError("objective matrix is not symmetric")
 
 
 def _upper_triangle(mat: np.ndarray) -> list[float]:

@@ -83,6 +83,10 @@ def test_solve_size_cap_exit_code(capsys):
     assert code == 3
     assert "full-space dimension 1024 exceeds cap" in err
     assert "matrix_unit" not in err
+    for mode in ("full-seq", "full-par"):
+        code = main(["solve", "--d", "3", "--n", "2", "--mode", mode])
+        assert code == 3
+        assert "full-space dimension 729 exceeds cap 625" in capsys.readouterr().err
 
 
 def test_solve_out_writes_reproducible_instance(tmp_path, capsys):
@@ -174,6 +178,28 @@ def test_solver_failure_prints_its_reason(monkeypatch, capsys):
     payload = json.loads(captured.out)
     assert payload["cells"]["seq/d2/n1"]["reason"] == reason
     assert payload["solver_failures"] == 1
+
+
+def test_tables_marks_failed_cells(monkeypatch, tmp_path, capsys):
+    real = cli.solve
+
+    def failing(problem, config=None):
+        solution = real(problem, config)
+        if problem.metadata == {"d": 2, "n": 1, "mode": "seq"}:
+            return dataclasses.replace(solution, status="numerical_failure", reason="forced")
+        return solution
+
+    monkeypatch.setattr(cli, "solve", failing)
+    out_dir = tmp_path / "failed"
+    code, out = run(
+        capsys, "tables", "--d-max", "2", "--n-max", "2", "--modes", "seq", "--out", str(out_dir)
+    )
+    assert code == 4
+    assert "2,FAILED,0.7500" in out.splitlines()
+    assert (out_dir / "table_seq.csv").read_text().splitlines()[1] == "2,FAILED,0.7500"
+    deviations = (out_dir / "deviations.csv").read_text().splitlines()
+    assert deviations[1].startswith("seq,2,1,") and deviations[1].endswith(",numerical_failure")
+    assert deviations[2].startswith("seq,2,2,") and deviations[2].endswith(",ok")
 
 
 def test_tables_breach_exit_code(monkeypatch, capsys):

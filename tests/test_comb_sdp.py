@@ -248,6 +248,10 @@ def test_full_space_cap():
         cs.build_full_sdp(2, 6, "seq")
     with pytest.raises(ValueError):
         cs.build_full_sdp(2, 4, "seq")
+    # d^(2n+2) = 729: full (3, 2) keeps too many rows for a dense Schur complement
+    for mode in ("seq", "par"):
+        with pytest.raises(ValueError, match="729 exceeds cap 625"):
+            cs.build_full_sdp(3, 2, mode)
     with pytest.raises(ValueError):
         cs.build_full_sdp(2, 1, "other")
 
@@ -274,6 +278,13 @@ def test_problem_json_has_schema_fields():
     assert len(payload["rhs"]) == problem.a.shape[0]
 
 
+def program_digest(problem: SdpProblem) -> str:
+    h = hashlib.sha256()
+    for arr in (problem.a.indptr, problem.a.indices, problem.a.data, problem.rhs):
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
 def test_row_counts_are_pinned():
     # the row generators must neither drop nor duplicate rows
     reduced = {(2, 3): (53, 45), (3, 3): (95, 88), (2, 4): (343, 325), (4, 3): (105, 93)}
@@ -295,15 +306,29 @@ def test_row_counts_are_pinned():
     }
     for (d, n), expected in digests.items():
         for build, digest in zip((cs.build_sequential_sdp, cs.build_parallel_sdp), expected):
-            problem = build(d, n)
-            h = hashlib.sha256()
-            for arr in (problem.a.indptr, problem.a.indices, problem.a.data, problem.rhs):
-                h.update(arr.tobytes())
-            assert h.hexdigest() == digest, (build.__name__, d, n)
+            assert program_digest(build(d, n)) == digest, (build.__name__, d, n)
     full = {(2, 1): (40, 39), (2, 2): (568, 531), (3, 1): (385, 384)}
     for (d, n), (seq_rows, par_rows) in full.items():
         assert cs.build_full_sdp(d, n, "seq").a.shape[0] == seq_rows
         assert cs.build_full_sdp(d, n, "par").a.shape[0] == par_rows
+    # the full programs' bytes, as first built from one dense adjoint per row
+    full_digests = {
+        (2, 1): ("f5cc4e6a1824c7e4daf3887976407b4a061f66f290a36415f75d1cf764865226",
+                 "11c7f9d3bda5b44f14bab66c44b2a9850baa67c9a5920df402ce35c668aaaa1f"),
+        (2, 2): ("a3d8d3cd6f7052ccc3758b89ee490d9cbd838ff87d0a711a0b010d5ff0b1dce2",
+                 "e9d3fcb9f63bf40a10e0402dfe22e676d487e19a15edf05673d66a1bcda5cdca"),
+        (3, 1): ("65acdd01c9ddee579d0dc15f9eaadf4c4732903fb56fb824a5bf608514b5d009",
+                 "fb65364661c8bca58e04ab4bb520d5149740ca2601105d7e80c152008a8f7f89"),
+        (4, 1): ("bdfdffb6e38a0b49793c8a28aab15da9e372a3c2821a4b4ba5c33a70cb169f2a",
+                 "7d305b64acce0927668afaa9ccd88bb4877cf962fc75e3dd11447200a62fe055"),
+        (2, 3): ("34eb4e795df1ebb7c870e03c2f318e0bf0f3720377f7b94f0d1ae789be988885",
+                 "602ce6610a0b3c0f18826459ef388553a9016134ace0745330eec2f146a10f89"),
+        (5, 1): ("92aaa6221f6f853c0b7e2d5b60b1b3a62ad4f414325165dd4f3b9a8b156eb181",
+                 "547ce1ebf8fb486d1de79b6f21cca3bea1cf089935169a03cefda2cd1df7a40d"),
+    }
+    for (d, n), expected in full_digests.items():
+        for mode, digest in zip(("seq", "par"), expected):
+            assert program_digest(cs.build_full_sdp(d, n, mode)) == digest, (mode, d, n)
 
 
 def lifted_marginal(c, d: int, n: int, out: list[int], inner: list[int]) -> np.ndarray:

@@ -26,8 +26,20 @@ from unitary_inversion.sdp import (
 TIGHT = SolverConfig(gap_tol=1e-11, feasibility_tol=1e-11, max_iterations=300)
 
 
+def pack_rows(block_dims, objective, rows):
+    """Problem from rows given as ({block index: symmetric coefficient}, rhs) pairs."""
+    indexer = _SvecIndexer(list(block_dims))
+    dense = np.zeros((len(rows), indexer.total))
+    for row, (coeffs, _) in zip(dense, rows):
+        row[:] = indexer.pack([coeffs.get(b, np.zeros((s, s))) for b, s in enumerate(block_dims)])
+    rhs = np.array([value for _, value in rows], dtype=float)
+    problem = SdpProblem(list(block_dims), list(objective), scipy.sparse.csr_matrix(dense), rhs)
+    problem.validate()
+    return problem
+
+
 def scalar_problem():
-    return SdpProblem.from_rows(
+    return pack_rows(
         [1], [np.array([[1.0]])], [({0: np.array([[1.0]])}, 1.0)]
     )
 
@@ -42,7 +54,7 @@ def test_scalar_problem():
 
 def test_linear_program_as_diagonal_sdp():
     # max x + y subject to x + y = 1 on the diagonal of a 2x2 block
-    problem = SdpProblem.from_rows(
+    problem = pack_rows(
         [2],
         [np.eye(2)],
         [
@@ -59,7 +71,7 @@ def test_largest_eigenvalue_closed_form():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((6, 6))
     cost = (a + a.T) / 2
-    problem = SdpProblem.from_rows([6], [cost], [({0: np.eye(6)}, 1.0)])
+    problem = pack_rows([6], [cost], [({0: np.eye(6)}, 1.0)])
     solution = solve(problem, TIGHT)
     assert solution.status == "optimal"
     assert abs(solution.objective_value - np.linalg.eigvalsh(cost)[-1]) <= 1e-9
@@ -85,8 +97,8 @@ def test_scaling_covariance():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((5, 5))
     cost = (a + a.T) / 2
-    base = SdpProblem.from_rows([5], [cost], [({0: np.eye(5)}, 1.0)])
-    scaled = SdpProblem.from_rows([5], [10.0 * cost], [({0: np.eye(5)}, 1.0)])
+    base = pack_rows([5], [cost], [({0: np.eye(5)}, 1.0)])
+    scaled = pack_rows([5], [10.0 * cost], [({0: np.eye(5)}, 1.0)])
     v1 = solve(base, TIGHT).objective_value
     v10 = solve(scaled, TIGHT).objective_value
     assert abs(v10 - 10.0 * v1) <= 1e-8
@@ -107,7 +119,7 @@ def test_duplicated_rows_do_not_change_optimum():
 
 
 def test_infeasible_detected_by_preprocessing():
-    problem = SdpProblem.from_rows(
+    problem = pack_rows(
         [1],
         [np.array([[1.0]])],
         [
@@ -124,7 +136,7 @@ def test_inconsistent_combination_detected():
     # rows x=1, y=1, x+y=3 are pairwise distinct but jointly inconsistent
     e1 = np.diag([1.0, 0.0])
     e2 = np.diag([0.0, 1.0])
-    problem = SdpProblem.from_rows(
+    problem = pack_rows(
         [2],
         [np.eye(2)],
         [
@@ -140,11 +152,11 @@ def diverging_problems():
     e00 = np.diag([1.0, 0.0])
     return {
         # max Tr X with no constraint at all
-        "unconstrained": SdpProblem.from_rows([2], [np.eye(2)], []),
+        "unconstrained": pack_rows([2], [np.eye(2)], []),
         # max X11 subject to X00 = 1: feasible, and unbounded
-        "unbounded": SdpProblem.from_rows([2], [np.diag([0.0, 1.0])], [({0: e00}, 1.0)]),
+        "unbounded": pack_rows([2], [np.diag([0.0, 1.0])], [({0: e00}, 1.0)]),
         # X = -1 has no positive semidefinite solution
-        "cone-infeasible": SdpProblem.from_rows([1], [np.zeros((1, 1))], [({0: np.eye(1)}, -1.0)]),
+        "cone-infeasible": pack_rows([1], [np.zeros((1, 1))], [({0: np.eye(1)}, -1.0)]),
     }
 
 
@@ -183,22 +195,22 @@ def test_residual_on_original_rows_downgrades_optimal():
     # 2X = 2 + 1e-8 is within preprocessing's consistency tolerance of X = 1,
     # so one row is dropped; the kept one converges, leaving 5e-9 on the other
     one = np.array([[1.0]])
-    problem = SdpProblem.from_rows([1], [one], [({0: one}, 1.0), ({0: 2 * one}, 2.0 + 1e-8)])
+    problem = pack_rows([1], [one], [({0: one}, 1.0), ({0: 2 * one}, 2.0 + 1e-8)])
     assert solve(problem).status == "optimal"
     solution = solve(problem, SolverConfig(feasibility_tol=1e-9))
     assert solution.status == "numerical_failure"
     assert re.fullmatch(r"residual 5e-09 on the original rows exceeds 3e-09 at iteration \d+", solution.reason)
 
 
+def unconstrained(objective):
+    return SdpProblem([2], [objective], scipy.sparse.csr_matrix((0, 3)), np.zeros(0))
+
+
 def test_rejects_unsymmetric_and_complex_data():
-    with pytest.raises(ValueError):
-        SdpProblem.from_rows(
-            [2], [np.array([[0.0, 1.0], [0.0, 0.0]])], []
-        )
-    with pytest.raises(ValueError):
-        SdpProblem.from_rows(
-            [2], [np.eye(2) * (1 + 1j)], []
-        )
+    with pytest.raises(ValueError, match="not symmetric"):
+        unconstrained(np.array([[0.0, 1.0], [0.0, 0.0]])).validate()
+    with pytest.raises(ValueError, match="real"):
+        unconstrained(np.eye(2) * (1 + 1j)).validate()
 
 
 def test_verify_matches_solver_bookkeeping():
@@ -277,7 +289,7 @@ def random_rows_problem():
         coeffs = {b: random_symmetric(rng, dims[b]) for b in sorted(blocks)}
         rows.append((coeffs, float(rng.standard_normal())))
     objective = [random_symmetric(rng, s) for s in dims]
-    return SdpProblem.from_rows(dims, objective, rows), rows
+    return pack_rows(dims, objective, rows), rows
 
 
 def test_constraint_matrix_matches_dense_definition():
@@ -334,24 +346,18 @@ def test_from_json_rejects_unknown_block():
             SdpProblem.from_json(json.dumps({**payload, key: value}))
 
 
-def test_from_rows_rejects_bad_rows():
+def test_validate_rejects_bad_objective_and_rhs():
     good = np.eye(2)
-    bad_rows = [
-        [({2: good}, 1.0)],
-        [({0: good}, float("nan"))],
-        [({0: np.array([[0.0, 1.0], [0.0, 0.0]])}, 1.0)],
-        [({0: good * 1j}, 1.0)],
-        [({0: np.eye(3)}, 1.0)],
-    ]
-    for rows in bad_rows:
-        with pytest.raises(ValueError):
-            SdpProblem.from_rows([2], [good], rows)
     for value in (math.nan, math.inf, -math.inf):
         for entry in ((0, 0), (0, 1)):
             objective = good.copy()
             objective[entry] = objective[entry[::-1]] = value
             with pytest.raises(ValueError, match="finite"):
-                SdpProblem.from_rows([2], [objective], [({0: good}, 1.0)])
+                unconstrained(objective).validate()
+        problem = pack_rows([2], [good], [({0: good}, 1.0)])
+        problem.rhs[0] = value
+        with pytest.raises(ValueError, match="finite"):
+            problem.validate()
 
 
 def reference_preprocess(a, rhs):
@@ -425,7 +431,7 @@ def test_preprocess_rows_checks_dropped_combination(offset, consistent):
     scale = max(1.0, abs(combo_rhs), *map(abs, values))
     rows = [({0: m}, v) for m, v in zip(basis, values)]
     rows.append(({0: combo}, combo_rhs + offset * scale))
-    problem = SdpProblem.from_rows([3], [np.eye(3)], rows)
+    problem = pack_rows([3], [np.eye(3)], rows)
     kept, flag = _preprocess_rows(problem.a, problem.rhs)
     ref_kept, ref_flag = reference_preprocess(problem.a, problem.rhs)
     assert flag is ref_flag is consistent
@@ -435,7 +441,7 @@ def test_preprocess_rows_checks_dropped_combination(offset, consistent):
 def diagonal_rows_problem(rows):
     """One 2x2 block per row group; each row is (block, diagonal coefficients, rhs)."""
     nblocks = 1 + max(b for b, _, _ in rows)
-    return SdpProblem.from_rows(
+    return pack_rows(
         [2] * nblocks, [np.eye(2)] * nblocks, [({b: np.diag(diag)}, value) for b, diag, value in rows]
     )
 
@@ -585,7 +591,7 @@ def untouched_block_problem():
     dims = [3, 2, 4]
     rows = [({0: random_symmetric(rng, 3), 2: random_symmetric(rng, 4)}, 1.0)]
     rows += [({b: random_symmetric(rng, dims[b])}, 0.5) for b in (0, 2, 2)]
-    problem = SdpProblem.from_rows(dims, [np.eye(s) for s in dims], rows)
+    problem = pack_rows(dims, [np.eye(s) for s in dims], rows)
     assert problem.a[:, _SvecIndexer(dims).spans[1]].nnz == 0
     return problem
 
