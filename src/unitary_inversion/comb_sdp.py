@@ -157,96 +157,42 @@ def _entry_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows of a homogeneous matrix identity sum_t scale * T_t(C_t) = 0, as (row, column, value).
 
-    ``terms`` lists (scale, P, Q, block_index).  With a matrix Q the term is
-    (P x Q) C (P x Q)^T; with Q = None it is the partial trace
+    ``terms`` lists (scale, P, Q, block_index); P and Q are 0/1 selections
+    (at most one 1 per row, P(a) the column of row a's 1), as tableau
+    embeddings and their products are.  With a matrix Q the term is
+    (P x Q) C (P x Q)^T, whose entry ((a, k), (b, l)) reads C at
+    ((P(a), Q(k)), (P(b), Q(l))); with Q = None it is the partial trace
     Tr_2[(P x 1) C (P x 1)^T] x 1 over the block's second factor, which
-    pairs only output entries with equal column labels.  One row per
-    upper-triangle entry (p, q) of the (out_rows*out_cols) output matrix,
-    row-major, with coefficients symmetrized and summed in term order; rows
-    without a nonzero coefficient are dropped.  The nonzeros come sorted by
-    row, then svec column, with rows numbered from 0, so that
-    :func:`_reduced_problem` stacks the row sets into one CSR matrix.
-
-    Each term contributes only its own nonzeros.  Those of u = P x Q (for
-    Q = None, of P x ones(out_cols, width), where the position in the ones
-    block is the label: output column and traced index; a matrix Q has one
-    label) are the products of P's and Q's nonzeros, put in u's row-major
-    order.  Entry (p, q), p <= q, pairs a nonzero in row p of u with every
-    nonzero of the same term and label in a row q >= p.  All terms of the row
-    set are paired at once by index arithmetic on their concatenated
-    nonzeros: after a stable sort by (term, label), the partners of each
-    nonzero are one contiguous run, from the first of its row to the end of
-    its group.  The pairs are listed term by term, first nonzero, then
-    second, both row-major, so every coefficient is summed in the order of a
-    per-term loop over dense Kronecker products.  That keeps the rows
-    identical to the last bit, and with them the solver's trajectories:
-    the stalled tail of seq (2, 4) moves under any reordered sum.
+    reads ((P(a), w), (P(b), w)) for every w, where k = l only.  Empty rows
+    read nothing.  One row per upper-triangle entry of the (out_rows*out_cols)
+    output, row-major: each read puts its scale, halved off the diagonal,
+    on one svec column, and the reads are summed in term order.  No read
+    repeats within a term, so the rows equal per-term sums of dense
+    Kronecker products to the last bit, which keeps the solver's
+    trajectories.  Rows without a nonzero coefficient are dropped; the
+    nonzeros come sorted by row, then svec column, rows numbered from 0,
+    as :func:`_reduced_problem` stacks them.
     """
-    size = out_rows * out_cols
-    p_parts, q_parts, term_data = [], [], []
+    reads = []  # (scale, P, Q, block, k = l only)
     for scale, pm, qm, key in terms:
-        rows, cols = np.nonzero(pm)
-        p_parts.append((rows, cols, pm[rows, cols]))
-        if qm is None:
+        if qm is None:  # the sum over w of the terms with Q = 1 e_w^T, at k = l only
             width = indexer.dims[key] // pm.shape[1]
-            rows, cols = np.divmod(np.arange(out_cols * width), width)
-            q_parts.append((rows, cols, np.ones(rows.size)))
-            term_data.append((out_cols, width, scale, key, True))
+            reads += [(scale, pm, q, key, True) for q in np.eye(width)[:, None].repeat(out_cols, 1)]
         else:
-            rows, cols = np.nonzero(qm)
-            q_parts.append((rows, cols, qm[rows, cols]))
-            term_data.append((*qm.shape, scale, key, False))
-    p_rows, p_cols, p_vals = (np.concatenate(x) for x in zip(*p_parts))
-    q_rows, q_cols, q_vals = (np.concatenate(x) for x in zip(*q_parts))
-    heights, widths, scales, blocks, traced = (np.array(x) for x in zip(*term_data))
-    p_count = np.array([part[0].size for part in p_parts], dtype=int)
-    q_count = np.array([part[0].size for part in q_parts], dtype=int)
-    q_start = np.cumsum(q_count) - q_count
-
-    # nonzeros of u: each P nonzero times every Q nonzero of its term, then
-    # the zero products dropped and each term's rest put in row-major order;
-    # a traced term's label is the position in its ones block
-    p_term = np.repeat(np.arange(len(terms)), p_count)
-    p_index = np.repeat(np.arange(p_term.size), q_count[p_term])
-    q_index = _ranges(q_start[p_term], q_count[p_term])
-    term = p_term[p_index]
-    u_row = p_rows[p_index] * heights[term] + q_rows[q_index]
-    u_col = p_cols[p_index] * widths[term] + q_cols[q_index]
-    u_val = p_vals[p_index] * q_vals[q_index]
-    label = np.where(traced[term], q_index - q_start[term], 0)
-    order = np.lexsort((u_col, u_row, term))
-    order = order[u_val[order] != 0]
-    term, u_row, u_col, u_val, label = (
-        x[order] for x in (term, u_row, u_col, u_val, label)
-    )
-
-    # partners of a nonzero: its group of equal (term, label), row-major,
-    # from the first nonzero of its row of u to the group's end
-    count = term.size
-    group = np.lexsort((label, term))
-    g_term, g_label, g_row = term[group], label[group], u_row[group]
-    new_group = np.ones(count, dtype=bool)
-    new_group[1:] = (g_term[1:] != g_term[:-1]) | (g_label[1:] != g_label[:-1])
-    new_row = new_group.copy()
-    new_row[1:] |= g_row[1:] != g_row[:-1]
-    pos = np.arange(count)
-    run_start = np.maximum.accumulate(np.where(new_row, pos, 0))
-    heads = np.flatnonzero(new_group)
-    group_end = np.append(heads[1:], count)[np.cumsum(new_group) - 1]
-    rank = np.empty(count, dtype=int)
-    rank[group] = pos
-    partners = (group_end - run_start)[rank]
-    first = np.repeat(pos, partners)
-    second = group[_ranges(run_start[rank], partners)]
-
-    p, q, r, c = u_row[first], u_row[second], u_col[second], u_col[first]
-    value = scales[term[first]] * (u_val[second] * u_val[first])
-    lo, hi = np.minimum(r, c), np.maximum(r, c)
-    pair = p * size - p * (p - 1) // 2 + q - p
-    keys = pair * indexer.total + indexer.column(blocks[term[first]], lo, hi)
+            reads.append((scale, pm, qm, key, False))
+    scales, p_mats, q_mats, blocks, traced = zip(*reads)
+    p_at, q_at = _ones_at(p_mats)[:, :, None], _ones_at(q_mats)[:, None, :]
+    width = np.array([qm.shape[1] for qm in q_mats])[:, None, None]
+    u = np.where((p_at < 0) | (q_at < 0), -1, p_at * width + q_at).reshape(len(reads), -1)
+    first, second = np.triu_indices(out_rows * out_cols)
+    r, c = u[:, second], u[:, first]
+    same = first % out_cols == second % out_cols
+    read, pair = np.nonzero((r >= 0) & (c >= 0) & (same | ~np.array(traced)[:, None]))
+    lo, hi = np.sort([r[read, pair], c[read, pair]], axis=0)
+    keys = pair * indexer.total + indexer.column(np.array(blocks)[read], lo, hi)
     entries, where = np.unique(keys, return_inverse=True)
     acc = np.zeros(entries.size)
-    np.add.at(acc, where, np.where(lo == hi, value, value / 2.0))
+    np.add.at(acc, where, np.array(scales)[read] / np.where(lo == hi, 1.0, 2.0))
     pair, col = np.divmod(entries, indexer.total)
     acc *= indexer.scale_vector[col]
     nonzero = acc != 0.0
@@ -254,10 +200,12 @@ def _entry_rows(
     return row, col[nonzero], acc[nonzero]
 
 
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """arange(s, s + c) for each (s, c), concatenated in order."""
-    ends = np.cumsum(counts)
-    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts + counts - ends, counts)
+def _ones_at(mats) -> np.ndarray:
+    """Per 0/1 selection, the column of the 1 in each row; negative for an empty row."""
+    starts = np.cumsum([0] + [m.shape[1] for m in mats[:-1]])
+    stacked = np.concatenate(mats, axis=1)
+    marked = np.add.reduceat(stacked * np.arange(1, stacked.shape[1] + 1), starts, axis=1)
+    return marked.T.astype(int) - 1 - starts[:, None]
 
 
 def _reduced_problem(d: int, n: int, mode: str, indexer: _SvecIndexer, row_sets) -> SdpProblem:
@@ -445,6 +393,8 @@ def build_full_sdp(d: int, n: int, mode: str) -> SdpProblem:
     """
     if mode not in ("seq", "par"):
         raise ValueError("mode must be 'seq' or 'par'")
+    if d < 2 or n < 1:
+        raise ValueError("need d >= 2 and n >= 1")
     total = d ** (2 * n + 2)
     if total > FULL_SPACE_DIM_CAP:
         raise ValueError(

@@ -254,6 +254,11 @@ def test_full_space_cap():
             cs.build_full_sdp(3, 2, mode)
     with pytest.raises(ValueError):
         cs.build_full_sdp(2, 1, "other")
+    # below the smallest instance, as for the reduced builders
+    for d, n in ((1, 1), (2, 0)):
+        for mode in ("seq", "par"):
+            with pytest.raises(ValueError, match="need d >= 2 and n >= 1"):
+                cs.build_full_sdp(d, n, mode)
 
 
 def test_reduced_svec_sizes():
@@ -287,7 +292,10 @@ def program_digest(problem: SdpProblem) -> str:
 
 def test_row_counts_are_pinned():
     # the row generators must neither drop nor duplicate rows
-    reduced = {(2, 3): (53, 45), (3, 3): (95, 88), (2, 4): (343, 325), (4, 3): (105, 93)}
+    reduced = {
+        (2, 3): (53, 45), (3, 3): (95, 88), (2, 4): (343, 325), (4, 3): (105, 93),
+        (3, 4): (1375, 1280), (2, 5): (3215, 2873),
+    }
     for (d, n), (seq_rows, par_rows) in reduced.items():
         assert cs.build_sequential_sdp(d, n).a.shape[0] == seq_rows
         assert cs.build_parallel_sdp(d, n).a.shape[0] == par_rows
@@ -303,6 +311,10 @@ def test_row_counts_are_pinned():
                  "ce9f699b0a27997e159d4de46d99ed89ec8dcb47022ed314100f56e0c5dc4da9"),
         (4, 3): ("a5868ef3914efb8d09334cac85c2f4207202981cfedabe3ee01eb70f6e3c715a",
                  "b122cb2376db7bd00ed39f22fe8d1a22724a516907b5c180afeb902b4e5ed266"),
+        (3, 4): ("03d873c1307cd2f08a43af4f58e9d3a5c64a52f1abb16bee46f45440a42c9111",
+                 "7db2a31bd7e67060886508c016ac767aab5bad3fe920879bc7d754cb40def29c"),
+        (2, 5): ("417b32eff3d419453336b11a73f16ae0f441d9d309939e84a97c1257c008b388",
+                 "714a313707f9dd8b70ada6c250eec1bc8c71718569ca181171488820acb55a88"),
     }
     for (d, n), expected in digests.items():
         for build, digest in zip((cs.build_sequential_sdp, cs.build_parallel_sdp), expected):
@@ -411,41 +423,51 @@ def dense_entry_rows(terms, out_rows, out_cols, dims):
 
 
 def entry_row_cases():
-    """(terms, out_rows, out_cols, block dims) by name; P has out_rows rows, Q out_cols."""
+    """(terms, out_rows, out_cols, block dims) by name; P has out_rows rows, Q out_cols.
+
+    P and Q are 0/1 selections, at most one 1 per row, as the builders form
+    them; a row without a 1 is a tableau that the selection leaves out.
+    """
     rng = np.random.default_rng(3)
 
-    def sparse_random(shape):
-        return rng.standard_normal(shape) * (rng.random(shape) < 0.5)
+    def selection(rows, cols):
+        mat = np.zeros((rows, cols))
+        kept = np.flatnonzero(rng.random(rows) < 0.7)
+        mat[kept, rng.integers(cols, size=kept.size)] = 1.0
+        return mat
 
     mixed = [
-        (0.7, sparse_random((2, 2)), sparse_random((3, 3)), 0),
-        (1.1, sparse_random((2, 2)), sparse_random((3, 2)), 1),
-        (-0.3, sparse_random((2, 2)), None, 1),
+        (0.7, selection(2, 2), selection(3, 3), 0),
+        (1.1, selection(2, 2), selection(3, 2), 1),
+        (-0.3, selection(2, 2), None, 1),
         (0.5, np.eye(2), None, 0),
+        (0.2, np.eye(2)[[1, 0]], np.eye(3)[[2, 0, 1]], 0),
     ]
-    # 0/1 partial selections as the builders form them: x.T @ q has a zero
-    # row for each tableau that x does not select
+    # partial selections as the builders form them: x.T @ q has a zero row
+    # for each tableau that x does not select
     x = np.eye(2, 3, k=1)
     selections = [
         (1.0, x.T, x.T @ np.eye(2, 3), 0),
-        (-1.0 / 3.0, x.T @ np.ones((2, 2)), np.eye(3, 2), 1),
+        (-1.0 / 3.0, x.T @ np.eye(2)[[1, 0]], np.eye(3, 2), 1),
         (0.5, x.T, None, 0),
     ]
     empty = [
-        (0.9, np.zeros((2, 2)), sparse_random((3, 3)), 0),
-        (0.6, sparse_random((2, 2)), sparse_random((3, 2)), 1),
+        (0.9, np.zeros((2, 2)), selection(3, 3), 0),
+        (0.6, selection(2, 2), selection(3, 2), 1),
         (0.4, np.zeros((2, 2)), None, 1),
     ]
+    # traces over wide second factors: widths 3 and 2 of six-dimensional blocks
     traced = [
-        (0.8, sparse_random((2, 2)), None, 0),
-        (-1.2, sparse_random((2, 3)), None, 1),
+        (0.8, np.eye(2)[[1, 0]], None, 0),
+        (-1.2, np.eye(2, 3, k=1), None, 1),
+        (0.3, selection(2, 3), None, 1),
     ]
-    # 0/1 entries and dyadic scales make the sums exact, so the first term
-    # cancels to zero, and so do the rows only it reaches (output row 1,
-    # which the second term's P leaves empty)
-    ones = (0.5, np.array([[1.0, 0.0], [1.0, 1.0]]), np.eye(3)[[0, 2, 1]], 0)
-    kept = np.array([[0.4, 0.0], [0.0, -1.3], [0.9, 0.2]])
-    partial = [ones, (1.1, np.array([[0.3, -0.8], [0.0, 0.0]]), kept, 1)]
+    # dyadic scales make the sums exact, so the first term cancels to zero,
+    # and so do the rows only it reaches (output row 1, which the second
+    # term's P leaves empty)
+    ones = (0.5, np.eye(2)[[1, 0]], np.eye(3)[[0, 2, 1]], 0)
+    kept = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+    partial = [ones, (1.1, np.array([[0.0, 1.0], [0.0, 0.0]]), kept, 1)]
     partial.append((-ones[0],) + ones[1:])
     exact = [(0.5, x.T, x.T @ np.eye(2, 3), 0), (0.25, x.T, None, 0)]
     return {
@@ -473,3 +495,43 @@ def test_entry_rows_match_dense_definition(case):
     dense = dense_entry_rows(terms, out_rows, out_cols, dims)
     assert sparse.shape == dense.shape
     assert np.abs(sparse - dense).max(initial=0.0) <= 1e-14
+
+
+def test_entry_rows_sum_in_term_order():
+    # 1 + 2^-53 rounds to 1, so the order of the three scales decides the row
+    one = np.eye(1)
+    indexer = _SvecIndexer([1])
+    tiny = 2.0**-53
+    cases = [
+        ([(1.0, one, one, 0), (tiny, one, one, 0), (-1.0, one, one, 0)], None),
+        ([(1.0, one, one, 0), (-1.0, one, one, 0), (tiny, one, one, 0)], tiny),
+        ([(1.0, one, None, 0), (-1.0, one, one, 0), (tiny, one, one, 0)], tiny),
+    ]
+    for terms, expected in cases:
+        row, col, value = cs._entry_rows(terms, 1, 1, indexer)
+        if expected is None:
+            assert row.size == col.size == value.size == 0
+        else:
+            assert row.tolist() == col.tolist() == [0] and value.tolist() == [expected]
+
+
+def test_builder_terms_are_selections(monkeypatch):
+    # _entry_rows reads each term as index maps, which needs 0/1 matrices
+    # with at most one 1 per row; it does not check them itself
+    entry_rows = cs._entry_rows
+    seen = []
+
+    def checked(terms, out_rows, out_cols, indexer):
+        for _, pm, qm, _ in terms:
+            for mat in (pm,) if qm is None else (pm, qm):
+                assert np.isin(mat, (0.0, 1.0)).all()
+                assert mat.sum(axis=1).max() <= 1.0
+                seen.append(mat)
+        return entry_rows(terms, out_rows, out_cols, indexer)
+
+    monkeypatch.setattr(cs, "_entry_rows", checked)
+    cells = [(d, n) for d in range(2, 5) for n in range(1, 4)] + [(2, 4)]
+    for d, n in cells:
+        cs.build_sequential_sdp(d, n)
+        cs.build_parallel_sdp(d, n)
+    assert len(seen) > 1000
