@@ -271,12 +271,22 @@ def build_sequential_sdp(d: int, n: int) -> SdpProblem:
         """(top diagram, chain matrix) per growth chain from alpha, formed once per build."""
         return [(c[-1], _chain_matrix(c)) for c in _shape_chains(alpha, top, d)]
 
-    def level_terms(alpha: YoungDiagram, beta: YoungDiagram, level: int):
-        """(scale, P, Q, block) with C_level^{alpha beta} = sum scale*(P x Q) C (P x Q)^T."""
+    @functools.cache
+    def grown(gamma: YoungDiagram, alpha: YoungDiagram):
+        """alpha's chains with the gamma -> alpha embedding X in front: (top, X P) per chain."""
+        x = embedding_matrix(gamma, alpha)
+        return [(mu, x @ p) for mu, p in chains(alpha)]
+
+    @functools.cache
+    def shrunk(delta: YoungDiagram, beta: YoungDiagram):
+        """delta's chains with the delta -> beta embedding X in front: (top, X^T Q) per chain."""
+        x = embedding_matrix(delta, beta)
+        return [(nu, x.T @ q) for nu, q in chains(delta)]
+
+    def level_terms(left, right, level: int):
+        """(scale, P, Q, block) with C_level = sum scale*(P x Q) C (P x Q)^T over both chain lists."""
         scale = float(d) ** -(top - level)
-        return [
-            (scale, p, q, key_index[(mu, nu)]) for mu, p in chains(alpha) for nu, q in chains(beta)
-        ]
+        return [(scale, p, q, key_index[(mu, nu)]) for mu, p in left for nu, q in right]
 
     row_sets = []
     for level in range(1, top + 1):
@@ -284,13 +294,11 @@ def build_sequential_sdp(d: int, n: int) -> SdpProblem:
             for beta in young_diagrams(level, d):
                 terms = []
                 for alpha in gamma.children(max_depth=d):
-                    x = embedding_matrix(gamma, alpha)
-                    for scale, p, q, key in level_terms(alpha, beta, level):
-                        terms.append((scale / su_dim(beta, d), x @ p, q, key))
+                    for scale, p, q, key in level_terms(grown(gamma, alpha), chains(beta), level):
+                        terms.append((scale / su_dim(beta, d), p, q, key))
                 for delta in beta.parents():
-                    x = embedding_matrix(delta, beta)
-                    for scale, p, q, key in level_terms(gamma, delta, level - 1):
-                        terms.append((-scale / su_dim(delta, d), p, x.T @ q, key))
+                    for scale, p, q, key in level_terms(chains(gamma), shrunk(delta, beta), level - 1):
+                        terms.append((-scale / su_dim(delta, d), p, q, key))
                 row_sets.append(
                     _entry_rows(terms, tableau_count(gamma), tableau_count(beta), indexer)
                 )

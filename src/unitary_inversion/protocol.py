@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -333,24 +333,40 @@ def _as_qubit_state(phi) -> np.ndarray:
     return vec
 
 
+def _product_state(*factors: np.ndarray) -> np.ndarray:
+    """Tensor product of state vectors, first factor leftmost: the chained Kronecker product."""
+    return reduce(np.multiply.outer, factors).ravel()
+
+
 def _initial_state(phi: np.ndarray, pair: np.ndarray) -> np.ndarray:
-    return np.kron(np.kron(phi, pair), _ANCILLAS_ZERO)
+    return _product_state(phi, pair, _ANCILLAS_ZERO)
+
+
+def _rotated_singlet(u: np.ndarray) -> np.ndarray:
+    """(U x 1)|psi^->, as U times the singlet's 2x2 coefficient matrix."""
+    return (u @ SINGLET.reshape(2, 2)).ravel()
 
 
 def expected_output(u: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Exact final state: -(U x 1)|psi^-> on wires 1-2, U^{-1}|phi> on wire 3."""
-    pair_out = np.kron(u, np.eye(2)) @ SINGLET
-    wire3 = u.conj().T @ phi
-    return -np.kron(np.kron(pair_out, wire3), _ANCILLAS_ZERO)
+    return -_product_state(_rotated_singlet(u), u.conj().T @ phi, _ANCILLAS_ZERO)
+
+
+def _run_round(
+    state: np.ndarray, u: np.ndarray, circuit: ProtocolCircuit, first_call: bool = True
+) -> np.ndarray:
+    """V2 (call) V1 (call) applied to ``state``; ``first_call=False`` skips the first call."""
+    if first_call:
+        state = apply_to_subsystems(state, u, (CALL_WIRE,), DIMS)
+    state = apply_to_subsystems(state, circuit.v1, range(NUM_WIRES), DIMS)
+    state = apply_to_subsystems(state, u, (CALL_WIRE,), DIMS)
+    return apply_to_subsystems(state, circuit.v2, range(NUM_WIRES), DIMS)
 
 
 def _run_rounds(state: np.ndarray, u: np.ndarray, circuit: ProtocolCircuit, catalytic: bool) -> np.ndarray:
     """Two rounds of (call, V1, call, V2); a catalytic run skips the first call."""
-    for k, v in enumerate((circuit.v1, circuit.v2, circuit.v1, circuit.v2)):
-        if k or not catalytic:
-            state = apply_to_subsystems(state, u, (CALL_WIRE,), DIMS)
-        state = apply_to_subsystems(state, v, range(NUM_WIRES), DIMS)
-    return state
+    state = _run_round(state, u, circuit, first_call=not catalytic)
+    return _run_round(state, u, circuit)
 
 
 def run_inversion(
@@ -402,8 +418,7 @@ def run_catalytic(
 
 def honest_catalyst(u: np.ndarray) -> np.ndarray:
     """The pair state (U x 1)|psi^-> the protocol regenerates."""
-    mat = _require_su2(u)
-    return np.kron(mat, np.eye(2)) @ SINGLET
+    return _rotated_singlet(_require_su2(u))
 
 
 def ancilla_restoration(state: np.ndarray) -> float:
@@ -412,16 +427,10 @@ def ancilla_restoration(state: np.ndarray) -> float:
     return float(np.real(rho[0, 0]))
 
 
-def call_operator(u: np.ndarray, circuit: ProtocolCircuit) -> np.ndarray:
-    """One round of the protocol as a matrix: V2 (call) V1 (call)."""
-    ucall = embed_operator(np.asarray(u, dtype=complex), (CALL_WIRE,), DIMS)
-    return circuit.v2 @ ucall @ circuit.v1 @ ucall
-
-
 def pair_basis_states(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The vectors |phi>|psi^->|0^4> and |psi^->|phi>|0^4>."""
-    v = np.kron(np.kron(phi, SINGLET), _ANCILLAS_ZERO)
-    w = np.kron(np.kron(SINGLET, phi), _ANCILLAS_ZERO)
+    v = _product_state(phi, SINGLET, _ANCILLAS_ZERO)
+    w = _product_state(SINGLET, phi, _ANCILLAS_ZERO)
     return v, w
 
 
@@ -430,21 +439,29 @@ def empirical_transfer_matrix(
     phi: np.ndarray,
     circuit: ProtocolCircuit | None = None,
 ) -> tuple[np.ndarray, float]:
-    """2x2 matrix of the conjugated round operator on span{|v>, |w>}.
+    """2x2 matrix G of the conjugated round operator on span{|v>, |w>}.
 
-    Returns (G, residual) where residual measures how far the images leave
-    the span; the exact protocol keeps it at numerical zero and G is
+    The operator is U_1^dag V2 (call) V1 (call) U_1, with U_1 the unitary on
+    the input wire; it is never formed as a matrix.  |v> and |w> each pass
+    through U_1, one round and U_1^dag as state vectors, and G is the
+    least-squares fit of the two images in the basis (|v>, |w>).  Returns
+    (G, residual) where residual measures how far the images leave the
+    span; the exact protocol keeps it at numerical zero and G is
     independent of both the unitary and the state.
     """
     mat = _require_su2(u)
     vec = _as_qubit_state(phi)
     circuit = circuit or build_protocol()
-    f = call_operator(mat, circuit)
-    u1 = embed_operator(mat, (INPUT_WIRE,), DIMS)
-    g = u1.conj().T @ f @ u1
+    inverse = mat.conj().T
+
+    def conjugated_round(state: np.ndarray) -> np.ndarray:
+        state = apply_to_subsystems(state, mat, (INPUT_WIRE,), DIMS)
+        state = _run_round(state, mat, circuit)
+        return apply_to_subsystems(state, inverse, (INPUT_WIRE,), DIMS)
+
     v, w = pair_basis_states(vec)
     basis = np.column_stack([v, w])
-    images = np.column_stack([g @ v, g @ w])
+    images = np.column_stack([conjugated_round(v), conjugated_round(w)])
     coeffs, _, _, _ = np.linalg.lstsq(basis, images, rcond=None)
     residual = float(np.abs(images - basis @ coeffs).max())
     return coeffs, residual

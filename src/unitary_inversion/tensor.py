@@ -9,6 +9,7 @@ index k - 1.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,30 +67,55 @@ def _check_targets(targets, n: int) -> tuple[int, ...]:
     return targets
 
 
-def apply_to_subsystems(state: np.ndarray, u: np.ndarray, targets, dims) -> np.ndarray:
-    """Apply ``u`` to the listed subsystems (in the listed order) of a state over ``dims``.
+@lru_cache(maxsize=256)
+def _layout(dims: tuple, targets: tuple) -> tuple:
+    """(state length, target dimension, left, transpose) for ``targets`` of ``dims``.
 
-    All other subsystems are untouched; the operation is norm preserving
-    when ``u`` is unitary.
+    Validates both once per pair.  When the targets are consecutive and
+    ascending, ``transpose`` is None and the operator acts on the middle
+    axis of the state reshaped to (left, target dimension, rest).
+    Otherwise ``left`` is None and ``transpose`` is (shape, order,
+    inverse): the state's tensor shape, the axis order that brings the
+    targets to the front in their listed order, and the order that undoes
+    it.
     """
     dims = _as_dims(dims)
     n = len(dims)
     targets = _check_targets(targets, n)
-    state = np.asarray(state)
-    if state.shape != (math.prod(dims),):
-        raise ValueError(f"state of shape {state.shape} does not match dims {dims}")
-    mat = np.asarray(u, dtype=complex)
+    total = math.prod(dims)
     target_dim = math.prod(dims[t] for t in targets)
+    start = targets[0] if targets else 0
+    if targets == tuple(range(start, start + len(targets))):
+        return total, target_dim, math.prod(dims[:start]), None
+    order = targets + tuple(i for i in range(n) if i not in targets)
+    inverse = tuple(int(i) for i in np.argsort(order))
+    return total, target_dim, None, (dims, order, inverse)
+
+
+def apply_to_subsystems(state: np.ndarray, u: np.ndarray, targets, dims) -> np.ndarray:
+    """Apply ``u`` to the listed subsystems (in the listed order) of a state over ``dims``.
+
+    All other subsystems are untouched; the operation is norm preserving
+    when ``u`` is unitary.  The layout of each (dims, targets) pair is
+    validated once and cached; the state and operator shapes are checked
+    on every call.  Consecutive ascending targets (one wire, or all of
+    them) cost one reshape and one matrix product; other orders move the
+    targets to the front with a transpose and back again.
+    """
+    total, target_dim, left, transpose = _layout(tuple(dims), tuple(targets))
+    state = np.asarray(state)
+    if state.shape != (total,):
+        raise ValueError(f"state of shape {state.shape} does not match dims {tuple(dims)}")
+    mat = np.asarray(u, dtype=complex)
     if mat.shape != (target_dim, target_dim):
         raise ValueError(
             f"operator of shape {mat.shape} does not match target dimensions {target_dim}"
         )
-    rest = [i for i in range(n) if i not in targets]
-    perm = list(targets) + rest
-    tensor = state.reshape(dims).transpose(perm)
-    tensor = tensor.reshape(target_dim, -1)
-    tensor = (mat @ tensor).reshape([dims[i] for i in perm])
-    inverse = np.argsort(perm)
+    if transpose is None:
+        return (mat @ state.reshape(left, target_dim, -1)).reshape(-1)
+    shape, order, inverse = transpose
+    tensor = state.reshape(shape).transpose(order).reshape(target_dim, -1)
+    tensor = (mat @ tensor).reshape([shape[i] for i in order])
     return tensor.transpose(inverse).reshape(-1)
 
 

@@ -299,7 +299,10 @@ def test_row_counts_are_pinned():
     for (d, n), (seq_rows, par_rows) in reduced.items():
         assert cs.build_sequential_sdp(d, n).a.shape[0] == seq_rows
         assert cs.build_parallel_sdp(d, n).a.shape[0] == par_rows
-    # nor move a bit: a reordered sum changes the seq (2, 4) trajectory.  The
+    # nor move a bit: the digests pin each program's sparsity pattern,
+    # coefficient values and right-hand side.  They do not pin the order of
+    # the per-row sums, which leaves these bytes unchanged here even when
+    # reversed; test_entry_rows_sum_in_term_order guards that order.  The
     # values are 0/1 products, scalar multiples and sequential sums, so the
     # bytes do not depend on the BLAS build
     digests = {

@@ -193,6 +193,23 @@ def test_transfer_matrix_matches_and_is_input_independent():
     assert np.abs(stacked - stacked[0]).max() <= 1e-10
 
 
+def test_transfer_matrix_matches_dense_round_operator():
+    # oracle: the conjugated round U_1^dag V2 (call) V1 (call) U_1 as one dense
+    # matrix, restricted to span{|v>, |w>} by least squares
+    rng = np.random.default_rng(1618)
+    for _ in range(5):
+        u = haar_unitary(2, rng)
+        phi = random_state((2,), rng)
+        call = embed_operator(u, (pr.CALL_WIRE,), pr.DIMS)
+        u1 = embed_operator(u, (pr.INPUT_WIRE,), pr.DIMS)
+        round_op = u1.conj().T @ GATE.v2 @ call @ GATE.v1 @ call @ u1
+        basis = np.column_stack(pr.pair_basis_states(phi))
+        expected, _, _, _ = np.linalg.lstsq(basis, round_op @ basis, rcond=None)
+        g, residual = pr.empirical_transfer_matrix(u, phi, GATE)
+        assert np.abs(g - expected).max() <= 1e-12
+        assert residual <= 1e-10
+
+
 def test_transfer_matrix_square_flips_first_basis_vector():
     g2 = TRANSFER @ TRANSFER
     assert np.abs(g2 - np.array([[0.0, 1.0], [-1.0, 1.0]])).max() <= 1e-12

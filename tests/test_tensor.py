@@ -1,10 +1,13 @@
 import functools
+import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unitary_inversion import tensor
 from unitary_inversion.tensor import (
     apply_to_subsystems,
     basis_state,
@@ -65,6 +68,52 @@ def test_apply_rejects_bad_targets():
     # a state of the wrong length for its dims
     with pytest.raises(ValueError):
         apply_to_subsystems(np.ones(4), X, (0,), (2, 2, 2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_apply_matches_embedded_operator_for_every_layout(n):
+    # every ordered target list (empty, single, consecutive, reversed, gapped,
+    # all wires in any order) plus range objects, against the dense embedding
+    rng = np.random.default_rng(40 + n)
+    dims = tuple(int(d) for d in rng.choice((2, 3), size=n))
+    layouts = [
+        targets
+        for k in range(n + 1)
+        for subset in itertools.combinations(range(n), k)
+        for targets in itertools.permutations(subset)
+    ]
+    layouts += [range(n), range(1, n), range(n - 1, -1, -1)]
+    for targets in layouts:
+        state = random_state(dims, rng)
+        target_dim = math.prod(dims[t] for t in targets)
+        op = rng.standard_normal((target_dim, target_dim)) + 1j * rng.standard_normal(
+            (target_dim, target_dim)
+        )
+        oracle = embed_operator(op, targets, dims) @ state
+        for _ in range(2):  # the second call reads the cached layout
+            out = apply_to_subsystems(state, op, targets, dims)
+            assert np.abs(out - oracle).max() <= 1e-12, (dims, tuple(targets))
+
+
+def test_cached_layout_still_rejects_bad_calls():
+    dims = (2, 3, 2)
+    state = random_state(dims, 8)
+    op = np.eye(6)
+    apply_to_subsystems(state, op, (1, 2), dims)
+    hits = tensor._layout.cache_info().hits
+    apply_to_subsystems(state, op, (1, 2), dims)
+    assert tensor._layout.cache_info().hits == hits + 1
+    for _ in range(2):
+        with pytest.raises(ValueError, match="state of shape"):
+            apply_to_subsystems(state[:-1], op, (1, 2), dims)
+        with pytest.raises(ValueError, match="operator of shape"):
+            apply_to_subsystems(state, np.eye(4), (1, 2), dims)
+        with pytest.raises(ValueError, match="duplicate"):
+            apply_to_subsystems(state, op, (1, 1), dims)
+        with pytest.raises(ValueError, match="out of range"):
+            apply_to_subsystems(state, op, (1, 3), dims)
+        with pytest.raises(ValueError, match="invalid subsystem dimensions"):
+            apply_to_subsystems(state, op, (1, 2), (2, 0, 2))
 
 
 @settings(max_examples=30, deadline=None)
