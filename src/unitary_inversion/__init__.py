@@ -1,6 +1,10 @@
-"""Exact qubit-unitary inversion circuits and symmetry-reduced comb SDPs."""
+"""Exact qubit-unitary inversion circuits and symmetry-reduced comb SDPs.
 
-from . import comb_sdp, protocol, reference_tables, sdp, symmetric_group, tensor
+Importing the package loads none of its modules, so each import pays only
+for what it names: ``tensor``, ``symmetric_group``, ``protocol`` and
+``reference_tables`` need numpy alone, while ``sdp`` and ``comb_sdp`` load
+scipy's linear algebra.
+"""
 
 __all__ = [
     "comb_sdp",

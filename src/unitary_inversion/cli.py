@@ -4,6 +4,9 @@ Exit codes are a stable contract: 0 success, 2 tolerance breach, 3 size
 cap, 4 solver failure.  Every command with a fixed seed emits
 byte-reproducible JSON payloads; wall time and artifact digests go to a
 separate run manifest when an output directory is given.
+
+Only ``solve`` and ``tables`` import the SDP modules, and with them scipy;
+``simulate`` runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import comb_sdp, protocol, reference_tables
-from .sdp import SolverConfig, solve, verify
+from . import protocol, reference_tables
 from .tensor import haar_unitary, random_state
 
 EXIT_OK = 0
@@ -103,6 +105,8 @@ def cmd_simulate(args) -> int:
 
 
 def _build_problem(mode: str, d: int, n: int, svec_cap: int):
+    from . import comb_sdp
+
     if mode in ("seq", "par"):
         if comb_sdp.reduced_svec_size(d, n) > svec_cap:
             return None
@@ -115,7 +119,9 @@ def _build_problem(mode: str, d: int, n: int, svec_cap: int):
 
 
 def cmd_solve(args) -> int:
-    config = SolverConfig(
+    from . import sdp
+
+    config = sdp.SolverConfig(
         feasibility_tol=args.tol_feas,
         gap_tol=args.tol_gap,
         max_iterations=args.max_iterations,
@@ -133,8 +139,8 @@ def cmd_solve(args) -> int:
             file=sys.stderr,
         )
         return EXIT_SIZE_CAP
-    solution = solve(problem, config)
-    report = verify(problem, solution)
+    solution = sdp.solve(problem, config)
+    report = sdp.verify(problem, solution)
     wall = time.perf_counter() - start
     payload = {
         "command": "solve",
@@ -189,7 +195,9 @@ def _format_table(mode: str, results: dict, d_range, n_range) -> str:
 
 
 def cmd_tables(args) -> int:
-    config = SolverConfig(feasibility_tol=args.tol_feas, gap_tol=args.tol_gap)
+    from . import sdp
+
+    config = sdp.SolverConfig(feasibility_tol=args.tol_feas, gap_tol=args.tol_gap)
     modes = args.modes
     refs = reference_tables.reference_cells()
     d_range = range(args.d_min, args.d_max + 1)
@@ -204,7 +212,7 @@ def cmd_tables(args) -> int:
                 problem = _build_problem(mode, d, n, args.svec_cap)
                 if problem is None:
                     continue
-                solution = solve(problem, config)
+                solution = sdp.solve(problem, config)
                 entry = {
                     "value": solution.objective_value,
                     "gap": solution.gap,
@@ -322,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--tol-gap", type=_positive_float, default=1e-6)
     slv.add_argument("--tol-feas", type=_positive_float, default=1e-8)
     slv.add_argument("--max-iterations", type=_positive_int, default=200)
-    slv.add_argument("--svec-cap", type=_positive_int, default=comb_sdp.REDUCED_SVEC_CAP)
+    slv.add_argument("--svec-cap", type=_positive_int, default=None)
     slv.add_argument("--json", action="store_true")
     slv.add_argument("--out", type=str, default=None)
     slv.set_defaults(func=cmd_solve)
@@ -333,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     tab.add_argument("--n-min", type=_positive_int, default=1)
     tab.add_argument("--n-max", type=_positive_int, default=5)
     tab.add_argument("--modes", type=_reduced_modes, default="seq,par")
-    tab.add_argument("--svec-cap", type=_positive_int, default=comb_sdp.REDUCED_SVEC_CAP)
+    tab.add_argument("--svec-cap", type=_positive_int, default=None)
     tab.add_argument("--tol-gap", type=_positive_float, default=1e-6)
     tab.add_argument("--tol-feas", type=_positive_float, default=1e-8)
     tab.add_argument("--json", action="store_true")
@@ -345,6 +353,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "svec_cap", 0) is None:
+        # read here rather than in the parser, so that simulate never imports comb_sdp
+        from .comb_sdp import REDUCED_SVEC_CAP
+
+        args.svec_cap = REDUCED_SVEC_CAP
     if args.command == "tables":
         for name in ("d", "n"):
             low, high = getattr(args, f"{name}_min"), getattr(args, f"{name}_max")

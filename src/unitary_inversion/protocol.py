@@ -15,6 +15,13 @@ every state the protocol can reach; behavior off that subspace is not
 specified and may differ.  The gate path is the protocol; the matrix path
 is the reference that the tests and the benchmark compare it against, and
 no user option selects it.
+
+A run applies each black-box call to its one wire through
+``tensor.apply_to_subsystems``, and V1 and V2, which act on all seven
+wires, as plain matrix-vector products.  Inputs are checked in closed form
+on their entries (U unitary with determinant 1, states of norm 1, each
+within 1e-10), so NaN and inf entries are rejected too.  The module needs
+numpy and ``tensor`` only, never scipy.
 """
 
 from __future__ import annotations
@@ -309,13 +316,23 @@ def _build_protocol(path: str) -> ProtocolCircuit:
 
 
 def _require_su2(u: np.ndarray) -> np.ndarray:
+    """``u`` as a complex 2x2 array; raises unless it lies in SU(2) within 1e-10.
+
+    Closed forms in the entries [[a, b], [c, d]]: U^dag U - I from the column
+    norms and inner product, then ad - bc.  NaN and inf fail ``not err <= tol``.
+    """
     mat = np.asarray(u, dtype=complex)
     if mat.shape != (2, 2):
         raise ValueError("expected a single-qubit operator")
-    if np.abs(mat.conj().T @ mat - np.eye(2)).max() > 1e-10:
+    a, b, c, d = mat.ravel().tolist()
+    norm0 = math.hypot(a.real, a.imag, c.real, c.imag)
+    norm1 = math.hypot(b.real, b.imag, d.real, d.imag)
+    inner = a.conjugate() * b + c.conjugate() * d
+    deviations = (norm0 * norm0 - 1.0, norm1 * norm1 - 1.0, math.hypot(inner.real, inner.imag))
+    if not all(abs(x) <= 1e-10 for x in deviations):
         raise ValueError("input operator is not unitary")
-    det = np.linalg.det(mat)
-    if abs(det - 1.0) > 1e-10:
+    det = a * d - b * c
+    if not math.hypot(det.real - 1.0, det.imag) <= 1e-10:
         raise ValueError(
             f"input must be special unitary (det 1), got det {det:.6f}; "
             "use project_to_special_unitary explicitly if intended"
@@ -323,12 +340,16 @@ def _require_su2(u: np.ndarray) -> np.ndarray:
     return mat
 
 
+def _is_normalized(vec: np.ndarray) -> bool:
+    """Whether the Euclidean norm of ``vec`` is within 1e-10 of one; False for NaN or inf."""
+    return abs(math.hypot(*vec.real.tolist(), *vec.imag.tolist()) - 1.0) <= 1e-10
+
+
 def _as_qubit_state(phi) -> np.ndarray:
     vec = np.asarray(phi, dtype=complex)
     if vec.shape != (2,):
         raise ValueError("expected a single-qubit state")
-    norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > 1e-10:
+    if not _is_normalized(vec):
         raise ValueError("input state must be normalized")
     return vec
 
@@ -358,9 +379,9 @@ def _run_round(
     """V2 (call) V1 (call) applied to ``state``; ``first_call=False`` skips the first call."""
     if first_call:
         state = apply_to_subsystems(state, u, (CALL_WIRE,), DIMS)
-    state = apply_to_subsystems(state, circuit.v1, range(NUM_WIRES), DIMS)
+    state = circuit.v1 @ state
     state = apply_to_subsystems(state, u, (CALL_WIRE,), DIMS)
-    return apply_to_subsystems(state, circuit.v2, range(NUM_WIRES), DIMS)
+    return circuit.v2 @ state
 
 
 def _run_rounds(state: np.ndarray, u: np.ndarray, circuit: ProtocolCircuit, catalytic: bool) -> np.ndarray:
@@ -403,7 +424,7 @@ def run_catalytic(
     cat = np.asarray(catalyst, dtype=complex)
     if cat.shape != (4,):
         raise ValueError("catalyst must be a two-qubit state")
-    if abs(np.linalg.norm(cat) - 1.0) > 1e-10:
+    if not _is_normalized(cat):
         raise ValueError("catalyst must be normalized")
     circuit = circuit or build_protocol()
     state = _initial_state(vec, cat)

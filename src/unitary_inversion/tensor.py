@@ -48,12 +48,14 @@ def random_state(dims, rng) -> np.ndarray:
 
 
 def check_unitary(mat) -> np.ndarray:
-    """``mat`` as a complex array; raises unless it is a square unitary matrix."""
+    """``mat`` as a complex array; raises unless it is a finite square unitary matrix."""
     m = np.asarray(mat, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
     err = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
-    if err > CONSTRUCTION_ATOL:
+    if not err <= CONSTRUCTION_ATOL:
         raise ValueError(f"matrix is not unitary (deviation {err:.3e})")
     return m
 
@@ -209,6 +211,6 @@ def project_to_special_unitary(u: np.ndarray) -> np.ndarray:
     mat = np.asarray(u, dtype=complex)
     d = mat.shape[0]
     det = np.linalg.det(mat)
-    if abs(abs(det) - 1.0) > CONSTRUCTION_ATOL * 100:
+    if not abs(abs(det) - 1.0) <= CONSTRUCTION_ATOL * 100:
         raise ValueError("input is not unitary; cannot normalize determinant")
     return check_unitary(mat * np.exp(-1j * np.angle(det) / d))

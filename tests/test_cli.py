@@ -1,9 +1,14 @@
 import dataclasses
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from unitary_inversion import cli
+from unitary_inversion import comb_sdp, sdp
 from unitary_inversion.cli import main
 
 
@@ -44,6 +49,50 @@ def test_simulate_payload_reproducible(capsys):
     _, first = run(capsys, "simulate", "--trials", "4", "--seed", "11", "--json")
     _, second = run(capsys, "simulate", "--trials", "4", "--seed", "11", "--json")
     assert first == second
+
+
+# SHA-256 of the printed payload of `simulate --trials 50 --seed 7 --json`
+# per mode: any change to the circuit's numerics moves these digests.
+SIMULATE_DIGESTS = {
+    "standard": "fa5f61ff00008f667afd40fee8fc0618dc76e67895c93762d193b9b5dd9b6812",
+    "catalytic": "d08a8b7c0b8583a737ea6bcab1dcb66fee2fd38cfdcf607a04fc4f57003a4b69",
+    "adversarial": "8f2323a6ec758ed33108fd1dc96703831ddc1089ea2b092bb4cc2ef4904bb347",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(SIMULATE_DIGESTS))
+def test_simulate_payload_digest_is_pinned(mode, capsys):
+    _, out = run(capsys, "simulate", "--trials", "50", "--seed", "7", "--mode", mode, "--json")
+    assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_DIGESTS[mode]
+
+
+BOUNDARY_SCRIPT = """
+import json, sys
+from pathlib import Path
+import unitary_inversion.protocol
+from unitary_inversion import cli
+out = Path(sys.argv[1])
+code = cli.main(["simulate", "--trials", "3"])
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+(out / "boundary.json").write_text(json.dumps({"code": code, "scipy": scipy}))
+for argv in (["solve", "--d", "2", "--n", "1"], ["tables", "--d-max", "2", "--n-max", "1"]):
+    cli.main(argv + ["--out", str(out / argv[0])])
+"""
+
+
+def test_simulate_never_loads_scipy(tmp_path):
+    # the circuit path is numpy alone; the SDP commands still read the
+    # --svec-cap default from comb_sdp
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    subprocess.run(
+        [sys.executable, "-c", BOUNDARY_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, check=True,
+    )
+    report = json.loads((tmp_path / "boundary.json").read_text())
+    assert report == {"code": 0, "scipy": []}
+    for command in ("solve", "tables"):
+        manifest = json.loads((tmp_path / command / "manifest.json").read_text())
+        assert manifest["parameters"]["svec_cap"] == comb_sdp.REDUCED_SVEC_CAP
 
 
 def test_solve_sequential_cell(capsys):
@@ -160,12 +209,12 @@ def test_tables_size_cap_rejecting_every_cell(capsys):
 
 def test_solver_failure_prints_its_reason(monkeypatch, capsys):
     reason = "Schur complement not positive definite at iteration 3"
-    real = cli.solve
+    real = sdp.solve
 
     def failing(problem, config=None):
         return dataclasses.replace(real(problem, config), status="numerical_failure", reason=reason)
 
-    monkeypatch.setattr(cli, "solve", failing)
+    monkeypatch.setattr(sdp, "solve", failing)
     assert main(["solve", "--d", "2", "--n", "1", "--json"]) == 4
     captured = capsys.readouterr()
     assert reason in captured.err
@@ -181,7 +230,7 @@ def test_solver_failure_prints_its_reason(monkeypatch, capsys):
 
 
 def test_tables_marks_failed_cells(monkeypatch, tmp_path, capsys):
-    real = cli.solve
+    real = sdp.solve
 
     def failing(problem, config=None):
         solution = real(problem, config)
@@ -189,7 +238,7 @@ def test_tables_marks_failed_cells(monkeypatch, tmp_path, capsys):
             return dataclasses.replace(solution, status="numerical_failure", reason="forced")
         return solution
 
-    monkeypatch.setattr(cli, "solve", failing)
+    monkeypatch.setattr(sdp, "solve", failing)
     out_dir = tmp_path / "failed"
     code, out = run(
         capsys, "tables", "--d-max", "2", "--n-max", "2", "--modes", "seq", "--out", str(out_dir)

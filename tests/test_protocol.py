@@ -167,16 +167,44 @@ def test_third_wire_marginal_for_explicit_rotation():
     assert abs(np.real(target.conj() @ rho @ target) - 1.0) <= 1e-10
 
 
+NON_FINITE = (np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, np.nan))
+
+
+def _with_entry(array, index, value) -> np.ndarray:
+    out = np.array(array, dtype=complex)
+    out[index] = value
+    return out
+
+
 def test_non_special_unitary_rejected():
     with pytest.raises(ValueError):
         pr.run_inversion(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         pr.run_inversion(np.diag([1.0, 1.0j]), np.array([1.0, 0.0]))
+    phi = np.array([1.0, 0.0])
+    for bad in NON_FINITE:
+        for index in np.ndindex(2, 2):
+            u = _with_entry(np.eye(2), index, bad)
+            with pytest.raises(ValueError):
+                pr.run_inversion(u, phi, GATE)
+            with pytest.raises(ValueError):
+                pr.empirical_transfer_matrix(u, phi, GATE)
+            with pytest.raises(ValueError):
+                pr.run_catalytic(u, phi, pr.SINGLET, GATE)
+            with pytest.raises(ValueError):
+                pr.honest_catalyst(u)
 
 
 def test_unnormalized_state_rejected():
     with pytest.raises(ValueError):
         pr.run_inversion(np.eye(2), np.array([1.0, 1.0]))
+    for bad in NON_FINITE:
+        for index in range(2):
+            phi = _with_entry([1.0, 0.0], index, bad)
+            with pytest.raises(ValueError, match="normalized"):
+                pr.run_inversion(np.eye(2), phi, GATE)
+            with pytest.raises(ValueError, match="normalized"):
+                pr.empirical_transfer_matrix(np.eye(2), phi, GATE)
 
 
 def test_transfer_matrix_matches_and_is_input_independent():
@@ -257,4 +285,9 @@ def test_catalyst_validation():
         pr.run_catalytic(
             np.eye(2), np.array([1.0, 0.0]), np.array([1.0, 1.0, 0.0, 0.0])
         )
+    for bad in NON_FINITE:
+        for index in range(4):
+            catalyst = _with_entry(pr.SINGLET, index, bad)
+            with pytest.raises(ValueError, match="catalyst must be normalized"):
+                pr.run_catalytic(np.eye(2), np.array([1.0, 0.0]), catalyst, GATE)
 

@@ -269,6 +269,11 @@ def test_unitary_check_on_construction():
         check_unitary(np.array([[1.0, 0.0], [0.0, 2.0]]))
     with pytest.raises(ValueError):
         check_unitary(np.eye(2, 3))
+    for bad in (np.nan, np.inf, -np.inf):
+        mat = np.eye(2, dtype=complex)
+        mat[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            check_unitary(mat)
     out = check_unitary(X.real)
     assert out.dtype == complex and np.array_equal(out, X)
 
