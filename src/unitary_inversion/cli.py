@@ -30,6 +30,8 @@ EXIT_SIZE_CAP = 3
 EXIT_SOLVER = 4
 
 EXACTNESS_BOUND = 1.0 - 1e-10
+# the default --svec-cap: reduced programs with more svec coordinates are skipped
+REDUCED_SVEC_CAP = 2000
 
 
 def _manifest_parameters(args) -> dict:
@@ -330,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--tol-gap", type=_positive_float, default=1e-6)
     slv.add_argument("--tol-feas", type=_positive_float, default=1e-8)
     slv.add_argument("--max-iterations", type=_positive_int, default=200)
-    slv.add_argument("--svec-cap", type=_positive_int, default=None)
+    slv.add_argument("--svec-cap", type=_positive_int, default=REDUCED_SVEC_CAP)
     slv.add_argument("--json", action="store_true")
     slv.add_argument("--out", type=str, default=None)
     slv.set_defaults(func=cmd_solve)
@@ -341,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     tab.add_argument("--n-min", type=_positive_int, default=1)
     tab.add_argument("--n-max", type=_positive_int, default=5)
     tab.add_argument("--modes", type=_reduced_modes, default="seq,par")
-    tab.add_argument("--svec-cap", type=_positive_int, default=None)
+    tab.add_argument("--svec-cap", type=_positive_int, default=REDUCED_SVEC_CAP)
     tab.add_argument("--tol-gap", type=_positive_float, default=1e-6)
     tab.add_argument("--tol-feas", type=_positive_float, default=1e-8)
     tab.add_argument("--json", action="store_true")
@@ -353,11 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "svec_cap", 0) is None:
-        # read here rather than in the parser, so that simulate never imports comb_sdp
-        from .comb_sdp import REDUCED_SVEC_CAP
-
-        args.svec_cap = REDUCED_SVEC_CAP
     if args.command == "tables":
         for name in ("d", "n"):
             low, high = getattr(args, f"{name}_min"), getattr(args, f"{name}_max")

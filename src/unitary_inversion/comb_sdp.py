@@ -47,7 +47,6 @@ from .symmetric_group import (
 # d^(2n+2) <= 5^4 admits n <= 3 at d=2 and n=1 at d=3, 4, 5; full (3, 2) keeps
 # 27k-29k of its 30k rows, a 5.7-6.9 GB dense Schur complement
 FULL_SPACE_DIM_CAP = 625
-REDUCED_SVEC_CAP = 2000
 
 
 @dataclass(frozen=True)

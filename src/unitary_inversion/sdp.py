@@ -45,10 +45,11 @@ Otherwise ``SdpSolution.reason`` names the cause and its iteration:
 ``infeasible_detected`` when preprocessing certifies inconsistent rows
 (before any iteration), ``max_iter`` at the iteration limit, and
 ``numerical_failure`` when the Schur complement, or X or Z after its step,
-is not positive definite, when X or y exceeds ``_DIVERGENCE_BOUND`` times
-the starting scale or is not finite (unbounded or infeasible programs), or
-when the residual on the original rows breaches the tolerance.  A failed
-solve returns the last iterate before the failure.
+is not positive definite, when X or y after the step exceeds
+``_DIVERGENCE_BOUND`` times the starting scale or is not finite (unbounded
+or infeasible programs), or when the residual on the original rows
+breaches the tolerance.  A step is tested before it is accepted, so a
+failed solve returns the last iterate before the failure.
 
 Blocks of equal size are held as one (count, s, s) stack, so the block
 Cholesky factors, their inverses, the step-length eigenvalues and the
@@ -603,16 +604,6 @@ def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
         if gap_rel <= config.gap_tol and pinf <= config.feasibility_tol and dinf <= config.feasibility_tol:
             status, reason = "optimal", ""
             break
-        # written so that a NaN fails the test too
-        x_max = max((float(np.abs(st).max()) for st in x), default=0.0)
-        y_max = float(np.abs(y).max()) if m else 0.0
-        if not (x_max <= divergence and y_max <= divergence):
-            status = "numerical_failure"
-            reason = (
-                f"iterates diverge (max |X| {x_max:.3g}, max |y| {y_max:.3g}, "
-                f"bound {divergence:.3g}) at iteration {iterations}"
-            )
-            break
 
         # one inverse per factor serves Z^-1 and both step lengths; symmetrize
         # the rounded Z^-1 so that svec pairings see both triangles
@@ -663,7 +654,18 @@ def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
             status = "numerical_failure"
             reason = f"{name} not positive definite after step {alpha:.3g} at iteration {iterations}"
             break
-        x, z, y = x_new, z_new, y + ad * dy
+        y_new = y + ad * dy
+        # written so that a NaN fails the test too
+        x_max = max((float(np.abs(st).max()) for st in x_new), default=0.0)
+        y_max = float(np.abs(y_new).max()) if m else 0.0
+        if not (x_max <= divergence and y_max <= divergence):
+            status = "numerical_failure"
+            reason = (
+                f"iterates diverge (max |X| {x_max:.3g}, max |y| {y_max:.3g}, "
+                f"bound {divergence:.3g}) at iteration {iterations}"
+            )
+            break
+        x, z, y = x_new, z_new, y_new
 
     xvec = indexer.pack_stacks(x)
     pobj = float(cvec @ xvec)

@@ -1,12 +1,20 @@
 """Young diagrams, standard tableaux, and orthogonal irreps of S_n.
 
+A standard tableau with n boxes is its row word: a tuple w of n row
+indices (0-based) in which entry v sits in row w[v-1].  A word is standard
+exactly when each of its prefixes has weakly decreasing row counts; the
+shape is the word's row counts, an entry's column is the number of
+smaller entries in its row, and the sub-tableau holding entries 1..k is
+the prefix w[:k].
+
 Canonical tableau ordering (frozen project-wide): tableaux of a shape are
 enumerated recursively by the row of the box holding the largest entry, in
 increasing row order, with the remaining boxes ordered as in the parent
-shape's own canonical list.  The ordering is subgroup adapted: restricting
-the representation to permutations fixing n gives blocks that are exactly
-the parent-shape representations, in parent-canonical order.  Embedding
-matrices below rely on this.
+shape's own canonical list.  As words, that is colexicographic order.  The
+ordering is subgroup adapted: restricting the representation to
+permutations fixing n gives blocks that are exactly the parent-shape
+representations, in parent-canonical order.  Embedding matrices below rely
+on this.
 
 Representation matrices use Young's orthogonal form, so every matrix is
 real orthogonal and the group-algebra matrix units are real symmetric
@@ -122,91 +130,24 @@ def young_diagrams(n: int, d: int) -> list[YoungDiagram]:
     return [YoungDiagram(rows) for rows in rec(n, n, d)]
 
 
-@dataclass(frozen=True)
-class StandardTableau:
-    """Standard filling of a shape by 1..n, increasing along rows and columns."""
+@lru_cache(maxsize=None)
+def standard_tableaux(diagram: YoungDiagram) -> tuple[tuple[int, ...], ...]:
+    """Canonically ordered standard tableaux of a shape, as row words, cached.
 
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
-        entries = sorted(x for row in rows for x in row)
-        n = len(entries)
-        if entries != list(range(1, n + 1)):
-            raise ValueError(f"filling must use 1..{n} exactly once: {rows}")
-        for row in rows:
-            if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
-                raise ValueError(f"rows must increase: {rows}")
-        for r in range(len(rows) - 1):
-            if len(rows[r + 1]) > len(rows[r]):
-                raise ValueError(f"row lengths must be weakly decreasing: {rows}")
-            for c in range(len(rows[r + 1])):
-                if rows[r][c] >= rows[r + 1][c]:
-                    raise ValueError(f"columns must increase: {rows}")
-
-    @property
-    def shape(self) -> YoungDiagram:
-        if not self.rows:
-            return EMPTY_DIAGRAM
-        return YoungDiagram(tuple(len(r) for r in self.rows))
-
-    @property
-    def boxes(self) -> int:
-        return sum(len(r) for r in self.rows)
-
-    def position(self, value: int) -> tuple[int, int]:
-        """(row, column) of a value, 0-based."""
-        for r, row in enumerate(self.rows):
-            for c, x in enumerate(row):
-                if x == value:
-                    return r, c
-        raise ValueError(f"{value} not present in tableau")
-
-    def restrict(self, k: int) -> "StandardTableau":
-        """Sub-tableau holding entries 1..k."""
-        rows = tuple(
-            tuple(x for x in row if x <= k) for row in self.rows
-        )
-        return StandardTableau(tuple(r for r in rows if r))
-
-    def add_entry(self, row: int, value: int) -> "StandardTableau":
-        rows = [list(r) for r in self.rows]
-        if row == len(rows):
-            rows.append([value])
-        else:
-            rows[row].append(value)
-        return StandardTableau(tuple(tuple(r) for r in rows))
-
-    def swap(self, k: int) -> "StandardTableau":
-        """Exchange entries k and k+1 (result may not be standard)."""
-        rows = tuple(
-            tuple(k + 1 if x == k else k if x == k + 1 else x for x in row)
-            for row in self.rows
-        )
-        return StandardTableau(rows)
-
-
-_EMPTY_TABLEAU = StandardTableau(())
+    See the module docstring for the word encoding and the order.
+    """
+    if diagram.boxes == 0:
+        return ((),)
+    return tuple(
+        word + (row,)
+        for row in diagram.removable_rows()
+        for word in standard_tableaux(diagram.remove_box(row))
+    )
 
 
 @lru_cache(maxsize=None)
-def standard_tableaux(diagram: YoungDiagram) -> tuple[StandardTableau, ...]:
-    """Canonically ordered standard tableaux of a shape (see module docstring)."""
-    n = diagram.boxes
-    if n == 0:
-        return (_EMPTY_TABLEAU,)
-    out: list[StandardTableau] = []
-    for row in diagram.removable_rows():
-        parent = diagram.remove_box(row)
-        for t in standard_tableaux(parent):
-            out.append(t.add_entry(row, n))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _tableau_index(diagram: YoungDiagram) -> dict[StandardTableau, int]:
-    return {t: i for i, t in enumerate(standard_tableaux(diagram))}
+def _tableau_index(diagram: YoungDiagram) -> dict[tuple[int, ...], int]:
+    return {word: i for i, word in enumerate(standard_tableaux(diagram))}
 
 
 def _hook_lengths(diagram: YoungDiagram) -> list[int]:
@@ -251,42 +192,35 @@ def su_dim(diagram: YoungDiagram, d: int) -> int:
     return int(value)
 
 
+@lru_cache(maxsize=None)
 def generator_matrix(diagram: YoungDiagram, k: int) -> np.ndarray:
-    """Young's orthogonal form of the adjacent transposition (k, k+1).
+    """Read-only Young's orthogonal form of the adjacent transposition (k, k+1).
 
     Entries follow from the axial distance between boxes k and k+1: equal
     rows give +1 on the diagonal, equal columns -1, and otherwise the
     tableau pairs related by swapping k and k+1 form 2x2 rotation-like
-    blocks.
+    blocks.  A box's column is the number of smaller entries in its row.
+    Cached per (diagram, k), so every caller shares one array.
     """
     n = diagram.boxes
     if not 1 <= k <= n - 1:
         raise ValueError(f"transposition index {k} out of range for {n} boxes")
-    tabs = standard_tableaux(diagram)
+    words = standard_tableaux(diagram)
     index = _tableau_index(diagram)
-    dim = len(tabs)
-    mat = np.zeros((dim, dim))
-    for t_idx, t in enumerate(tabs):
-        r1, c1 = t.position(k)
-        r2, c2 = t.position(k + 1)
+    mat = np.zeros((len(words), len(words)))
+    for i, word in enumerate(words):
+        r1, r2 = word[k - 1], word[k]
+        c1, c2 = word[: k - 1].count(r1), word[:k].count(r2)
         if r1 == r2:
-            mat[t_idx, t_idx] = 1.0
+            mat[i, i] = 1.0
         elif c1 == c2:
-            mat[t_idx, t_idx] = -1.0
+            mat[i, i] = -1.0
         else:
-            axial = (c2 - r2) - (c1 - r1)
-            rho = 1.0 / axial
-            other = index[t.swap(k)]
-            mat[t_idx, t_idx] = rho
-            mat[t_idx, other] = math.sqrt(1.0 - rho * rho)
+            rho = 1.0 / ((c2 - r2) - (c1 - r1))
+            mat[i, i] = rho
+            mat[i, index[word[: k - 1] + (r2, r1) + word[k + 1 :]]] = math.sqrt(1.0 - rho * rho)
+    mat.setflags(write=False)
     return mat
-
-
-@lru_cache(maxsize=None)
-def _generator_cached(diagram: YoungDiagram, k: int) -> np.ndarray:
-    m = generator_matrix(diagram, k)
-    m.setflags(write=False)
-    return m
 
 
 def check_permutation(perm) -> tuple[int, ...]:
@@ -332,7 +266,7 @@ def permutation_matrix(diagram: YoungDiagram, perm) -> np.ndarray:
     dim = tableau_count(diagram)
     mat = np.eye(dim)
     for k in adjacent_transposition_word(perm):
-        mat = mat @ _generator_cached(diagram, k)
+        mat = mat @ generator_matrix(diagram, k)
     return mat
 
 

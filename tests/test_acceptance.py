@@ -14,6 +14,7 @@ from unitary_inversion import comb_sdp as cs
 from unitary_inversion import protocol as pr
 from unitary_inversion.sdp import solve
 from unitary_inversion.symmetric_group import (
+    YoungDiagram,
     embedding_matrix,
     matrix_unit,
     standard_tableaux,
@@ -220,13 +221,18 @@ def test_criterion_7_representation_suite():
                             keep=range(boxes - 1),
                             dims=(d,) * boxes,
                         )
-                        ra, rb = ti.restrict(boxes - 1), tj.restrict(boxes - 1)
-                        if ra.shape == rb.shape:
-                            a = standard_tableaux(ra.shape).index(ra)
-                            b = standard_tableaux(rb.shape).index(rb)
+                        # a row word's prefix is its sub-tableau, its row counts the shape
+                        ra, rb = ti[: boxes - 1], tj[: boxes - 1]
+                        alpha, beta = (
+                            YoungDiagram(tuple(w.count(r) for r in range(max(w) + 1)))
+                            for w in (ra, rb)
+                        )
+                        if alpha == beta:
+                            a = standard_tableaux(alpha).index(ra)
+                            b = standard_tableaux(beta).index(rb)
                             expected = (
-                                su_dim(mu, d) / su_dim(ra.shape, d)
-                            ) * matrix_unit(ra.shape, d)[a, b]
+                                su_dim(mu, d) / su_dim(alpha, d)
+                            ) * matrix_unit(alpha, d)[a, b]
                         else:
                             expected = np.zeros_like(reduced)
                         worst = max(worst, float(np.abs(reduced - expected).max()))

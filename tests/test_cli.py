@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from unitary_inversion import comb_sdp, sdp
+from unitary_inversion import cli, sdp
 from unitary_inversion.cli import main
 
 
@@ -81,8 +82,8 @@ for argv in (["solve", "--d", "2", "--n", "1"], ["tables", "--d-max", "2", "--n-
 
 
 def test_simulate_never_loads_scipy(tmp_path):
-    # the circuit path is numpy alone; the SDP commands still read the
-    # --svec-cap default from comb_sdp
+    # the circuit path is numpy alone; the SDP commands record the
+    # --svec-cap default in their manifests
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     subprocess.run(
         [sys.executable, "-c", BOUNDARY_SCRIPT, str(tmp_path)],
@@ -92,7 +93,7 @@ def test_simulate_never_loads_scipy(tmp_path):
     assert report == {"code": 0, "scipy": []}
     for command in ("solve", "tables"):
         manifest = json.loads((tmp_path / command / "manifest.json").read_text())
-        assert manifest["parameters"]["svec_cap"] == comb_sdp.REDUCED_SVEC_CAP
+        assert manifest["parameters"]["svec_cap"] == cli.REDUCED_SVEC_CAP == 2000
 
 
 def test_solve_sequential_cell(capsys):
@@ -227,6 +228,32 @@ def test_solver_failure_prints_its_reason(monkeypatch, capsys):
     payload = json.loads(captured.out)
     assert payload["cells"]["seq/d2/n1"]["reason"] == reason
     assert payload["solver_failures"] == 1
+
+
+def reject_constant(name):
+    raise ValueError(f"non-finite JSON number {name}")
+
+
+def test_diverged_solve_exits_with_its_reason(monkeypatch, tmp_path, capsys):
+    # a NaN step is refused, so the payloads describe the last finite iterate
+    real = sdp._step_length
+    calls = []
+
+    def nan_step(inverses, steps):
+        # the seventh call is the second iteration's X corrector step
+        calls.append(None)
+        return math.nan if len(calls) == 7 else real(inverses, steps)
+
+    monkeypatch.setattr(sdp, "_step_length", nan_step)
+    code = main(["solve", "--d", "2", "--n", "2", "--json", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 4
+    payload = json.loads(captured.out, parse_constant=reject_constant)
+    assert payload["status"] == "numerical_failure"
+    assert payload["reason"].startswith("iterates diverge (max |X| nan")
+    assert f"solver numerical_failure: {payload['reason']}" in captured.err
+    solution = json.loads((tmp_path / "solution.json").read_text(), parse_constant=reject_constant)
+    assert solution["reason"] == payload["reason"]
 
 
 def test_tables_marks_failed_cells(monkeypatch, tmp_path, capsys):

@@ -173,8 +173,13 @@ def test_diverging_iterates_end_as_numerical_failure(name):
     assert json.loads(solution.to_json())["reason"] == solution.reason
 
 
+def reject_constant(name):
+    raise ValueError(f"non-finite JSON number {name}")
+
+
 def test_non_finite_iterate_ends_the_solve(monkeypatch):
-    # Cholesky accepts a NaN block, so the divergence test must catch it
+    # Cholesky accepts a NaN block, so the divergence test must catch it,
+    # and before the NaN iterate replaces the last finite one
     real = sdp._step_length
     calls = []
 
@@ -184,11 +189,20 @@ def test_non_finite_iterate_ends_the_solve(monkeypatch):
         return math.nan if len(calls) == 7 else real(inverses, steps)
 
     monkeypatch.setattr(sdp, "_step_length", nan_step)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        solution = solve(build_sequential_sdp(2, 1))
-    assert solution.status == "numerical_failure"
-    assert re.fullmatch(r"iterates diverge \(max \|X\| nan, .+\) at iteration 3", solution.reason)
+    for n in (1, 2):
+        calls.clear()
+        problem = build_sequential_sdp(2, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solution = solve(problem)
+        assert solution.status == "numerical_failure"
+        assert re.fullmatch(r"iterates diverge \(max \|X\| nan, .+\) at iteration 2", solution.reason)
+        assert solution.iterations == 2
+        assert all(np.isfinite(block).all() for block in solution.blocks)
+        assert np.isfinite(solution.dual).all()
+        report = verify(problem, solution)
+        assert all(math.isfinite(v) for v in report.block_min_eigenvalues)
+        assert json.loads(solution.to_json(), parse_constant=reject_constant)["reason"] == solution.reason
 
 
 def test_residual_on_original_rows_downgrades_optimal():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from unitary_inversion.symmetric_group import (
     EMPTY_DIAGRAM,
-    StandardTableau,
     YoungDiagram,
     adjacent_transposition_word,
     check_permutation,
@@ -49,6 +49,11 @@ def count_semistandard_brute(diagram: YoungDiagram, d: int) -> int:
         return total
 
     return fill(0, {})
+
+
+def word_shape(word) -> YoungDiagram:
+    """The shape of a row word: its row counts."""
+    return YoungDiagram(tuple(word.count(r) for r in range(max(word, default=-1) + 1)))
 
 
 def test_partition_enumeration_examples():
@@ -93,15 +98,21 @@ def test_tableau_count_matches_enumeration(n, d):
         assert len(set(tabs)) == len(tabs) == tableau_count(diagram)
 
 
-def test_tableau_validation():
-    StandardTableau(((1, 3), (2, 4), (5,)))
-    StandardTableau(((1, 2), (3,)))
-    with pytest.raises(ValueError):
-        StandardTableau(((2, 1),))
-    with pytest.raises(ValueError):
-        StandardTableau(((1, 2), (2,)))
-    with pytest.raises(ValueError):
-        StandardTableau(((1,), (2, 3)))
+def test_tableaux_are_standard_row_words():
+    for n in range(8):
+        for diagram in young_diagrams(n, max(n, 1)):
+            words = standard_tableaux(diagram)
+            assert len(set(words)) == len(words) == tableau_count(diagram)
+            # the canonical order, read on words, is colexicographic
+            assert list(words) == sorted(words, key=lambda w: w[::-1])
+            for word in words:
+                # standard: every prefix's row counts form a partition
+                for k in range(1, n + 1):
+                    counts = [word[:k].count(r) for r in range(max(word[:k]) + 1)]
+                    assert min(counts) > 0 and counts == sorted(counts, reverse=True)
+                assert word_shape(word) == diagram
+                if n:
+                    assert word[:-1] in standard_tableaux(word_shape(word[:-1]))
 
 
 def test_su_dim_examples():
@@ -233,8 +244,8 @@ def test_embedding_matrix_matches_restriction():
                 child_tabs = standard_tableaux(child)
                 expected = np.zeros((len(parent_tabs), len(child_tabs)))
                 for a, t in enumerate(child_tabs):
-                    restricted = t.restrict(boxes)
-                    if restricted.shape == parent:
+                    restricted = t[:boxes]
+                    if word_shape(restricted) == parent:
                         expected[parent_tabs.index(restricted), a] = 1.0
                 assert np.array_equal(embedding_matrix(parent, child), expected)
                 count += 1
@@ -319,8 +330,8 @@ def test_matrix_unit_vanishes_beyond_depth():
 
 
 def _restricted_index(tableau, boxes):
-    reduced = tableau.restrict(boxes)
-    return reduced.shape, standard_tableaux(reduced.shape).index(reduced)
+    reduced = tableau[:boxes]
+    return word_shape(reduced), standard_tableaux(word_shape(reduced)).index(reduced)
 
 
 def test_branching_identity():
@@ -370,3 +381,39 @@ def test_diagram_validation():
         YoungDiagram((1, 2))
     with pytest.raises(ValueError):
         YoungDiagram((2, 0))
+
+
+def _digest(mats) -> str:
+    h = hashlib.sha256()
+    for mat in mats:
+        h.update(repr(mat.shape).encode())
+        h.update(np.ascontiguousarray(mat).tobytes())
+    return h.hexdigest()
+
+
+def test_representation_data_is_pinned():
+    # every generator and embedding byte, and the long-cycle products and
+    # matrix units built from them.  The digests were taken from an
+    # implementation that stored each tableau as nested rows, so they hold
+    # whatever encodes a tableau.  Generators and embeddings are set entry
+    # by entry; the cycle matrices and matrix units also pin numpy's matmul
+    # on small matrices
+    shapes = [mu for n in range(8) for mu in young_diagrams(n, max(n, 1))]
+    generators = _digest(
+        generator_matrix(mu, k) for mu in shapes for k in range(1, mu.boxes)
+    )
+    embeddings = _digest(
+        embedding_matrix(mu, child) for mu in shapes if mu.boxes < 7 for child in mu.children()
+    )
+    cycles = _digest(
+        permutation_matrix(mu, cycle_permutation(mu.boxes)) for mu in shapes if mu.boxes
+    )
+    units = _digest(
+        matrix_unit(mu, d) for d in (2, 3) for n in range(1, 5) for mu in young_diagrams(n, d)
+    )
+    assert (generators, embeddings, cycles, units) == (
+        "f5cc434e4315b178ae188b3299b75afbe0e5b94518c4b880a9651ebd86cd5dc2",
+        "607f604dbba6f6c4d43f912c1c07ae3665b98071de77b12085a0482e4258049c",
+        "65a509af1c06dbb9d926fc72f0b17a8cea879b8d3ea16d28dadbc94abc265aa6",
+        "cbfcc5ec7dca4504c97cc1a77ed6943f49257f832e0b630fe2e73fdfd62607f5",
+    )
