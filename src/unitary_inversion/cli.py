@@ -144,12 +144,14 @@ def cmd_solve(args) -> int:
     solution = sdp.solve(problem, config)
     report = sdp.verify(problem, solution)
     wall = time.perf_counter() - start
+    # a failed solve's objective is an iterate's value, not the optimal fidelity
+    optimal = solution.status == "optimal"
     payload = {
         "command": "solve",
         "d": args.d,
         "n": args.n,
         "mode": args.mode,
-        "optimal_fidelity": solution.objective_value,
+        "optimal_fidelity" if optimal else "objective": solution.objective_value,
         "gap": solution.gap,
         "residual": solution.primal_residual,
         "iterations": solution.iterations,
@@ -158,7 +160,7 @@ def cmd_solve(args) -> int:
         "verified_constraint_violation": report.max_constraint_violation,
         "verified_min_eigenvalue": min(report.block_min_eigenvalues),
     }
-    if solution.status != "optimal":
+    if not optimal:
         payload["reason"] = solution.reason
         print(f"solver {solution.status}: {solution.reason}", file=sys.stderr)
     text = json.dumps(payload, sort_keys=True, indent=2)
@@ -166,7 +168,8 @@ def cmd_solve(args) -> int:
         print(text)
     else:
         print(
-            f"{args.mode} d={args.d} n={args.n}: optimum {solution.objective_value:.6f} "
+            f"{args.mode} d={args.d} n={args.n}: {'optimum' if optimal else 'objective'} "
+            f"{solution.objective_value:.6f} "
             f"(status {solution.status}, gap {solution.gap:.2e}, residual {solution.primal_residual:.2e})"
         )
     if args.out:

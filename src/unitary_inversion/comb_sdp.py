@@ -5,7 +5,9 @@ channel fidelity against the inverse of the unknown unitary.  Group
 symmetry lets the comb's Choi matrix be replaced by one real PSD block per
 ordered pair of (n+1)-box Young diagrams; the constraints couple blocks
 through 0/1 tableau-embedding matrices and the objective touches only the
-diagonal pairs through rank-one performance blocks.
+diagonal pairs through rank-one performance blocks.  The builders carry
+those matrices as index maps and state every row as reads of block
+entries, which :meth:`sdp.SdpProblem.from_reads` turns into svec rows.
 
 The full-space programs on d^(2(n+1))-dimensional Choi matrices are kept
 as brute-force oracles for cross-validating the reduction at desk scale.
@@ -29,10 +31,9 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from . import tensor
-from .sdp import SdpProblem, _SvecIndexer
+from .sdp import SdpProblem
 from .symmetric_group import (
     YoungDiagram,
     cycle_permutation,
@@ -152,100 +153,63 @@ def _entry_rows(
     terms: list[tuple[float, np.ndarray, np.ndarray | None, int]],
     out_rows: int,
     out_cols: int,
-    indexer: _SvecIndexer,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows of a homogeneous matrix identity sum_t scale * T_t(C_t) = 0, as (row, column, value).
+    widths: list[int],
+) -> tuple[np.ndarray, ...]:
+    """Reads (row, block, r, c, weight) of a homogeneous identity sum_t scale * T_t(C_t) = 0.
 
-    ``terms`` lists (scale, P, Q, block_index); P and Q are 0/1 selections
-    (at most one 1 per row, P(a) the column of row a's 1), as tableau
-    embeddings and their products are.  With a matrix Q the term is
-    (P x Q) C (P x Q)^T, whose entry ((a, k), (b, l)) reads C at
-    ((P(a), Q(k)), (P(b), Q(l))); with Q = None it is the partial trace
-    Tr_2[(P x 1) C (P x 1)^T] x 1 over the block's second factor, which
-    reads ((P(a), w), (P(b), w)) for every w, where k = l only.  Empty rows
-    read nothing.  One row per upper-triangle entry of the (out_rows*out_cols)
-    output, row-major: each read puts its scale, halved off the diagonal,
-    on one svec column, and the reads are summed in term order.  No read
-    repeats within a term, so the rows equal per-term sums of dense
-    Kronecker products to the last bit, which keeps the solver's
-    trajectories.  Rows without a nonzero coefficient are dropped; the
-    nonzeros come sorted by row, then svec column, rows numbered from 0,
-    as :func:`_reduced_problem` stacks them.
+    ``terms`` lists (scale, p, q, block_index).  p and q are index maps of
+    0/1 selections, as tableau embeddings and their products are: p[a] is
+    the column of row a's 1, or -1 for an empty row.  With a map q the term
+    is (P x Q) C (P x Q)^T, whose entry ((a, k), (b, l)) reads C at
+    ((p[a], q[k]), (p[b], q[l])); with q = None it is the partial trace
+    Tr_2[(P x 1) C (P x 1)^T] x 1 over the block's second factor of
+    ``widths[block]`` tableaux, which reads ((p[a], w), (p[b], w)) for every
+    w, where k = l only.  Row j is the j-th upper-triangle entry of the
+    (out_rows*out_cols) output, row-major.  The reads come in term order,
+    the order :meth:`SdpProblem.from_reads` sums them in, and none repeats
+    within a term, so the rows equal per-term sums of dense Kronecker
+    products to the last bit, which keeps the solver's trajectories.
     """
-    reads = []  # (scale, P, Q, block, k = l only)
-    for scale, pm, qm, key in terms:
-        if qm is None:  # the sum over w of the terms with Q = 1 e_w^T, at k = l only
-            width = indexer.dims[key] // pm.shape[1]
-            reads += [(scale, pm, q, key, True) for q in np.eye(width)[:, None].repeat(out_cols, 1)]
+    reads = []  # (scale, p, q, block, k = l only)
+    for scale, p, q, key in terms:
+        if q is None:  # the sum over w of the terms with q = w, at k = l only
+            reads += [(scale, p, np.full(out_cols, w), key, True) for w in range(widths[key])]
         else:
-            reads.append((scale, pm, qm, key, False))
-    scales, p_mats, q_mats, blocks, traced = zip(*reads)
-    p_at, q_at = _ones_at(p_mats)[:, :, None], _ones_at(q_mats)[:, None, :]
-    width = np.array([qm.shape[1] for qm in q_mats])[:, None, None]
-    u = np.where((p_at < 0) | (q_at < 0), -1, p_at * width + q_at).reshape(len(reads), -1)
+            reads.append((scale, p, q, key, False))
+    scales, p_at, q_at, blocks, traced = map(np.array, zip(*reads))
+    p_at, q_at = p_at[:, :, None], q_at[:, None, :]
+    u = p_at * np.asarray(widths)[blocks][:, None, None] + q_at
+    u = np.where((p_at < 0) | (q_at < 0), -1, u).reshape(len(reads), -1)
     first, second = np.triu_indices(out_rows * out_cols)
     r, c = u[:, second], u[:, first]
     same = first % out_cols == second % out_cols
-    read, pair = np.nonzero((r >= 0) & (c >= 0) & (same | ~np.array(traced)[:, None]))
-    lo, hi = np.sort([r[read, pair], c[read, pair]], axis=0)
-    keys = pair * indexer.total + indexer.column(np.array(blocks)[read], lo, hi)
-    entries, where = np.unique(keys, return_inverse=True)
-    acc = np.zeros(entries.size)
-    np.add.at(acc, where, np.array(scales)[read] / np.where(lo == hi, 1.0, 2.0))
-    pair, col = np.divmod(entries, indexer.total)
-    acc *= indexer.scale_vector[col]
-    nonzero = acc != 0.0
-    row = np.unique(pair[nonzero], return_inverse=True)[1]
-    return row, col[nonzero], acc[nonzero]
+    read, row = np.nonzero((r >= 0) & (c >= 0) & (same | ~traced[:, None]))
+    return row, blocks[read], r[read, row], c[read, row], scales[read]
 
 
-def _ones_at(mats) -> np.ndarray:
-    """Per 0/1 selection, the column of the 1 in each row; negative for an empty row."""
-    starts = np.cumsum([0] + [m.shape[1] for m in mats[:-1]])
-    stacked = np.concatenate(mats, axis=1)
-    marked = np.add.reduceat(stacked * np.arange(1, stacked.shape[1] + 1), starts, axis=1)
-    return marked.T.astype(int) - 1 - starts[:, None]
-
-
-def _reduced_problem(d: int, n: int, mode: str, indexer: _SvecIndexer, row_sets) -> SdpProblem:
-    """Stack homogeneous row sets, then the trace normalization, into one CSR program."""
+def _reduced_problem(d: int, n: int, mode: str, identities) -> SdpProblem:
+    """One program from homogeneous identities (terms, out_rows, out_cols), then the trace row."""
+    dims = reduced_block_dims(d, n)
+    widths = [tableau_count(nu) for _, nu in block_keys(d, n)]
     # normalization: the fully contracted scalar equals one, i.e. the total
     # trace over all blocks is d^(n+1)
-    trace = indexer.pack([np.eye(s) for s in indexer.dims])
-    trace_cols = np.flatnonzero(trace)
-    trace_row = (np.zeros(trace_cols.size, dtype=int), trace_cols, trace[trace_cols])
-    rows, cols, vals = zip(*row_sets, trace_row)
-    # every row of a set holds a nonzero, so bincount gives each row's length
-    lengths = np.concatenate([np.bincount(row) for row in rows])
-    indptr = np.concatenate([[0], np.cumsum(lengths)])
-    a = scipy.sparse.csr_matrix(
-        (np.concatenate(vals), np.concatenate(cols), indptr), shape=(lengths.size, indexer.total)
-    )
-    rhs = np.zeros(a.shape[0])
+    diagonal = np.concatenate([np.arange(s) for s in dims])
+    block = np.repeat(np.arange(len(dims)), dims)
+    trace = (np.zeros_like(diagonal), block, diagonal, diagonal, np.ones(diagonal.size))
+    parts, start = [], 0
+    for row, *rest in [_entry_rows(*identity, widths) for identity in identities] + [trace]:
+        parts.append((row + start, *rest))
+        # rows past an identity's last read are empty and homogeneous, so they are dropped anyway
+        start += int(row.max(initial=-1)) + 1
+    rhs = np.zeros(start)
     rhs[-1] = float(d ** (n + 1))
-    problem = SdpProblem(
-        indexer.dims, _objective_list(d, n), a, rhs, metadata={"d": d, "n": n, "mode": mode}
-    )
-    problem.validate()
-    return problem
+    reads = [np.concatenate(v) for v in zip(*parts)]
+    return SdpProblem.from_reads(dims, _objective_list(d, n), reads, rhs, {"d": d, "n": n, "mode": mode})
 
 
-def _shape_chains(base: YoungDiagram, top_boxes: int, d: int) -> list[tuple[YoungDiagram, ...]]:
-    """Single-box growth chains from ``base`` up to ``top_boxes`` within depth d."""
-    if base.boxes == top_boxes:
-        return [(base,)]
-    out = []
-    for child in base.children(max_depth=d):
-        for tail in _shape_chains(child, top_boxes, d):
-            out.append((base,) + tail)
-    return out
-
-
-def _chain_matrix(chain: tuple[YoungDiagram, ...]) -> np.ndarray:
-    mat = np.eye(tableau_count(chain[0]))
-    for parent, child in zip(chain, chain[1:]):
-        mat = mat @ embedding_matrix(parent, child)
-    return mat
+def _embedding_map(parent: YoungDiagram, child: YoungDiagram) -> np.ndarray:
+    """Index map of :func:`embedding_matrix`: the child tableau extending each parent tableau."""
+    return embedding_matrix(parent, child).argmax(1)
 
 
 def build_sequential_sdp(d: int, n: int) -> SdpProblem:
@@ -262,32 +226,34 @@ def build_sequential_sdp(d: int, n: int) -> SdpProblem:
     if d < 2 or n < 1:
         raise ValueError("need d >= 2 and n >= 1")
     key_index = {k: i for i, k in enumerate(block_keys(d, n))}
-    indexer = _SvecIndexer(reduced_block_dims(d, n))
     top = n + 1
 
     @functools.cache
     def chains(alpha: YoungDiagram):
-        """(top diagram, chain matrix) per growth chain from alpha, formed once per build."""
-        return [(c[-1], _chain_matrix(c)) for c in _shape_chains(alpha, top, d)]
+        """(top diagram, map of the embedding product) per single-box growth chain from alpha."""
+        if alpha.boxes == top:
+            return [(alpha, np.arange(tableau_count(alpha)))]
+        return [chain for child in alpha.children(max_depth=d) for chain in grown(alpha, child)]
 
     @functools.cache
     def grown(gamma: YoungDiagram, alpha: YoungDiagram):
-        """alpha's chains with the gamma -> alpha embedding X in front: (top, X P) per chain."""
-        x = embedding_matrix(gamma, alpha)
-        return [(mu, x @ p) for mu, p in chains(alpha)]
+        """alpha's chains with the gamma -> alpha embedding X in front: (top, map of X P) per chain."""
+        x = _embedding_map(gamma, alpha)
+        return [(mu, p[x]) for mu, p in chains(alpha)]
 
     @functools.cache
     def shrunk(delta: YoungDiagram, beta: YoungDiagram):
-        """delta's chains with the delta -> beta embedding X in front: (top, X^T Q) per chain."""
-        x = embedding_matrix(delta, beta)
-        return [(nu, x.T @ q) for nu, q in chains(delta)]
+        """delta's chains with the delta -> beta embedding X in front: (top, map of X^T Q) per chain."""
+        back = np.full(tableau_count(beta), -1)  # back[x[a]] = a; -1 where X^T has an empty row
+        back[_embedding_map(delta, beta)] = np.arange(tableau_count(delta))
+        return [(nu, np.where(back < 0, -1, q[back])) for nu, q in chains(delta)]
 
     def level_terms(left, right, level: int):
-        """(scale, P, Q, block) with C_level = sum scale*(P x Q) C (P x Q)^T over both chain lists."""
+        """(scale, p, q, block) with C_level = sum scale*(P x Q) C (P x Q)^T over both chain lists."""
         scale = float(d) ** -(top - level)
         return [(scale, p, q, key_index[(mu, nu)]) for mu, p in left for nu, q in right]
 
-    row_sets = []
+    identities = []
     for level in range(1, top + 1):
         for gamma in young_diagrams(level - 1, d):
             for beta in young_diagrams(level, d):
@@ -298,10 +264,8 @@ def build_sequential_sdp(d: int, n: int) -> SdpProblem:
                 for delta in beta.parents():
                     for scale, p, q, key in level_terms(chains(gamma), shrunk(delta, beta), level - 1):
                         terms.append((-scale / su_dim(delta, d), p, q, key))
-                row_sets.append(
-                    _entry_rows(terms, tableau_count(gamma), tableau_count(beta), indexer)
-                )
-    return _reduced_problem(d, n, "seq", indexer, row_sets)
+                identities.append((terms, tableau_count(gamma), tableau_count(beta)))
+    return _reduced_problem(d, n, "seq", identities)
 
 
 def build_parallel_sdp(d: int, n: int) -> SdpProblem:
@@ -314,12 +278,11 @@ def build_parallel_sdp(d: int, n: int) -> SdpProblem:
     if d < 2 or n < 1:
         raise ValueError("need d >= 2 and n >= 1")
     key_index = {k: i for i, k in enumerate(block_keys(d, n))}
-    indexer = _SvecIndexer(reduced_block_dims(d, n))
     shapes_top = young_diagrams(n + 1, d)
-    row_sets = []
+    identities = []
     for alpha in young_diagrams(n, d):
         children = alpha.children(max_depth=d)
-        embeddings = {mu: embedding_matrix(alpha, mu) for mu in children}
+        embeddings = {mu: _embedding_map(alpha, mu) for mu in children}
         # substituted right-hand side: (D^alpha)_{a1 a2} * delta_{k1 k2} / d^(n+1)
         # with D^alpha = sum_{mu, nu'} Tr_2[(X x 1) C^{mu nu'} (X x 1)^T]
         trace_terms = [
@@ -330,13 +293,11 @@ def build_parallel_sdp(d: int, n: int) -> SdpProblem:
         for nu in shapes_top:
             d_nu = tableau_count(nu)
             terms = [
-                (1.0 / su_dim(nu, d), embeddings[mu], np.eye(d_nu), key_index[(mu, nu)])
+                (1.0 / su_dim(nu, d), embeddings[mu], np.arange(d_nu), key_index[(mu, nu)])
                 for mu in children
             ]
-            row_sets.append(
-                _entry_rows(terms + trace_terms, tableau_count(alpha), d_nu, indexer)
-            )
-    return _reduced_problem(d, n, "par", indexer, row_sets)
+            identities.append((terms + trace_terms, tableau_count(alpha), d_nu))
+    return _reduced_problem(d, n, "par", identities)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +355,8 @@ def build_full_sdp(d: int, n: int, mode: str) -> SdpProblem:
     The adjoint of a partial trace copies each out entry onto every entry
     of C that it sums, so one embedding of a matrix of row labels over
     ``out`` places every row's first term, and one embedding of each lifted
-    value's labels over ``inner`` its second.  An entry of C meets at most
+    value's labels over ``inner`` its second; each label on C's upper
+    triangle is one read of that row.  An entry of C meets at most
     one row per term, and a sum of two terms does not depend on their
     order, so the rows match dense per-row adjoints bitwise.
     """
@@ -429,7 +391,6 @@ def build_full_sdp(d: int, n: int, mode: str) -> SdpProblem:
             ([reg["P"]], None, (1.0, 0.0), float(d**n)),
         ]
     upper = np.triu_indices(total)
-    weight = np.where(upper[0] == upper[1], 1.0, 0.5)
     parts, rhs = [], []
     for out, inner, (a, b), diag in families:
         side = d ** len(out)
@@ -441,18 +402,14 @@ def build_full_sdp(d: int, n: int, mode: str) -> SdpProblem:
         for scale, labels, regs in terms:
             hit = tensor.embed_operator(labels, regs, dims)[upper]
             col = np.flatnonzero(hit)
-            parts.append((scale * weight[col], hit[col].astype(int) - 1, col))
+            parts.append((hit[col].astype(int) - 1, upper[0][col], upper[1][col], np.full(col.size, scale)))
         rhs.append(np.where(p == q, diag, 0.0))
-    vals, rows, cols = map(np.concatenate, zip(*parts))
-    rhs = np.concatenate(rhs)
-    indexer = _SvecIndexer([total])
-    a = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(rhs.size, indexer.total))
-    a.data *= indexer.scale_vector[a.indices]
+    row, r, c, weight = map(np.concatenate, zip(*parts))
     omega = full_performance_operator(d, n)
-    problem = SdpProblem([total], [(omega + omega.T) / 2.0], a, rhs,
-                         metadata={"d": d, "n": n, "mode": f"full-{mode}"})
-    problem.validate()
-    return problem
+    return SdpProblem.from_reads(
+        [total], [(omega + omega.T) / 2.0], (row, np.zeros_like(row), r, c, weight),
+        np.concatenate(rhs), {"d": d, "n": n, "mode": f"full-{mode}"},
+    )
 
 
 def maximally_mixed_comb(d: int, n: int) -> np.ndarray:

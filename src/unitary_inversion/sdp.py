@@ -9,12 +9,13 @@ the certificate (duality gap plus residuals), not the algorithm.
 The constraints are one sparse matrix A in CSR form, one row per equality
 and one column per svec coordinate: blocks in order, each block's upper
 triangle row by row, off-diagonal entries scaled by sqrt(2), so that
-A @ svec(X) is the vector of sum_b Tr(A_{i,b} X_b).  Builders emit the
-rows of A directly, as CSR arrays.  The JSON instance format stores A as
-those arrays, so a round trip through it is exact.
+A @ svec(X) is the vector of sum_b Tr(A_{i,b} X_b).  Builders state rows
+as reads of matrix entries, and only :meth:`SdpProblem.from_reads` turns
+them into CSR arrays.  The JSON instance format stores A as those arrays,
+so a round trip through it is exact.
 
-Constraint rows are preprocessed on the CSR matrix: exact duplicates
-collapse, and dependent rows are dropped by one column-pivoted QR per
+Constraint rows are preprocessed on the CSR matrix: dependent rows,
+duplicates among them, are dropped by one column-pivoted QR per
 connected component of rows that share svec columns, with one rank
 threshold for all components (see :func:`_preprocess_rows`).  Q is never
 formed; each dropped row's right-hand side is checked for consistency
@@ -114,6 +115,42 @@ class SdpProblem:
             raise ValueError(f"constraint matrix shape {self.a.shape} is not ({len(self.rhs)}, {svec})")
         if not (np.isfinite(self.a.data).all() and np.isfinite(self.rhs).all()):
             raise ValueError("constraint data must be finite")
+
+    @classmethod
+    def from_reads(cls, block_dims, objective, reads, rhs, metadata=None) -> "SdpProblem":
+        """Program whose row i sums weight * X_block[r, c] over its reads and equals rhs[i].
+
+        ``reads`` is five equal-length arrays (row, block, r, c, weight).  X
+        is symmetric, so (r, c) and (c, r) read one svec coordinate; its reads
+        are summed in the order given, off-diagonal ones halved, and only
+        then scaled by sqrt(2).  A row is dropped only when it has no nonzero
+        coefficient and rhs 0.  Out-of-range or non-finite reads are rejected.
+        """
+        row, block, r, c, weight = reads
+        row, block, r, c = (np.asarray(v).astype(np.int64, casting="safe") for v in (row, block, r, c))
+        weight, rhs = np.asarray(weight, dtype=float), np.asarray(rhs, dtype=float)
+        if any(v.shape != (row.size,) for v in (row, block, r, c, weight)):
+            raise ValueError("reads must be five equal-length 1-D arrays")
+        lo, hi, sizes = np.minimum(r, c), np.maximum(r, c), np.asarray(block_dims)
+        if row.size and not (
+            0 <= min(row.min(), block.min(), lo.min()) and row.max() < rhs.size and block.max() < sizes.size
+            and np.all(hi < sizes[block]) and np.isfinite(weight).all()
+        ):
+            raise ValueError("every read must name a row and a block entry, with a finite weight")
+        indexer = _SvecIndexer(list(block_dims))
+        entries, where = np.unique(row * indexer.total + indexer.column(block, lo, hi), return_inverse=True)
+        # bincount adds in input order, so each coordinate sums its reads in the order given
+        acc = np.bincount(where, weight / np.where(lo == hi, 1.0, 2.0), entries.size)
+        row, col = np.divmod(entries, indexer.total)
+        acc *= indexer.scale_vector[col]
+        nonzero = acc != 0.0
+        lengths = np.bincount(row[nonzero], minlength=rhs.size)
+        kept = (lengths > 0) | (rhs != 0.0)
+        indptr = np.concatenate([[0], np.cumsum(lengths[kept])])
+        a = scipy.sparse.csr_matrix((acc[nonzero], col[nonzero], indptr), shape=(kept.sum(), indexer.total))
+        problem = cls(list(block_dims), list(objective), a, rhs[kept], dict(metadata or {}))
+        problem.validate()
+        return problem
 
     def to_json(self) -> str:
         payload = {
@@ -287,15 +324,14 @@ class _SvecIndexer:
 
 
 def _preprocess_rows(a: scipy.sparse.csr_matrix, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Deduplicate and drop linearly dependent rows of the constraint matrix.
+    """Drop linearly dependent rows, duplicates among them, of the constraint matrix.
 
-    Rows collapse when exactly equal in canonical CSR form (sorted columns,
-    no stored zeros); rows of norm at most ``_PIVOT_THRESHOLD`` must have a
-    zero right-hand side.  The other rows are split into connected
-    components, two rows being joined when they share an svec column, and
-    each component is ranked by a column-pivoted QR (LAPACK ``geqp3``) of
-    its rows' transpose, restricted to the columns they touch.  The whole
-    matrix is never densified.
+    Rows of norm at most ``_PIVOT_THRESHOLD`` must have a zero right-hand
+    side.  The other rows are split into connected components, two rows
+    being joined when they share an svec column, and each component is
+    ranked by a column-pivoted QR (LAPACK ``geqp3``) of its rows' transpose,
+    restricted to the columns they touch.  The whole matrix is never
+    densified.
 
     Rows of different components have disjoint supports and so are
     orthogonal.  A pivot counts toward the rank when it exceeds
@@ -318,25 +354,14 @@ def _preprocess_rows(a: scipy.sparse.csr_matrix, rhs: np.ndarray) -> tuple[np.nd
     a = scipy.sparse.csr_matrix(a, copy=True)
     a.sum_duplicates()
     a.eliminate_zeros()
-    seen: dict[bytes, int] = {}
-    order: list[int] = []
-    for i in range(a.shape[0]):
-        lo, hi = a.indptr[i], a.indptr[i + 1]
-        key = a.indices[lo:hi].tobytes() + a.data[lo:hi].tobytes()
-        if key in seen:
-            j = seen[key]
-            if abs(rhs[i] - rhs[j]) > 1e-12 * max(1.0, abs(rhs[j])):
-                return np.array(order, dtype=int), False
-        else:
-            seen[key] = i
-            order.append(i)
-    norms = scipy.sparse.linalg.norm(a[order], axis=1)
+    norms = scipy.sparse.linalg.norm(a, axis=1)
+    # rows cancelled to rounding (seq (3,4) has one of norm 1.8e-17) stay out
+    # of the QRs: inside one they would move which of its rows are kept
     nonzero = norms > _PIVOT_THRESHOLD
-    if np.any(np.abs(rhs[order][~nonzero]) > 1e-12):
-        return np.array(order, dtype=int), False
-    kept_orig = np.array(order, dtype=int)[nonzero]
-    if kept_orig.size == 0:
-        return kept_orig, True
+    kept_orig = np.flatnonzero(nonzero)
+    zero_rows_consistent = not np.any(np.abs(rhs[~nonzero]) > 1e-12)
+    if kept_orig.size == 0 or not zero_rows_consistent:
+        return kept_orig, zero_rows_consistent
     rows, rhs, norms = a[kept_orig], rhs[kept_orig], norms[nonzero]
     threshold = _PIVOT_THRESHOLD * norms.max()
     scale = max(1.0, float(np.abs(rhs).max()))

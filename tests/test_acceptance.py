@@ -14,15 +14,14 @@ from unitary_inversion import comb_sdp as cs
 from unitary_inversion import protocol as pr
 from unitary_inversion.sdp import solve
 from unitary_inversion.symmetric_group import (
-    YoungDiagram,
-    embedding_matrix,
     matrix_unit,
-    standard_tableaux,
     su_dim,
     tableau_count,
     young_diagrams,
 )
-from unitary_inversion.tensor import haar_unitary, partial_trace, random_state
+from unitary_inversion.tensor import haar_unitary, random_state
+
+from test_symmetric_group import branching_deviation, partial_trace_deviation
 
 EXACT = 1 - 1e-10
 
@@ -194,48 +193,10 @@ def test_criterion_7_representation_suite():
                     for (k, l), e2 in units.items():
                         expected = units[(i, l)] if j == k else 0.0
                         worst = max(worst, float(np.abs(e1 @ e2 - expected).max()))
-    # branching and last-factor partial trace for up to 3+1 boxes
+    # branching for up to 3+1 boxes, and the last-factor partial trace for up to 4
     for d in (2, 3):
-        for boxes in (1, 2, 3):
-            for alpha in young_diagrams(boxes, d):
-                for a in range(tableau_count(alpha)):
-                    for b in range(tableau_count(alpha)):
-                        lhs = np.kron(matrix_unit(alpha, d)[a, b], np.eye(d))
-                        rhs = np.zeros_like(lhs)
-                        for child in alpha.children(max_depth=d):
-                            x = embedding_matrix(alpha, child)
-                            rhs += matrix_unit(child, d)[
-                                int(np.argmax(x[a])), int(np.argmax(x[b]))
-                            ]
-                        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    for d in (2, 3):
-        for boxes in (2, 3, 4):
-            if boxes + 0 > 4:
-                continue
-            for mu in young_diagrams(boxes, d):
-                tabs = standard_tableaux(mu)
-                for i, ti in enumerate(tabs):
-                    for j, tj in enumerate(tabs):
-                        reduced = partial_trace(
-                            matrix_unit(mu, d)[i, j],
-                            keep=range(boxes - 1),
-                            dims=(d,) * boxes,
-                        )
-                        # a row word's prefix is its sub-tableau, its row counts the shape
-                        ra, rb = ti[: boxes - 1], tj[: boxes - 1]
-                        alpha, beta = (
-                            YoungDiagram(tuple(w.count(r) for r in range(max(w) + 1)))
-                            for w in (ra, rb)
-                        )
-                        if alpha == beta:
-                            a = standard_tableaux(alpha).index(ra)
-                            b = standard_tableaux(beta).index(rb)
-                            expected = (
-                                su_dim(mu, d) / su_dim(alpha, d)
-                            ) * matrix_unit(alpha, d)[a, b]
-                        else:
-                            expected = np.zeros_like(reduced)
-                        worst = max(worst, float(np.abs(reduced - expected).max()))
+        worst = max(worst, *(branching_deviation(d, boxes) for boxes in (1, 2, 3)))
+        worst = max(worst, *(partial_trace_deviation(d, boxes) for boxes in (2, 3, 4)))
     dims_exact = all(
         sum(tableau_count(m) * su_dim(m, d) for m in young_diagrams(n, d)) == d**n
         for d in range(2, 5)

@@ -254,6 +254,12 @@ def test_diverged_solve_exits_with_its_reason(monkeypatch, tmp_path, capsys):
     assert f"solver numerical_failure: {payload['reason']}" in captured.err
     solution = json.loads((tmp_path / "solution.json").read_text(), parse_constant=reject_constant)
     assert solution["reason"] == payload["reason"]
+    # an iterate's value is not called the optimum, in the payload or the text line
+    assert "optimal_fidelity" not in payload and payload["objective"] == solution["objective"]
+    calls.clear()
+    assert main(["solve", "--d", "2", "--n", "2"]) == 4
+    line = capsys.readouterr().out
+    assert line.startswith(f"seq d=2 n=2: objective {payload['objective']:.6f} ") and "optim" not in line
 
 
 def test_tables_marks_failed_cells(monkeypatch, tmp_path, capsys):

@@ -346,6 +346,26 @@ def test_row_counts_are_pinned():
             assert program_digest(cs.build_full_sdp(d, n, mode)) == digest, (mode, d, n)
 
 
+def test_reduced_programs_are_pinned():
+    # one digest over every reduced program at svec <= 10,000, both modes,
+    # and seq (3,5): the bytes of their (indptr, indices, data, rhs), as
+    # first built from dense 0/1 selection matrices
+    cells = [
+        (build, d, n)
+        for d in range(2, 7)
+        for n in range(1, 6)
+        for build in (cs.build_sequential_sdp, cs.build_parallel_sdp)
+        if cs.reduced_svec_size(d, n) <= 10_000
+    ] + [(cs.build_sequential_sdp, 3, 5)]
+    assert len(cells) == 43
+    h = hashlib.sha256()
+    for build, d, n in cells:
+        problem = build(d, n)
+        for arr in (problem.a.indptr, problem.a.indices, problem.a.data, problem.rhs):
+            h.update(arr.tobytes())
+    assert h.hexdigest() == "29a7efddfd4bf807f21be0a4f8e510a6a824db2809e6a0b90319db4422696308"
+
+
 def lifted_marginal(c, d: int, n: int, out: list[int], inner: list[int]) -> np.ndarray:
     """Tr over the registers outside ``inner``, times 1 on ``out`` minus ``inner``.
 
@@ -486,24 +506,44 @@ def entry_row_cases():
 ENTRY_ROW_CASES = entry_row_cases()
 
 
+def as_index_maps(terms, dims):
+    """The terms as _entry_rows takes them, with each block's second-factor width.
+
+    A 0/1 selection becomes the column of each row's 1, -1 for an empty row.
+    """
+
+    def index_map(mat):
+        return np.where(mat.any(axis=1), mat.argmax(axis=1), -1)
+
+    widths = [1] * len(dims)
+    maps = []
+    for scale, pm, qm, key in terms:
+        widths[key] = dims[key] // pm.shape[1]
+        maps.append((scale, index_map(pm), None if qm is None else index_map(qm), key))
+    return maps, widths
+
+
+def entry_rows_problem(terms, out_rows, out_cols, dims):
+    """_entry_rows' reads of the terms, turned into rows by SdpProblem.from_reads."""
+    maps, widths = as_index_maps(terms, dims)
+    reads = cs._entry_rows(maps, out_rows, out_cols, widths)
+    rhs = np.zeros(out_rows * out_cols * (out_rows * out_cols + 1) // 2)
+    return SdpProblem.from_reads(dims, [np.zeros((s, s)) for s in dims], reads, rhs)
+
+
 @pytest.mark.parametrize("case", list(ENTRY_ROW_CASES))
 def test_entry_rows_match_dense_definition(case):
     terms, out_rows, out_cols, dims = ENTRY_ROW_CASES[case]
-    indexer = _SvecIndexer(dims)
-    row, col, value = cs._entry_rows(terms, out_rows, out_cols, indexer)
-    # sorted by row, then column; a gap in the row numbers would overflow `sparse`
-    assert np.all(np.diff(row * indexer.total + col) > 0)
-    sparse = np.zeros((len(np.unique(row)), indexer.total))
-    sparse[row, col] = value
+    a = entry_rows_problem(terms, out_rows, out_cols, dims).a
+    assert a.has_canonical_format
     dense = dense_entry_rows(terms, out_rows, out_cols, dims)
-    assert sparse.shape == dense.shape
-    assert np.abs(sparse - dense).max(initial=0.0) <= 1e-14
+    assert a.shape == dense.shape
+    assert np.abs(a.toarray() - dense).max(initial=0.0) <= 1e-14
 
 
 def test_entry_rows_sum_in_term_order():
     # 1 + 2^-53 rounds to 1, so the order of the three scales decides the row
     one = np.eye(1)
-    indexer = _SvecIndexer([1])
     tiny = 2.0**-53
     cases = [
         ([(1.0, one, one, 0), (tiny, one, one, 0), (-1.0, one, one, 0)], None),
@@ -511,30 +551,35 @@ def test_entry_rows_sum_in_term_order():
         ([(1.0, one, None, 0), (-1.0, one, one, 0), (tiny, one, one, 0)], tiny),
     ]
     for terms, expected in cases:
-        row, col, value = cs._entry_rows(terms, 1, 1, indexer)
+        a = entry_rows_problem(terms, 1, 1, [1]).a
         if expected is None:
-            assert row.size == col.size == value.size == 0
+            assert a.shape == (0, 1)
         else:
-            assert row.tolist() == col.tolist() == [0] and value.tolist() == [expected]
+            assert a.indices.tolist() == [0] and a.data.tolist() == [expected]
 
 
 def test_builder_terms_are_selections(monkeypatch):
-    # _entry_rows reads each term as index maps, which needs 0/1 matrices
-    # with at most one 1 per row; it does not check them itself
+    # _entry_rows reads each term through index maps, which it does not
+    # check: integer arrays with one entry per output row (p) or column (q),
+    # each -1 or a tableau of the block's first (p) or second (q) factor
     entry_rows = cs._entry_rows
     seen = []
+    block_dims = []
 
-    def checked(terms, out_rows, out_cols, indexer):
-        for _, pm, qm, _ in terms:
-            for mat in (pm,) if qm is None else (pm, qm):
-                assert np.isin(mat, (0.0, 1.0)).all()
-                assert mat.sum(axis=1).max() <= 1.0
-                seen.append(mat)
-        return entry_rows(terms, out_rows, out_cols, indexer)
+    def checked(terms, out_rows, out_cols, widths):
+        for _, p, q, key in terms:
+            maps = [(p, out_rows, block_dims[key] // widths[key])]
+            maps += [] if q is None else [(q, out_cols, widths[key])]
+            for index_map, length, width in maps:
+                assert index_map.dtype.kind == "i" and index_map.shape == (length,)
+                assert -1 <= index_map.min() and index_map.max() < width
+                seen.append(index_map)
+        return entry_rows(terms, out_rows, out_cols, widths)
 
     monkeypatch.setattr(cs, "_entry_rows", checked)
     cells = [(d, n) for d in range(2, 5) for n in range(1, 4)] + [(2, 4)]
     for d, n in cells:
+        block_dims[:] = cs.reduced_block_dims(d, n)
         cs.build_sequential_sdp(d, n)
         cs.build_parallel_sdp(d, n)
     assert len(seen) > 1000

@@ -119,17 +119,20 @@ def test_duplicated_rows_do_not_change_optimum():
 
 
 def test_infeasible_detected_by_preprocessing():
-    problem = pack_rows(
-        [1],
-        [np.array([[1.0]])],
-        [
-            ({0: np.array([[1.0]])}, 1.0),
-            ({0: np.array([[1.0]])}, 2.0),
-        ],
-    )
-    solution = solve(problem)
-    assert solution.status == "infeasible_detected"
-    assert solution.reason == "preprocessing found inconsistent constraint rows"
+    # duplicated rows are dependent rows: the QR drops one and checks its
+    # right-hand side against the other's to 1e-8 times the largest one
+    for first, second in ((1.0, 2.0), (3.0, 3.0 * (1.0 + 1e-6))):
+        problem = pack_rows(
+            [1],
+            [np.array([[1.0]])],
+            [
+                ({0: np.array([[1.0]])}, first),
+                ({0: np.array([[1.0]])}, second),
+            ],
+        )
+        solution = solve(problem)
+        assert solution.status == "infeasible_detected"
+        assert solution.reason == "preprocessing found inconsistent constraint rows"
 
 
 def test_inconsistent_combination_detected():
@@ -333,6 +336,51 @@ def assert_same_instance(rebuilt, problem):
     assert rebuilt.rhs.tobytes() == problem.rhs.tobytes()
     for got, want in zip(rebuilt.objective, problem.objective, strict=True):
         assert np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+def test_from_reads_sums_halves_then_scales():
+    # reads (row, block, r, c, weight) over a 2x2 and a 3x3 block
+    dims = [2, 3]
+    reads = [
+        (0, 1, 0, 1, 2.0), (0, 1, 1, 0, 3.0), (0, 0, 1, 1, -1.5),  # both orders of one entry
+        (1, 0, 0, 1, 1.0), (1, 0, 1, 0, -1.0),  # cancels with rhs 0: dropped
+        (2, 1, 2, 2, 0.5), (2, 1, 2, 2, -0.5),  # cancels with rhs 4: kept, empty
+        # row 3 reads nothing with rhs 0 (dropped), row 4 nothing with rhs -1 (kept)
+        (5, 1, 2, 0, 0.25), (5, 0, 0, 0, 4.0),
+    ]
+    rhs = [1.0, 0.0, 4.0, 0.0, -1.0, 2.0]
+    columns = [np.array(v) for v in zip(*reads)]
+    problem = SdpProblem.from_reads(dims, [np.eye(s) for s in dims], columns, rhs, {"d": 2})
+    # each read is half on each side of the symmetric coefficient matrix,
+    # which _SvecIndexer.pack scales by sqrt(2) off the diagonal
+    expected = []
+    for i in (0, 2, 4, 5):
+        mats = [np.zeros((s, s)) for s in dims]
+        for row, b, r, c, w in reads:
+            if row == i:
+                mats[b][r, c] += w / 2.0
+                mats[b][c, r] += w / 2.0
+        expected.append(_SvecIndexer(dims).pack(mats))
+    assert problem.a.has_canonical_format
+    assert np.array_equal(problem.a.toarray(), expected)
+    assert problem.rhs.tolist() == [1.0, 4.0, -1.0, 2.0]
+    assert problem.metadata == {"d": 2}
+    # the kept empty rows are what lets preprocessing certify infeasibility
+    assert solve(problem).status == "infeasible_detected"
+    bad_entries = {
+        "row past rhs": (0, 6), "negative row": (0, -1), "block past dims": (1, 2),
+        "negative block": (1, -1), "r outside block": (2, 3), "negative c": (3, -1),
+        "c outside block 0": (3, 2), "nan weight": (4, math.nan), "inf weight": (4, math.inf),
+    }
+    for field, value in bad_entries.values():
+        bad = [v.copy() for v in columns]
+        bad[field][-1] = value  # the last read is in block 0, a 2x2 block
+        with pytest.raises(ValueError, match="every read"):
+            SdpProblem.from_reads(dims, [np.eye(s) for s in dims], bad, rhs)
+    with pytest.raises(ValueError, match="equal-length"):
+        SdpProblem.from_reads(dims, [np.eye(s) for s in dims], columns[:4] + [columns[4][:-1]], rhs)
+    with pytest.raises(TypeError):
+        SdpProblem.from_reads(dims, [np.eye(s) for s in dims], [columns[0] + 0.5] + columns[1:], rhs)
 
 
 def test_from_json_rejects_unknown_block():

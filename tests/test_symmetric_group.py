@@ -334,22 +334,51 @@ def _restricted_index(tableau, boxes):
     return word_shape(reduced), standard_tableaux(word_shape(reduced)).index(reduced)
 
 
+def branching_deviation(d: int, boxes: int) -> float:
+    """Largest deviation of E^alpha_ab x 1 from its child-shape units, over alpha with ``boxes`` boxes."""
+    worst = 0.0
+    for alpha in young_diagrams(boxes, d):
+        dim = tableau_count(alpha)
+        for a in range(dim):
+            for b in range(dim):
+                lhs = np.kron(matrix_unit(alpha, d)[a, b], np.eye(d))
+                rhs = np.zeros_like(lhs)
+                for child in alpha.children(max_depth=d):
+                    x = embedding_matrix(alpha, child)
+                    rhs += matrix_unit(child, d)[
+                        int(np.argmax(x[a])), int(np.argmax(x[b]))
+                    ]
+                worst = max(worst, float(np.abs(lhs - rhs).max()))
+    return worst
+
+
 def test_branching_identity():
     # adding one tensor factor splits a commutant unit into child-shape units
     for d in (2, 3):
         for boxes in (1, 2, 3):
-            for alpha in young_diagrams(boxes, d):
-                dim = tableau_count(alpha)
-                for a in range(dim):
-                    for b in range(dim):
-                        lhs = np.kron(matrix_unit(alpha, d)[a, b], np.eye(d))
-                        rhs = np.zeros_like(lhs)
-                        for child in alpha.children(max_depth=d):
-                            x = embedding_matrix(alpha, child)
-                            rhs += matrix_unit(child, d)[
-                                int(np.argmax(x[a])), int(np.argmax(x[b]))
-                            ]
-                        assert np.abs(lhs - rhs).max() <= 1e-10
+            assert branching_deviation(d, boxes) <= 1e-10
+
+
+def partial_trace_deviation(d: int, boxes: int) -> float:
+    """Largest deviation of Tr_last E^mu_ij from its rescaled restriction, over mu with ``boxes`` boxes."""
+    worst = 0.0
+    for mu in young_diagrams(boxes, d):
+        tabs = standard_tableaux(mu)
+        for i, ti in enumerate(tabs):
+            for j, tj in enumerate(tabs):
+                e = matrix_unit(mu, d)[i, j]
+                reduced = partial_trace(
+                    e, keep=range(boxes - 1), dims=(d,) * boxes
+                )
+                alpha, a = _restricted_index(ti, boxes - 1)
+                beta, b = _restricted_index(tj, boxes - 1)
+                if alpha == beta:
+                    ratio = su_dim(mu, d) / su_dim(alpha, d)
+                    expected = ratio * matrix_unit(alpha, d)[a, b]
+                else:
+                    expected = np.zeros_like(reduced)
+                worst = max(worst, float(np.abs(reduced - expected).max()))
+    return worst
 
 
 def test_partial_trace_of_matrix_units():
@@ -358,22 +387,7 @@ def test_partial_trace_of_matrix_units():
         for boxes in (2, 3, 4):
             if boxes == 4 and d == 3:
                 continue  # covered by the acceptance suite at smaller size
-            for mu in young_diagrams(boxes, d):
-                tabs = standard_tableaux(mu)
-                for i, ti in enumerate(tabs):
-                    for j, tj in enumerate(tabs):
-                        e = matrix_unit(mu, d)[i, j]
-                        reduced = partial_trace(
-                            e, keep=range(boxes - 1), dims=(d,) * boxes
-                        )
-                        alpha, a = _restricted_index(ti, boxes - 1)
-                        beta, b = _restricted_index(tj, boxes - 1)
-                        if alpha == beta:
-                            ratio = su_dim(mu, d) / su_dim(alpha, d)
-                            expected = ratio * matrix_unit(alpha, d)[a, b]
-                        else:
-                            expected = np.zeros_like(reduced)
-                        assert np.abs(reduced - expected).max() <= 1e-10
+            assert partial_trace_deviation(d, boxes) <= 1e-10
 
 
 def test_diagram_validation():
