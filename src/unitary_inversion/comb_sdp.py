@@ -45,9 +45,11 @@ from .symmetric_group import (
     young_diagrams,
 )
 
-# d^(2n+2) <= 5^4 admits n <= 3 at d=2 and n=1 at d=3, 4, 5; full (3, 2) keeps
-# 27k-29k of its 30k rows, a 5.7-6.9 GB dense Schur complement
-FULL_SPACE_DIM_CAP = 625
+# d^(2n+2) <= 4^4 admits n <= 3 at d=2 and n=1 at d=3, 4; the slowest of them,
+# full-par (2, 3), solves in about 94 s at 1.3 GB.  Full (5, 1) builds but had
+# not solved after 5 min at 1.4 GB, and full (3, 2) keeps 27k-29k of its 30k
+# rows, a 5.7-6.9 GB dense Schur complement
+FULL_SPACE_DIM_CAP = 256
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ between computational qubits and total-spin label registers.
 Label conventions: a j-register stores floor(j) in binary, an m-register
 stores m + j in binary, and a single qubit |1> carries spin up (+1/2).
 Two build paths exist for the Clebsch-Gordan blocks: ``gate`` multiplies
-out the explicit gate sequence, ``matrix`` writes the defining coupling
-relations column by column and completes them to a unitary.  Both agree on
+out the explicit gate sequence, ``matrix`` reads every defined column from
+one coupling rule (``_coupled``: one qubit added to spin j) and completes
+the free columns by an SVD of the defined ones.  Both agree on
 every state the protocol can reach; behavior off that subspace is not
 specified and may differ.  The gate path is the protocol; the matrix path
 is the reference that the tests and the benchmark compare it against, and
@@ -136,127 +137,70 @@ def build_vcg3() -> np.ndarray:
 
 
 def _complete_isometry(columns: dict[int, np.ndarray], dim: int) -> np.ndarray:
-    """Extend defined columns to a unitary, deterministically.
+    """Extend orthonormal defined columns to a unitary, deterministically.
 
-    Undefined columns take the matching identity column when it is
-    consistent, otherwise the first remaining basis direction, always
-    orthogonalized against everything placed so far.
+    The free columns, in index order, are the left singular vectors of the
+    defined ones that span their orthogonal complement.
     """
+    defined = sorted(columns)
+    free = [col for col in range(dim) if col not in columns]
     mat = np.zeros((dim, dim), dtype=complex)
-    used: list[np.ndarray] = []
-    for col, vec in sorted(columns.items()):
-        mat[:, col] = vec
-        used.append(vec)
-    for col in range(dim):
-        if col in columns:
-            continue
-        placed = False
-        for candidate_idx in [col] + [k for k in range(dim) if k != col]:
-            v = np.zeros(dim, dtype=complex)
-            v[candidate_idx] = 1.0
-            for u in used:
-                v = v - u * np.vdot(u, v)
-            norm = np.linalg.norm(v)
-            if norm > 1e-9:
-                v = v / norm
-                mat[:, col] = v
-                used.append(v)
-                placed = True
-                break
-        if not placed:
-            raise AssertionError("unitary completion failed")
+    mat[:, defined] = np.column_stack([columns[col] for col in defined])
+    mat[:, free] = np.linalg.svd(mat[:, defined])[0][:, len(defined):]
     return mat
 
 
-def _spin_state(j: float, m: float, n: int) -> np.ndarray:
-    """Total-spin basis state |j; m> of n qubits, built by recursive coupling."""
-    if n == 1:
-        v = np.zeros(2)
-        v[int(m + 0.5)] = 1.0
-        return v
-    # couple (n-1)-qubit spin j0 with one more qubit
-    out = np.zeros(2**n)
-    for j0 in (j - 0.5, j + 0.5):
-        if j0 < 0 or j0 > (n - 1) / 2.0 or abs(m) > j0 + 0.5:
-            continue
-        ang = cg_angle(j0, m)
-        c, s = math.cos(ang), math.sin(ang)
-        # row selected by whether j = j0 - 1/2 or j0 + 1/2
-        if abs(j - (j0 - 0.5)) < 1e-9:
-            coeff_down, coeff_up = c, -s  # partner qubit |0> vs |1>
-        else:
-            coeff_down, coeff_up = s, c
-        if abs(m + 0.5) <= j0 + 1e-9 and coeff_down != 0.0:
-            out += coeff_down * np.kron(_spin_state(j0, m + 0.5, n - 1), [1.0, 0.0])
-        if abs(m - 0.5) <= j0 + 1e-9 and coeff_up != 0.0:
-            out += coeff_up * np.kron(_spin_state(j0, m - 0.5, n - 1), [0.0, 1.0])
-    return out
+def _coupled(j: float, m: float, j_old: float) -> list[tuple[float, float, int]]:
+    """Terms (coefficient, old m, qubit) of |j; m> built from spin ``j_old`` plus one qubit.
+
+    With theta = cg_angle(j_old, m), the qubit-down term (|0>, old m = m + 1/2)
+    and the qubit-up term (|1>, old m = m - 1/2) weigh cos theta and
+    -sin theta for j = j_old - 1/2, sin theta and cos theta for
+    j = j_old + 1/2.  Terms whose old m lies outside +-j_old are dropped.
+    """
+    theta = cg_angle(j_old, m)
+    c, s = math.cos(theta), math.sin(theta)
+    down, up = (c, -s) if j < j_old else (s, c)
+    terms = ((down, m + 0.5, 0), (up, m - 0.5, 1))
+    return [(w, m_old, q) for w, m_old, q in terms if abs(m_old) <= j_old]
 
 
 def build_vcg2_matrix() -> np.ndarray:
     """Coupling transform for two qubits from its defining relations.
 
-    Columns of the inverse are pinned on every valid (j, m) label; the
-    remainder is a deterministic unitary completion.
+    Column (j bit, m-register) of the inverse is |j; m> of the two qubits,
+    the first qubit a spin 1/2 with m + 1/2 as its value, with the third
+    wire at |0>; the remainder is a deterministic unitary completion.
     """
     columns: dict[int, np.ndarray] = {}
-    # label (j bit, m-register) -> physical |j; m> x |0>
     for jbit, j in ((0, 0.0), (1, 1.0)):
-        m = -j
-        while m <= j + 1e-9:
-            reg = int(round(m + j))
-            col = (jbit << 2) | reg
-            columns[col] = np.kron(_spin_state(j, m, 2), [1.0, 0.0]).astype(complex)
-            m += 1.0
+        for reg in range(int(2 * j) + 1):
+            vec = np.zeros(8, dtype=complex)
+            for w, m_old, q in _coupled(j, reg - j, 0.5):
+                vec[(int(m_old + 0.5) << 2) | (q << 1)] += w
+            columns[(jbit << 2) | reg] = vec
     return check_unitary(_complete_isometry(columns, 8).conj().T)
+
+
+# The labels of the three-qubit coupling, one row per (j', p') family:
+# (j bit, j, j' bit, j', multiplicity bit), j the two-qubit spin it descends from.
+_VCG3_LABELS = ((1, 1.0, 0, 0.5, 0), (0, 0.0, 0, 0.5, 1), (1, 1.0, 1, 1.5, 1))
 
 
 def build_vcg3_matrix() -> np.ndarray:
     """Coupling transform for (two-qubit labels + one qubit) from its relations.
 
-    For each valid (j', m', p') label the inverse maps to the superposition
-    of (j, m-register, new-qubit) states prescribed by the coupling
-    coefficients; completion as in the two-qubit build.
+    Column (j' bit, m'-register, p') of the inverse is |j'; m'> built from
+    the (j bit, m-register) label of its row in ``_VCG3_LABELS`` and the new
+    qubit; completion as in the two-qubit build.
     """
     columns: dict[int, np.ndarray] = {}
-
-    def reg_state(jbit: int, reg: int, q: int) -> int:
-        return (jbit << 3) | (reg << 1) | q
-
-    def basis16(idx: int) -> np.ndarray:
-        v = np.zeros(16, dtype=complex)
-        v[idx] = 1.0
-        return v
-
-    # j' = 1/2 labels (j'-bit 0), m-register holds m' + 1/2 in {0, 1}.
-    for mreg, m_prime in ((0, -0.5), (1, 0.5)):
-        ang1 = cg_angle(1.0, m_prime)
-        c1, s1 = math.cos(ang1), math.sin(ang1)
-        # multiplicity bit 0: descended from the triplet of the first two qubits
-        col = reg_state(0, mreg, 0)
-        vec = c1 * basis16(reg_state(1, int(round(m_prime + 1.5)), 0))
-        vec -= s1 * basis16(reg_state(1, int(round(m_prime + 0.5)), 1))
-        columns[col] = vec
-        # multiplicity bit 1: descended from the singlet
-        ang0 = cg_angle(0.0, m_prime)
-        c0, s0 = math.cos(ang0), math.sin(ang0)
-        vec = np.zeros(16, dtype=complex)
-        if s0 != 0.0:
-            vec += s0 * basis16(reg_state(0, 0, 0))
-        if c0 != 0.0:
-            vec += c0 * basis16(reg_state(0, 0, 1))
-        columns[reg_state(0, mreg, 1)] = vec
-    # j' = 3/2 labels (j'-bit 1), m-register holds m' + 3/2 in {0..3}.
-    for mreg in range(4):
-        m_prime = mreg - 1.5
-        ang1 = cg_angle(1.0, m_prime)
-        c1, s1 = math.cos(ang1), math.sin(ang1)
-        vec = np.zeros(16, dtype=complex)
-        if s1 != 0.0:
-            vec += s1 * basis16(reg_state(1, int(round(m_prime + 1.5)), 0))
-        if c1 != 0.0:
-            vec += c1 * basis16(reg_state(1, int(round(m_prime + 0.5)), 1))
-        columns[reg_state(1, mreg, 1)] = vec
+    for jbit, j, jbit_new, j_new, p in _VCG3_LABELS:
+        for reg_new in range(int(2 * j_new) + 1):
+            vec = np.zeros(16, dtype=complex)
+            for w, m_old, q in _coupled(j_new, reg_new - j_new, j):
+                vec[(jbit << 3) | (int(m_old + j) << 1) | q] += w
+            columns[(jbit_new << 3) | (reg_new << 1) | p] = vec
     return check_unitary(_complete_isometry(columns, 16).conj().T)
 
 
@@ -335,7 +279,7 @@ def _require_su2(u: np.ndarray) -> np.ndarray:
     if not math.hypot(det.real - 1.0, det.imag) <= 1e-10:
         raise ValueError(
             f"input must be special unitary (det 1), got det {det:.6f}; "
-            "use project_to_special_unitary explicitly if intended"
+            "use tensor.project_to_special_unitary explicitly if intended"
         )
     return mat
 

@@ -70,10 +70,10 @@ def test_simulate_payload_digest_is_pinned(mode, capsys):
 BOUNDARY_SCRIPT = """
 import json, sys
 from pathlib import Path
-import unitary_inversion.protocol
-from unitary_inversion import cli
+from unitary_inversion import cli, protocol
 out = Path(sys.argv[1])
 code = cli.main(["simulate", "--trials", "3"])
+protocol.build_protocol("matrix")
 scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 (out / "boundary.json").write_text(json.dumps({"code": code, "scipy": scipy}))
 for argv in (["solve", "--d", "2", "--n", "1"], ["tables", "--d-max", "2", "--n-max", "1"]):
@@ -82,8 +82,8 @@ for argv in (["solve", "--d", "2", "--n", "1"], ["tables", "--d-max", "2", "--n-
 
 
 def test_simulate_never_loads_scipy(tmp_path):
-    # the circuit path is numpy alone; the SDP commands record the
-    # --svec-cap default in their manifests
+    # the circuit path, the matrix-path reference build included, is numpy
+    # alone; the SDP commands record the --svec-cap default in their manifests
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     subprocess.run(
         [sys.executable, "-c", BOUNDARY_SCRIPT, str(tmp_path)],
@@ -133,10 +133,11 @@ def test_solve_size_cap_exit_code(capsys):
     assert code == 3
     assert "full-space dimension 1024 exceeds cap" in err
     assert "matrix_unit" not in err
-    for mode in ("full-seq", "full-par"):
-        code = main(["solve", "--d", "3", "--n", "2", "--mode", mode])
-        assert code == 3
-        assert "full-space dimension 729 exceeds cap 625" in capsys.readouterr().err
+    for d, n, total in ((3, 2, 729), (5, 1, 625)):
+        for mode in ("full-seq", "full-par"):
+            code = main(["solve", "--d", str(d), "--n", str(n), "--mode", mode])
+            assert code == 3
+            assert f"full-space dimension {total} exceeds cap 256" in capsys.readouterr().err
 
 
 def test_solve_out_writes_reproducible_instance(tmp_path, capsys):

@@ -248,10 +248,12 @@ def test_full_space_cap():
         cs.build_full_sdp(2, 6, "seq")
     with pytest.raises(ValueError):
         cs.build_full_sdp(2, 4, "seq")
-    # d^(2n+2) = 729: full (3, 2) keeps too many rows for a dense Schur complement
-    for mode in ("seq", "par"):
-        with pytest.raises(ValueError, match="729 exceeds cap 625"):
-            cs.build_full_sdp(3, 2, mode)
+    # full (3, 2) keeps too many rows for a dense Schur complement, and
+    # full (5, 1) builds but does not solve in minutes
+    for d, n, total in ((3, 2, 729), (5, 1, 625)):
+        for mode in ("seq", "par"):
+            with pytest.raises(ValueError, match=f"{total} exceeds cap 256"):
+                cs.build_full_sdp(d, n, mode)
     with pytest.raises(ValueError):
         cs.build_full_sdp(2, 1, "other")
     # below the smallest instance, as for the reduced builders
@@ -338,8 +340,6 @@ def test_row_counts_are_pinned():
                  "7d305b64acce0927668afaa9ccd88bb4877cf962fc75e3dd11447200a62fe055"),
         (2, 3): ("34eb4e795df1ebb7c870e03c2f318e0bf0f3720377f7b94f0d1ae789be988885",
                  "602ce6610a0b3c0f18826459ef388553a9016134ace0745330eec2f146a10f89"),
-        (5, 1): ("92aaa6221f6f853c0b7e2d5b60b1b3a62ad4f414325165dd4f3b9a8b156eb181",
-                 "547ce1ebf8fb486d1de79b6f21cca3bea1cf089935169a03cefda2cd1df7a40d"),
     }
     for (d, n), expected in full_digests.items():
         for mode, digest in zip(("seq", "par"), expected):

@@ -21,6 +21,26 @@ def label(bits):
     return basis_state((2,) * len(bits), bits)
 
 
+# valid (j bit, m-register) labels of two qubits: j = 0, then j = 1
+PAIR_LABELS = ((0, 0), (1, 0), (1, 1), (1, 2))
+# defined columns of the coupling inverses: (j bit, m-register) for VCG2,
+# (j' bit, m'-register, p') for VCG3 with j' = 1/2 twice and j' = 3/2 once
+PAIR_COLUMNS = [(jbit << 2) | reg for jbit, reg in PAIR_LABELS]
+TRIPLE_COLUMNS = [(reg << 1) | p for reg in range(2) for p in range(2)] + [
+    (1 << 3) | (reg << 1) | 1 for reg in range(4)
+]
+
+
+def assert_reference_columns(gate, reference, defined):
+    """The gate build matches the reference inverse on every defined label, and
+    completing the reference's defined columns again keeps them bitwise."""
+    vdg = reference.conj().T
+    assert np.abs(gate.conj().T[:, defined] - vdg[:, defined]).max() <= 1e-12
+    completed = pr._complete_isometry({col: vdg[:, col] for col in defined}, len(vdg))
+    assert completed[:, defined].tobytes() == vdg[:, defined].tobytes()
+    assert np.abs(completed.conj().T @ completed - np.eye(len(vdg))).max() <= 1e-14
+
+
 def test_cg_angle_values():
     assert math.cos(pr.cg_angle(1.0, 0.5)) == pytest.approx(math.sqrt(2 / 3), abs=1e-14)
     assert math.cos(pr.cg_angle(1.0, -0.5)) == pytest.approx(math.sqrt(1 / 3), abs=1e-14)
@@ -63,6 +83,13 @@ def test_pair_coupling_circuit_unitary():
         assert np.abs(v.conj().T @ v - np.eye(8)).max() <= 1e-12
 
 
+def test_pair_coupling_reference_columns():
+    reference = pr.build_vcg2_matrix()
+    # each defined column is |j; m> x |0>: exactly zero with the third wire at |1>
+    assert not reference.conj().T[1::2, PAIR_COLUMNS].any()
+    assert_reference_columns(pr.build_vcg2(), reference, PAIR_COLUMNS)
+
+
 def test_pair_coupling_labels():
     # spin-aligned pairs map onto the stretched labels; the antisymmetric
     # pair lands on the j=0 label (third register returns to zero)
@@ -94,6 +121,18 @@ def test_triple_coupling_defining_relations():
         vdg = build().conj().T
         for state, expected in relations:
             assert np.abs(vdg @ state - expected).max() <= 1e-12
+
+
+def test_triple_coupling_reference_columns():
+    reference = pr.build_vcg3_matrix()
+    # inputs (j bit, m-register, qubit) whose pair is no valid label stay exactly zero
+    off_labels = [
+        (jbit << 3) | (reg << 1) | q
+        for jbit in range(2) for reg in range(4) for q in range(2)
+        if (jbit, reg) not in PAIR_LABELS
+    ]
+    assert not reference.conj().T[np.ix_(off_labels, TRIPLE_COLUMNS)].any()
+    assert_reference_columns(pr.build_vcg3(), reference, TRIPLE_COLUMNS)
 
 
 def test_triple_coupling_unitary():

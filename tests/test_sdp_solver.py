@@ -423,23 +423,17 @@ def test_validate_rejects_bad_objective_and_rhs():
 
 
 def reference_preprocess(a, rhs):
-    """Row preprocessing as first written: economic pivoted QR, then lstsq on the rows."""
+    """Row preprocessing by its first algorithm: economic pivoted QR, then lstsq on the rows.
+
+    A duplicated row is one more dependent row, judged by the lstsq rule, as
+    in ``_preprocess_rows``.
+    """
     a = a.toarray()
-    seen, order = {}, []
-    for i in range(a.shape[0]):
-        key = a[i].tobytes()
-        if key in seen:
-            if abs(rhs[i] - rhs[seen[key]]) > 1e-12 * max(1.0, abs(rhs[seen[key]])):
-                return np.array(order, dtype=int), False
-        else:
-            seen[key] = i
-            order.append(i)
-    a, rhs = a[order], rhs[order]
     nonzero = np.linalg.norm(a, axis=1) > 1e-10
     if np.any(np.abs(rhs[~nonzero]) > 1e-12):
-        return np.array(order, dtype=int), False
+        return np.arange(a.shape[0]), False
     a, rhs = a[nonzero], rhs[nonzero]
-    kept = np.array(order, dtype=int)[nonzero]
+    kept = np.flatnonzero(nonzero)
     _, r, piv = scipy.linalg.qr(a.T, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     rank = int(np.sum(diag > 1e-10 * max(diag[0], 1e-300)))
@@ -482,12 +476,21 @@ def test_preprocess_rows_matches_reference_full_space(mode, n):
     assert_same_row_space(build_full_sdp(2, n, mode))
 
 
-@pytest.mark.parametrize("offset, consistent", [(1e-6, False), (1e-12, True)])
-def test_preprocess_rows_checks_dropped_combination(offset, consistent):
+@pytest.mark.parametrize(
+    "weights, offset, consistent",
+    [
+        ((2.5, -0.7, 1.3), 1e-6, False),
+        ((2.5, -0.7, 1.3), 1e-12, True),
+        # an exact duplicate of the first row
+        ((1.0, 0.0, 0.0), 1e-6, False),
+        ((1.0, 0.0, 0.0), 1e-10, True),
+    ],
+    ids=["1e-06-False", "1e-12-True", "duplicate-1e-06-False", "duplicate-1e-10-True"],
+)
+def test_preprocess_rows_checks_dropped_combination(weights, offset, consistent):
     rng = np.random.default_rng(7)
     basis = [random_symmetric(rng, 3) for _ in range(3)]
     values = [3.0, -2.0, 5.0]
-    weights = [2.5, -0.7, 1.3]
     combo = sum(w * m for w, m in zip(weights, basis))
     combo_rhs = float(np.dot(weights, values))
     scale = max(1.0, abs(combo_rhs), *map(abs, values))
