@@ -3,7 +3,8 @@
 Exit codes are a stable contract: 0 success, 2 tolerance breach, 3 size
 cap, 4 solver failure.  Every command with a fixed seed emits
 byte-reproducible JSON payloads; wall time and artifact digests go to a
-separate run manifest when an output directory is given.
+separate run manifest when an output directory is given.  A command
+returns an `_Outcome` (or exit 3 alone, at a size cap) for `_emit` to print and write.
 
 Only ``solve`` and ``tables`` import the SDP modules, and with them scipy;
 ``simulate`` runs on numpy alone.
@@ -18,6 +19,7 @@ import math
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,47 +36,52 @@ EXACTNESS_BOUND = 1.0 - 1e-10
 REDUCED_SVEC_CAP = 2000
 
 
-def _manifest_parameters(args) -> dict:
-    skip = {"func", "out"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
+class _Outcome(NamedTuple):
+    payload: dict
+    summary: str  # printed in place of the payload without --json
+    files: dict[str, str]  # --out artifacts besides <command>.json
+    seed: int
+    code: int
 
 
-def _write_artifacts(out_dir: str, files: dict[str, str], manifest: dict) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    hashes = {}
-    for name, text in files.items():
-        path = out / name
-        path.write_text(text)
-        hashes[name] = hashlib.sha256(text.encode()).hexdigest()
-    manifest = dict(manifest)
-    manifest["artifact_hashes"] = hashes
-    (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2))
+def _emit(args, start: float, outcome: _Outcome) -> int:
+    """Print the payload or summary; under --out write every artifact and the manifest."""
+    text = json.dumps(outcome.payload, sort_keys=True, indent=2)
+    print(text if args.json else outcome.summary)
+    if args.out:
+        files = {f"{args.command}.json": text, **outcome.files}
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, body in files.items():
+            (out / name).write_text(body)
+        manifest = {
+            "command": args.command,
+            "parameters": {k: v for k, v in vars(args).items() if k not in ("func", "out")},
+            "seed": outcome.seed,
+            "wall_time": time.perf_counter() - start,
+            "artifact_hashes": {n: hashlib.sha256(b.encode()).hexdigest() for n, b in files.items()},
+        }
+        (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2))
+    return outcome.code
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> _Outcome:
     rng = np.random.default_rng(args.seed)
     circuit = protocol.build_protocol()
-    start = time.perf_counter()
-    records = []
+    records, values = [], []
     for _ in range(args.trials):
         u = haar_unitary(2, rng)
         phi = random_state((2,), rng)
         if args.mode == "standard":
             _, fid = protocol.run_inversion(u, phi, circuit)
             records.append({"fidelity": fid})
+            values.append(fid)
         else:
-            if args.mode == "catalytic":
-                catalyst = protocol.honest_catalyst(u)
-            else:
-                catalyst = protocol.honest_catalyst(haar_unitary(2, rng))
+            catalyst = protocol.honest_catalyst(u if args.mode == "catalytic" else haar_unitary(2, rng))
             _, cat_fid, target_fid = protocol.run_catalytic(u, phi, catalyst, circuit)
             records.append({"catalyst_fidelity": cat_fid, "target_fidelity": target_fid})
-    wall = time.perf_counter() - start
-    if args.mode == "standard":
-        values = [r["fidelity"] for r in records]
-    else:
-        values = [min(r["catalyst_fidelity"], r["target_fidelity"]) for r in records]
+            values.append(min(cat_fid, target_fid))
+    low, mean = min(values), sum(values) / len(values)
     payload = {
         "command": "simulate",
         "mode": args.mode,
@@ -82,68 +89,51 @@ def cmd_simulate(args) -> int:
         "seed": args.seed,
         "per_trial": records,
         "summary": {
-            "min_fidelity": min(values),
-            "mean_fidelity": sum(values) / len(values),
+            "min_fidelity": low,
+            "mean_fidelity": mean,
         },
     }
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    if args.json:
-        print(text)
-    else:
-        print(
-            f"{args.mode}: trials={args.trials} min={payload['summary']['min_fidelity']:.12f} "
-            f"mean={payload['summary']['mean_fidelity']:.12f}"
-        )
-    if args.out:
-        _write_artifacts(
-            args.out,
-            {"simulate.json": text},
-            {"command": "simulate", "parameters": _manifest_parameters(args),
-             "seed": args.seed, "wall_time": wall},
-        )
-    if args.mode == "adversarial":
-        return EXIT_OK
-    return EXIT_OK if payload["summary"]["min_fidelity"] >= EXACTNESS_BOUND else EXIT_TOLERANCE
+    summary = f"{args.mode}: trials={args.trials} min={low:.12f} mean={mean:.12f}"
+    exact = args.mode == "adversarial" or low >= EXACTNESS_BOUND
+    return _Outcome(payload, summary, {}, args.seed, EXIT_OK if exact else EXIT_TOLERANCE)
 
 
 def _build_problem(mode: str, d: int, n: int, svec_cap: int):
+    """The program of one cell, or the reason it exceeds its size cap."""
     from . import comb_sdp
 
-    if mode in ("seq", "par"):
-        if comb_sdp.reduced_svec_size(d, n) > svec_cap:
-            return None
-        return (
-            comb_sdp.build_sequential_sdp(d, n)
-            if mode == "seq"
-            else comb_sdp.build_parallel_sdp(d, n)
-        )
-    return comb_sdp.build_full_sdp(d, n, mode.removeprefix("full-"))
+    if mode.startswith("full-"):
+        try:
+            return comb_sdp.build_full_sdp(d, n, mode.removeprefix("full-"))
+        except comb_sdp.SizeCapError as exc:
+            return str(exc)
+    if comb_sdp.reduced_svec_size(d, n) > svec_cap:
+        return f"reduced instance (d={d}, n={n}) exceeds svec cap {svec_cap}"
+    return (comb_sdp.build_sequential_sdp if mode == "seq" else comb_sdp.build_parallel_sdp)(d, n)
 
 
-def cmd_solve(args) -> int:
+def _solve(problem, config, label: str = ""):
+    """Solve one program; a solve that does not end optimal gets one stderr line."""
     from . import sdp
 
-    config = sdp.SolverConfig(
-        feasibility_tol=args.tol_feas,
-        gap_tol=args.tol_gap,
-        max_iterations=args.max_iterations,
-    )
-    start = time.perf_counter()
-    try:
-        problem = _build_problem(args.mode, args.d, args.n, args.svec_cap)
-    except ValueError as exc:  # the full-space dimension cap
-        print(f"size cap: {exc}", file=sys.stderr)
-        return EXIT_SIZE_CAP
-    if problem is None:
-        print(
-            f"size cap: reduced instance (d={args.d}, n={args.n}) exceeds "
-            f"svec cap {args.svec_cap}",
-            file=sys.stderr,
-        )
-        return EXIT_SIZE_CAP
     solution = sdp.solve(problem, config)
+    if solution.status != "optimal":
+        print(f"{label}solver {solution.status}: {solution.reason}", file=sys.stderr)
+    return solution
+
+
+def cmd_solve(args) -> _Outcome | int:
+    from . import sdp
+
+    problem = _build_problem(args.mode, args.d, args.n, args.svec_cap)
+    if isinstance(problem, str):
+        print(f"size cap: {problem}", file=sys.stderr)
+        return EXIT_SIZE_CAP
+    config = sdp.SolverConfig(
+        feasibility_tol=args.tol_feas, gap_tol=args.tol_gap, max_iterations=args.max_iterations
+    )
+    solution = _solve(problem, config)
     report = sdp.verify(problem, solution)
-    wall = time.perf_counter() - start
     # a failed solve's objective is an iterate's value, not the optimal fidelity
     optimal = solution.status == "optimal"
     payload = {
@@ -162,125 +152,84 @@ def cmd_solve(args) -> int:
     }
     if not optimal:
         payload["reason"] = solution.reason
-        print(f"solver {solution.status}: {solution.reason}", file=sys.stderr)
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    if args.json:
-        print(text)
-    else:
-        print(
-            f"{args.mode} d={args.d} n={args.n}: {'optimum' if optimal else 'objective'} "
-            f"{solution.objective_value:.6f} "
-            f"(status {solution.status}, gap {solution.gap:.2e}, residual {solution.primal_residual:.2e})"
-        )
-    if args.out:
-        _write_artifacts(
-            args.out,
-            {"solve.json": text, "solution.json": solution.to_json(),
-             "instance.json": problem.to_json()},
-            {"command": "solve", "parameters": _manifest_parameters(args),
-             "seed": 0, "wall_time": wall},
-        )
-    return EXIT_OK if solution.status == "optimal" else EXIT_SOLVER
+    summary = (
+        f"{args.mode} d={args.d} n={args.n}: {'optimum' if optimal else 'objective'} "
+        f"{solution.objective_value:.6f} "
+        f"(status {solution.status}, gap {solution.gap:.2e}, residual {solution.primal_residual:.2e})"
+    )
+    files = {"solution.json": solution.to_json(), "instance.json": problem.to_json()}
+    return _Outcome(payload, summary, files, 0, EXIT_OK if optimal else EXIT_SOLVER)
 
 
-def _format_table(mode: str, results: dict, d_range, n_range) -> str:
-    lines = ["d," + ",".join(f"n={n}" for n in n_range)]
-    for d in d_range:
-        cells = []
-        for n in n_range:
-            r = results.get((mode, d, n))
-            if r is None:
-                cells.append("SKIPPED")
-            elif r["status"] != "optimal":
-                cells.append("FAILED")
-            else:
-                cells.append(f"{r['value']:.4f}")
-        lines.append(f"{d}," + ",".join(cells))
-    return "\n".join(lines) + "\n"
+class _Cell(NamedTuple):
+    """A solved table cell, classified once: a failed cell still breaches on its deviation."""
+
+    entry: dict
+    failed: bool
+    breach: bool
 
 
-def cmd_tables(args) -> int:
+def _mark(cell: _Cell | None) -> str:
+    if cell is None:
+        return "SKIPPED"
+    return "FAILED" if cell.failed else f"{cell.entry['value']:.4f}"
+
+
+def cmd_tables(args) -> _Outcome | int:
     from . import sdp
 
     config = sdp.SolverConfig(feasibility_tol=args.tol_feas, gap_tol=args.tol_gap)
-    modes = args.modes
     refs = reference_tables.reference_cells()
     d_range = range(args.d_min, args.d_max + 1)
     n_range = range(args.n_min, args.n_max + 1)
-    start = time.perf_counter()
-    results: dict[tuple[str, int, int], dict] = {}
-    breaches = 0
-    failures = 0
-    for mode in modes:
+    cells: dict[tuple[str, int, int], _Cell] = {}
+    for mode in args.modes:
         for d in d_range:
             for n in n_range:
                 problem = _build_problem(mode, d, n, args.svec_cap)
-                if problem is None:
+                if isinstance(problem, str):
                     continue
-                solution = sdp.solve(problem, config)
+                solution = _solve(problem, config, f"{mode} d={d} n={n}: ")
+                failed = solution.status != "optimal"
                 entry = {
                     "value": solution.objective_value,
                     "gap": solution.gap,
                     "status": solution.status,
                 }
-                if solution.status != "optimal":
-                    failures += 1
+                if failed:
                     entry["reason"] = solution.reason
-                    print(f"{mode} d={d} n={n}: solver {solution.status}: {solution.reason}", file=sys.stderr)
                 ref = refs.get((mode, d, n))
                 if ref is not None:
                     entry["reference"] = ref.value
                     entry["tolerance"] = ref.tolerance
                     entry["deviation"] = abs(solution.objective_value - ref.value)
-                    if entry["deviation"] > ref.tolerance:
-                        breaches += 1
-                results[(mode, d, n)] = entry
-    wall = time.perf_counter() - start
-    if not results:
+                breach = ref is not None and entry["deviation"] > ref.tolerance
+                cells[(mode, d, n)] = _Cell(entry, failed, breach)
+    if not cells:
         print(f"size cap: every reduced instance exceeds svec cap {args.svec_cap}", file=sys.stderr)
         return EXIT_SIZE_CAP
-
     deviation_lines = ["mode,d,n,computed,reference,tolerance,deviation,status"]
-    for (mode, d, n), entry in sorted(results.items()):
-        if "reference" not in entry:
-            continue
-        if entry["status"] != "optimal":
-            status = entry["status"]
-        else:
-            status = "ok" if entry["deviation"] <= entry["tolerance"] else "breach"
-        deviation_lines.append(
-            f"{mode},{d},{n},{entry['value']:.6f},{entry['reference']:.4f},"
-            f"{entry['tolerance']:.0e},{entry['deviation']:.2e},{status}"
-        )
+    for (mode, d, n), (entry, failed, breach) in sorted(cells.items()):
+        if "reference" in entry:
+            status = entry["status"] if failed else "breach" if breach else "ok"
+            deviation_lines.append(
+                f"{mode},{d},{n},{entry['value']:.6f},{entry['reference']:.4f},"
+                f"{entry['tolerance']:.0e},{entry['deviation']:.2e},{status}"
+            )
     files = {"deviations.csv": "\n".join(deviation_lines) + "\n"}
-    for mode in modes:
-        files[f"table_{mode}.csv"] = _format_table(mode, results, d_range, n_range)
+    header = "d," + ",".join(f"n={n}" for n in n_range)
+    for mode in args.modes:
+        rows = [f"{d}," + ",".join(_mark(cells.get((mode, d, n))) for n in n_range) for d in d_range]
+        files[f"table_{mode}.csv"] = "\n".join([header, *rows]) + "\n"
     payload = {
         "command": "tables",
-        "cells": {
-            f"{mode}/d{d}/n{n}": entry for (mode, d, n), entry in sorted(results.items())
-        },
-        "breaches": breaches,
-        "solver_failures": failures,
+        "cells": {f"{mode}/d{d}/n{n}": cell.entry for (mode, d, n), cell in sorted(cells.items())},
+        "breaches": sum(cell.breach for cell in cells.values()),
+        "solver_failures": sum(cell.failed for cell in cells.values()),
     }
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    if args.json:
-        print(text)
-    else:
-        for mode in modes:
-            print(f"[{mode}]")
-            print(files[f"table_{mode}.csv"])
-    if args.out:
-        files["tables.json"] = text
-        _write_artifacts(
-            args.out,
-            files,
-            {"command": "tables", "parameters": _manifest_parameters(args),
-             "seed": 0, "wall_time": wall},
-        )
-    if failures:
-        return EXIT_SOLVER
-    return EXIT_TOLERANCE if breaches else EXIT_OK
+    summary = "\n".join(f"[{mode}]\n{files[f'table_{mode}.csv']}" for mode in args.modes)
+    code = EXIT_TOLERANCE if payload["breaches"] else EXIT_OK
+    return _Outcome(payload, summary, files, 0, EXIT_SOLVER if payload["solver_failures"] else code)
 
 
 def _positive_int(text: str) -> int:
@@ -321,12 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run the seven-qubit inversion circuit")
     sim.add_argument("--trials", type=_positive_int, default=100)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument(
-        "--mode", choices=("standard", "catalytic", "adversarial"), default="standard"
-    )
-    sim.add_argument("--json", action="store_true")
-    sim.add_argument("--out", type=str, default=None)
-    sim.set_defaults(func=cmd_simulate)
+    sim.add_argument("--mode", choices=("standard", "catalytic", "adversarial"), default="standard")
 
     slv = sub.add_parser("solve", help="assemble and solve one inversion SDP")
     slv.add_argument("--d", type=_local_dim, required=True)
@@ -336,9 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--tol-feas", type=_positive_float, default=1e-8)
     slv.add_argument("--max-iterations", type=_positive_int, default=200)
     slv.add_argument("--svec-cap", type=_positive_int, default=REDUCED_SVEC_CAP)
-    slv.add_argument("--json", action="store_true")
-    slv.add_argument("--out", type=str, default=None)
-    slv.set_defaults(func=cmd_solve)
 
     tab = sub.add_parser("tables", help="reproduce the fidelity tables")
     tab.add_argument("--d-min", type=_local_dim, default=2)
@@ -349,9 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     tab.add_argument("--svec-cap", type=_positive_int, default=REDUCED_SVEC_CAP)
     tab.add_argument("--tol-gap", type=_positive_float, default=1e-6)
     tab.add_argument("--tol-feas", type=_positive_float, default=1e-8)
-    tab.add_argument("--json", action="store_true")
-    tab.add_argument("--out", type=str, default=None)
-    tab.set_defaults(func=cmd_tables)
+
+    for command, func in ((sim, cmd_simulate), (slv, cmd_solve), (tab, cmd_tables)):
+        command.add_argument("--json", action="store_true")
+        command.add_argument("--out", type=str, default=None)
+        command.set_defaults(func=func)
     return parser
 
 
@@ -363,7 +306,9 @@ def main(argv=None) -> int:
             low, high = getattr(args, f"{name}_min"), getattr(args, f"{name}_max")
             if low > high:
                 parser.error(f"--{name}-min {low} exceeds --{name}-max {high}")
-    return args.func(args)
+    start = time.perf_counter()
+    outcome = args.func(args)
+    return outcome if isinstance(outcome, int) else _emit(args, start, outcome)
 
 
 if __name__ == "__main__":

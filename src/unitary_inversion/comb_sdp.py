@@ -52,6 +52,10 @@ from .symmetric_group import (
 FULL_SPACE_DIM_CAP = 256
 
 
+class SizeCapError(ValueError):
+    """``build_full_sdp``'s refusal of a program above ``FULL_SPACE_DIM_CAP``."""
+
+
 @dataclass(frozen=True)
 class PerformanceBlocks:
     """Rank-one objective blocks, one per diagram with n+1 boxes."""
@@ -368,7 +372,7 @@ def build_full_sdp(d: int, n: int, mode: str) -> SdpProblem:
         raise ValueError("need d >= 2 and n >= 1")
     total = d ** (2 * n + 2)
     if total > FULL_SPACE_DIM_CAP:
-        raise ValueError(
+        raise SizeCapError(
             f"full-space dimension {total} exceeds cap {FULL_SPACE_DIM_CAP} for (d={d}, n={n})"
         )
     dims = full_register_dims(d, n)

@@ -69,7 +69,7 @@ def oracle_results():
                 if mode == "seq"
                 else cs.build_parallel_sdp(d, n)
             )
-            results[(mode, d, n)] = (full.objective_value, reduced.objective_value)
+            results[(mode, d, n)] = (full, reduced)
     return results
 
 
@@ -135,11 +135,11 @@ def test_criterion_4_sequential_table(table_results):
     worst_cell, worst_dev = None, 0.0
     for (d, n), reference in SEQ_CELLS.items():
         solution = table_results[("seq", d, n)]
-        tolerance = 1e-4 if (solution.status == "optimal" and solution.gap <= 1e-6) else 1e-3
+        assert solution.status == "optimal", f"seq d={d} n={n}: {solution.status}"
         deviation = abs(solution.objective_value - reference)
         if deviation > worst_dev:
-            worst_cell, worst_dev = (d, n, tolerance), deviation
-        assert deviation <= tolerance, f"seq d={d} n={n}: {deviation:.2e} > {tolerance}"
+            worst_cell, worst_dev = (d, n), deviation
+        assert deviation <= 1e-4, f"seq d={d} n={n}: {deviation:.2e} > 1e-4"
     report(
         "criterion 4 (sequential table)",
         True,
@@ -151,6 +151,7 @@ def test_criterion_5_parallel_table(table_results):
     worst_dev = 0.0
     for (d, n), reference in PAR_CELLS.items():
         solution = table_results[("par", d, n)]
+        assert solution.status == "optimal", f"par d={d} n={n}: {solution.status}"
         deviation = abs(solution.objective_value - reference)
         worst_dev = max(worst_dev, deviation)
         assert deviation <= 1e-3, f"par d={d} n={n}: {deviation:.2e}"
@@ -163,9 +164,10 @@ def test_criterion_5_parallel_table(table_results):
 
 def test_criterion_6_oracle_equivalence(oracle_results):
     worst = 0.0
-    for (mode, d, n), (full_value, reduced_value) in oracle_results.items():
-        worst = max(worst, abs(full_value - reduced_value))
-        assert abs(full_value - reduced_value) <= 1e-5, (mode, d, n)
+    for (mode, d, n), (full, reduced) in oracle_results.items():
+        assert (full.status, reduced.status) == ("optimal", "optimal"), (mode, d, n)
+        worst = max(worst, abs(full.objective_value - reduced.objective_value))
+        assert abs(full.objective_value - reduced.objective_value) <= 1e-5, (mode, d, n)
     report(
         "criterion 6 (oracle equivalence)",
         True,

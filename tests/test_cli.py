@@ -140,6 +140,34 @@ def test_solve_size_cap_exit_code(capsys):
             assert f"full-space dimension {total} exceeds cap 256" in capsys.readouterr().err
 
 
+def test_only_a_size_cap_exits_3(monkeypatch, capsys):
+    # any other build error propagates instead of being reported as a cap
+    from unitary_inversion import comb_sdp
+
+    def broken(*args):
+        raise ValueError("every read must name a row")
+
+    monkeypatch.setattr(comb_sdp, "build_sequential_sdp", broken)
+    monkeypatch.setattr(comb_sdp, "build_full_sdp", broken)
+    for argv in (
+        ["solve", "--d", "2", "--n", "2"],
+        ["solve", "--d", "2", "--n", "1", "--mode", "full-seq"],
+        ["tables", "--d-max", "2", "--n-max", "1", "--modes", "seq"],
+    ):
+        with pytest.raises(ValueError, match="every read"):
+            main(argv)
+    assert "size cap" not in capsys.readouterr().err
+
+    def capped(*args):
+        raise comb_sdp.SizeCapError("full-space dimension 64 exceeds cap 16 for (d=2, n=2)")
+
+    monkeypatch.setattr(comb_sdp, "build_full_sdp", capped)
+    assert main(["solve", "--d", "2", "--n", "2", "--mode", "full-par"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "size cap: full-space dimension 64 exceeds cap 16 for (d=2, n=2)\n"
+    assert captured.out == ""
+
+
 def test_solve_out_writes_reproducible_instance(tmp_path, capsys):
     from unitary_inversion.comb_sdp import build_sequential_sdp
     from unitary_inversion.sdp import SdpProblem
@@ -269,7 +297,10 @@ def test_tables_marks_failed_cells(monkeypatch, tmp_path, capsys):
     def failing(problem, config=None):
         solution = real(problem, config)
         if problem.metadata == {"d": 2, "n": 1, "mode": "seq"}:
-            return dataclasses.replace(solution, status="numerical_failure", reason="forced")
+            # an iterate far from the reference: a failure that also breaches
+            return dataclasses.replace(
+                solution, status="numerical_failure", reason="forced", objective_value=0.1
+            )
         return solution
 
     monkeypatch.setattr(sdp, "solve", failing)
@@ -283,6 +314,8 @@ def test_tables_marks_failed_cells(monkeypatch, tmp_path, capsys):
     deviations = (out_dir / "deviations.csv").read_text().splitlines()
     assert deviations[1].startswith("seq,2,1,") and deviations[1].endswith(",numerical_failure")
     assert deviations[2].startswith("seq,2,2,") and deviations[2].endswith(",ok")
+    payload = json.loads((out_dir / "tables.json").read_text())
+    assert (payload["solver_failures"], payload["breaches"]) == (1, 1)
 
 
 def test_tables_breach_exit_code(monkeypatch, capsys):
@@ -322,6 +355,49 @@ def test_manifest_written_for_simulate(tmp_path, capsys):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["command"] == "simulate"
     assert "simulate.json" in manifest["artifact_hashes"]
+    assert manifest["wall_time"] > 0
+
+
+# SHA-256 of the printed payload of each command, with the files its --out
+# writes besides manifest.json; tables runs at its defaults
+OUT_RUNS = {
+    "simulate": (
+        ["--trials", "50", "--seed", "7"],
+        SIMULATE_DIGESTS["standard"],
+        {"simulate.json"},
+    ),
+    "solve": (
+        ["--d", "2", "--n", "4"],
+        "73cdd7de683294ad738890dc5e7439e963b488aca34f6f70d3c183b41cf85741",
+        {"solve.json", "solution.json", "instance.json"},
+    ),
+    "tables": (
+        [],
+        "4c762dfe35a1ac3049967bb4e775ea4d16d6470de24c6b44fc721c2a645e942c",
+        {"tables.json", "table_seq.csv", "table_par.csv", "deviations.csv"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_RUNS))
+def test_out_manifest_hashes_exactly_the_written_files(command, tmp_path, capsys):
+    options, digest, artifacts = OUT_RUNS[command]
+    argv = [command, *options, "--json"]
+    code, out = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert (tmp_path / f"{command}.json").read_text() + "\n" == out
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    written = {path.name for path in tmp_path.iterdir()}
+    assert written == artifacts | {"manifest.json"}
+    assert manifest["artifact_hashes"] == {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in artifacts
+    }
+    parameters = vars(cli.build_parser().parse_args(argv))
+    del parameters["func"], parameters["out"]
+    assert manifest["parameters"] == parameters
+    assert manifest["command"] == command
+    assert manifest["seed"] == (7 if command == "simulate" else 0)
     assert manifest["wall_time"] > 0
 
 
