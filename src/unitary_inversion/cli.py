@@ -232,20 +232,26 @@ def cmd_tables(args) -> _Outcome | int:
     return _Outcome(payload, summary, files, 0, EXIT_SOLVER if payload["solver_failures"] else code)
 
 
-def _positive_int(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return int(text)
+def _int_at_least(low: int):
+    """Argument type for integers >= ``low``; every rejection is an ``ArgumentTypeError``."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return value
 
-def _local_dim(text: str) -> int:
-    if int(text) < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {text}")
-    return int(text)
+    return parse
 
 
 def _positive_float(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
@@ -268,26 +274,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run the seven-qubit inversion circuit")
-    sim.add_argument("--trials", type=_positive_int, default=100)
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--trials", type=_int_at_least(1), default=100)
+    sim.add_argument("--seed", type=_int_at_least(0), default=0)
     sim.add_argument("--mode", choices=("standard", "catalytic", "adversarial"), default="standard")
 
     slv = sub.add_parser("solve", help="assemble and solve one inversion SDP")
-    slv.add_argument("--d", type=_local_dim, required=True)
-    slv.add_argument("--n", type=_positive_int, required=True)
+    slv.add_argument("--d", type=_int_at_least(2), required=True)
+    slv.add_argument("--n", type=_int_at_least(1), required=True)
     slv.add_argument("--mode", choices=("seq", "par", "full-seq", "full-par"), default="seq")
     slv.add_argument("--tol-gap", type=_positive_float, default=1e-6)
     slv.add_argument("--tol-feas", type=_positive_float, default=1e-8)
-    slv.add_argument("--max-iterations", type=_positive_int, default=200)
-    slv.add_argument("--svec-cap", type=_positive_int, default=REDUCED_SVEC_CAP)
+    slv.add_argument("--max-iterations", type=_int_at_least(1), default=200)
+    slv.add_argument("--svec-cap", type=_int_at_least(1), default=REDUCED_SVEC_CAP)
 
     tab = sub.add_parser("tables", help="reproduce the fidelity tables")
-    tab.add_argument("--d-min", type=_local_dim, default=2)
-    tab.add_argument("--d-max", type=_local_dim, default=6)
-    tab.add_argument("--n-min", type=_positive_int, default=1)
-    tab.add_argument("--n-max", type=_positive_int, default=5)
+    tab.add_argument("--d-min", type=_int_at_least(2), default=2)
+    tab.add_argument("--d-max", type=_int_at_least(2), default=6)
+    tab.add_argument("--n-min", type=_int_at_least(1), default=1)
+    tab.add_argument("--n-max", type=_int_at_least(1), default=5)
     tab.add_argument("--modes", type=_reduced_modes, default="seq,par")
-    tab.add_argument("--svec-cap", type=_positive_int, default=REDUCED_SVEC_CAP)
+    tab.add_argument("--svec-cap", type=_int_at_least(1), default=REDUCED_SVEC_CAP)
     tab.add_argument("--tol-gap", type=_positive_float, default=1e-6)
     tab.add_argument("--tol-feas", type=_positive_float, default=1e-8)
 

@@ -35,10 +35,11 @@ import numpy as np
 from . import tensor
 from .sdp import SdpProblem
 from .symmetric_group import (
-    YoungDiagram,
+    children,
     cycle_permutation,
     embedding_matrix,
     matrix_unit,
+    parents,
     permutation_matrix,
     su_dim,
     tableau_count,
@@ -62,7 +63,7 @@ class PerformanceBlocks:
 
     d: int
     n: int
-    omega: dict[YoungDiagram, np.ndarray]
+    omega: dict[tuple[int, ...], np.ndarray]
 
 
 def performance_blocks(d: int, n: int) -> PerformanceBlocks:
@@ -96,17 +97,17 @@ class ReducedComb:
 
     d: int
     n: int
-    blocks: dict[tuple[YoungDiagram, YoungDiagram], np.ndarray]
+    blocks: dict[tuple[tuple[int, ...], tuple[int, ...]], np.ndarray]
 
     def __post_init__(self):
         shapes = set(young_diagrams(self.n + 1, self.d))
         for (mu, nu), mat in self.blocks.items():
             if mu not in shapes or nu not in shapes:
-                raise ValueError(f"unexpected diagram pair {(mu.rows, nu.rows)}")
+                raise ValueError(f"unexpected diagram pair {(mu, nu)}")
             size = tableau_count(mu) * tableau_count(nu)
             if mat.shape != (size, size):
                 raise ValueError(
-                    f"block {(mu.rows, nu.rows)} has shape {mat.shape}, expected {size}"
+                    f"block {(mu, nu)} has shape {mat.shape}, expected {size}"
                 )
         missing = {
             (mu, nu)
@@ -115,7 +116,7 @@ class ReducedComb:
             if (mu, nu) not in self.blocks
         }
         if missing:
-            raise ValueError(f"missing blocks for {sorted((m.rows, n_.rows) for m, n_ in missing)}")
+            raise ValueError(f"missing blocks for {sorted(missing)}")
 
 
 def evaluate_fidelity(comb: ReducedComb, blocks: PerformanceBlocks) -> float:
@@ -128,7 +129,7 @@ def evaluate_fidelity(comb: ReducedComb, blocks: PerformanceBlocks) -> float:
     return total
 
 
-def block_keys(d: int, n: int) -> list[tuple[YoungDiagram, YoungDiagram]]:
+def block_keys(d: int, n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     shapes = young_diagrams(n + 1, d)
     return [(mu, nu) for mu in shapes for nu in shapes]
 
@@ -213,7 +214,7 @@ def _reduced_problem(d: int, n: int, mode: str, identities) -> SdpProblem:
     return SdpProblem.from_reads(dims, _objective_list(d, n), reads, rhs, {"d": d, "n": n, "mode": mode})
 
 
-def _embedding_map(parent: YoungDiagram, child: YoungDiagram) -> np.ndarray:
+def _embedding_map(parent: tuple[int, ...], child: tuple[int, ...]) -> np.ndarray:
     """Index map of :func:`embedding_matrix`: the child tableau extending each parent tableau."""
     return embedding_matrix(parent, child).argmax(1)
 
@@ -235,20 +236,20 @@ def build_sequential_sdp(d: int, n: int) -> SdpProblem:
     top = n + 1
 
     @functools.cache
-    def chains(alpha: YoungDiagram):
+    def chains(alpha: tuple[int, ...]):
         """(top diagram, map of the embedding product) per single-box growth chain from alpha."""
-        if alpha.boxes == top:
+        if sum(alpha) == top:
             return [(alpha, np.arange(tableau_count(alpha)))]
-        return [chain for child in alpha.children(max_depth=d) for chain in grown(alpha, child)]
+        return [chain for child in children(alpha, max_depth=d) for chain in grown(alpha, child)]
 
     @functools.cache
-    def grown(gamma: YoungDiagram, alpha: YoungDiagram):
+    def grown(gamma: tuple[int, ...], alpha: tuple[int, ...]):
         """alpha's chains with the gamma -> alpha embedding X in front: (top, map of X P) per chain."""
         x = _embedding_map(gamma, alpha)
         return [(mu, p[x]) for mu, p in chains(alpha)]
 
     @functools.cache
-    def shrunk(delta: YoungDiagram, beta: YoungDiagram):
+    def shrunk(delta: tuple[int, ...], beta: tuple[int, ...]):
         """delta's chains with the delta -> beta embedding X in front: (top, map of X^T Q) per chain."""
         back = np.full(tableau_count(beta), -1)  # back[x[a]] = a; -1 where X^T has an empty row
         back[_embedding_map(delta, beta)] = np.arange(tableau_count(delta))
@@ -264,10 +265,10 @@ def build_sequential_sdp(d: int, n: int) -> SdpProblem:
         for gamma in young_diagrams(level - 1, d):
             for beta in young_diagrams(level, d):
                 terms = []
-                for alpha in gamma.children(max_depth=d):
+                for alpha in children(gamma, max_depth=d):
                     for scale, p, q, key in level_terms(grown(gamma, alpha), chains(beta), level):
                         terms.append((scale / su_dim(beta, d), p, q, key))
-                for delta in beta.parents():
+                for delta in parents(beta):
                     for scale, p, q, key in level_terms(chains(gamma), shrunk(delta, beta), level - 1):
                         terms.append((-scale / su_dim(delta, d), p, q, key))
                 identities.append((terms, tableau_count(gamma), tableau_count(beta)))
@@ -287,20 +288,20 @@ def build_parallel_sdp(d: int, n: int) -> SdpProblem:
     shapes_top = young_diagrams(n + 1, d)
     identities = []
     for alpha in young_diagrams(n, d):
-        children = alpha.children(max_depth=d)
-        embeddings = {mu: _embedding_map(alpha, mu) for mu in children}
+        extensions = children(alpha, max_depth=d)
+        embeddings = {mu: _embedding_map(alpha, mu) for mu in extensions}
         # substituted right-hand side: (D^alpha)_{a1 a2} * delta_{k1 k2} / d^(n+1)
         # with D^alpha = sum_{mu, nu'} Tr_2[(X x 1) C^{mu nu'} (X x 1)^T]
         trace_terms = [
             (-1.0 / (d ** (n + 1)), embeddings[mu], None, key_index[(mu, nu)])
-            for mu in children
+            for mu in extensions
             for nu in shapes_top
         ]
         for nu in shapes_top:
             d_nu = tableau_count(nu)
             terms = [
                 (1.0 / su_dim(nu, d), embeddings[mu], np.arange(d_nu), key_index[(mu, nu)])
-                for mu in children
+                for mu in extensions
             ]
             identities.append((terms + trace_terms, tableau_count(alpha), d_nu))
     return _reduced_problem(d, n, "par", identities)
@@ -418,12 +419,6 @@ def build_full_sdp(d: int, n: int, mode: str) -> SdpProblem:
     )
 
 
-def maximally_mixed_comb(d: int, n: int) -> np.ndarray:
-    """Feasible comb for both orders: ignore everything, output white noise."""
-    total = d ** (2 * n + 2)
-    return np.eye(total) / float(d ** (n + 1))
-
-
 def reduce_comb(full: np.ndarray, d: int, n: int) -> ReducedComb:
     """Extract reduced blocks from a collectively symmetric full-space matrix.
 
@@ -445,7 +440,7 @@ def reduce_comb(full: np.ndarray, d: int, n: int) -> ReducedComb:
     inputs, outputs = _commutant_groups(n)
     grouped = tensor.permute_factors(np.real(mat), full_register_dims(d, n), inputs + outputs)
     grouped = grouped.reshape((side,) * 4)
-    blocks: dict[tuple[YoungDiagram, YoungDiagram], np.ndarray] = {}
+    blocks: dict[tuple[tuple[int, ...], tuple[int, ...]], np.ndarray] = {}
     for mu in young_diagrams(n + 1, d):
         for nu in young_diagrams(n + 1, d):
             size = tableau_count(mu) * tableau_count(nu)

@@ -1,5 +1,10 @@
 """Young diagrams, standard tableaux, and orthogonal irreps of S_n.
 
+A shape (Young diagram) is the tuple of its row lengths, positive and
+weakly decreasing; the empty shape is ().  Shapes come only from
+:func:`young_diagrams`, :func:`parents` and :func:`children`, so nothing
+validates them again.
+
 A standard tableau with n boxes is its row word: a tuple w of n row
 indices (0-based) in which entry v sits in row w[v-1].  A word is standard
 exactly when each of its prefixes has weakly decreasing row counts; the
@@ -25,86 +30,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 
-@dataclass(frozen=True, order=True)
-class YoungDiagram:
-    """Partition shape: weakly decreasing positive row lengths."""
-
-    rows: tuple[int, ...]
-
-    def __post_init__(self):
-        rows = tuple(int(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if any(r <= 0 for r in rows):
-            raise ValueError(f"row lengths must be positive: {rows}")
-        if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
-            raise ValueError(f"row lengths must be weakly decreasing: {rows}")
-
-    @property
-    def boxes(self) -> int:
-        return sum(self.rows)
-
-    @property
-    def depth(self) -> int:
-        return len(self.rows)
-
-    def contains(self, other: "YoungDiagram") -> bool:
-        padded = other.rows + (0,) * (self.depth - other.depth)
-        return other.depth <= self.depth and all(
-            o <= s for o, s in zip(padded, self.rows)
-        )
-
-    def removable_rows(self) -> list[int]:
-        """Rows whose last box is a corner (removable)."""
-        rows = self.rows
-        return [
-            r
-            for r in range(len(rows))
-            if r == len(rows) - 1 or rows[r] > rows[r + 1]
-        ]
-
-    def addable_rows(self, max_depth: int | None = None) -> list[int]:
-        """Rows (possibly a new bottom row) where a box may be added."""
-        rows = self.rows
-        out = [r for r in range(len(rows)) if r == 0 or rows[r - 1] > rows[r]]
-        if max_depth is None or len(rows) + 1 <= max_depth:
-            out.append(len(rows))
-        return out
-
-    def remove_box(self, row: int) -> "YoungDiagram":
-        rows = list(self.rows)
-        rows[row] -= 1
-        if rows[row] == 0:
-            rows.pop(row)
-        return YoungDiagram(tuple(rows))
-
-    def add_box(self, row: int) -> "YoungDiagram":
-        rows = list(self.rows)
-        if row == len(rows):
-            rows.append(1)
-        else:
-            rows[row] += 1
-        return YoungDiagram(tuple(rows))
-
-    def parents(self) -> list["YoungDiagram"]:
-        """Diagrams obtained by removing one box."""
-        return [self.remove_box(r) for r in self.removable_rows()]
-
-    def children(self, max_depth: int | None = None) -> list["YoungDiagram"]:
-        """Diagrams obtained by adding one box, optionally depth bounded."""
-        return [self.add_box(r) for r in self.addable_rows(max_depth)]
-
-
-EMPTY_DIAGRAM = YoungDiagram(())
-
-
-def young_diagrams(n: int, d: int) -> list[YoungDiagram]:
+def young_diagrams(n: int, d: int) -> list[tuple[int, ...]]:
     """All partitions of ``n`` with at most ``d`` parts, reverse lexicographic.
 
     The first entry is the single row (n,) and the last is the most
@@ -112,8 +43,6 @@ def young_diagrams(n: int, d: int) -> list[YoungDiagram]:
     """
     if n < 0 or d < 1:
         raise ValueError("need n >= 0 and d >= 1")
-    if n == 0:
-        return [EMPTY_DIAGRAM]
 
     def rec(remaining: int, maximum: int, depth: int):
         if remaining == 0:
@@ -127,73 +56,88 @@ def young_diagrams(n: int, d: int) -> list[YoungDiagram]:
             for tail in rec(remaining - first, first, depth - 1):
                 yield (first,) + tail
 
-    return [YoungDiagram(rows) for rows in rec(n, n, d)]
+    return list(rec(n, n, d))
+
+
+def _with_box(shape: tuple[int, ...], row: int, delta: int) -> tuple[int, ...]:
+    """``shape`` with one box added (delta 1) or removed (delta -1) at the end of ``row``.
+
+    Row len(shape) is a new bottom row.
+    """
+    rows = list(shape) + [0]
+    rows[row] += delta
+    return tuple(length for length in rows if length)
+
+
+def _removable_rows(shape: tuple[int, ...]) -> list[int]:
+    """Rows whose last box is a corner."""
+    return [r for r in range(len(shape)) if r == len(shape) - 1 or shape[r] > shape[r + 1]]
+
+
+def parents(shape: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Shapes obtained by removing one box, in row order."""
+    return [_with_box(shape, r, -1) for r in _removable_rows(shape)]
+
+
+def children(shape: tuple[int, ...], max_depth: int | None = None) -> list[tuple[int, ...]]:
+    """Shapes obtained by adding one box, in row order, optionally at most ``max_depth`` deep."""
+    rows = [r for r in range(len(shape)) if r == 0 or shape[r - 1] > shape[r]]
+    if max_depth is None or len(shape) < max_depth:
+        rows.append(len(shape))
+    return [_with_box(shape, r, 1) for r in rows]
 
 
 @lru_cache(maxsize=None)
-def standard_tableaux(diagram: YoungDiagram) -> tuple[tuple[int, ...], ...]:
+def standard_tableaux(diagram: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Canonically ordered standard tableaux of a shape, as row words, cached.
 
     See the module docstring for the word encoding and the order.
     """
-    if diagram.boxes == 0:
+    if not diagram:
         return ((),)
     return tuple(
         word + (row,)
-        for row in diagram.removable_rows()
-        for word in standard_tableaux(diagram.remove_box(row))
+        for row in _removable_rows(diagram)
+        for word in standard_tableaux(_with_box(diagram, row, -1))
     )
 
 
 @lru_cache(maxsize=None)
-def _tableau_index(diagram: YoungDiagram) -> dict[tuple[int, ...], int]:
+def _tableau_index(diagram: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     return {word: i for i, word in enumerate(standard_tableaux(diagram))}
 
 
-def _hook_lengths(diagram: YoungDiagram) -> list[int]:
-    rows = diagram.rows
-    cols = [sum(1 for r in rows if r > c) for c in range(rows[0])] if rows else []
-    hooks = []
-    for r, length in enumerate(rows):
-        for c in range(length):
-            hooks.append((length - c) + (cols[c] - r) - 1)
-    return hooks
+def _hook_lengths(diagram: tuple[int, ...]) -> list[int]:
+    """Arm plus leg plus one for every box, in row order."""
+    return [
+        (length - c) + sum(1 for below in diagram[r + 1 :] if below > c)
+        for r, length in enumerate(diagram)
+        for c in range(length)
+    ]
 
 
 @lru_cache(maxsize=None)
-def tableau_count(diagram: YoungDiagram) -> int:
+def tableau_count(diagram: tuple[int, ...]) -> int:
     """Number of standard tableaux (hook length formula, exact integers), cached."""
-    n = diagram.boxes
-    if n == 0:
-        return 1
-    product = math.prod(_hook_lengths(diagram))
-    return math.factorial(n) // product
+    return math.factorial(sum(diagram)) // math.prod(_hook_lengths(diagram))
 
 
 @lru_cache(maxsize=None)
-def su_dim(diagram: YoungDiagram, d: int) -> int:
+def su_dim(diagram: tuple[int, ...], d: int) -> int:
     """Dimension of the SU(d) irrep labeled by the diagram, cached.
 
-    Counts semistandard fillings with entries <= d; zero when the diagram
-    is deeper than d.  Exact integer arithmetic throughout.
+    Counts semistandard fillings with entries <= d by the hook-content
+    formula, whose division is exact in integers.  A diagram deeper than d
+    has a box of content -d, so its product, and the dimension, is zero.
     """
     if d < 1:
         raise ValueError("d must be positive")
-    if diagram.depth > d:
-        return 0
-    if diagram.boxes == 0:
-        return 1
-    value = Fraction(1)
-    hooks = iter(_hook_lengths(diagram))
-    for r, length in enumerate(diagram.rows):
-        for c in range(length):
-            value *= Fraction(d + c - r, next(hooks))
-    assert value.denominator == 1
-    return int(value)
+    contents = math.prod(d + c - r for r, length in enumerate(diagram) for c in range(length))
+    return contents // math.prod(_hook_lengths(diagram))
 
 
 @lru_cache(maxsize=None)
-def generator_matrix(diagram: YoungDiagram, k: int) -> np.ndarray:
+def generator_matrix(diagram: tuple[int, ...], k: int) -> np.ndarray:
     """Read-only Young's orthogonal form of the adjacent transposition (k, k+1).
 
     Entries follow from the axial distance between boxes k and k+1: equal
@@ -202,7 +146,7 @@ def generator_matrix(diagram: YoungDiagram, k: int) -> np.ndarray:
     blocks.  A box's column is the number of smaller entries in its row.
     Cached per (diagram, k), so every caller shares one array.
     """
-    n = diagram.boxes
+    n = sum(diagram)
     if not 1 <= k <= n - 1:
         raise ValueError(f"transposition index {k} out of range for {n} boxes")
     words = standard_tableaux(diagram)
@@ -255,14 +199,14 @@ def adjacent_transposition_word(perm) -> list[int]:
     return list(reversed(word))
 
 
-def permutation_matrix(diagram: YoungDiagram, perm) -> np.ndarray:
+def permutation_matrix(diagram: tuple[int, ...], perm) -> np.ndarray:
     """Orthogonal representation matrix of an arbitrary permutation.
 
     The result is independent of the adjacent-transposition decomposition.
     """
     perm = check_permutation(perm)
-    if len(perm) != diagram.boxes:
-        raise ValueError(f"permutation length {len(perm)} != boxes {diagram.boxes}")
+    if len(perm) != sum(diagram):
+        raise ValueError(f"permutation length {len(perm)} != boxes {sum(diagram)}")
     dim = tableau_count(diagram)
     mat = np.eye(dim)
     for k in adjacent_transposition_word(perm):
@@ -276,7 +220,7 @@ def cycle_permutation(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def embedding_matrix(parent: YoungDiagram, child: YoungDiagram) -> np.ndarray:
+def embedding_matrix(parent: tuple[int, ...], child: tuple[int, ...]) -> np.ndarray:
     """Read-only 0/1 matrix pairing parent tableaux with one-box extensions.
 
     Entry (c, a) is 1 exactly when deleting the largest entry of child
@@ -286,13 +230,10 @@ def embedding_matrix(parent: YoungDiagram, child: YoungDiagram) -> np.ndarray:
     of the removable rows above the added box.  Cached per pair, so every
     caller shares one array.
     """
-    if child.boxes != parent.boxes + 1 or not child.contains(parent):
-        raise ValueError(f"{child.rows} is not a one-box extension of {parent.rows}")
-    padded = parent.rows + (0,)
-    added = next(r for r, length in enumerate(child.rows) if length != padded[r])
-    offset = sum(
-        tableau_count(child.remove_box(r)) for r in child.removable_rows() if r < added
-    )
+    smaller = parents(child)
+    if parent not in smaller:
+        raise ValueError(f"{child} is not a one-box extension of {parent}")
+    offset = sum(tableau_count(p) for p in smaller[: smaller.index(parent)])
     out = np.eye(tableau_count(parent), tableau_count(child), k=offset)
     out.setflags(write=False)
     return out
@@ -313,7 +254,7 @@ def permutation_operator(perm, d: int, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def matrix_unit(diagram: YoungDiagram, d: int) -> np.ndarray:
+def matrix_unit(diagram: tuple[int, ...], d: int) -> np.ndarray:
     """Read-only stack E[i, j] = E^mu_ij of commutant basis elements on (C^d)^n.
 
     E^mu_ij = (d_mu / n!) * sum_sigma [pi_mu(sigma)]_ij P_sigma, a real
@@ -321,7 +262,7 @@ def matrix_unit(diagram: YoungDiagram, d: int) -> np.ndarray:
     product rule.  One pass over S_n adds each permutation's operator to
     every (i, j) at once: n! * d_mu^2 * d^(2n) work, cached per (diagram, d).
     """
-    n = diagram.boxes
+    n = sum(diagram)
     dim = tableau_count(diagram)
     total = d**n
     out = np.zeros((dim, dim, total, total))

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -437,10 +438,17 @@ def test_simulate_rejects_non_positive_trials(capsys):
         (["tables", "--n-min", "3", "--n-max", "2"], "--n-min"),
         (["solve", "--d", "2", "--n", "2", "--tol-gap", "inf", "--tol-feas", "inf"], "--tol-gap"),
         (["tables", "--tol-feas", "-inf"], "--tol-feas"),
+        (["solve", "--d", "abc", "--n", "1"], "--d"),
+        (["simulate", "--trials", "1.5"], "--trials"),
+        (["tables", "--tol-gap", "x"], "--tol-gap"),
+        (["simulate", "--seed", "-1"], "--seed"),
     ],
 )
 def test_invalid_sizes_and_tolerances_are_usage_errors(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert flag in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert flag in err
+    # the message is the parser's own, not a traceback or a private helper's name
+    assert "Traceback" not in err and not re.search(r"(?<!\w)_[a-z]", err)

@@ -7,7 +7,6 @@ from unitary_inversion import comb_sdp as cs
 from unitary_inversion import tensor
 from unitary_inversion.sdp import SdpProblem, _SvecIndexer, solve
 from unitary_inversion.symmetric_group import (
-    YoungDiagram,
     matrix_unit,
     su_dim,
     tableau_count,
@@ -26,7 +25,7 @@ def comb_blocks_in_problem_order(d: int, n: int, comb: cs.ReducedComb) -> list[n
 
 def test_performance_blocks_single_row():
     blocks = cs.performance_blocks(3, 1)
-    single = YoungDiagram((2,))
+    single = (2,)
     m = su_dim(single, 3)
     assert blocks.omega[single].shape == (1, 1)
     assert abs(blocks.omega[single][0, 0] - 1.0 / (9 * m)) <= 1e-15
@@ -195,7 +194,7 @@ def test_full_objective_trace_and_positivity():
 def test_maximally_mixed_comb_is_feasible_in_full_space():
     for d, n, mode in ((2, 1, "seq"), (2, 1, "par"), (2, 2, "seq"), (2, 2, "par")):
         problem = cs.build_full_sdp(d, n, mode)
-        mixed = cs.maximally_mixed_comb(d, n)
+        mixed = np.eye(d ** (2 * n + 2)) / d ** (n + 1)
         assert constraint_residual(problem, [mixed]) <= 1e-12
         assert abs(np.trace(mixed) - d ** (n + 1)) <= 1e-12
 
@@ -221,7 +220,7 @@ def test_wire_comb_is_feasible_in_full_space_sequential():
 
 def test_reduction_of_feasible_comb_satisfies_reduced_constraints():
     for d, n in ((2, 1), (2, 2)):
-        mixed = cs.maximally_mixed_comb(d, n)
+        mixed = np.eye(d ** (2 * n + 2)) / d ** (n + 1)
         comb = cs.reduce_comb(mixed, d, n)
         blocks = comb_blocks_in_problem_order(d, n, comb)
         for build in (cs.build_sequential_sdp, cs.build_parallel_sdp):

@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unitary_inversion.symmetric_group import (
-    EMPTY_DIAGRAM,
-    YoungDiagram,
     adjacent_transposition_word,
     check_permutation,
+    children,
     cycle_permutation,
     embedding_matrix,
     generator_matrix,
     matrix_unit,
+    parents,
     permutation_matrix,
     permutation_operator,
     standard_tableaux,
@@ -25,9 +25,8 @@ from unitary_inversion.symmetric_group import (
 from unitary_inversion.tensor import partial_trace
 
 
-def count_semistandard_brute(diagram: YoungDiagram, d: int) -> int:
+def count_semistandard_brute(rows: tuple[int, ...], d: int) -> int:
     """Independent oracle: enumerate weakly-increasing-row, strictly-increasing-column fillings."""
-    rows = diagram.rows
     if not rows:
         return 1
     cells = [(r, c) for r, row in enumerate(rows) for c in range(row)]
@@ -51,25 +50,25 @@ def count_semistandard_brute(diagram: YoungDiagram, d: int) -> int:
     return fill(0, {})
 
 
-def word_shape(word) -> YoungDiagram:
+def word_shape(word) -> tuple[int, ...]:
     """The shape of a row word: its row counts."""
-    return YoungDiagram(tuple(word.count(r) for r in range(max(word, default=-1) + 1)))
+    return tuple(word.count(r) for r in range(max(word, default=-1) + 1))
 
 
 def test_partition_enumeration_examples():
-    assert [y.rows for y in young_diagrams(2, 2)] == [(2,), (1, 1)]
-    assert [y.rows for y in young_diagrams(5, 2)] == [(5,), (4, 1), (3, 2)]
-    assert [y.rows for y in young_diagrams(1, 7)] == [(1,)]
-    assert young_diagrams(0, 3) == [EMPTY_DIAGRAM]
+    assert young_diagrams(2, 2) == [(2,), (1, 1)]
+    assert young_diagrams(5, 2) == [(5,), (4, 1), (3, 2)]
+    assert young_diagrams(1, 7) == [(1,)]
+    assert young_diagrams(0, 3) == [()]
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 8), st.integers(1, 5))
 def test_partition_enumeration_valid_and_complete(n, d):
     diagrams = young_diagrams(n, d)
-    assert len({y.rows for y in diagrams}) == len(diagrams)
+    assert len(set(diagrams)) == len(diagrams)
     for y in diagrams:
-        assert y.boxes == n and y.depth <= d
+        assert sum(y) == n and len(y) <= d
     # oracle: filter all partitions generated by brute recursion
     def parts(total, mx):
         if total == 0:
@@ -80,14 +79,21 @@ def test_partition_enumeration_valid_and_complete(n, d):
                 yield (first,) + rest
 
     expected = {p for p in parts(n, n) if len(p) <= d}
-    assert {y.rows for y in diagrams} == expected
+    assert set(diagrams) == expected
+    # one box more or less: children and parents move between levels, inversely
+    assert {c for y in diagrams for c in children(y, max_depth=d)} == set(young_diagrams(n + 1, d))
+    smaller = young_diagrams(n - 1, d)
+    for y in diagrams:
+        assert set(parents(y)) <= set(smaller)
+        for x in smaller:
+            assert (x in parents(y)) == (y in children(x))
 
 
 def test_tableau_enumeration_counts():
-    assert len(standard_tableaux(YoungDiagram((4,)))) == 1
-    assert len(standard_tableaux(YoungDiagram((2, 1)))) == 2
+    assert len(standard_tableaux((4,))) == 1
+    assert len(standard_tableaux((2, 1))) == 2
     # hook lengths of (3,2): 4,3,1,2,1 so 5!/24 = 5
-    assert len(standard_tableaux(YoungDiagram((3, 2)))) == 5
+    assert len(standard_tableaux((3, 2))) == 5
 
 
 @settings(max_examples=30, deadline=None)
@@ -116,10 +122,10 @@ def test_tableaux_are_standard_row_words():
 
 
 def test_su_dim_examples():
-    assert su_dim(YoungDiagram((1,)), 5) == 5
-    assert su_dim(YoungDiagram((1, 1)), 2) == 1
-    assert su_dim(YoungDiagram((2, 1)), 3) == 8
-    assert su_dim(YoungDiagram((1, 1, 1)), 2) == 0
+    assert su_dim((1,), 5) == 5
+    assert su_dim((1, 1), 2) == 1
+    assert su_dim((2, 1), 3) == 8
+    assert su_dim((1, 1, 1), 2) == 0
 
 
 def test_su_dim_matches_brute_enumeration():
@@ -139,12 +145,12 @@ def test_schur_weyl_dimension_identity():
 
 
 def test_generator_trivial_and_sign():
-    assert np.array_equal(generator_matrix(YoungDiagram((4,)), 2), np.eye(1))
-    assert np.array_equal(generator_matrix(YoungDiagram((1, 1)), 1), -np.eye(1))
+    assert np.array_equal(generator_matrix((4,), 2), np.eye(1))
+    assert np.array_equal(generator_matrix((1, 1), 1), -np.eye(1))
 
 
 def test_generator_relations_standard_representation():
-    mu = YoungDiagram((2, 1))
+    mu = (2, 1)
     s1 = generator_matrix(mu, 1)
     s2 = generator_matrix(mu, 2)
     for s in (s1, s2):
@@ -155,7 +161,7 @@ def test_generator_relations_standard_representation():
 
 def test_generator_braid_and_commutation():
     for diagram in young_diagrams(5, 3):
-        n = diagram.boxes
+        n = sum(diagram)
         gens = [generator_matrix(diagram, k) for k in range(1, n)]
         for k in range(n - 2):
             lhs = gens[k] @ gens[k + 1] @ gens[k]
@@ -167,10 +173,10 @@ def test_generator_braid_and_commutation():
 
 
 def test_permutation_matrix_examples():
-    mu = YoungDiagram((2, 1))
+    mu = (2, 1)
     assert np.array_equal(permutation_matrix(mu, (0, 1, 2)), np.eye(2))
     assert np.array_equal(
-        permutation_matrix(YoungDiagram((1, 1)), (1, 0)), -np.eye(1)
+        permutation_matrix((1, 1), (1, 0)), -np.eye(1)
     )
     long_cycle = permutation_matrix(mu, cycle_permutation(3))
     assert abs(np.trace(long_cycle) + 1.0) <= 1e-12
@@ -186,8 +192,8 @@ def test_permutation_matrix_examples():
 
 def test_permutation_matrix_is_homomorphism():
     rng = np.random.default_rng(17)
-    for diagram in (YoungDiagram((2, 1)), YoungDiagram((3, 2)), YoungDiagram((2, 2, 1))):
-        n = diagram.boxes
+    for diagram in ((2, 1), (3, 2), (2, 2, 1)):
+        n = sum(diagram)
         for _ in range(50):
             p = tuple(int(x) for x in rng.permutation(n))
             q = tuple(int(x) for x in rng.permutation(n))
@@ -215,16 +221,16 @@ def test_check_permutation_rejects_malformed():
     with pytest.raises(ValueError):
         check_permutation((0, 0, 1))
     with pytest.raises(ValueError):
-        permutation_matrix(YoungDiagram((2, 1)), (0, 1))
+        permutation_matrix((2, 1), (0, 1))
 
 
 def test_embedding_matrix_examples():
     assert np.array_equal(
-        embedding_matrix(EMPTY_DIAGRAM, YoungDiagram((1,))), np.eye(1)
+        embedding_matrix((), (1,)), np.eye(1)
     )
     for n in range(1, 5):
         for parent in young_diagrams(n, 4):
-            for child in parent.children():
+            for child in children(parent):
                 x = embedding_matrix(parent, child)
                 assert np.array_equal(
                     x @ x.T, np.eye(tableau_count(parent))
@@ -240,7 +246,7 @@ def test_embedding_matrix_matches_restriction():
     for boxes in range(7):
         for parent in young_diagrams(boxes, max(boxes, 1)):
             parent_tabs = standard_tableaux(parent)
-            for child in parent.children():
+            for child in children(parent):
                 child_tabs = standard_tableaux(child)
                 expected = np.zeros((len(parent_tabs), len(child_tabs)))
                 for a, t in enumerate(child_tabs):
@@ -254,20 +260,20 @@ def test_embedding_matrix_matches_restriction():
 
 def test_embedding_matrix_rejects_non_extensions():
     with pytest.raises(ValueError):
-        embedding_matrix(YoungDiagram((2,)), YoungDiagram((2,)))
+        embedding_matrix((2,), (2,))
     with pytest.raises(ValueError):
-        embedding_matrix(YoungDiagram((2,)), YoungDiagram((1, 1, 1)))
+        embedding_matrix((2,), (1, 1, 1))
 
 
 def test_branching_census_two_one():
-    parent = YoungDiagram((2, 1))
-    children = parent.children()
-    assert sorted(c.rows for c in children) == [(2, 1, 1), (2, 2), (3, 1)]
-    total = sum(tableau_count(c) for c in children)
+    parent = (2, 1)
+    extensions = children(parent)
+    assert sorted(extensions) == [(2, 1, 1), (2, 2), (3, 1)]
+    total = sum(tableau_count(c) for c in extensions)
     assert total == 3 + 2 + 3
     # every child tableau appears in exactly one embedding column
-    ones = sum(int(embedding_matrix(parent, c).sum()) for c in children)
-    assert ones == len(children) * tableau_count(parent)
+    ones = sum(int(embedding_matrix(parent, c).sum()) for c in extensions)
+    assert ones == len(extensions) * tableau_count(parent)
 
 
 def test_permutation_operator_examples():
@@ -319,13 +325,13 @@ def test_matrix_unit_cross_sector_products_vanish():
 
 
 def test_matrix_unit_singlet():
-    e = matrix_unit(YoungDiagram((1, 1)), 2)[0, 0]
+    e = matrix_unit((1, 1), 2)[0, 0]
     singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
     assert np.abs(e - np.outer(singlet, singlet)).max() <= 1e-12
 
 
 def test_matrix_unit_vanishes_beyond_depth():
-    e = matrix_unit(YoungDiagram((1, 1, 1)), 2)[0, 0]
+    e = matrix_unit((1, 1, 1), 2)[0, 0]
     assert np.abs(e).max() <= 1e-12
 
 
@@ -343,7 +349,7 @@ def branching_deviation(d: int, boxes: int) -> float:
             for b in range(dim):
                 lhs = np.kron(matrix_unit(alpha, d)[a, b], np.eye(d))
                 rhs = np.zeros_like(lhs)
-                for child in alpha.children(max_depth=d):
+                for child in children(alpha, max_depth=d):
                     x = embedding_matrix(alpha, child)
                     rhs += matrix_unit(child, d)[
                         int(np.argmax(x[a])), int(np.argmax(x[b]))
@@ -390,13 +396,6 @@ def test_partial_trace_of_matrix_units():
             assert partial_trace_deviation(d, boxes) <= 1e-10
 
 
-def test_diagram_validation():
-    with pytest.raises(ValueError):
-        YoungDiagram((1, 2))
-    with pytest.raises(ValueError):
-        YoungDiagram((2, 0))
-
-
 def _digest(mats) -> str:
     h = hashlib.sha256()
     for mat in mats:
@@ -414,13 +413,13 @@ def test_representation_data_is_pinned():
     # on small matrices
     shapes = [mu for n in range(8) for mu in young_diagrams(n, max(n, 1))]
     generators = _digest(
-        generator_matrix(mu, k) for mu in shapes for k in range(1, mu.boxes)
+        generator_matrix(mu, k) for mu in shapes for k in range(1, sum(mu))
     )
     embeddings = _digest(
-        embedding_matrix(mu, child) for mu in shapes if mu.boxes < 7 for child in mu.children()
+        embedding_matrix(mu, child) for mu in shapes if sum(mu) < 7 for child in children(mu)
     )
     cycles = _digest(
-        permutation_matrix(mu, cycle_permutation(mu.boxes)) for mu in shapes if mu.boxes
+        permutation_matrix(mu, cycle_permutation(sum(mu))) for mu in shapes if sum(mu)
     )
     units = _digest(
         matrix_unit(mu, d) for d in (2, 3) for n in range(1, 5) for mu in young_diagrams(n, d)
