@@ -29,9 +29,10 @@ product costing 2 s^2 k flops when A_j has k nonzeros (both triangles) in
 a block of size s, against 4 s^3 for expanding A_j into a dense s x s
 matrix and multiplying on both sides.  No row of any program the
 repository builds has k > s (the trace row has k = s), so no dense path
-is kept.  Only the lower triangle of M is built: each pair of rows is
-formed once per block, and added to a column-major buffer by one 1-D
-scatter per batch of rows.
+is kept.  Rows are taken in chunks of up to ``_SCHUR_CHUNK`` consecutive
+rows of one block, whatever their k, and only the lower triangle of M is
+built: each pair of rows is formed once per block, and added to a
+column-major buffer by one 1-D scatter per chunk.
 
 Each iteration factors every matrix once.  LAPACK ``potrf`` factors the
 lower triangle of the Schur complement in place, with no symmetrized
@@ -55,9 +56,12 @@ failed solve returns the last iterate before the failure.
 Blocks of equal size are held as one (count, s, s) stack, so the block
 Cholesky factors, their inverses, the step-length eigenvalues and the
 products of the search directions take one batched numpy call per
-distinct size rather than one call per block.  Batched LAPACK and matmul
-run the same routine on each matrix of a stack, so these match the
-per-block results bitwise.
+distinct size rather than one call per block.  The factors, their
+inverses and the step-length eigenvalues of X and Z go further: X's
+stack and Z's are joined into one, X's blocks first, so each of these
+kernels runs once per size for both.  Batched LAPACK and matmul run the
+same routine on each matrix of a stack, so these match the per-block
+results bitwise.
 
 :func:`solve` runs under one OpenBLAS thread (numpy's and scipy's
 bundled builds) and restores the caller's thread counts on return.  Its
@@ -255,6 +259,19 @@ class SdpSolution:
         return json.dumps(payload, sort_keys=True)
 
 
+@functools.cache
+def _triangle(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows and columns of an s x s upper triangle, row by row, and each entry's svec scale.
+
+    Every indexer of a block of size s shares these arrays, so they are read-only.
+    """
+    ii, jj = np.triu_indices(s)
+    scale = np.where(ii == jj, 1.0, math.sqrt(2.0))
+    for arr in (ii, jj, scale):
+        arr.setflags(write=False)
+    return ii, jj, scale
+
+
 class _SvecIndexer:
     """Symmetric vectorization with sqrt(2)-scaled off-diagonals.
 
@@ -266,9 +283,9 @@ class _SvecIndexer:
 
     def __init__(self, dims: list[int]):
         self.dims = dims
-        self.index_pairs = [np.triu_indices(s) for s in dims]
-        root2 = math.sqrt(2.0)
-        self.scales = [np.where(ii == jj, 1.0, root2) for ii, jj in self.index_pairs]
+        triangles = [_triangle(s) for s in dims]
+        self.index_pairs = [(ii, jj) for ii, jj, _ in triangles]
+        self.scales = [scale for _, _, scale in triangles]
         self.scale_vector = np.concatenate([np.empty(0)] + self.scales)
         self.total = self.scale_vector.size
         ends = np.cumsum([scale.size for scale in self.scales], dtype=int)
@@ -393,64 +410,82 @@ def _preprocess_rows(a: scipy.sparse.csr_matrix, rhs: np.ndarray) -> tuple[np.nd
 
 
 def _block_rows(a: scipy.sparse.csr_matrix, indexer: _SvecIndexer) -> list[list[tuple]]:
-    """Per block: the batches of rows touching it, for the Schur complement's lower triangle.
+    """Per block: the chunks of rows touching it, for the Schur complement's lower triangle.
 
     A row's entries in block b are listed in matrix coordinates, both
     triangles, each svec coefficient divided by its sqrt(2) scale, so that
     they are the nonzeros of the symmetric A_ib, stored at column p*s + q of
-    one CSR matrix over the flattened s x s block.  Its rows are ordered by
-    entry count k, so that a batch of at most ``_SCHUR_CHUNK`` rows sharing
-    the same k is one slice of the stored entries.  A batch is (p, q, v,
-    tail, target): its rows' entries as (rows, k) arrays, the block's rows
-    from the batch's first row onward (a CSR view of the stored entries),
-    and where each product of a tail row with a batch row goes in the flat
-    column-major m*m + 1 buffer of :func:`_schur_complement`.  A pair of
-    rows lands at (max, min) of their global indices, the lower triangle.
-    Inside the batch's own square both orders of a pair are formed; the one
-    whose tail row is the later (or the same) row is kept, and the other
-    goes to the spare last slot.  All of this depends only on the kept
-    rows, so it is built once per solve.
+    one CSR matrix over the flattened s x s block.  One stable sort of all
+    of ``a``'s entries groups them by block and orders each block's rows by
+    entry count k, keeping each row's entries in their stored order.  A
+    chunk is up to ``_SCHUR_CHUNK`` consecutive rows of one block in that
+    order, whatever their k: (groups, tail, target).  ``groups`` has one
+    (rows, p, q, v) per entry count in the chunk, ``rows`` its slice of the
+    chunk and p, q, v its rows' entries as (rows, k) arrays; ``tail`` is
+    the block's rows from the chunk's first row onward (a CSR view of the
+    stored entries), and ``target`` says where each product of a tail row
+    with a chunk row goes in the flat column-major m*m + 1 buffer of
+    :func:`_schur_complement`.  A pair of rows lands at (max, min) of their
+    global indices, the lower triangle.  Inside the chunk's own square both
+    orders of a pair are formed; the one whose tail row is the later (or
+    the same) row is kept, and the other goes to the spare last slot.  All
+    of this depends only on the kept rows, so it is built once per solve.
     """
     m = a.shape[0]
     # int32 halves the index memory; an m this large would need 17 GB for M itself
     index_type = np.int32 if m * m < 2**31 - 1 else np.int64
+    sizes = np.array(indexer.dims, dtype=np.int64)
+    entries = a.tocoo()
+    block = np.repeat(np.arange(sizes.size), [scale.size for scale in indexer.scales])[entries.col]
+    lo = np.concatenate([np.empty(0, int)] + [ii for ii, _ in indexer.index_pairs])[entries.col]
+    hi = np.concatenate([np.empty(0, int)] + [jj for _, jj in indexer.index_pairs])[entries.col]
+    off = lo != hi
+    row = np.concatenate([entries.row, entries.row[off]])
+    block = np.concatenate([block, block[off]])
+    flat = np.concatenate([lo, hi[off]]) * sizes[block] + np.concatenate([hi, lo[off]])
+    v = entries.data / indexer.scale_vector[entries.col]
+    v = np.concatenate([v, v[off]])
+    keys, local, counts = np.unique(block * m + row, return_inverse=True, return_counts=True)
+    key_block = keys // m
+    by_count = np.lexsort((counts, key_block))
+    rank = np.empty_like(by_count)
+    rank[by_count] = np.arange(by_count.size)
+    # the sort is stable, so each row's entries keep their stored order
+    order = np.argsort(rank[local], kind="stable")
+    rows, counts = (keys[by_count] % m).astype(index_type), counts[by_count]
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    bounds = np.searchsorted(key_block[by_count], np.arange(sizes.size + 1))
     out = []
-    for b, span in enumerate(indexer.spans):
-        s = indexer.dims[b]
-        ii, jj = indexer.index_pairs[b]
-        entries = a[:, span].tocoo()
-        lo, hi = ii[entries.col], jj[entries.col]
-        off = lo != hi
-        row = np.concatenate([entries.row, entries.row[off]])
-        flat = np.concatenate([lo * s + hi, hi[off] * s + lo[off]])
-        v = entries.data / indexer.scales[b][entries.col]
-        v = np.concatenate([v, v[off]])
-        rows, local, counts = np.unique(row, return_inverse=True, return_counts=True)
-        order = np.lexsort((local, counts[local]))
-        # int32 column indices and row pointers let every tail view them
-        flat, v = flat[order].astype(np.int32), v[order]
-        by_count = np.argsort(counts, kind="stable")
-        rows, counts = rows[by_count].astype(index_type), counts[by_count]
-        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-        batches = []
-        for k in np.unique(counts):
-            first, last = np.searchsorted(counts, [k, k + 1])
-            for start in range(first, last, _SCHUR_CHUNK):
-                stop = min(start + _SCHUR_CHUNK, last)
-                head = indptr[start]
-                tail = scipy.sparse.csr_matrix(
-                    (v[head:], flat[head:], indptr[start:] - head), shape=(rows.size - start, s * s)
-                )
-                batch = slice(head, indptr[stop])
-                p, q = np.divmod(flat[batch].reshape(-1, k), s)
-                later, earlier = rows[start:, None], rows[None, start:stop]
-                target = np.where(
-                    np.tri(rows.size - start, stop - start, dtype=bool),
-                    np.minimum(later, earlier) * m + np.maximum(later, earlier),
-                    m * m,
-                )
-                batches.append((p, q, v[batch].reshape(-1, k), tail, target.ravel()))
-        out.append(batches)
+    for b, (first, last) in enumerate(zip(bounds[:-1], bounds[1:])):
+        s, size = indexer.dims[b], last - first
+        # each block gets arrays of its own, as scipy copies a CSR view that
+        # holds less than half of its base array; int32 column indices and
+        # row pointers let every tail view them
+        picked = order[indptr[first]:indptr[last]]
+        flat_b, v_b = flat[picked].astype(np.int32), v[picked]
+        ptr = (indptr[first:last + 1] - indptr[first]).astype(np.int32)
+        rows_b, counts_b = rows[first:last], counts[first:last]
+        chunks = []
+        for start in range(0, size, _SCHUR_CHUNK):
+            stop = min(start + _SCHUR_CHUNK, size)
+            head = ptr[start]
+            tail = scipy.sparse.csr_matrix(
+                (v_b[head:], flat_b[head:], ptr[start:] - head), shape=(size - start, s * s)
+            )
+            ks, firsts = np.unique(counts_b[start:stop], return_index=True)
+            groups = []
+            for k, i, j in zip(ks, firsts, [*firsts[1:], stop - start]):
+                group = slice(ptr[start + i], ptr[start + j])
+                p, q = np.divmod(flat_b[group].reshape(-1, k), s)
+                groups.append((slice(i, j), p, q, v_b[group].reshape(-1, k)))
+            later, earlier = rows_b[start:, None], rows_b[None, start:stop]
+            target = np.where(
+                np.tri(size - start, stop - start, dtype=bool),
+                np.minimum(later, earlier) * m + np.maximum(later, earlier),
+                m * m,
+            )
+            chunks.append((groups, tail, target.ravel()))
+        out.append(chunks)
     return out
 
 
@@ -459,25 +494,29 @@ def _schur_complement(block_rows, x: list[np.ndarray], zinv: list[np.ndarray], m
 
     For a row j with entries (p, q, v) in block b, X A_jb Z^{-1} is the
     rank-k sum of v X[:, p] Z^{-1}[q, :] over its entries (the "F2"
-    formula), one batched (rows, s, k) @ (rows, k, s) product per batch:
-    2 s^2 k flops per row, against 4 s^3 for expanding A_jb into a dense
-    s x s matrix and multiplying on both sides.  F2 is the cheaper form
-    while k < 2s; the largest k of any program the repository builds is s
-    (the trace row), where it costs half, so no dense path is kept.  As
-    A_ib is symmetric, Tr(A_ib T) = <vec A_ib, vec T>: each batch enters M
-    as one sparse-times-dense product with the block's rows from the
-    batch's first row onward, so each pair of rows is formed once per block,
-    and one 1-D scatter adds it to the lower triangle.  Scratch memory stays
-    at ``_SCHUR_CHUNK`` products.
+    formula): 2 s^2 k flops per row, against 4 s^3 for expanding A_jb into
+    a dense s x s matrix and multiplying on both sides.  F2 is the cheaper
+    form while k < 2s; the largest k of any program the repository builds
+    is s (the trace row), where it costs half, so no dense path is kept.
+    A chunk's products fill one preallocated (rows, s, s) stack, one
+    batched (rows, s, k) @ (rows, k, s) product per entry count k in it.
+    As A_ib is symmetric, Tr(A_ib T) = <vec A_ib, vec T>: each chunk enters
+    M as one sparse-times-dense product with the block's rows from the
+    chunk's first row onward, so each pair of rows is formed once per
+    block, and one 1-D scatter adds it to the lower triangle.  Scratch
+    memory stays at ``_SCHUR_CHUNK`` products.
 
     Returns an (m, m) column-major view whose lower triangle, diagonal
     included, is M; the strict upper triangle holds zeros.
     """
     buf = np.zeros(m * m + 1)
-    for batches, xb, zb in zip(block_rows, x, zinv):
-        for p, q, v, tail, target in batches:
-            t = (xb[:, p] * v).transpose(1, 0, 2) @ zb[q]
-            np.add.at(buf, target, (tail @ t.reshape(len(p), -1).T).ravel())
+    for chunks, xb, zb in zip(block_rows, x, zinv):
+        s = xb.shape[0]
+        for groups, tail, target in chunks:
+            t = np.empty((groups[-1][0].stop, s, s))
+            for rows, p, q, v in groups:
+                np.matmul((xb[:, p] * v).transpose(1, 0, 2), zb[q], out=t[rows])
+            np.add.at(buf, target, (tail @ t.reshape(len(t), -1).T).ravel())
     return buf[:-1].reshape((m, m), order="F")
 
 
@@ -493,21 +532,44 @@ def _cholesky_blocks(stacks: list[np.ndarray]) -> list[np.ndarray] | None:
         return None
 
 
-def _step_length(inverses: list[np.ndarray], steps: list[np.ndarray]) -> float:
-    """Fraction-to-boundary step, at most 1, for blocks given by their inverse Cholesky factors.
+def _halves(stacks: list[np.ndarray], counts: list[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """X's and Z's views of joint X/Z stacks, X's ``counts[g]`` blocks first in stack g."""
+    return [st[:n] for st, n in zip(stacks, counts)], [st[n:] for st, n in zip(stacks, counts)]
 
-    The largest alpha keeping L L^T + alpha*D positive semidefinite is
-    -1/lambda_min(L^-1 D L^-T), or unbounded when that eigenvalue is not
-    negative; the step is ``_BOUNDARY_FRACTION`` of it.  The caller factors
-    the updated blocks, and a failed factor ends the solve.
+
+def _cholesky_joint(stacks: list[np.ndarray], counts: list[int]) -> tuple[list[np.ndarray] | None, str]:
+    """Factors of joint X/Z stacks, X's ``counts[g]`` blocks first in stack g.
+
+    Returns (factors, "") or, when a matrix is not positive definite,
+    (None, "X") or (None, "Z").  A stack fails exactly when one of its
+    matrices does, so only then is X factored alone, to name the one that
+    failed.
     """
-    lam = min(
-        float(np.linalg.eigvalsh(_sym(li @ d @ li.swapaxes(-1, -2)))[:, 0].min())
-        for li, d in zip(inverses, steps)
+    factors = _cholesky_blocks(stacks)
+    if factors is not None:
+        return factors, ""
+    return None, "X" if _cholesky_blocks(_halves(stacks, counts)[0]) is None else "Z"
+
+
+def _step_lengths(inverses: list[np.ndarray], dx: list, dz: list) -> tuple[float, float]:
+    """Fraction-to-boundary steps (X's, Z's), each at most 1, for joint X/Z stacks.
+
+    ``inverses`` holds the inverse Cholesky factors of the joint stacks, X's
+    blocks first, and dx, dz the steps of X and Z.  The largest alpha
+    keeping L L^T + alpha*D positive semidefinite is -1/lambda_min(L^-1 D
+    L^-T), or unbounded when that eigenvalue is not negative; the step is
+    ``_BOUNDARY_FRACTION`` of it.  The caller factors the updated blocks,
+    and a failed factor ends the solve.
+    """
+    x_minima, z_minima = [], []
+    for li, dxg, dzg in zip(inverses, dx, dz):
+        lam = np.linalg.eigvalsh(_sym(li @ np.concatenate((dxg, dzg)) @ li.swapaxes(-1, -2)))[:, 0]
+        x_minima.append(float(lam[:len(dxg)].min()))
+        z_minima.append(float(lam[len(dxg):].min()))
+    return tuple(
+        1.0 if lam >= -1e-14 else min(1.0, _BOUNDARY_FRACTION * (-1.0 / lam))
+        for lam in (min(x_minima), min(z_minima))
     )
-    if lam >= -1e-14:
-        return 1.0
-    return min(1.0, _BOUNDARY_FRACTION * (-1.0 / lam))
 
 
 @functools.cache
@@ -591,11 +653,12 @@ def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
         float(np.abs(rhs).max()) if m else 1.0,
         max(float(np.abs(mat).max()) for mat in c_mats) if nblocks else 1.0,
     )
-    # X, Z, their factors and every step are lists of per-size stacks
-    x = indexer.stack([tau * np.eye(s) for s in dims])
-    z = [st.copy() for st in x]
-    x_chol = _cholesky_blocks(x)
-    z_chol = _cholesky_blocks(z)
+    # X, Z, their factors and every step are lists of per-size stacks; X and
+    # Z of one size are the two halves of one joint stack, X's blocks first
+    counts = [len(mem) for mem in indexer.members]
+    xz = [np.concatenate((st, st)) for st in indexer.stack([tau * np.eye(s) for s in dims])]
+    x, z = _halves(xz, counts)
+    xz_chol = _cholesky_blocks(xz)
     y = np.zeros(m)
     ntotal = sum(dims)
 
@@ -632,9 +695,8 @@ def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
 
         # one inverse per factor serves Z^-1 and both step lengths; symmetrize
         # the rounded Z^-1 so that svec pairings see both triangles
-        z_inv_chol = [np.linalg.inv(l) for l in z_chol]
-        x_inv_chol = [np.linalg.inv(l) for l in x_chol]
-        zinv = [_sym(li.swapaxes(-1, -2) @ li) for li in z_inv_chol]
+        inv_chol = [np.linalg.inv(l) for l in xz_chol]
+        zinv = [_sym(li.swapaxes(-1, -2) @ li) for li in _halves(inv_chol, counts)[1]]
         big_m = _schur_complement(block_rows, indexer.unstack(x), indexer.unstack(zinv), m)
         try:
             # potrf overwrites the lower triangle of M with its factor
@@ -658,8 +720,7 @@ def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
             return dx, dy, dz
 
         dx_aff, dy_aff, dz_aff = direction(0.0, [0.0] * len(x))
-        ap = _step_length(x_inv_chol, dx_aff)
-        ad = _step_length(z_inv_chol, dz_aff)
+        ap, ad = _step_lengths(inv_chol, dx_aff, dz_aff)
         mu_aff = inner(
             [xg + ap * dxg for xg, dxg in zip(x, dx_aff)], [zg + ad * dzg for zg, dzg in zip(z, dz_aff)]
         ) / ntotal
@@ -669,16 +730,15 @@ def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
         dx, dy, dz = direction(sigma * mu, cross)
 
         # the factors of the new iterate serve the next iteration
-        ap = _step_length(x_inv_chol, dx)
-        ad = _step_length(z_inv_chol, dz)
-        x_new = [xg + ap * dxg for xg, dxg in zip(x, dx)]
-        z_new = [zg + ad * dzg for zg, dzg in zip(z, dz)]
-        x_chol, z_chol = _cholesky_blocks(x_new), _cholesky_blocks(z_new)
-        if x_chol is None or z_chol is None:
-            name, alpha = ("X", ap) if x_chol is None else ("Z", ad)
+        ap, ad = _step_lengths(inv_chol, dx, dz)
+        xz_new = [np.concatenate((xg + ap * dxg, zg + ad * dzg)) for xg, dxg, zg, dzg in zip(x, dx, z, dz)]
+        xz_chol, name = _cholesky_joint(xz_new, counts)
+        if name:
+            alpha = ap if name == "X" else ad
             status = "numerical_failure"
             reason = f"{name} not positive definite after step {alpha:.3g} at iteration {iterations}"
             break
+        x_new, z_new = _halves(xz_new, counts)
         y_new = y + ad * dy
         # written so that a NaN fails the test too
         x_max = max((float(np.abs(st).max()) for st in x_new), default=0.0)
@@ -728,6 +788,11 @@ class VerificationReport:
     gap: float | None
 
 
+def _min_eigenvalues(indexer: _SvecIndexer, stacks: list[np.ndarray]) -> list[float]:
+    """Smallest eigenvalue of each block's symmetric part, in block order, one eigvalsh per size."""
+    return [float(lam) for lam in indexer.unstack([np.linalg.eigvalsh(_sym(st))[:, 0] for st in stacks])]
+
+
 def verify(problem: SdpProblem, solution: SdpSolution) -> VerificationReport:
     """Recompute residuals from the original rows, independent of solver bookkeeping."""
     if len(solution.blocks) != len(problem.block_dims):
@@ -743,16 +808,15 @@ def verify(problem: SdpProblem, solution: SdpSolution) -> VerificationReport:
     m_rows = problem.a.shape[0]
     xvec = indexer.pack([(b + b.T) / 2.0 for b in solution.blocks])
     violation = float(np.abs(problem.a @ xvec - problem.rhs).max()) if m_rows else 0.0
-    minima = tuple(float(np.linalg.eigvalsh((b + b.T) / 2.0)[0]) for b in solution.blocks)
+    minima = tuple(_min_eigenvalues(indexer, indexer.stack(solution.blocks)))
     dual_obj = None
     dual_min = None
     gap = None
     if solution.dual is not None and len(solution.dual) == m_rows:
         dual_obj = float(problem.rhs @ solution.dual)
-        slack = [aty - cost for aty, cost in zip(indexer.unpack(problem.a.T @ solution.dual), costs)]
-        dual_min = min(
-            (float(np.linalg.eigvalsh((zb + zb.T) / 2.0)[0]) for zb in slack), default=math.inf
-        )
+        aty = indexer.unpack_stacks(problem.a.T @ solution.dual)
+        slack = [st - cost for st, cost in zip(aty, indexer.stack(costs))]
+        dual_min = min(_min_eigenvalues(indexer, slack), default=math.inf)
         gap = abs(objective - dual_obj) / (1.0 + abs(objective) + abs(dual_obj))
     return VerificationReport(
         objective=objective,

@@ -266,15 +266,16 @@ def reject_constant(name):
 
 def test_diverged_solve_exits_with_its_reason(monkeypatch, tmp_path, capsys):
     # a NaN step is refused, so the payloads describe the last finite iterate
-    real = sdp._step_length
+    real = sdp._step_lengths
     calls = []
 
-    def nan_step(inverses, steps):
-        # the seventh call is the second iteration's X corrector step
+    def nan_step(*args):
+        # each call steps X and Z; the fourth is the second iteration's corrector
         calls.append(None)
-        return math.nan if len(calls) == 7 else real(inverses, steps)
+        ap, ad = real(*args)
+        return (math.nan, ad) if len(calls) == 4 else (ap, ad)
 
-    monkeypatch.setattr(sdp, "_step_length", nan_step)
+    monkeypatch.setattr(sdp, "_step_lengths", nan_step)
     code = main(["solve", "--d", "2", "--n", "2", "--json", "--out", str(tmp_path)])
     captured = capsys.readouterr()
     assert code == 4

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -15,6 +16,7 @@ from unitary_inversion.sdp import (
     SolverConfig,
     _blas_threads,
     _openblas,
+    _SCHUR_CHUNK,
     _block_rows,
     _preprocess_rows,
     _schur_complement,
@@ -183,15 +185,16 @@ def reject_constant(name):
 def test_non_finite_iterate_ends_the_solve(monkeypatch):
     # Cholesky accepts a NaN block, so the divergence test must catch it,
     # and before the NaN iterate replaces the last finite one
-    real = sdp._step_length
+    real = sdp._step_lengths
     calls = []
 
-    def nan_step(inverses, steps):
-        # the seventh call is the second iteration's X corrector step
+    def nan_step(*args):
+        # each call steps X and Z; the fourth is the second iteration's corrector
         calls.append(None)
-        return math.nan if len(calls) == 7 else real(inverses, steps)
+        ap, ad = real(*args)
+        return (math.nan, ad) if len(calls) == 4 else (ap, ad)
 
-    monkeypatch.setattr(sdp, "_step_length", nan_step)
+    monkeypatch.setattr(sdp, "_step_lengths", nan_step)
     for n in (1, 2):
         calls.clear()
         problem = build_sequential_sdp(2, n)
@@ -231,13 +234,24 @@ def test_rejects_unsymmetric_and_complex_data():
 
 
 def test_verify_matches_solver_bookkeeping():
-    problem = build_sequential_sdp(2, 2)
-    solution = solve(problem)
-    report = verify(problem, solution)
-    assert report.max_constraint_violation <= 1e-8
-    assert min(report.block_min_eigenvalues) >= -1e-9
-    assert abs(report.objective - solution.objective_value) <= 1e-10
-    assert abs(report.gap - solution.gap) <= 1e-8
+    # seq (2,3) lists blocks of repeated sizes out of size order
+    for problem in (build_sequential_sdp(2, 2), build_sequential_sdp(2, 3)):
+        solution = solve(problem)
+        report = verify(problem, solution)
+        assert report.max_constraint_violation <= 1e-8
+        assert min(report.block_min_eigenvalues) >= -1e-9
+        assert abs(report.objective - solution.objective_value) <= 1e-10
+        assert abs(report.gap - solution.gap) <= 1e-8
+        # one batched eigvalsh per block size gives the per-block values, in block order
+        assert report.block_min_eigenvalues == tuple(
+            float(np.linalg.eigvalsh((b + b.T) / 2.0)[0]) for b in solution.blocks
+        )
+        aty = _SvecIndexer(problem.block_dims).unpack(problem.a.T @ solution.dual)
+        slack = [zb - np.asarray(cost, dtype=float) for zb, cost in zip(aty, problem.objective)]
+        assert report.dual_min_eigenvalue == min(
+            float(np.linalg.eigvalsh((zb + zb.T) / 2.0)[0]) for zb in slack
+        )
+    assert problem.block_dims != sorted(problem.block_dims)
 
 
 def test_verify_flags_corrupted_block():
@@ -319,6 +333,11 @@ def test_constraint_matrix_matches_dense_definition():
         dense = [sum(float(np.sum(m * x[b])) for b, m in coeffs.items()) for coeffs, _ in rows]
         assert np.abs(applied - dense).max() <= 1e-12
     assert np.array_equal(problem.rhs, [rhs for _, rhs in rows])
+    # indexers share each block size's triangle and scales, so none may write them
+    first, second = _SvecIndexer([3, 1, 4]), _SvecIndexer([4, 3])
+    assert first.index_pairs[0][0] is second.index_pairs[1][0] and first.scales[2] is second.scales[0]
+    shared = [arr for pair in first.index_pairs for arr in pair] + first.scales
+    assert not any(arr.flags.writeable for arr in shared)
 
 
 def test_constraint_matrix_json_roundtrip():
@@ -620,35 +639,93 @@ def test_schur_failure_ends_the_solve(monkeypatch, kind):
     assert all(np.isfinite(block).all() for block in solution.blocks)
 
 
-@pytest.mark.parametrize("target, name", [(7, "X"), (8, "Z")], ids=["X", "Z"])
-def test_step_out_of_the_cone_ends_the_solve(monkeypatch, target, name):
-    # step lengths come in order X, Z (predictor), X, Z (corrector); the
-    # target-th call steps twice as far as the boundary of the cone
-    real = sdp._step_length
+@pytest.mark.parametrize("name", ["X", "Z"])
+def test_step_out_of_the_cone_ends_the_solve(monkeypatch, name):
+    # each call steps X and Z; the fourth, the second iteration's corrector,
+    # steps X or Z twice as far as the boundary of the cone
+    real = sdp._step_lengths
     calls = []
 
-    def overshooting(inverses, steps):
+    def overshooting(inverses, dx, dz):
         calls.append(None)
-        if len(calls) != target:
-            return real(inverses, steps)
+        steps = list(real(inverses, dx, dz))
+        if len(calls) != 4:
+            return tuple(steps)
+        # X's inverse factors lead each joint stack
+        parts = [
+            (li[:len(dxg)], dxg) if name == "X" else (li[len(dxg):], dzg)
+            for li, dxg, dzg in zip(inverses, dx, dz)
+        ]
         lam = min(
             float(np.linalg.eigvalsh(sdp._sym(li @ d @ li.swapaxes(-1, -2)))[:, 0].min())
-            for li, d in zip(inverses, steps)
+            for li, d in parts
         )
         assert lam < 0
-        return 2.0 / -lam
+        steps["XZ".index(name)] = 2.0 / -lam
+        return tuple(steps)
 
-    monkeypatch.setattr(sdp, "_step_length", overshooting)
+    monkeypatch.setattr(sdp, "_step_lengths", overshooting)
     solution = solve(build_sequential_sdp(2, 1))
     assert solution.status == "numerical_failure"
     assert re.fullmatch(rf"{name} not positive definite after step \S+ at iteration 2", solution.reason)
-    # both corrector steps are taken before either block stack is factored
-    assert solution.iterations == 2 and len(calls) == 8
+    assert solution.iterations == 2 and len(calls) == 4
 
 
 def random_positive_definite(rng, size):
     mat = rng.standard_normal((size, size))
     return mat @ mat.T + size * np.eye(size)
+
+
+def separate_step_length(inverses, steps):
+    """One matrix family's fraction-to-boundary step, from its own stacks alone."""
+    lam = min(
+        float(np.linalg.eigvalsh(sdp._sym(li @ d @ li.swapaxes(-1, -2)))[:, 0].min())
+        for li, d in zip(inverses, steps)
+    )
+    return 1.0 if lam >= -1e-14 else min(1.0, 0.98 * (-1.0 / lam))
+
+
+@pytest.mark.parametrize("limited", ["X", "Z"])
+def test_joint_step_lengths_match_separate_stacks(limited):
+    rng = np.random.default_rng(11)
+    sizes, counts = (1, 3, 5), (2, 1, 3)
+
+    def stacks(make):
+        return [np.stack([make(rng, s) for _ in range(n)]) for s, n in zip(sizes, counts)]
+
+    def inverse_factors():
+        return [np.linalg.inv(np.linalg.cholesky(st)) for st in stacks(random_positive_definite)]
+
+    # a positive definite step never meets the boundary; a large indefinite one does
+    def steps(limits):
+        if limits:
+            return stacks(lambda rng, s: 100 * random_symmetric(rng, s))
+        return stacks(random_positive_definite)
+
+    x_inv, z_inv = inverse_factors(), inverse_factors()
+    dx, dz = steps(limited == "X"), steps(limited == "Z")
+    joint = [np.concatenate(pair) for pair in zip(x_inv, z_inv)]
+    ap, ad = sdp._step_lengths(joint, dx, dz)
+    assert (ap, ad) == (separate_step_length(x_inv, dx), separate_step_length(z_inv, dz))
+    assert (ap < 1.0, ad < 1.0) == (limited == "X", limited == "Z")
+
+
+def test_failed_joint_cholesky_names_its_matrix():
+    rng = np.random.default_rng(12)
+    counts = [2, 1]
+    stacks = [
+        np.stack([random_positive_definite(rng, s) for _ in range(2 * n)]) for s, n in zip((2, 4), counts)
+    ]
+    factors, name = sdp._cholesky_joint(stacks, counts)
+    assert name == "" and all(np.array_equal(f, np.linalg.cholesky(st)) for f, st in zip(factors, stacks))
+    # the Z half of a stack starts after its X blocks
+    z_fails = [st.copy() for st in stacks]
+    z_fails[1][counts[1]] = -np.eye(4)
+    assert sdp._cholesky_joint(z_fails, counts) == (None, "Z")
+    for both in (False, True):
+        x_fails = [st.copy() for st in (z_fails if both else stacks)]
+        x_fails[0][1, 0, 0] = -1.0
+        assert sdp._cholesky_joint(x_fails, counts) == (None, "X")
 
 
 def untouched_block_problem():
@@ -662,30 +739,50 @@ def untouched_block_problem():
 
 
 @pytest.mark.parametrize(
-    "build, split",
+    "build, split, mixed",
     [
-        (lambda: build_sequential_sdp(2, 3), False),
-        (lambda: build_parallel_sdp(3, 2), False),
-        (lambda: build_full_sdp(2, 1, "seq"), False),
-        (untouched_block_problem, False),
-        (lambda: build_parallel_sdp(2, 4), True),
+        (lambda: build_sequential_sdp(2, 3), False, (1, 2, 4, 9)),
+        (lambda: build_parallel_sdp(3, 2), False, (2, 4)),
+        (lambda: build_full_sdp(2, 1, "seq"), False, (4, 8, 16)),
+        (untouched_block_problem, False, (16,)),
+        (lambda: build_parallel_sdp(2, 4), True, (2, 4, 8)),
+        (lambda: build_sequential_sdp(4, 3), False, (1, 2, 4, 9)),
     ],
-    ids=["seq-2-3", "par-3-2", "full-seq-2-1", "from-rows", "par-2-4"],
+    ids=["seq-2-3", "par-3-2", "full-seq-2-1", "from-rows", "par-2-4", "seq-4-3"],
 )
-def test_schur_complement_matches_dense_definition(build, split):
+def test_schur_complement_matches_dense_definition(build, split, mixed):
     problem = build()
     kept = _preprocess_rows(problem.a, problem.rhs)[0]
     a = problem.a[kept]
     indexer = _SvecIndexer(problem.block_dims)
     block_rows = _block_rows(a, indexer)
     dims = problem.block_dims
-    counts = [[p.shape[1] for p, *_ in batches] for batches in block_rows]
+    counts = []
+    for chunks in block_rows:
+        sizes = [groups[-1][0].stop for groups, _, _ in chunks]
+        # a block's rows, in entry-count order, fill chunks of _SCHUR_CHUNK
+        # rows but the last, each contracted against the rows from its first onward
+        assert all(size == _SCHUR_CHUNK for size in sizes[:-1])
+        assert all(0 < size <= _SCHUR_CHUNK for size in sizes)
+        assert [tail.shape[0] for _, tail, _ in chunks] == [sum(sizes[i:]) for i in range(len(sizes))]
+        # one group of consecutive rows per entry count in a chunk
+        for groups, _, _ in chunks:
+            ends = [0] + [rows.stop for rows, *_ in groups]
+            assert [(rows.start, len(p)) for rows, p, _, _ in groups] == [
+                (start, stop - start) for start, stop in zip(ends, ends[1:])
+            ]
+            assert len({p.shape[1] for _, p, _, _ in groups}) == len(groups)
+        counts.append([p.shape[1] for groups, _, _ in chunks for _, p, _, _ in groups])
+        assert counts[-1] == sorted(counts[-1])
     if len(dims) == 1:
         # the trace row has one entry per diagonal element of the block
         assert max(counts[0]) == dims[0]
-    # more than _SCHUR_CHUNK rows of one entry count in a block split into
-    # batches, each contracted against the rows from its first onward
-    assert any(len(ks) > len(set(ks)) for ks in counts) == split
+    # more than _SCHUR_CHUNK rows in a block take several chunks, and some
+    # chunk holds rows of exactly the entry counts ``mixed``
+    assert any(len(chunks) > 1 for chunks in block_rows) == split
+    assert mixed in [
+        tuple(p.shape[1] for _, p, _, _ in groups) for chunks in block_rows for groups, _, _ in chunks
+    ]
     rng = np.random.default_rng(7)
     x = [random_positive_definite(rng, s) for s in dims]
     zinv = [random_positive_definite(rng, s) for s in dims]
@@ -716,30 +813,44 @@ def test_solve_factors_each_matrix_once_per_iteration(monkeypatch):
     assert len(schur) == len(schur_calls) and len(blocks) == len(calls)
     # the last iteration only checks convergence
     assert schur == [(1, True)] * (solution.iterations - 1)
-    # X and Z once per block at the start and after each step, in one
-    # stacked call per block size
+    # X and Z once per block at the start and after each step, together in
+    # one stacked call per block size
     assert all(ok for _, ok in blocks)
     assert sum(count for count, _ in blocks) == 2 * nblocks * solution.iterations
-    assert len(blocks) == 2 * nsizes * solution.iterations
+    assert len(blocks) == nsizes * solution.iterations
 
 
 @pytest.mark.parametrize(
-    "build, iterations",
+    "build, iterations, digest",
     [
-        (lambda: build_sequential_sdp(2, 3), 11),
-        (lambda: build_sequential_sdp(3, 3), 12),
-        (lambda: build_parallel_sdp(2, 4), 13),
-        (lambda: build_parallel_sdp(4, 3), 13),
-        (lambda: build_full_sdp(2, 2, "seq"), 13),
-        (lambda: build_full_sdp(3, 1, "par"), 8),
+        (lambda: build_sequential_sdp(2, 3), 11,
+         "a739f38c4c6031103283f30814cafe355bb6111d50848d6b7ecdc5d3dacbf257"),
+        (lambda: build_sequential_sdp(3, 3), 12,
+         "7da3db411efadfa82b41c50486c90713b0ceb0fbc0e44dcdd54f9101a7ac8f31"),
+        (lambda: build_sequential_sdp(3, 4), 16,
+         "7dc0d2fd2edfc42cdb74ffa571388c5d48b47c13be4737291f8b3d06f074355c"),
+        (lambda: build_parallel_sdp(2, 4), 13,
+         "f2a98666bc4db693acc66a41eee022000eef912b7fb72bf03020a58365556349"),
+        (lambda: build_parallel_sdp(4, 3), 13,
+         "2a52d7e24f78aa26475836c73c8d1a51bf3f1ca69ddefdbcd00e6e29f810b4a9"),
+        (lambda: build_full_sdp(2, 2, "seq"), 13,
+         "4f70efc625d05888da1f264d29581a7805c6e98d6038fa2d026b96f09e7590d1"),
+        (lambda: build_full_sdp(3, 1, "par"), 8,
+         "60878ce66a8023d5d5a41cd1bb7f6937e9eabc92f0be66cf25edacfefbb5585e"),
     ],
-    ids=["seq-2-3", "seq-3-3", "par-2-4", "par-4-3", "full-seq-2-2", "full-par-3-1"],
+    ids=["seq-2-3", "seq-3-3", "seq-3-4", "par-2-4", "par-4-3", "full-seq-2-2", "full-par-3-1"],
 )
-def test_trajectories_are_pinned(build, iterations):
-    # a change to the solver's arithmetic may move values in the last bits,
-    # but iteration counts move only for a reason recorded in CHANGES.md
+def test_trajectories_are_pinned(build, iterations, digest):
+    # iteration counts move only for a reason recorded in CHANGES.md, and so
+    # do the bytes of the value, the blocks and the dual: the solver's
+    # arithmetic, and the order of its sums, is pinned
     solution = solve(build())
     assert (solution.status, solution.iterations) == ("optimal", iterations)
+    payload = hashlib.sha256(solution.objective_value.hex().encode())
+    for block in solution.blocks:
+        payload.update(block.tobytes())
+    payload.update(solution.dual.tobytes())
+    assert payload.hexdigest() == digest
 
 
 def test_solve_is_independent_of_blas_threads():
