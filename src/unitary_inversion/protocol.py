@@ -8,34 +8,36 @@ between computational qubits and total-spin label registers.
 
 Label conventions: a j-register stores floor(j) in binary, an m-register
 stores m + j in binary, and a single qubit |1> carries spin up (+1/2).
-Two build paths exist for the Clebsch-Gordan blocks: ``gate`` multiplies
-out the explicit gate sequence, ``matrix`` reads every defined column from
-one coupling rule (``_coupled``: one qubit added to spin j) and completes
-the free columns by an SVD of the defined ones.  Both agree on
-every state the protocol can reach; behavior off that subspace is not
-specified and may differ.  The gate path is the protocol; the matrix path
-is the reference that the tests and the benchmark compare it against, and
-no user option selects it.
+Every circuit (VCG2, VCG3, V1, V2) is a list of (controls, targets, op)
+gates composed by one function, ``_circuit``.  The Clebsch-Gordan blocks
+have two build paths: ``gate`` composes their gate lists, ``matrix``
+reads every defined column from one coupling rule (``_coupled``: one
+qubit added to spin j) and completes the free columns by an SVD of the
+defined ones.  Both agree on every state the protocol can reach, and may
+differ off it.  The gate path is the protocol; the matrix path is the
+reference that the tests and the benchmark compare it against, and no
+user option selects it.
 
-A run applies each black-box call to its one wire through
-``tensor.apply_to_subsystems``, and V1 and V2, which act on all seven
-wires, as plain matrix-vector products.  Inputs are checked in closed form
-on their entries (U unitary with determinant 1, states of norm 1, each
-within 1e-10), so NaN and inf entries are rejected too.  The module needs
-numpy and ``tensor`` only, never scipy.
+An input state has its ancillas at |0000>: two top-wire factors at
+stride 16 in a zero 128-vector.  One loop, ``_run``, applies rounds of
+(call, V1, call, V2): two for a standard run, two without the first call
+for a catalytic one, one for the transfer matrix.  Calls act on one wire
+through ``tensor.apply_to_subsystems``, V1 and V2 as matrix-vector
+products.  Inputs are checked in closed form on their entries (U unitary
+with determinant 1, states of norm 1, each within 1e-10), so NaN and inf
+entries are rejected too.  The module needs numpy and ``tensor`` only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
 from .tensor import (
     apply_to_subsystems,
-    basis_state,
     check_unitary,
     embed_operator,
     reduced_density_matrix,
@@ -49,7 +51,6 @@ ANCILLA_WIRES = (3, 4, 5, 6)
 CALL_WIRE = 1  # every black-box call acts here
 
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
-_ANCILLAS_ZERO = basis_state((2,) * len(ANCILLA_WIRES), (0,) * len(ANCILLA_WIRES))
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SWAP = np.array(
@@ -83,11 +84,11 @@ def _controlled(n: int, controls: dict[int, int], targets: tuple[int, ...], op: 
     return embed_operator(gate, tuple(controls) + tuple(targets), (2,) * n)
 
 
-def _product(n: int, gates: list[np.ndarray]) -> np.ndarray:
-    """Compose gates listed in circuit order (first gate acts first)."""
+def _circuit(n: int, gates: list[tuple[dict[int, int], tuple[int, ...], np.ndarray]]) -> np.ndarray:
+    """Compose ``(controls, targets, op)`` gates listed in circuit order (first acts first)."""
     mat = np.eye(2**n, dtype=complex)
-    for g in gates:
-        mat = g @ mat
+    for controls, targets, op in gates:
+        mat = _controlled(n, controls, targets, op) @ mat
     return mat
 
 
@@ -97,16 +98,15 @@ def build_vcg2() -> np.ndarray:
     Output registers: wire 0 holds the j bit, wires 1-2 hold m + j.
     """
     ry = rotation_y(math.pi / 2.0)
-    gates = [
-        _controlled(3, {0: 1, 1: 1}, (2,), _X),
-        _controlled(3, {1: 1}, (0,), _X),
-        _controlled(3, {2: 0}, (1,), ry),
-        _controlled(3, {0: 0, 2: 0}, (1,), ry),
-        _controlled(3, {1: 0}, (0,), _X),
-        _controlled(3, {}, (0, 1), _SWAP),
-        _controlled(3, {}, (1, 2), _SWAP),
-    ]
-    return check_unitary(_product(3, gates))
+    return check_unitary(_circuit(3, [
+        ({0: 1, 1: 1}, (2,), _X),
+        ({1: 1}, (0,), _X),
+        ({2: 0}, (1,), ry),
+        ({0: 0, 2: 0}, (1,), ry),
+        ({1: 0}, (0,), _X),
+        ({}, (0, 1), _SWAP),
+        ({}, (1, 2), _SWAP),
+    ]))
 
 
 def build_vcg3() -> np.ndarray:
@@ -117,23 +117,22 @@ def build_vcg3() -> np.ndarray:
     2*arccos(sqrt(2/3)).
     """
     theta = 2.0 * math.acos(math.sqrt(2.0 / 3.0))
-    gates = [
-        _controlled(4, {0: 0}, (2,), _X),
-        _controlled(4, {2: 1, 3: 1}, (1,), _X),
-        _controlled(4, {3: 1}, (2,), _X),
-        _controlled(4, {1: 1}, (2,), _X),
-        _controlled(4, {1: 0}, (3,), rotation_y(math.pi)),
-        _controlled(4, {0: 1, 1: 0, 2: 1}, (3,), rotation_y(-theta)),
-        _controlled(4, {0: 1, 1: 1, 2: 1}, (3,), rotation_y(theta)),
-        _controlled(4, {3: 1}, (0,), _X),
-        _controlled(4, {}, (0,), _X),
-        _controlled(4, {}, (1, 2), _SWAP),
-        _controlled(4, {}, (1,), _X),
-        _controlled(4, {0: 1}, (1,), _X),
-        _controlled(4, {0: 1}, (1, 2), _SWAP),
-        _controlled(4, {0: 1, 1: 1}, (2,), _X),
-    ]
-    return check_unitary(_product(4, gates))
+    return check_unitary(_circuit(4, [
+        ({0: 0}, (2,), _X),
+        ({2: 1, 3: 1}, (1,), _X),
+        ({3: 1}, (2,), _X),
+        ({1: 1}, (2,), _X),
+        ({1: 0}, (3,), rotation_y(math.pi)),
+        ({0: 1, 1: 0, 2: 1}, (3,), rotation_y(-theta)),
+        ({0: 1, 1: 1, 2: 1}, (3,), rotation_y(theta)),
+        ({3: 1}, (0,), _X),
+        ({}, (0,), _X),
+        ({}, (1, 2), _SWAP),
+        ({}, (1,), _X),
+        ({0: 1}, (1,), _X),
+        ({0: 1}, (1, 2), _SWAP),
+        ({0: 1, 1: 1}, (2,), _X),
+    ]))
 
 
 def _complete_isometry(columns: dict[int, np.ndarray], dim: int) -> np.ndarray:
@@ -212,33 +211,6 @@ class ProtocolCircuit:
     v2: np.ndarray
 
 
-def _assemble_v1(vcg2: np.ndarray, vcg3: np.ndarray) -> np.ndarray:
-    gates = [
-        embed_operator(_SWAP, (2, 5), DIMS),
-        embed_operator(vcg2, (0, 1, 2), DIMS),
-        embed_operator(_controlled(2, {0: 1}, (1,), _X), (0, 6), DIMS),
-        embed_operator(vcg3.conj().T, (3, 4, 5, 6), DIMS),
-        embed_operator(_SWAP, (3, 6), DIMS),
-        embed_operator(_SWAP, (1, 3), DIMS),
-    ]
-    return _product(NUM_WIRES, gates)
-
-
-def _assemble_v2(vcg2: np.ndarray, vcg3: np.ndarray) -> np.ndarray:
-    gates = [
-        embed_operator(_SWAP, (1, 3), DIMS),
-        embed_operator(vcg3, (0, 1, 2, 3), DIMS),
-        embed_operator(_SWAP, (4, 6), DIMS),
-        embed_operator(_controlled(2, {0: 1}, (1,), _X), (4, 3), DIMS),
-        embed_operator(_SWAP, (5, 6), DIMS),
-        embed_operator(vcg2.conj().T, (4, 5, 6), DIMS),
-        embed_operator(_SWAP, (2, 4), DIMS),
-        embed_operator(_SWAP, (1, 5), DIMS),
-        embed_operator(_SWAP, (0, 4), DIMS),
-    ]
-    return _product(NUM_WIRES, gates)
-
-
 def build_protocol(path: str = "gate") -> ProtocolCircuit:
     """The two fixed unitaries from either build path, built once and read-only."""
     return _build_protocol(path)
@@ -252,8 +224,25 @@ def _build_protocol(path: str) -> ProtocolCircuit:
         vcg2, vcg3 = build_vcg2_matrix(), build_vcg3_matrix()
     else:
         raise ValueError(f"unknown build path {path!r}")
-    v1 = check_unitary(_assemble_v1(vcg2, vcg3))
-    v2 = check_unitary(_assemble_v2(vcg2, vcg3))
+    v1 = check_unitary(_circuit(NUM_WIRES, [
+        ({}, (2, 5), _SWAP),
+        ({}, (0, 1, 2), vcg2),
+        ({0: 1}, (6,), _X),
+        ({}, (3, 4, 5, 6), vcg3.conj().T),
+        ({}, (3, 6), _SWAP),
+        ({}, (1, 3), _SWAP),
+    ]))
+    v2 = check_unitary(_circuit(NUM_WIRES, [
+        ({}, (1, 3), _SWAP),
+        ({}, (0, 1, 2, 3), vcg3),
+        ({}, (4, 6), _SWAP),
+        ({4: 1}, (3,), _X),
+        ({}, (5, 6), _SWAP),
+        ({}, (4, 5, 6), vcg2.conj().T),
+        ({}, (2, 4), _SWAP),
+        ({}, (1, 5), _SWAP),
+        ({}, (0, 4), _SWAP),
+    ]))
     v1.setflags(write=False)
     v2.setflags(write=False)
     return ProtocolCircuit(v1, v2)
@@ -298,13 +287,11 @@ def _as_qubit_state(phi) -> np.ndarray:
     return vec
 
 
-def _product_state(*factors: np.ndarray) -> np.ndarray:
-    """Tensor product of state vectors, first factor leftmost: the chained Kronecker product."""
-    return reduce(np.multiply.outer, factors).ravel()
-
-
-def _initial_state(phi: np.ndarray, pair: np.ndarray) -> np.ndarray:
-    return _product_state(phi, pair, _ANCILLAS_ZERO)
+def _input_state(top: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """``top`` x ``rest`` on wires 0-2, ancillas at |0000>: stride 16 in a zero 128-vector."""
+    state = np.zeros(2**NUM_WIRES, dtype=complex)
+    state[:: 2 ** len(ANCILLA_WIRES)] = np.multiply.outer(top, rest).ravel()
+    return state
 
 
 def _rotated_singlet(u: np.ndarray) -> np.ndarray:
@@ -314,24 +301,20 @@ def _rotated_singlet(u: np.ndarray) -> np.ndarray:
 
 def expected_output(u: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Exact final state: -(U x 1)|psi^-> on wires 1-2, U^{-1}|phi> on wire 3."""
-    return -_product_state(_rotated_singlet(u), u.conj().T @ phi, _ANCILLAS_ZERO)
+    return -_input_state(_rotated_singlet(u), u.conj().T @ phi)
 
 
-def _run_round(
-    state: np.ndarray, u: np.ndarray, circuit: ProtocolCircuit, first_call: bool = True
+def _run(
+    state: np.ndarray, u: np.ndarray, circuit: ProtocolCircuit, rounds: int = 2, first_call: bool = True
 ) -> np.ndarray:
-    """V2 (call) V1 (call) applied to ``state``; ``first_call=False`` skips the first call."""
-    if first_call:
+    """``rounds`` rounds of (call, V1, call, V2); ``first_call=False`` skips the first call."""
+    for index in range(rounds):
+        if index or first_call:
+            state = apply_to_subsystems(state, u, (CALL_WIRE,), DIMS)
+        state = circuit.v1 @ state
         state = apply_to_subsystems(state, u, (CALL_WIRE,), DIMS)
-    state = circuit.v1 @ state
-    state = apply_to_subsystems(state, u, (CALL_WIRE,), DIMS)
-    return circuit.v2 @ state
-
-
-def _run_rounds(state: np.ndarray, u: np.ndarray, circuit: ProtocolCircuit, catalytic: bool) -> np.ndarray:
-    """Two rounds of (call, V1, call, V2); a catalytic run skips the first call."""
-    state = _run_round(state, u, circuit, first_call=not catalytic)
-    return _run_round(state, u, circuit)
+        state = circuit.v2 @ state
+    return state
 
 
 def run_inversion(
@@ -346,8 +329,7 @@ def run_inversion(
     mat = _require_su2(u)
     vec = _as_qubit_state(phi)
     circuit = circuit or build_protocol()
-    state = _initial_state(vec, SINGLET)
-    final = _run_rounds(state, mat, circuit, catalytic=False)
+    final = _run(_input_state(vec, SINGLET), mat, circuit)
     return final, abs(complex(np.vdot(final, expected_output(mat, vec)))) ** 2
 
 
@@ -371,8 +353,7 @@ def run_catalytic(
     if not _is_normalized(cat):
         raise ValueError("catalyst must be normalized")
     circuit = circuit or build_protocol()
-    state = _initial_state(vec, cat)
-    final = _run_rounds(state, mat, circuit, catalytic=True)
+    final = _run(_input_state(vec, cat), mat, circuit, first_call=False)
     rho_pair = reduced_density_matrix(final, (0, 1), DIMS)
     catalyst_fidelity = float(np.real(cat.conj() @ rho_pair @ cat))
     rho_target = reduced_density_matrix(final, (2,), DIMS)
@@ -394,9 +375,7 @@ def ancilla_restoration(state: np.ndarray) -> float:
 
 def pair_basis_states(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The vectors |phi>|psi^->|0^4> and |psi^->|phi>|0^4>."""
-    v = _product_state(phi, SINGLET, _ANCILLAS_ZERO)
-    w = _product_state(SINGLET, phi, _ANCILLAS_ZERO)
-    return v, w
+    return _input_state(phi, SINGLET), _input_state(SINGLET, phi)
 
 
 def empirical_transfer_matrix(
@@ -417,17 +396,15 @@ def empirical_transfer_matrix(
     mat = _require_su2(u)
     vec = _as_qubit_state(phi)
     circuit = circuit or build_protocol()
-    inverse = mat.conj().T
 
     def conjugated_round(state: np.ndarray) -> np.ndarray:
         state = apply_to_subsystems(state, mat, (INPUT_WIRE,), DIMS)
-        state = _run_round(state, mat, circuit)
-        return apply_to_subsystems(state, inverse, (INPUT_WIRE,), DIMS)
+        state = _run(state, mat, circuit, rounds=1)
+        return apply_to_subsystems(state, mat.conj().T, (INPUT_WIRE,), DIMS)
 
     v, w = pair_basis_states(vec)
     basis = np.column_stack([v, w])
     images = np.column_stack([conjugated_round(v), conjugated_round(w)])
     coeffs, _, _, _ = np.linalg.lstsq(basis, images, rcond=None)
-    residual = float(np.abs(images - basis @ coeffs).max())
-    return coeffs, residual
+    return coeffs, float(np.abs(images - basis @ coeffs).max())
 

@@ -6,7 +6,7 @@ cells following the exact (n+1)/d^2 pattern carry a tight tolerance, cells
 only known through solver output carry a looser one, and the d=5, n=5
 parallel entry sits right at the rounding edge and gets its own.
 Parallel n=1 equals sequential n=1 (a single call admits no ordering), so
-those cells are carried as derived references.
+both tables list the same n=1 values.
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ _PARALLEL = {
 
 @dataclass(frozen=True)
 class ReferenceCell:
-    mode: str
-    d: int
-    n: int
     value: float
     tolerance: float
 
@@ -56,7 +53,5 @@ def reference_cells() -> dict[tuple[str, int, int], ReferenceCell]:
     for mode, table in (("seq", _SEQUENTIAL), ("par", _PARALLEL)):
         for d, row in table.items():
             for n, value in enumerate(row, start=1):
-                cells[(mode, d, n)] = ReferenceCell(
-                    mode, d, n, value, _tolerance(mode, d, n, value)
-                )
+                cells[(mode, d, n)] = ReferenceCell(value, _tolerance(mode, d, n, value))
     return cells

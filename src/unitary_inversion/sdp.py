@@ -226,6 +226,9 @@ class SolverConfig:
         # NaN fails every comparison, and an infinite tolerance passes any iterate
         if not all(math.isfinite(t) and t > 0 for t in (self.feasibility_tol, self.gap_tol)):
             raise ValueError("tolerances must be positive and finite")
+        # bool is an int subclass, and range() refuses floats and strings
+        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, (int, np.integer)):
+            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 

@@ -163,9 +163,7 @@ def partial_trace(mat: np.ndarray, keep, dims) -> np.ndarray:
     """
     dims = _as_dims(dims)
     n = len(dims)
-    keep = sorted(set(int(k) for k in keep))
-    if any(not 0 <= k < n for k in keep):
-        raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
+    keep = sorted(_check_targets(keep, n))
     rest = [i for i in range(n) if i not in keep]
     kept = math.prod(dims[k] for k in keep)
     traced = math.prod(dims[i] for i in rest)
@@ -177,13 +175,13 @@ def reduced_density_matrix(state: np.ndarray, keep, dims) -> np.ndarray:
     """Reduced density matrix of a pure state over ``dims`` on the kept subsystems."""
     dims = _as_dims(dims)
     n = len(dims)
-    keep = sorted(set(int(k) for k in keep))
-    if any(not 0 <= k < n for k in keep):
-        raise ValueError(f"keep indices {keep} out of range")
+    keep = sorted(_check_targets(keep, n))
     rest = [i for i in range(n) if i not in keep]
-    perm = keep + rest
+    psi = np.asarray(state)
+    if psi.shape != (math.prod(dims),):
+        raise ValueError(f"state of shape {psi.shape} does not match dims {dims}")
     dk = math.prod(dims[k] for k in keep)
-    psi = np.asarray(state).reshape(dims).transpose(perm).reshape(dk, -1)
+    psi = psi.reshape(dims).transpose(keep + rest).reshape(dk, -1)
     return psi @ psi.conj().T
 
 

@@ -325,7 +325,7 @@ def test_tables_breach_exit_code(monkeypatch, capsys):
 
     cells = rt.reference_cells()
     bogus = dict(cells)
-    bogus[("seq", 2, 1)] = rt.ReferenceCell("seq", 2, 1, 0.9, 1e-4)
+    bogus[("seq", 2, 1)] = rt.ReferenceCell(0.9, 1e-4)
     monkeypatch.setattr("unitary_inversion.cli.reference_tables.reference_cells", lambda: bogus)
     code = main(
         ["tables", "--d-min", "2", "--d-max", "2", "--n-min", "1", "--n-max", "1",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -330,3 +331,88 @@ def test_catalyst_validation():
             with pytest.raises(ValueError, match="catalyst must be normalized"):
                 pr.run_catalytic(np.eye(2), np.array([1.0, 0.0]), catalyst, GATE)
 
+
+
+def _digest(*arrays) -> str:
+    """SHA-256 over each array's dtype, shape and raw bytes."""
+    sha = hashlib.sha256()
+    for array in arrays:
+        array = np.ascontiguousarray(array)
+        sha.update(f"{array.dtype}{array.shape}".encode())
+        sha.update(array.tobytes())
+    return sha.hexdigest()
+
+
+def _circuit_outputs(circ) -> dict[str, str]:
+    """Digests of a build's V1 and V2 and of the runs on three seeded (U, phi)."""
+    rng = np.random.default_rng(20260)
+    inversion, honest, foreign, transfer = [], [], [], []
+    for _ in range(3):
+        u = haar_unitary(2, rng)
+        other = haar_unitary(2, rng)
+        phi = random_state((2,), rng)
+        state, fid = pr.run_inversion(u, phi, circ)
+        inversion += [state, np.float64(fid)]
+        for catalyst, out in ((pr.honest_catalyst(u), honest), (pr.honest_catalyst(other), foreign)):
+            state, cat_fid, target_fid = pr.run_catalytic(u, phi, catalyst, circ)
+            out += [state, np.float64(cat_fid), np.float64(target_fid)]
+        g, residual = pr.empirical_transfer_matrix(u, phi, circ)
+        transfer += [g, np.float64(residual)]
+    return {
+        "v1": _digest(circ.v1),
+        "v2": _digest(circ.v2),
+        "inversion": _digest(*inversion),
+        "catalytic_honest": _digest(*honest),
+        "catalytic_foreign": _digest(*foreign),
+        "transfer": _digest(*transfer),
+    }
+
+
+def _input_states() -> str:
+    """Digest of expected_output and pair_basis_states, with every zero made positive."""
+    rng = np.random.default_rng(20261)
+    arrays = []
+    for _ in range(3):
+        u = haar_unitary(2, rng)
+        phi = random_state((2,), rng)
+        arrays += [pr.expected_output(u, phi) + 0.0, *(v + 0.0 for v in pr.pair_basis_states(phi))]
+    return _digest(*arrays)
+
+
+# SHA-256 of every circuit array and of the runs through it: a change to
+# how the circuit is assembled or run must leave all of these bytes alone.
+CIRCUIT_DIGESTS = {
+    "gate": {
+        "v1": "e4af5fdc5f791cca3cdc4738489f817559f9a245d54282dfd32ff219e4b86d7a",
+        "v2": "f716702d319817fcc8584779e085b1b7fd441e25c51a55f27d32b264b54fc83b",
+        "inversion": "8d2834371bd376ef8464d85753846c98a58268d6bfc57473e52fe953c24e85c2",
+        "catalytic_honest": "d17adad769034e92f45c3f45d8c193b32624e403166f110779aaabaac7f9c663",
+        "catalytic_foreign": "b5efdec4eeaa70966b129a19189b98d54848062303c65aa5bdfd30ee20eabcf9",
+        "transfer": "d3bded5948e1d9399ba8c2911a2ceafbab875a534952a999f16bb079a2b624af",
+    },
+    "matrix": {
+        "v1": "73dbdb662046f9ea37acc25197a1bd3fa34b29ba3e14d02ff069524603754d2f",
+        "v2": "09d5674fb532771ed552b6a8dfaac6d3faa0e67af21d1dc1d2dbe189d65417a0",
+        "inversion": "4a8222cfd431af95fd0f643032f781b2a32391bfb1a2ee32989bf912b2a62ae2",
+        "catalytic_honest": "fbf2f35a7c4a4523b8089345cd2805288251acb9cb5e4ed37acf872ee12af5c4",
+        "catalytic_foreign": "92f104ef28fefc4b9a2a90c32792eceda0901628c36fe04da78da886fee07cd1",
+        "transfer": "68a0db42da57a658ebc4958789be54de54a9578d38b05081a864d4f125197957",
+    },
+}
+COUPLING_DIGESTS = {
+    "vcg2": "37323004c5cfa69801326915ee29e3c94d59428ea53a736fde8ed56748ff4b60",
+    "vcg3": "13a121ce19388cb07b87b0c71989ccf1f0cc5cf57777f70e2ff4f2d8b9d8d440",
+    "vcg2_matrix": "0f134f5cf691af2eb4806610412389c2d5734574a3ac776d3092f1cb904e565b",
+    "vcg3_matrix": "10970a52dc025d09ec384dd4f06987ba7082a888df0b73ac888fa3bdca3519bc",
+}
+INPUT_STATES_DIGEST = "de45caecf9046a0fcc5e8bcc26293cfaec3755dfcfb0715b04bec908670152eb"
+
+
+def test_circuit_bytes_are_pinned():
+    assert _digest(pr.build_vcg2()) == COUPLING_DIGESTS["vcg2"]
+    assert _digest(pr.build_vcg3()) == COUPLING_DIGESTS["vcg3"]
+    assert _digest(pr.build_vcg2_matrix()) == COUPLING_DIGESTS["vcg2_matrix"]
+    assert _digest(pr.build_vcg3_matrix()) == COUPLING_DIGESTS["vcg3_matrix"]
+    assert _input_states() == INPUT_STATES_DIGEST
+    for path, circ in (("gate", GATE), ("matrix", MATRIX)):
+        assert _circuit_outputs(circ) == CIRCUIT_DIGESTS[path], path

@@ -300,6 +300,11 @@ def test_config_validation():
         SolverConfig(gap_tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
+    # a non-integer count would only fail later, inside solve's range()
+    for bad in (2.5, 3.0, "10", True, None):
+        with pytest.raises(ValueError, match="integer"):
+            SolverConfig(max_iterations=bad)
+    assert SolverConfig(max_iterations=np.int64(7)).max_iterations == 7
     # NaN fails every comparison, and an infinite tolerance accepts any iterate
     for bad in (math.nan, math.inf, -math.inf):
         for name in ("feasibility_tol", "gap_tol"):

@@ -227,6 +227,24 @@ def test_partial_trace_rejects_mismatched_shape():
         partial_trace(np.zeros((8, 32)), keep=(0,), dims=(2, 2, 2, 2))
     with pytest.raises(ValueError):
         partial_trace(np.zeros((4, 4)), keep=(2,), dims=(2, 2))
+    # a repeated keep index is an error, not the de-duplicated set
+    with pytest.raises(ValueError, match="duplicate"):
+        partial_trace(np.eye(8), keep=(1, 1), dims=(2, 2, 2))
+    with pytest.raises(ValueError, match="out of range"):
+        partial_trace(np.eye(8), keep=(-1,), dims=(2, 2, 2))
+
+
+def test_reduced_density_matrix_rejects_bad_keep_and_state():
+    state = np.full(8, 1 / math.sqrt(8))
+    with pytest.raises(ValueError, match="duplicate"):
+        reduced_density_matrix(state, (0, 0), (2, 2, 2))
+    with pytest.raises(ValueError, match="out of range"):
+        reduced_density_matrix(state, (3,), (2, 2, 2))
+    for bad in (state[:7], state.reshape(2, 4), np.zeros(16)):
+        with pytest.raises(ValueError, match="does not match dims"):
+            reduced_density_matrix(bad, (0,), (2, 2, 2))
+    # a valid call still reduces
+    assert np.allclose(reduced_density_matrix(state, (2, 0), (2, 2, 2)), np.full((4, 4), 0.25))
 
 
 def test_permute_factors_matches_permuted_kron():
