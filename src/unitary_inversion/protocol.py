@@ -77,10 +77,15 @@ def cg_angle(j: float, m_prime: float) -> float:
 
 
 def _controlled(n: int, controls: dict[int, int], targets: tuple[int, ...], op: np.ndarray) -> np.ndarray:
-    """Gate applying ``op`` to ``targets`` when every control matches its value."""
-    hit = np.zeros(2 ** len(controls))
-    hit[np.ravel_multi_index(tuple(controls.values()), (2,) * len(controls))] = 1.0
-    gate = np.kron(np.diag(hit), op) + np.kron(np.diag(1.0 - hit), np.eye(len(op)))
+    """Gate applying ``op`` to ``targets`` when every control matches its value.
+
+    Identity on every control pattern but the hit one, whose diagonal
+    block is ``op``.
+    """
+    size = len(op)
+    hit = int(np.ravel_multi_index(tuple(controls.values()), (2,) * len(controls))) * size
+    gate = np.eye(2 ** len(controls) * size, dtype=complex)
+    gate[hit : hit + size, hit : hit + size] = op
     return embed_operator(gate, tuple(controls) + tuple(targets), (2,) * n)
 
 

@@ -786,9 +786,9 @@ class VerificationReport:
     objective: float
     max_constraint_violation: float
     block_min_eigenvalues: tuple[float, ...]
-    dual_objective: float | None
-    dual_min_eigenvalue: float | None
-    gap: float | None
+    dual_objective: float
+    dual_min_eigenvalue: float
+    gap: float
 
 
 def _min_eigenvalues(indexer: _SvecIndexer, stacks: list[np.ndarray]) -> list[float]:
@@ -803,24 +803,22 @@ def verify(problem: SdpProblem, solution: SdpSolution) -> VerificationReport:
     for mat, s in zip(solution.blocks, problem.block_dims):
         if mat.shape != (s, s):
             raise ValueError("solution block shape mismatch")
+    m_rows = problem.a.shape[0]
+    if np.shape(solution.dual) != (m_rows,):
+        raise ValueError(f"dual of shape {np.shape(solution.dual)} does not match {m_rows} rows")
     indexer = _SvecIndexer(list(problem.block_dims))
     costs = [np.asarray(cost, dtype=float) for cost in problem.objective]
     objective = 0.0
     for mat, cost in zip(solution.blocks, costs):
         objective += float(np.sum(cost * mat))
-    m_rows = problem.a.shape[0]
     xvec = indexer.pack([(b + b.T) / 2.0 for b in solution.blocks])
     violation = float(np.abs(problem.a @ xvec - problem.rhs).max()) if m_rows else 0.0
     minima = tuple(_min_eigenvalues(indexer, indexer.stack(solution.blocks)))
-    dual_obj = None
-    dual_min = None
-    gap = None
-    if solution.dual is not None and len(solution.dual) == m_rows:
-        dual_obj = float(problem.rhs @ solution.dual)
-        aty = indexer.unpack_stacks(problem.a.T @ solution.dual)
-        slack = [st - cost for st, cost in zip(aty, indexer.stack(costs))]
-        dual_min = min(_min_eigenvalues(indexer, slack), default=math.inf)
-        gap = abs(objective - dual_obj) / (1.0 + abs(objective) + abs(dual_obj))
+    dual_obj = float(problem.rhs @ solution.dual)
+    aty = indexer.unpack_stacks(problem.a.T @ solution.dual)
+    slack = [st - cost for st, cost in zip(aty, indexer.stack(costs))]
+    dual_min = min(_min_eigenvalues(indexer, slack), default=math.inf)
+    gap = abs(objective - dual_obj) / (1.0 + abs(objective) + abs(dual_obj))
     return VerificationReport(
         objective=objective,
         max_constraint_violation=violation,

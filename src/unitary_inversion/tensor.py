@@ -70,55 +70,45 @@ def _check_targets(targets, n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=256)
-def _layout(dims: tuple, targets: tuple) -> tuple:
-    """(state length, target dimension, left, transpose) for ``targets`` of ``dims``.
+def _layout(dims: tuple, targets: tuple) -> tuple[int, int, int]:
+    """(left, target dimension, right) for consecutive ascending ``targets`` of ``dims``.
 
-    Validates both once per pair.  When the targets are consecutive and
-    ascending, ``transpose`` is None and the operator acts on the middle
-    axis of the state reshaped to (left, target dimension, rest).
-    Otherwise ``left`` is None and ``transpose`` is (shape, order,
-    inverse): the state's tensor shape, the axis order that brings the
-    targets to the front in their listed order, and the order that undoes
-    it.
+    A state over ``dims`` reshaped to these three axes has the targets on
+    the middle one.  Validates both once per pair; any other target order
+    raises, and exceptions are not cached.
     """
     dims = _as_dims(dims)
-    n = len(dims)
-    targets = _check_targets(targets, n)
-    total = math.prod(dims)
-    target_dim = math.prod(dims[t] for t in targets)
+    targets = _check_targets(targets, len(dims))
     start = targets[0] if targets else 0
-    if targets == tuple(range(start, start + len(targets))):
-        return total, target_dim, math.prod(dims[:start]), None
-    order = targets + tuple(i for i in range(n) if i not in targets)
-    inverse = tuple(int(i) for i in np.argsort(order))
-    return total, target_dim, None, (dims, order, inverse)
+    stop = start + len(targets)
+    if targets != tuple(range(start, stop)):
+        raise ValueError(f"targets {targets} are not consecutive ascending subsystems")
+    return math.prod(dims[:start]), math.prod(dims[start:stop]), math.prod(dims[stop:])
+
+
+def _wire_view(state: np.ndarray, targets, dims) -> np.ndarray:
+    """``state`` reshaped to (left, target dimension, right) by the cached layout."""
+    left, dim, right = _layout(tuple(dims), tuple(targets))
+    state = np.asarray(state)
+    if state.shape != (left * dim * right,):
+        raise ValueError(f"state of shape {state.shape} does not match dims {tuple(dims)}")
+    return state.reshape(left, dim, right)
 
 
 def apply_to_subsystems(state: np.ndarray, u: np.ndarray, targets, dims) -> np.ndarray:
-    """Apply ``u`` to the listed subsystems (in the listed order) of a state over ``dims``.
+    """Apply ``u`` to adjacent subsystems, listed in ascending order, of a state over ``dims``.
 
     All other subsystems are untouched; the operation is norm preserving
-    when ``u`` is unitary.  The layout of each (dims, targets) pair is
-    validated once and cached; the state and operator shapes are checked
-    on every call.  Consecutive ascending targets (one wire, or all of
-    them) cost one reshape and one matrix product; other orders move the
-    targets to the front with a transpose and back again.
+    when ``u`` is unitary.  The state and operator shapes are checked on
+    every call; the cost is one reshape and one matrix product.
     """
-    total, target_dim, left, transpose = _layout(tuple(dims), tuple(targets))
-    state = np.asarray(state)
-    if state.shape != (total,):
-        raise ValueError(f"state of shape {state.shape} does not match dims {tuple(dims)}")
+    view = _wire_view(state, targets, dims)
     mat = np.asarray(u, dtype=complex)
-    if mat.shape != (target_dim, target_dim):
+    if mat.shape != (view.shape[1],) * 2:
         raise ValueError(
-            f"operator of shape {mat.shape} does not match target dimensions {target_dim}"
+            f"operator of shape {mat.shape} does not match target dimensions {view.shape[1]}"
         )
-    if transpose is None:
-        return (mat @ state.reshape(left, target_dim, -1)).reshape(-1)
-    shape, order, inverse = transpose
-    tensor = state.reshape(shape).transpose(order).reshape(target_dim, -1)
-    tensor = (mat @ tensor).reshape([shape[i] for i in order])
-    return tensor.transpose(inverse).reshape(-1)
+    return (mat @ view).reshape(-1)
 
 
 def permute_factors(mat: np.ndarray, dims, order) -> np.ndarray:
@@ -172,16 +162,9 @@ def partial_trace(mat: np.ndarray, keep, dims) -> np.ndarray:
 
 
 def reduced_density_matrix(state: np.ndarray, keep, dims) -> np.ndarray:
-    """Reduced density matrix of a pure state over ``dims`` on the kept subsystems."""
-    dims = _as_dims(dims)
-    n = len(dims)
-    keep = sorted(_check_targets(keep, n))
-    rest = [i for i in range(n) if i not in keep]
-    psi = np.asarray(state)
-    if psi.shape != (math.prod(dims),):
-        raise ValueError(f"state of shape {psi.shape} does not match dims {dims}")
-    dk = math.prod(dims[k] for k in keep)
-    psi = psi.reshape(dims).transpose(keep + rest).reshape(dk, -1)
+    """Reduced density matrix of a pure state over ``dims`` on adjacent ``keep``, listed ascending."""
+    view = _wire_view(state, keep, dims)
+    psi = view.transpose(1, 0, 2).reshape(view.shape[1], -1)
     return psi @ psi.conj().T
 
 

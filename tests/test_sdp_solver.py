@@ -264,6 +264,18 @@ def test_verify_flags_corrupted_block():
     assert report.max_constraint_violation > 1e-4
 
 
+def test_verify_rejects_a_dual_of_the_wrong_length():
+    problem = build_sequential_sdp(2, 2)
+    solution = solve(problem)
+    report = verify(problem, solution)
+    assert all(type(v) is float for v in (report.dual_objective, report.dual_min_eigenvalue, report.gap))
+    full = solution.dual
+    for dual in (full[:-1], np.append(full, 0.0), full[:, None], None):
+        solution.dual = dual
+        with pytest.raises(ValueError, match="dual of shape"):
+            verify(problem, solution)
+
+
 def test_mu_history_monotone_tail():
     problem = build_sequential_sdp(2, 2)
     solution = solve(problem)

@@ -34,8 +34,12 @@ def test_not_on_first_qubit():
 def test_identity_leaves_state_unchanged():
     rng = np.random.default_rng(3)
     state = random_state((2, 2, 2), rng)
-    out = apply_to_subsystems(state, np.eye(4), (2, 0), (2, 2, 2))
+    out = apply_to_subsystems(state, np.eye(4), (1, 2), (2, 2, 2))
     assert np.allclose(out, state)
+    # reversed and gapped targets are not a layout the state helpers take
+    for targets in ((2, 0), (0, 2)):
+        with pytest.raises(ValueError, match="not consecutive ascending"):
+            apply_to_subsystems(state, np.eye(4), targets, (2, 2, 2))
 
 
 def test_swap_matches_kronecker_oracle():
@@ -48,13 +52,16 @@ def test_swap_matches_kronecker_oracle():
 
 
 def test_apply_on_reversed_targets_matches_permuted_kron():
+    # u on wires (2, 1) is SWAP u SWAP on wires (1, 2); the reversed list itself is rejected
     rng = np.random.default_rng(5)
     u = haar_unitary(4, rng)
     state = random_state((2, 2, 2), rng)
-    out = apply_to_subsystems(state, u, (2, 0), (2, 2, 2))
-    # oracle: embed u on (2,0) via explicit kron and axis permutation
-    big = embed_operator(u, (2, 0), (2, 2, 2))
+    out = apply_to_subsystems(state, SWAP @ u @ SWAP, (1, 2), (2, 2, 2))
+    # oracle: embed u on (2, 1) via explicit kron and axis permutation
+    big = embed_operator(u, (2, 1), (2, 2, 2))
     assert np.allclose(out, big @ state, atol=1e-12)
+    with pytest.raises(ValueError, match="not consecutive ascending"):
+        apply_to_subsystems(state, u, (2, 1), (2, 2, 2))
 
 
 def test_apply_rejects_bad_targets():
@@ -72,8 +79,9 @@ def test_apply_rejects_bad_targets():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_apply_matches_embedded_operator_for_every_layout(n):
-    # every ordered target list (empty, single, consecutive, reversed, gapped,
-    # all wires in any order) plus range objects, against the dense embedding
+    # every ordered target list: the consecutive ascending ones (empty, single,
+    # a run, all wires) and range objects against the dense embedding and the
+    # matrix-side partial trace, every other order (reversed, gapped) rejected
     rng = np.random.default_rng(40 + n)
     dims = tuple(int(d) for d in rng.choice((2, 3), size=n))
     layouts = [
@@ -82,17 +90,26 @@ def test_apply_matches_embedded_operator_for_every_layout(n):
         for subset in itertools.combinations(range(n), k)
         for targets in itertools.permutations(subset)
     ]
-    layouts += [range(n), range(1, n), range(n - 1, -1, -1)]
-    for targets in layouts:
+    consecutive = {()} | {tuple(range(i, j)) for i in range(n) for j in range(i + 1, n + 1)}
+    for targets in layouts + [range(n), range(1, n), range(n - 1, -1, -1)]:
         state = random_state(dims, rng)
         target_dim = math.prod(dims[t] for t in targets)
         op = rng.standard_normal((target_dim, target_dim)) + 1j * rng.standard_normal(
             (target_dim, target_dim)
         )
-        oracle = embed_operator(op, targets, dims) @ state
-        for _ in range(2):  # the second call reads the cached layout
+        for _ in range(2):  # a second call after a hit or a raise
+            if tuple(targets) not in consecutive:
+                with pytest.raises(ValueError, match="not consecutive ascending"):
+                    apply_to_subsystems(state, op, targets, dims)
+                with pytest.raises(ValueError, match="not consecutive ascending"):
+                    reduced_density_matrix(state, targets, dims)
+                continue
             out = apply_to_subsystems(state, op, targets, dims)
+            oracle = embed_operator(op, targets, dims) @ state
             assert np.abs(out - oracle).max() <= 1e-12, (dims, tuple(targets))
+            rho = reduced_density_matrix(state, targets, dims)
+            oracle = partial_trace(np.outer(state, state.conj()), targets, dims)
+            assert np.abs(rho - oracle).max() <= 1e-12, (dims, tuple(targets))
 
 
 def test_cached_layout_still_rejects_bad_calls():
@@ -112,6 +129,11 @@ def test_cached_layout_still_rejects_bad_calls():
             apply_to_subsystems(state, op, (1, 1), dims)
         with pytest.raises(ValueError, match="out of range"):
             apply_to_subsystems(state, op, (1, 3), dims)
+        for targets in ((0, 2), (2, 1)):
+            with pytest.raises(ValueError, match="not consecutive ascending"):
+                apply_to_subsystems(state, op, targets, dims)
+            with pytest.raises(ValueError, match="not consecutive ascending"):
+                reduced_density_matrix(state, targets, dims)
         with pytest.raises(ValueError, match="invalid subsystem dimensions"):
             apply_to_subsystems(state, op, (1, 2), (2, 0, 2))
 
@@ -122,7 +144,8 @@ def test_norm_preservation(seed):
     rng = np.random.default_rng(seed)
     state = random_state((2, 2, 2, 2), rng)
     u = haar_unitary(4, rng)
-    out = apply_to_subsystems(state, u, (1, 3), (2, 2, 2, 2))
+    start = int(rng.integers(3))
+    out = apply_to_subsystems(state, u, (start, start + 1), (2, 2, 2, 2))
     assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
 
 
@@ -133,8 +156,8 @@ def test_disjoint_applications_commute():
         u = haar_unitary(2, rng)
         v = haar_unitary(4, rng)
         dims = (2, 2, 2, 2)
-        a = apply_to_subsystems(apply_to_subsystems(state, u, (0,), dims), v, (3, 1), dims)
-        b = apply_to_subsystems(apply_to_subsystems(state, v, (3, 1), dims), u, (0,), dims)
+        a = apply_to_subsystems(apply_to_subsystems(state, u, (0,), dims), v, (2, 3), dims)
+        b = apply_to_subsystems(apply_to_subsystems(state, v, (2, 3), dims), u, (0,), dims)
         assert np.abs(a - b).max() <= 1e-12
 
 
@@ -243,8 +266,11 @@ def test_reduced_density_matrix_rejects_bad_keep_and_state():
     for bad in (state[:7], state.reshape(2, 4), np.zeros(16)):
         with pytest.raises(ValueError, match="does not match dims"):
             reduced_density_matrix(bad, (0,), (2, 2, 2))
+    for keep in ((2, 0), (0, 2)):
+        with pytest.raises(ValueError, match="not consecutive ascending"):
+            reduced_density_matrix(state, keep, (2, 2, 2))
     # a valid call still reduces
-    assert np.allclose(reduced_density_matrix(state, (2, 0), (2, 2, 2)), np.full((4, 4), 0.25))
+    assert np.allclose(reduced_density_matrix(state, (1, 2), (2, 2, 2)), np.full((4, 4), 0.25))
 
 
 def test_permute_factors_matches_permuted_kron():
