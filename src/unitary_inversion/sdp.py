@@ -39,7 +39,15 @@ lower triangle of the Schur complement in place, with no symmetrized
 copy, and that one factor serves both the predictor and the corrector.
 X and Z move by the fraction-to-boundary step, and each of their blocks is
 factored once after the step; the next iteration inverts those factors
-once and uses the inverses for Z^{-1} and for both step lengths.
+once and uses the inverses for Z^{-1} and for both step lengths.  The
+corrector steps a fraction gamma = 0.9 + 0.09 min(alpha_p, alpha_d) of
+the way to the boundary, alpha_p and alpha_d being the previous
+iteration's corrector steps, and gamma = 0.99 on the first (SDPT3's
+adaptive rule: Tutuncu, Toh & Todd, Math. Prog. 95, 2003).  Short
+steps thus keep further from the boundary, and full ones go closer,
+which spares degenerate optima such as seq (2,4)'s a long stalled tail.
+The predictor's step only sets the centring parameter, and keeps the
+fixed ``_BOUNDARY_FRACTION``.
 
 A solve ends ``optimal`` when the relative gap and both infeasibilities
 meet the tolerances, and the residual on the original rows does too.
@@ -92,6 +100,7 @@ import scipy.sparse.linalg
 
 _SYM_ATOL = 1e-10
 _PIVOT_THRESHOLD = 1e-10
+# the predictor's fraction to the boundary; the corrector's adapts (see _solve)
 _BOUNDARY_FRACTION = 0.98
 # iterates beyond this multiple of the starting scale end the solve as diverging
 _DIVERGENCE_BOUND = 1e12
@@ -141,7 +150,7 @@ class SdpProblem:
             and np.all(hi < sizes[block]) and np.isfinite(weight).all()
         ):
             raise ValueError("every read must name a row and a block entry, with a finite weight")
-        indexer = _SvecIndexer(list(block_dims))
+        indexer = _indexer(tuple(block_dims))
         entries, where = np.unique(row * indexer.total + indexer.column(block, lo, hi), return_inverse=True)
         # bincount adds in input order, so each coordinate sums its reads in the order given
         acc = np.bincount(where, weight / np.where(lo == hi, 1.0, 2.0), entries.size)
@@ -281,27 +290,30 @@ class _SvecIndexer:
     <svec(A), svec(B)> equals Tr(AB) for symmetric A, B.  Blocks of equal
     size form one group, held as a (count, s, s) stack by the ``*_stacks``
     methods; ``sizes[g]`` and ``members[g]`` name group g's size and its
-    block indices in order.
+    block indices in order.  :func:`_indexer` shares one instance per
+    block-dims tuple, so its sequences are tuples and its arrays read-only.
     """
 
-    def __init__(self, dims: list[int]):
-        self.dims = dims
-        triangles = [_triangle(s) for s in dims]
-        self.index_pairs = [(ii, jj) for ii, jj, _ in triangles]
-        self.scales = [scale for _, _, scale in triangles]
-        self.scale_vector = np.concatenate([np.empty(0)] + self.scales)
+    def __init__(self, dims):
+        self.dims = tuple(dims)
+        triangles = [_triangle(s) for s in self.dims]
+        self.index_pairs = tuple((ii, jj) for ii, jj, _ in triangles)
+        self.scales = tuple(scale for _, _, scale in triangles)
+        self.scale_vector = np.concatenate([np.empty(0), *self.scales])
         self.total = self.scale_vector.size
         ends = np.cumsum([scale.size for scale in self.scales], dtype=int)
-        self.spans = [slice(int(end) - scale.size, int(end)) for end, scale in zip(ends, self.scales)]
-        self.sizes = sorted(set(dims))
-        self.members = [[b for b, s in enumerate(dims) if s == size] for size in self.sizes]
+        self.spans = tuple(slice(int(end) - scale.size, int(end)) for end, scale in zip(ends, self.scales))
+        self.sizes = tuple(sorted(set(self.dims)))
+        self.members = tuple(tuple(b for b, s in enumerate(self.dims) if s == size) for size in self.sizes)
         # svec columns of each group, one row per member
-        self._columns = [
+        self._columns = tuple(
             np.array([np.arange(self.spans[b].start, self.spans[b].stop) for b in mem], dtype=int)
             for mem in self.members
-        ]
+        )
         self._starts = np.array([span.start for span in self.spans], dtype=int)
-        self._dims = np.array(dims, dtype=int)
+        self._dims = np.array(self.dims, dtype=int)
+        for arr in (self.scale_vector, self._starts, self._dims, *self._columns):
+            arr.setflags(write=False)
 
     def column(self, b, lo, hi):
         """svec column of entry (lo, hi), lo <= hi, of block b; all three may be arrays."""
@@ -341,6 +353,12 @@ class _SvecIndexer:
 
     def unpack(self, vec: np.ndarray) -> list[np.ndarray]:
         return self.unstack(self.unpack_stacks(vec))
+
+
+@functools.lru_cache(maxsize=128)
+def _indexer(dims: tuple[int, ...]) -> _SvecIndexer:
+    """The shared indexer of a block-dims tuple; a process sees few distinct tuples."""
+    return _SvecIndexer(dims)
 
 
 def _preprocess_rows(a: scipy.sparse.csr_matrix, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -554,15 +572,17 @@ def _cholesky_joint(stacks: list[np.ndarray], counts: list[int]) -> tuple[list[n
     return None, "X" if _cholesky_blocks(_halves(stacks, counts)[0]) is None else "Z"
 
 
-def _step_lengths(inverses: list[np.ndarray], dx: list, dz: list) -> tuple[float, float]:
+def _step_lengths(inverses: list[np.ndarray], dx: list, dz: list, fraction: float) -> tuple[float, float]:
     """Fraction-to-boundary steps (X's, Z's), each at most 1, for joint X/Z stacks.
 
     ``inverses`` holds the inverse Cholesky factors of the joint stacks, X's
     blocks first, and dx, dz the steps of X and Z.  The largest alpha
     keeping L L^T + alpha*D positive semidefinite is -1/lambda_min(L^-1 D
     L^-T), or unbounded when that eigenvalue is not negative; the step is
-    ``_BOUNDARY_FRACTION`` of it.  The caller factors the updated blocks,
-    and a failed factor ends the solve.
+    ``fraction`` of it: ``_BOUNDARY_FRACTION`` for the predictor, and for
+    the corrector SDPT3's adaptive 0.9 + 0.09 min(alpha_p, alpha_d) of the
+    previous corrector steps (see the module docstring).  The caller
+    factors the updated blocks, and a failed factor ends the solve.
     """
     x_minima, z_minima = [], []
     for li, dxg, dzg in zip(inverses, dx, dz):
@@ -570,7 +590,7 @@ def _step_lengths(inverses: list[np.ndarray], dx: list, dz: list) -> tuple[float
         x_minima.append(float(lam[:len(dxg)].min()))
         z_minima.append(float(lam[len(dxg):].min()))
     return tuple(
-        1.0 if lam >= -1e-14 else min(1.0, _BOUNDARY_FRACTION * (-1.0 / lam))
+        1.0 if lam >= -1e-14 else min(1.0, fraction * (-1.0 / lam))
         for lam in (min(x_minima), min(z_minima))
     )
 
@@ -631,7 +651,7 @@ def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
     problem.validate()
     dims = list(problem.block_dims)
     nblocks = len(dims)
-    indexer = _SvecIndexer(dims)
+    indexer = _indexer(tuple(dims))
     c_mats = [np.asarray(mat, dtype=float) for mat in problem.objective]
     cvec = indexer.pack(c_mats)
     c = indexer.stack(c_mats)
@@ -680,6 +700,8 @@ def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
     norm_rhs = 1.0 + (float(np.abs(rhs).max()) if m else 0.0)
     norm_c = 1.0 + max((float(np.abs(mat).max()) for mat in c_mats), default=0.0)
     divergence = _DIVERGENCE_BOUND * tau
+    # the corrector's fraction to the boundary, as if the step before the first were full
+    fraction = 0.99
 
     for iteration in range(config.max_iterations):
         iterations = iteration + 1
@@ -723,7 +745,7 @@ def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
             return dx, dy, dz
 
         dx_aff, dy_aff, dz_aff = direction(0.0, [0.0] * len(x))
-        ap, ad = _step_lengths(inv_chol, dx_aff, dz_aff)
+        ap, ad = _step_lengths(inv_chol, dx_aff, dz_aff, _BOUNDARY_FRACTION)
         mu_aff = inner(
             [xg + ap * dxg for xg, dxg in zip(x, dx_aff)], [zg + ad * dzg for zg, dzg in zip(z, dz_aff)]
         ) / ntotal
@@ -733,7 +755,8 @@ def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
         dx, dy, dz = direction(sigma * mu, cross)
 
         # the factors of the new iterate serve the next iteration
-        ap, ad = _step_lengths(inv_chol, dx, dz)
+        ap, ad = _step_lengths(inv_chol, dx, dz, fraction)
+        fraction = 0.9 + 0.09 * min(ap, ad)
         xz_new = [np.concatenate((xg + ap * dxg, zg + ad * dzg)) for xg, dxg, zg, dzg in zip(x, dx, z, dz)]
         xz_chol, name = _cholesky_joint(xz_new, counts)
         if name:
@@ -806,7 +829,7 @@ def verify(problem: SdpProblem, solution: SdpSolution) -> VerificationReport:
     m_rows = problem.a.shape[0]
     if np.shape(solution.dual) != (m_rows,):
         raise ValueError(f"dual of shape {np.shape(solution.dual)} does not match {m_rows} rows")
-    indexer = _SvecIndexer(list(problem.block_dims))
+    indexer = _indexer(tuple(problem.block_dims))
     costs = [np.asarray(cost, dtype=float) for cost in problem.objective]
     objective = 0.0
     for mat, cost in zip(solution.blocks, costs):

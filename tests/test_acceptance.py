@@ -40,6 +40,26 @@ PAR_CELLS = {
     (6, 1): 0.0556, (6, 2): 0.0833,
 }
 
+# iterations of each solve above; a change that moves one says why in CHANGES.md
+ITERATIONS = {
+    **{("seq",) + cell: count for cell, count in {
+        (2, 1): 7, (2, 2): 12, (2, 3): 10, (2, 4): 19,
+        (3, 1): 7, (3, 2): 9, (3, 3): 12,
+        (4, 1): 7, (4, 2): 9,
+        (5, 1): 8, (5, 2): 9,
+        (6, 1): 8, (6, 2): 9,
+    }.items()},
+    **{("par",) + cell: count for cell, count in {
+        (2, 1): 7, (2, 2): 8, (2, 3): 10, (2, 4): 12,
+        (3, 1): 7, (3, 2): 9, (3, 3): 11,
+        (4, 1): 7, (4, 2): 9,
+        (5, 1): 8, (5, 2): 9,
+        (6, 1): 8, (6, 2): 9,
+    }.items()},
+    ("full-seq", 2, 1): 7, ("full-seq", 2, 2): 14, ("full-seq", 3, 1): 7,
+    ("full-par", 2, 1): 7, ("full-par", 2, 2): 7, ("full-par", 3, 1): 7,
+}
+
 
 def report(criterion: str, passed: bool, detail: str) -> None:
     print(f"[{'PASS' if passed else 'FAIL'}] {criterion}: {detail}")
@@ -238,4 +258,17 @@ def test_criterion_8_structural_cross_checks(table_results):
         dominance and monotone and coincide and pattern,
         f"dominance {dominance}, monotone {monotone}, "
         f"coincidence(n<=d-1) {coincide}, pattern {pattern}",
+    )
+
+
+def test_criterion_9_iteration_counts(table_results, oracle_results):
+    found = {key: solution.iterations for key, solution in table_results.items()}
+    for (mode, d, n), (full, reduced) in oracle_results.items():
+        found[(f"full-{mode}", d, n)] = full.iterations
+        assert reduced.iterations == found[(mode, d, n)], (mode, d, n)
+    moved = {key: (ITERATIONS.get(key), count) for key, count in found.items() if ITERATIONS.get(key) != count}
+    report(
+        "criterion 9 (iteration counts)",
+        found.keys() == ITERATIONS.keys() and not moved,
+        f"{len(found)} programs in {sum(found.values())} iterations, moved (pinned, found): {moved or 'none'}",
     )

@@ -370,12 +370,12 @@ OUT_RUNS = {
     ),
     "solve": (
         ["--d", "2", "--n", "4"],
-        "73cdd7de683294ad738890dc5e7439e963b488aca34f6f70d3c183b41cf85741",
+        "d38d4ea5512727abbaa79dc62e30ce0d0a96c5031b29244cb49a610e8ed580bb",
         {"solve.json", "solution.json", "instance.json"},
     ),
     "tables": (
         [],
-        "4c762dfe35a1ac3049967bb4e775ea4d16d6470de24c6b44fc721c2a645e942c",
+        "eb479a6174f4eca18f9c8d198f4cb1bf7d788e8d0e99c5b9cbb42a82958d8f07",
         {"tables.json", "table_seq.csv", "table_par.csv", "deviations.csv"},
     ),
 }
