@@ -257,6 +257,16 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _out_dir(text: str) -> str:
+    """Argument type for --out: a directory, or a path that can be made one."""
+    path = Path(text)
+    existing = next((p for p in (path, *path.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        where = "is" if existing == path else "lies under"
+        raise argparse.ArgumentTypeError(f"{where} an existing file, not a directory")
+    return text
+
+
 def _reduced_modes(text: str) -> list[str]:
     modes = [m.strip() for m in text.split(",") if m.strip()]
     if not modes or not set(modes) <= {"seq", "par"} or len(set(modes)) < len(modes):
@@ -299,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for command, func in ((sim, cmd_simulate), (slv, cmd_solve), (tab, cmd_tables)):
         command.add_argument("--json", action="store_true")
-        command.add_argument("--out", type=str, default=None)
+        command.add_argument("--out", type=_out_dir, default=None)
         command.set_defaults(func=func)
     return parser
 

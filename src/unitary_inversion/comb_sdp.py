@@ -429,13 +429,16 @@ def reduce_comb(full: np.ndarray, d: int, n: int) -> ReducedComb:
     sum C[x, y, u, v] E^mu_ji[u, x] E^nu_lk[v, y].  The units are
     Hilbert-Schmidt orthogonal with squared norm m_mu m_nu, so
     :func:`expand_comb` of these blocks is the orthogonal projection of C
-    onto the real commutant.  C is rejected when it differs from that
-    projection by more than 1e-8 max(1, max|C|).
+    onto the real commutant.  C is rejected when it has a non-finite entry
+    or differs from that projection by more than 1e-8 max(1, max|C|).
     """
     mat = np.asarray(full)
     total = d ** (2 * n + 2)
     if mat.shape != (total, total):
         raise ValueError(f"matrix shape {mat.shape} does not match (d={d}, n={n})")
+    # a NaN would pass the commutant test below, since NaN > tolerance is False
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix has non-finite entries")
     side = d ** (n + 1)
     inputs, outputs = _commutant_groups(n)
     grouped = tensor.permute_factors(np.real(mat), full_register_dims(d, n), inputs + outputs)

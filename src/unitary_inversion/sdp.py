@@ -123,6 +123,8 @@ class SdpProblem:
             raise ValueError("one objective matrix per block required")
         for dim, mat in zip(self.block_dims, self.objective):
             _check_objective(mat, dim)
+        if np.ndim(self.rhs) != 1:
+            raise ValueError(f"rhs must be a 1-D array, got shape {np.shape(self.rhs)}")
         svec = sum(s * (s + 1) // 2 for s in self.block_dims)
         if self.a.shape != (len(self.rhs), svec):
             raise ValueError(f"constraint matrix shape {self.a.shape} is not ({len(self.rhs)}, {svec})")
@@ -271,49 +273,39 @@ class SdpSolution:
         return json.dumps(payload, sort_keys=True)
 
 
-@functools.cache
-def _triangle(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows and columns of an s x s upper triangle, row by row, and each entry's svec scale.
-
-    Every indexer of a block of size s shares these arrays, so they are read-only.
-    """
-    ii, jj = np.triu_indices(s)
-    scale = np.where(ii == jj, 1.0, math.sqrt(2.0))
-    for arr in (ii, jj, scale):
-        arr.setflags(write=False)
-    return ii, jj, scale
-
-
 class _SvecIndexer:
     """Symmetric vectorization with sqrt(2)-scaled off-diagonals.
 
-    <svec(A), svec(B)> equals Tr(AB) for symmetric A, B.  Blocks of equal
-    size form one group, held as a (count, s, s) stack by the ``*_stacks``
-    methods; ``sizes[g]`` and ``members[g]`` name group g's size and its
-    block indices in order.  :func:`_indexer` shares one instance per
-    block-dims tuple, so its sequences are tuples and its arrays read-only.
+    <svec(A), svec(B)> equals Tr(AB) for symmetric A, B.  The layout is one
+    per-column table: svec column i holds entry (``lo[i]``, ``hi[i]``),
+    lo <= hi, of block ``block[i]``, scaled by ``scale_vector[i]`` (1 on
+    the diagonal, sqrt(2) off it).  Blocks of equal size form one group,
+    held as a (count, s, s) stack by the ``*_stacks`` methods; ``sizes[g]``
+    and ``members[g]`` name group g's size and its block indices in order.
+    :func:`_indexer` shares one instance per block-dims tuple, so its
+    sequences are tuples and its arrays read-only.
     """
 
     def __init__(self, dims):
         self.dims = tuple(dims)
-        triangles = [_triangle(s) for s in self.dims]
-        self.index_pairs = tuple((ii, jj) for ii, jj, _ in triangles)
-        self.scales = tuple(scale for _, _, scale in triangles)
-        self.scale_vector = np.concatenate([np.empty(0), *self.scales])
+        pairs = [np.triu_indices(s) for s in self.dims]
+        widths = [ii.size for ii, _ in pairs]
+        self.block = np.repeat(np.arange(len(self.dims)), widths)
+        self.lo, self.hi = (np.concatenate([np.empty(0, int)] + [p[k] for p in pairs]) for k in (0, 1))
+        self.scale_vector = np.where(self.lo == self.hi, 1.0, math.sqrt(2.0))
         self.total = self.scale_vector.size
-        ends = np.cumsum([scale.size for scale in self.scales], dtype=int)
-        self.spans = tuple(slice(int(end) - scale.size, int(end)) for end, scale in zip(ends, self.scales))
+        self._starts = np.cumsum([0] + widths, dtype=int)[:-1]
+        self._dims = np.array(self.dims, dtype=int)
         self.sizes = tuple(sorted(set(self.dims)))
         self.members = tuple(tuple(b for b, s in enumerate(self.dims) if s == size) for size in self.sizes)
         # svec columns of each group, one row per member
-        self._columns = tuple(
-            np.array([np.arange(self.spans[b].start, self.spans[b].stop) for b in mem], dtype=int)
-            for mem in self.members
-        )
-        self._starts = np.array([span.start for span in self.spans], dtype=int)
-        self._dims = np.array(self.dims, dtype=int)
-        for arr in (self.scale_vector, self._starts, self._dims, *self._columns):
+        self._columns = tuple(self._starts[list(m)][:, None] + np.arange(widths[m[0]]) for m in self.members)
+        table = (self.block, self.lo, self.hi, self.scale_vector)
+        for arr in (*table, self._starts, self._dims, *self._columns):
             arr.setflags(write=False)
+        # each group's triangle (lo, hi, scale): read-only views of its first member's columns
+        spans = [slice(self._starts[mem[0]], self._starts[mem[0]] + widths[mem[0]]) for mem in self.members]
+        self._triangles = tuple((self.lo[span], self.hi[span], self.scale_vector[span]) for span in spans)
 
     def column(self, b, lo, hi):
         """svec column of entry (lo, hi), lo <= hi, of block b; all three may be arrays."""
@@ -332,17 +324,15 @@ class _SvecIndexer:
 
     def pack_stacks(self, stacks: list[np.ndarray]) -> np.ndarray:
         out = np.empty(self.total)
-        for mem, cols, st in zip(self.members, self._columns, stacks):
-            ii, jj = self.index_pairs[mem[0]]
-            out[cols] = st[:, ii, jj] * self.scales[mem[0]]
+        for (ii, jj, scale), cols, st in zip(self._triangles, self._columns, stacks):
+            out[cols] = st[:, ii, jj] * scale
         return out
 
     def unpack_stacks(self, vec: np.ndarray) -> list[np.ndarray]:
         stacks = []
-        for size, mem, cols in zip(self.sizes, self.members, self._columns):
-            ii, jj = self.index_pairs[mem[0]]
-            chunk = vec[cols] / self.scales[mem[0]]
-            st = np.zeros((len(mem), size, size))
+        for size, (ii, jj, scale), cols in zip(self.sizes, self._triangles, self._columns):
+            chunk = vec[cols] / scale
+            st = np.zeros((len(cols), size, size))
             st[:, ii, jj] = chunk
             st[:, jj, ii] = chunk
             stacks.append(st)
@@ -457,9 +447,7 @@ def _block_rows(a: scipy.sparse.csr_matrix, indexer: _SvecIndexer) -> list[list[
     index_type = np.int32 if m * m < 2**31 - 1 else np.int64
     sizes = np.array(indexer.dims, dtype=np.int64)
     entries = a.tocoo()
-    block = np.repeat(np.arange(sizes.size), [scale.size for scale in indexer.scales])[entries.col]
-    lo = np.concatenate([np.empty(0, int)] + [ii for ii, _ in indexer.index_pairs])[entries.col]
-    hi = np.concatenate([np.empty(0, int)] + [jj for _, jj in indexer.index_pairs])[entries.col]
+    block, lo, hi = (arr[entries.col] for arr in (indexer.block, indexer.lo, indexer.hi))
     off = lo != hi
     row = np.concatenate([entries.row, entries.row[off]])
     block = np.concatenate([block, block[off]])
@@ -688,6 +676,12 @@ def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
     def apply_a(stacks: list[np.ndarray]) -> np.ndarray:
         return a @ indexer.pack_stacks(stacks)
 
+    def measure(stacks: list[np.ndarray], yv: np.ndarray) -> tuple[np.ndarray, float, float]:
+        """svec(X), the primal objective and the relative gap of an iterate."""
+        xvec = indexer.pack_stacks(stacks)
+        pobj, dobj = float(cvec @ xvec), float(rhs @ yv)
+        return xvec, pobj, abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+
     def adjoint(yv: np.ndarray) -> list[np.ndarray]:
         return indexer.unpack_stacks(a_t @ yv)
 
@@ -705,13 +699,11 @@ def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
 
     for iteration in range(config.max_iterations):
         iterations = iteration + 1
-        rp = rhs - apply_a(x)
+        xvec, _, gap_rel = measure(x, y)
+        rp = rhs - a @ xvec
         rd = [cg - atyg + zg for cg, atyg, zg in zip(c, adjoint(y), z)]
         mu = inner(x, z) / ntotal
         mu_history.append(mu)
-        pobj = float(cvec @ indexer.pack_stacks(x))
-        dobj = float(rhs @ y)
-        gap_rel = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         pinf = float(np.abs(rp).max()) / norm_rhs if m else 0.0
         dinf = max(float(np.abs(rdg).max()) for rdg in rd) / norm_c
         if gap_rel <= config.gap_tol and pinf <= config.feasibility_tol and dinf <= config.feasibility_tol:
@@ -731,11 +723,12 @@ def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
             reason = f"Schur complement not positive definite at iteration {iterations}"
             break
         az = apply_a(zinv)
+        xrz = [_sym(xg @ rdg @ zig) for xg, rdg, zig in zip(x, rd, zinv)]
 
         def direction(sigma_mu: float, cross: list):
             # Solve M dy = sigma*mu*A(Z^-1) + A(sym(X Rd Z^-1) - K) - b, then
             # dZ = A*dy - Rd and dX from the symmetrized complementarity row.
-            extra = [_sym(xg @ rdg @ zig) - kg for xg, rdg, zig, kg in zip(x, rd, zinv, cross)]
+            extra = [xrzg - kg for xrzg, kg in zip(xrz, cross)]
             dy = scipy.linalg.cho_solve(factor, sigma_mu * az + apply_a(extra) - rhs, check_finite=False)
             dz = [atdyg - rdg for atdyg, rdg in zip(adjoint(dy), rd)]
             dx = [
@@ -778,10 +771,7 @@ def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
             break
         x, z, y = x_new, z_new, y_new
 
-    xvec = indexer.pack_stacks(x)
-    pobj = float(cvec @ xvec)
-    dobj = float(rhs @ y)
-    gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+    xvec, pobj, gap = measure(x, y)
     residual = float(np.abs(problem.rhs - problem.a @ xvec).max()) if m_rows else 0.0
     dual_full = np.zeros(m_rows)
     dual_full[kept] = y

@@ -12,7 +12,7 @@ import pytest
 
 from unitary_inversion import comb_sdp as cs
 from unitary_inversion import protocol as pr
-from unitary_inversion.sdp import solve
+from unitary_inversion.sdp import _SvecIndexer, solve
 from unitary_inversion.symmetric_group import (
     matrix_unit,
     su_dim,
@@ -271,4 +271,29 @@ def test_criterion_9_iteration_counts(table_results, oracle_results):
         "criterion 9 (iteration counts)",
         found.keys() == ITERATIONS.keys() and not moved,
         f"{len(found)} programs in {sum(found.values())} iterations, moved (pinned, found): {moved or 'none'}",
+    )
+
+
+def test_criterion_10_parallel_combs_are_sequential(table_results):
+    # both builders lay out the same blocks, so a parallel comb is a point
+    # of the sequential program; a sequential optimum breaks the parallel rows
+    cells = sorted(SEQ_CELLS.keys() & PAR_CELLS.keys())
+    worst_in_seq, least_in_par, same_objective = 0.0, (math.inf, None), True
+    for d, n in cells:
+        seq, par = cs.build_sequential_sdp(d, n), cs.build_parallel_sdp(d, n)
+        assert seq.block_dims == par.block_dims, (d, n)
+        same_objective &= all(np.array_equal(s, p) for s, p in zip(seq.objective, par.objective))
+        indexer, scale = _SvecIndexer(seq.block_dims), d ** (n + 1)
+        x_seq, x_par = (
+            indexer.pack([(b + b.T) / 2.0 for b in table_results[(mode, d, n)].blocks]) for mode in ("seq", "par")
+        )
+        worst_in_seq = max(worst_in_seq, float(np.abs(seq.a @ x_par - seq.rhs).max()) / scale)
+        if n >= 2:
+            least_in_par = min(least_in_par, (float(np.abs(par.a @ x_seq - par.rhs).max()) / scale, (d, n)))
+    report(
+        "criterion 10 (par within seq)",
+        worst_in_seq <= 1e-12 and least_in_par[0] >= 1e-5 and same_objective,
+        f"{len(cells)} cells, worst par-in-seq residual "
+        f"{worst_in_seq:.1e} d^(n+1), least seq-in-par violation (n >= 2) {least_in_par[0]:.1e} d^(n+1) "
+        f"at {least_in_par[1]}, objectives identical: {same_objective}",
     )

@@ -443,6 +443,11 @@ def test_simulate_rejects_non_positive_trials(capsys):
         (["simulate", "--trials", "1.5"], "--trials"),
         (["tables", "--tol-gap", "x"], "--tol-gap"),
         (["simulate", "--seed", "-1"], "--seed"),
+        # --out must name a directory, or a path that can become one, before any work
+        (["simulate", "--out", __file__], "--out"),
+        (["solve", "--d", "2", "--n", "1", "--out", __file__], "--out"),
+        (["tables", "--out", __file__], "--out"),
+        (["tables", "--out", str(Path(__file__) / "sub")], "--out"),
     ],
 )
 def test_invalid_sizes_and_tolerances_are_usage_errors(argv, flag, capsys):

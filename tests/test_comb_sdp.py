@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -163,6 +164,15 @@ def test_reduce_rejects_unsymmetric_input():
     g = rng.standard_normal((16, 16))
     with pytest.raises(ValueError):
         cs.reduce_comb(g + g.T, d, n)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_reduce_rejects_non_finite_input(value):
+    # a NaN would pass the commutant test, and an inf would reach einsum
+    mat = np.zeros((16, 16))
+    mat[3, 5] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        cs.reduce_comb(mat, 2, 1)
 
 
 def test_reduce_of_full_objective_matches_performance_blocks():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+from hypothesis import given, seed, settings, strategies
 
 from unitary_inversion import sdp
 from unitary_inversion.comb_sdp import build_full_sdp, build_parallel_sdp, build_sequential_sdp
@@ -350,11 +351,6 @@ def test_constraint_matrix_matches_dense_definition():
         dense = [sum(float(np.sum(m * x[b])) for b, m in coeffs.items()) for coeffs, _ in rows]
         assert np.abs(applied - dense).max() <= 1e-12
     assert np.array_equal(problem.rhs, [rhs for _, rhs in rows])
-    # indexers share each block size's triangle and scales, so none may write them
-    first, second = _SvecIndexer([3, 1, 4]), _SvecIndexer([4, 3])
-    assert first.index_pairs[0][0] is second.index_pairs[1][0] and first.scales[2] is second.scales[0]
-    shared = [arr for pair in first.index_pairs for arr in pair] + list(first.scales)
-    assert not any(arr.flags.writeable for arr in shared)
 
 
 def test_one_indexer_per_block_dims(monkeypatch):
@@ -376,13 +372,36 @@ def test_one_indexer_per_block_dims(monkeypatch):
     # the shared instance cannot be altered through its sequences or arrays
     indexer = sdp._indexer((3, 1, 4, 3))
     assert indexer is sdp._indexer((3, 1, 4, 3))
-    for seq in (indexer.dims, indexer.index_pairs, indexer.scales, indexer.spans, indexer.sizes, indexer.members):
+    for seq in (indexer.dims, indexer.sizes, indexer.members, indexer._columns, indexer._triangles):
         assert isinstance(seq, tuple)
     assert indexer.members == ((1,), (0, 3), (2,))
-    arrays = [indexer.scale_vector, indexer._starts, indexer._dims, *indexer._columns]
+    arrays = [indexer.block, indexer.lo, indexer.hi, indexer.scale_vector, indexer._starts, indexer._dims]
+    arrays += [*indexer._columns, *(arr for triangle in indexer._triangles for arr in triangle)]
     assert not any(arr.flags.writeable for arr in arrays)
     with pytest.raises(ValueError, match="read-only"):
         indexer.scale_vector[0] = 2.0
+
+
+@seed(32)
+@settings(max_examples=60, deadline=None)
+@given(strategies.lists(strategies.integers(1, 8), min_size=1, max_size=6), strategies.integers(0, 2**32 - 1))
+def test_layout_table_keeps_its_promises(dims, rng_seed):
+    indexer = _SvecIndexer(dims)
+    assert indexer.total == sum(s * (s + 1) // 2 for s in dims)
+    # every svec column names the entry, lo <= hi, that maps back to it
+    assert np.array_equal(indexer.column(indexer.block, indexer.lo, indexer.hi), np.arange(indexer.total))
+    assert np.all(indexer.lo <= indexer.hi) and np.all(indexer.hi < np.array(dims)[indexer.block])
+    assert np.array_equal(indexer.scale_vector, np.where(indexer.lo == indexer.hi, 1.0, math.sqrt(2.0)))
+    # the round trip puts every entry back in place: the diagonal exactly,
+    # each off-diagonal entry as (x * sqrt(2)) / sqrt(2) rounds it
+    rng = np.random.default_rng(rng_seed)
+    stacks = [sdp._sym(rng.standard_normal((len(mem), s, s))) for s, mem in zip(indexer.sizes, indexer.members)]
+    back = indexer.unpack_stacks(indexer.pack_stacks(stacks))
+    for s, st, bk in zip(indexer.sizes, stacks, back):
+        scale = np.where(np.eye(s, dtype=bool), 1.0, math.sqrt(2.0))
+        assert bk.tobytes() == ((st * scale) / scale).tobytes()
+    arrays = [indexer.block, indexer.lo, indexer.hi, indexer.scale_vector, *indexer._columns]
+    assert not any(arr.flags.writeable for arr in arrays + [a for tri in indexer._triangles for a in tri])
 
 
 def test_constraint_matrix_json_roundtrip():
@@ -484,6 +503,11 @@ def test_validate_rejects_bad_objective_and_rhs():
         problem.rhs[0] = value
         with pytest.raises(ValueError, match="finite"):
             problem.validate()
+    # a column of right-hand sides has the rows' length, but is not a vector
+    payload = json.loads(pack_rows([2], [good], [({0: good}, 1.0)]).to_json())
+    payload["rhs"] = [[v] for v in payload["rhs"]]
+    with pytest.raises(ValueError, match="1-D"):
+        SdpProblem.from_json(json.dumps(payload))
 
 
 def reference_preprocess(a, rhs):
@@ -779,7 +803,7 @@ def untouched_block_problem():
     rows = [({0: random_symmetric(rng, 3), 2: random_symmetric(rng, 4)}, 1.0)]
     rows += [({b: random_symmetric(rng, dims[b])}, 0.5) for b in (0, 2, 2)]
     problem = pack_rows(dims, [np.eye(s) for s in dims], rows)
-    assert problem.a[:, _SvecIndexer(dims).spans[1]].nnz == 0
+    assert problem.a[:, _SvecIndexer(dims).block == 1].nnz == 0
     return problem
 
 
