@@ -295,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--tol-gap", type=_positive_float, default=1e-6)
     slv.add_argument("--tol-feas", type=_positive_float, default=1e-8)
     slv.add_argument("--max-iterations", type=_int_at_least(1), default=200)
-    slv.add_argument("--svec-cap", type=_int_at_least(1), default=REDUCED_SVEC_CAP)
+    slv.add_argument("--svec-cap", type=_int_at_least(1), default=REDUCED_SVEC_CAP,
+                     help="seq and par only: full programs have a fixed cap")
 
     tab = sub.add_parser("tables", help="reproduce the fidelity tables")
     tab.add_argument("--d-min", type=_int_at_least(2), default=2)
@@ -322,6 +323,13 @@ def main(argv=None) -> int:
             low, high = getattr(args, f"{name}_min"), getattr(args, f"{name}_max")
             if low > high:
                 parser.error(f"--{name}-min {low} exceeds --{name}-max {high}")
+    if args.command == "solve" and args.mode.startswith("full-") and args.svec_cap != REDUCED_SVEC_CAP:
+        from .comb_sdp import FULL_SPACE_DIM_CAP
+
+        parser.error(
+            f"--svec-cap applies to seq and par only; full programs have the fixed "
+            f"{FULL_SPACE_DIM_CAP}-dimension cap"
+        )
     start = time.perf_counter()
     outcome = args.func(args)
     return outcome if isinstance(outcome, int) else _emit(args, start, outcome)

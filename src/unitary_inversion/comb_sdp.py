@@ -81,8 +81,7 @@ def performance_blocks(d: int, n: int) -> PerformanceBlocks:
     cycle = cycle_permutation(n + 1)
     omega = {}
     for mu in young_diagrams(n + 1, d):
-        pi = permutation_matrix(mu, cycle).T
-        v = pi.reshape(-1)
+        v = permutation_matrix(mu, cycle).T.reshape(-1)
         omega[mu] = np.outer(v, v) / (d * d * su_dim(mu, d))
     return PerformanceBlocks(d, n, omega)
 
@@ -100,33 +99,22 @@ class ReducedComb:
     blocks: dict[tuple[tuple[int, ...], tuple[int, ...]], np.ndarray]
 
     def __post_init__(self):
-        shapes = set(young_diagrams(self.n + 1, self.d))
+        keys = block_keys(self.d, self.n)
+        unexpected = [key for key in self.blocks if key not in keys]
+        missing = [key for key in keys if key not in self.blocks]
+        if unexpected or missing:
+            raise ValueError(f"unexpected diagram pairs {unexpected}, missing blocks for {missing}")
         for (mu, nu), mat in self.blocks.items():
-            if mu not in shapes or nu not in shapes:
-                raise ValueError(f"unexpected diagram pair {(mu, nu)}")
             size = tableau_count(mu) * tableau_count(nu)
             if mat.shape != (size, size):
-                raise ValueError(
-                    f"block {(mu, nu)} has shape {mat.shape}, expected {size}"
-                )
-        missing = {
-            (mu, nu)
-            for mu in shapes
-            for nu in shapes
-            if (mu, nu) not in self.blocks
-        }
-        if missing:
-            raise ValueError(f"missing blocks for {sorted(missing)}")
+                raise ValueError(f"block {(mu, nu)} has shape {mat.shape}, expected {size}")
 
 
 def evaluate_fidelity(comb: ReducedComb, blocks: PerformanceBlocks) -> float:
     """Objective value sum_mu Tr(C^{mu mu} Omega_mu); off-diagonal pairs never enter."""
     if (comb.d, comb.n) != (blocks.d, blocks.n):
         raise ValueError("comb and performance blocks have mismatched (d, n)")
-    total = 0.0
-    for mu, omega in blocks.omega.items():
-        total += float(np.tensordot(comb.blocks[(mu, mu)], omega))
-    return total
+    return sum(float(np.tensordot(comb.blocks[(mu, mu)], omega)) for mu, omega in blocks.omega.items())
 
 
 def block_keys(d: int, n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -143,17 +131,15 @@ def reduced_svec_size(d: int, n: int) -> int:
 
 
 def solution_blocks_to_comb(d: int, n: int, blocks: list[np.ndarray]) -> ReducedComb:
-    keys = block_keys(d, n)
-    return ReducedComb(d, n, {k: b for k, b in zip(keys, blocks)})
+    return ReducedComb(d, n, dict(zip(block_keys(d, n), blocks, strict=True)))
 
 
 def _objective_list(d: int, n: int) -> list[np.ndarray]:
-    perf = performance_blocks(d, n)
-    out = []
-    for mu, nu in block_keys(d, n):
-        size = tableau_count(mu) * tableau_count(nu)
-        out.append(perf.omega[mu].copy() if mu == nu else np.zeros((size, size)))
-    return out
+    omega = performance_blocks(d, n).omega
+    return [
+        omega[mu].copy() if mu == nu else np.zeros((tableau_count(mu) * tableau_count(nu),) * 2)
+        for mu, nu in block_keys(d, n)
+    ]
 
 
 def _entry_rows(
@@ -240,13 +226,11 @@ def build_sequential_sdp(d: int, n: int) -> SdpProblem:
         """(top diagram, map of the embedding product) per single-box growth chain from alpha."""
         if sum(alpha) == top:
             return [(alpha, np.arange(tableau_count(alpha)))]
-        return [chain for child in children(alpha, max_depth=d) for chain in grown(alpha, child)]
-
-    @functools.cache
-    def grown(gamma: tuple[int, ...], alpha: tuple[int, ...]):
-        """alpha's chains with the gamma -> alpha embedding X in front: (top, map of X P) per chain."""
-        x = _embedding_map(gamma, alpha)
-        return [(mu, p[x]) for mu, p in chains(alpha)]
+        out = []
+        for child in children(alpha, max_depth=d):
+            x = _embedding_map(alpha, child)  # the child's chains with alpha -> child in front
+            out += [(mu, p[x]) for mu, p in chains(child)]
+        return out
 
     @functools.cache
     def shrunk(delta: tuple[int, ...], beta: tuple[int, ...]):
@@ -255,22 +239,21 @@ def build_sequential_sdp(d: int, n: int) -> SdpProblem:
         back[_embedding_map(delta, beta)] = np.arange(tableau_count(delta))
         return [(nu, np.where(back < 0, -1, q[back])) for nu, q in chains(delta)]
 
-    def level_terms(left, right, level: int):
-        """(scale, p, q, block) with C_level = sum scale*(P x Q) C (P x Q)^T over both chain lists."""
-        scale = float(d) ** -(top - level)
-        return [(scale, p, q, key_index[(mu, nu)]) for mu, p in left for nu, q in right]
-
     identities = []
     for level in range(1, top + 1):
+        betas = young_diagrams(level, d)
         for gamma in young_diagrams(level - 1, d):
-            for beta in young_diagrams(level, d):
-                terms = []
-                for alpha in children(gamma, max_depth=d):
-                    for scale, p, q, key in level_terms(grown(gamma, alpha), chains(beta), level):
-                        terms.append((scale / su_dim(beta, d), p, q, key))
-                for delta in parents(beta):
-                    for scale, p, q, key in level_terms(chains(gamma), shrunk(delta, beta), level - 1):
-                        terms.append((-scale / su_dim(delta, d), p, q, key))
+            for beta in betas:
+                sums = [(float(d) ** -(top - level) / su_dim(beta, d), chains(beta))] + [
+                    (-float(d) ** -(top - level + 1) / su_dim(delta, d), shrunk(delta, beta))
+                    for delta in parents(beta)
+                ]
+                terms = [
+                    (scale, p, q, key_index[(mu, nu)])
+                    for scale, right in sums
+                    for mu, p in chains(gamma)
+                    for nu, q in right
+                ]
                 identities.append((terms, tableau_count(gamma), tableau_count(beta)))
     return _reduced_problem(d, n, "seq", identities)
 
@@ -444,14 +427,13 @@ def reduce_comb(full: np.ndarray, d: int, n: int) -> ReducedComb:
     grouped = tensor.permute_factors(np.real(mat), full_register_dims(d, n), inputs + outputs)
     grouped = grouped.reshape((side,) * 4)
     blocks: dict[tuple[tuple[int, ...], tuple[int, ...]], np.ndarray] = {}
-    for mu in young_diagrams(n + 1, d):
-        for nu in young_diagrams(n + 1, d):
-            size = tableau_count(mu) * tableau_count(nu)
-            block = np.einsum(
-                "xyuv,jiux,lkvy->ikjl", grouped, matrix_unit(mu, d), matrix_unit(nu, d),
-                optimize=True,
-            )
-            blocks[(mu, nu)] = block.reshape(size, size)
+    for mu, nu in block_keys(d, n):
+        size = tableau_count(mu) * tableau_count(nu)
+        block = np.einsum(
+            "xyuv,jiux,lkvy->ikjl", grouped, matrix_unit(mu, d), matrix_unit(nu, d),
+            optimize=True,
+        )
+        blocks[(mu, nu)] = block.reshape(size, size)
     comb = ReducedComb(d, n, blocks)
     deviation = float(np.abs(mat - expand_comb(comb)).max())
     if deviation > 1e-8 * max(1.0, float(np.abs(mat).max())):

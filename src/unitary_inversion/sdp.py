@@ -119,6 +119,7 @@ class SdpProblem:
     metadata: dict = field(default_factory=dict)
 
     def validate(self) -> None:
+        _check_block_dims(self.block_dims)
         if len(self.objective) != len(self.block_dims):
             raise ValueError("one objective matrix per block required")
         for dim, mat in zip(self.block_dims, self.objective):
@@ -180,7 +181,8 @@ class SdpProblem:
     @classmethod
     def from_json(cls, text: str) -> "SdpProblem":
         data = json.loads(text)
-        dims = [int(s) for s in data["block_dims"]]
+        dims = data["block_dims"]
+        _check_block_dims(dims)
         rhs = np.array(data["rhs"], dtype=float)
         indptr, indices = (np.asarray(data["a"][k]) for k in ("indptr", "indices"))
         if any(v.size and v.dtype.kind != "i" for v in (indptr, indices)):
@@ -197,6 +199,13 @@ class SdpProblem:
         problem = cls(dims, objective, a, rhs, metadata)
         problem.validate()
         return problem
+
+
+def _check_block_dims(dims) -> None:
+    """At least one block, each of a positive integer size (bool, an int subclass, is refused)."""
+    sizes = dims if isinstance(dims, (list, tuple)) else []
+    if not sizes or any(isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s < 1 for s in sizes):
+        raise ValueError(f"block dims must be a non-empty list of positive integers, got {dims!r}")
 
 
 def _check_objective(mat: np.ndarray, dim: int) -> None:

@@ -38,25 +38,15 @@ import numpy as np
 def young_diagrams(n: int, d: int) -> list[tuple[int, ...]]:
     """All partitions of ``n`` with at most ``d`` parts, reverse lexicographic.
 
-    The first entry is the single row (n,) and the last is the most
-    column-like shape allowed by the depth bound.
+    They are the n-step walk of :func:`children` from ().  The first entry is
+    the single row (n,) and the last the most column-like shape allowed.
     """
     if n < 0 or d < 1:
         raise ValueError("need n >= 0 and d >= 1")
-
-    def rec(remaining: int, maximum: int, depth: int):
-        if remaining == 0:
-            yield ()
-            return
-        if depth == 0:
-            return
-        for first in range(min(remaining, maximum), 0, -1):
-            if remaining - first > first * (depth - 1):
-                continue
-            for tail in rec(remaining - first, first, depth - 1):
-                yield (first,) + tail
-
-    return list(rec(n, n, d))
+    shapes = {()}
+    for _ in range(n):
+        shapes = {child for shape in shapes for child in children(shape, max_depth=d)}
+    return sorted(shapes, reverse=True)
 
 
 def _with_box(shape: tuple[int, ...], row: int, delta: int) -> tuple[int, ...]:
@@ -185,16 +175,13 @@ def adjacent_transposition_word(perm) -> list[int]:
     perm = check_permutation(perm)
     word: list[int] = []
     line = list(perm)
-    n = len(line)
     # Bubble sort to the identity; right-composing with s_k swaps slots k-1, k.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n - 1):
+    # Each pass settles the largest unsorted entry in slot ``end``.
+    for end in range(len(line) - 1, 0, -1):
+        for i in range(end):
             if line[i] > line[i + 1]:
                 line[i], line[i + 1] = line[i + 1], line[i]
                 word.append(i + 1)
-                changed = True
     # perm o s_{word[0]} o ... o s_{word[-1]} = identity, each s its own inverse.
     return list(reversed(word))
 

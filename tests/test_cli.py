@@ -448,6 +448,8 @@ def test_simulate_rejects_non_positive_trials(capsys):
         (["solve", "--d", "2", "--n", "1", "--out", __file__], "--out"),
         (["tables", "--out", __file__], "--out"),
         (["tables", "--out", str(Path(__file__) / "sub")], "--out"),
+        # full programs have their own fixed cap, which --svec-cap never reached
+        (["solve", "--mode", "full-seq", "--d", "2", "--n", "1", "--svec-cap", "1"], "--svec-cap"),
     ],
 )
 def test_invalid_sizes_and_tolerances_are_usage_errors(argv, flag, capsys):

@@ -86,6 +86,11 @@ def test_reduced_comb_validation():
     blocks[(young_diagrams(2, 2)[0], young_diagrams(2, 2)[0])] = np.zeros((2, 2))
     with pytest.raises(ValueError):
         cs.ReducedComb(2, 1, blocks)
+    # a solver's block list one too long or one too short is refused for its length
+    listed = [np.eye(size) for size in cs.reduced_block_dims(2, 1)]
+    for wrong in (listed + [np.eye(3)], listed[:-1]):
+        with pytest.raises(ValueError, match="longer|shorter"):
+            cs.solution_blocks_to_comb(2, 1, wrong)
 
 
 def test_reduce_identity_structure():
@@ -277,6 +282,18 @@ def test_reduced_svec_sizes():
     block_sizes = cs.reduced_block_dims(2, 4)
     assert sum(block_sizes) == (1 + 4 + 5) ** 2
     assert cs.reduced_svec_size(2, 4) == sum(s * (s + 1) // 2 for s in block_sizes)
+
+
+@pytest.mark.parametrize("build", [cs.build_sequential_sdp, cs.build_parallel_sdp])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_programs_past_the_depth_bound_share_one_shape(build, n):
+    # at d >= n+1 every (n+1)-box diagram fits, so d enters only the weights
+    first, *rest = (build(d, n) for d in range(n + 1, n + 5))
+    for problem in rest:
+        assert problem.block_dims == first.block_dims
+        assert np.array_equal(problem.a.indptr, first.a.indptr)
+        assert np.array_equal(problem.a.indices, first.a.indices)
+        assert not np.array_equal(problem.a.data, first.a.data)
 
 
 def test_problem_json_has_schema_fields():

@@ -484,11 +484,19 @@ def test_from_json_rejects_unknown_block():
         "float indptr": ("a", {**a, "indptr": [float(i) for i in a["indptr"]]}),
         "objective triangle length": ("objective", [objective[0][:-1]] + objective[1:]),
         "objective of a smaller block": ("objective", [objective[0][:3]] + objective[1:]),
+        # refused, not rounded by int() into [3, 1, 4]
+        "float dim": ("block_dims", [3.5, 1, 4]),
+        "bool dim": ("block_dims", [3, True, 4]),
+        "string dim": ("block_dims", ["3", 1, 4]),
     }
     SdpProblem.from_json(json.dumps(payload))
     for key, value in malformed.values():
         with pytest.raises(ValueError):
             SdpProblem.from_json(json.dumps({**payload, key: value}))
+    # a zero-size block, and no block at all, are refused as block dims, not inside numpy
+    for dims, triangles in (([3, 1, 4, 0], objective + [[]]), ([], [])):
+        with pytest.raises(ValueError, match="block dims"):
+            SdpProblem.from_json(json.dumps({**payload, "block_dims": dims, "objective": triangles}))
 
 
 def test_validate_rejects_bad_objective_and_rhs():
@@ -508,6 +516,9 @@ def test_validate_rejects_bad_objective_and_rhs():
     payload["rhs"] = [[v] for v in payload["rhs"]]
     with pytest.raises(ValueError, match="1-D"):
         SdpProblem.from_json(json.dumps(payload))
+    # an empty program is refused here, before solve meets a ZeroDivisionError
+    with pytest.raises(ValueError, match="block dims"):
+        SdpProblem([], [], scipy.sparse.csr_matrix((0, 0)), np.zeros(0)).validate()
 
 
 def reference_preprocess(a, rhs):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import re
 import subprocess
@@ -57,3 +58,33 @@ def test_every_span_perfbench_wraps_still_exists(monkeypatch):
         f"{module.__name__}.{attr}" for module, attr in wrapped if not callable(getattr(module, attr, None))
     ]
     assert not missing
+
+
+def _dotted(node) -> str | None:
+    """The dotted name of an expression a.b.c, or None when it is not a chain of names."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def test_every_name_a_src_module_imports_is_read():
+    # no linter runs on src/, so a deletion can leave an import behind; "import a.b"
+    # counts as read only where a.b itself is, since the name a alone says nothing of b
+    unused = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {
+            _dotted(node)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [
+            f"{path.relative_to(ROOT)}:{node.lineno} {alias.asname or alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if (alias.asname or alias.name) not in read
+        ]
+    assert not unused
