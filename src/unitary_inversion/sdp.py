@@ -14,12 +14,12 @@ as reads of matrix entries, and only :meth:`SdpProblem.from_reads` turns
 them into CSR arrays.  The JSON instance format stores A as those arrays,
 so a round trip through it is exact.
 
-Constraint rows are preprocessed on the CSR matrix: dependent rows,
-duplicates among them, are dropped by one column-pivoted QR per
-connected component of rows that share svec columns, with one rank
-threshold for all components (see :func:`_preprocess_rows`).  Q is never
-formed; each dropped row's right-hand side is checked for consistency
-through R11^{-1} R12 (an inconsistency is reported as infeasibility).
+Constraint rows are preprocessed on the CSR matrix (see
+:func:`_preprocess_rows`): dependent rows, duplicates among them, are
+dropped by one column-pivoted QR per connected component of rows that
+share svec columns, under one rank threshold relative to the largest row
+norm.  One tolerance, relative to the largest right-hand side, checks
+every dropped row; an inconsistency is reported as infeasibility.
 All data must be real symmetric; complex or unsymmetric input is rejected.
 
 The Schur complement M_ij = Tr(A_i X A_j Z^{-1}) is assembled from each
@@ -180,22 +180,25 @@ class SdpProblem:
 
     @classmethod
     def from_json(cls, text: str) -> "SdpProblem":
-        data = json.loads(text)
-        dims = data["block_dims"]
-        _check_block_dims(dims)
-        rhs = np.array(data["rhs"], dtype=float)
-        indptr, indices = (np.asarray(data["a"][k]) for k in ("indptr", "indices"))
-        if any(v.size and v.dtype.kind != "i" for v in (indptr, indices)):
-            raise ValueError("constraint indptr and indices must be integer arrays")
-        svec = sum(s * (s + 1) // 2 for s in dims)
-        a = scipy.sparse.csr_matrix(
-            (np.array(data["a"]["data"], dtype=float), indices, indptr), shape=(len(rhs), svec)
-        )
-        a.check_format(full_check=True)
-        if a.nnz != indices.size:
-            raise ValueError(f"indptr ends at {a.nnz} of {indices.size} stored entries")
-        objective = [_from_upper_triangle(v) for v in data["objective"]]
-        metadata = {k: data[k] for k in ("d", "n", "mode") if k in data}
+        """The program of a :meth:`to_json` payload; ValueError for any malformed payload."""
+        try:
+            data = json.loads(text)
+            dims = data["block_dims"]
+            _check_block_dims(dims)
+            rhs = _reals(data["rhs"], "rhs")
+            indptr, indices = (np.asarray(data["a"][k]) for k in ("indptr", "indices"))
+            if any(v.size and v.dtype.kind != "i" for v in (indptr, indices)):
+                raise ValueError("constraint indptr and indices must be integer arrays")
+            svec = sum(s * (s + 1) // 2 for s in dims)
+            values = _reals(data["a"]["data"], "a.data")
+            a = scipy.sparse.csr_matrix((values, indices, indptr), shape=(rhs.size, svec))
+            a.check_format(full_check=True)
+            if a.nnz != indices.size:
+                raise ValueError(f"indptr ends at {a.nnz} of {indices.size} stored entries")
+            objective = [_from_upper_triangle(_reals(v, "an objective triangle")) for v in data["objective"]]
+            metadata = {k: data[k] for k in ("d", "n", "mode") if k in data}
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed program payload: {exc!r}") from exc
         problem = cls(dims, objective, a, rhs, metadata)
         problem.validate()
         return problem
@@ -208,6 +211,18 @@ def _check_block_dims(dims) -> None:
         raise ValueError(f"block dims must be a non-empty list of positive integers, got {dims!r}")
 
 
+def _is_real(value) -> bool:
+    """An int or float of Python or numpy; bool, an int subclass, is not one."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _reals(values, name: str) -> np.ndarray:
+    """A JSON list of numbers as a float vector; nesting, booleans and other types are refused."""
+    if not (isinstance(values, list) and all(_is_real(v) for v in values)):
+        raise ValueError(f"{name} must be a 1-D list of numbers")
+    return np.array(values, dtype=float)
+
+
 def _check_objective(mat: np.ndarray, dim: int) -> None:
     mat = np.asarray(mat)
     if np.iscomplexobj(mat) and np.abs(mat.imag).max() > 0:
@@ -217,14 +232,13 @@ def _check_objective(mat: np.ndarray, dim: int) -> None:
     # a NaN would pass the symmetry test below, since NaN > tolerance is False
     if not np.isfinite(mat).all():
         raise ValueError("objective matrix must be finite")
-    if np.abs(mat - mat.T).max() > _SYM_ATOL:
+    # relative to the largest entry, so that a rescaled objective is judged alike
+    if np.abs(mat - mat.T).max() > _SYM_ATOL * np.abs(mat).max():
         raise ValueError("objective matrix is not symmetric")
 
 
 def _upper_triangle(mat: np.ndarray) -> list[float]:
-    mat = np.asarray(mat, dtype=float)
-    idx = np.triu_indices(mat.shape[0])
-    return [float(x) for x in mat[idx]]
+    return np.asarray(mat, dtype=float)[np.triu_indices(len(mat))].tolist()
 
 
 def _from_upper_triangle(values) -> np.ndarray:
@@ -244,8 +258,8 @@ class SolverConfig:
 
     def __post_init__(self):
         # NaN fails every comparison, and an infinite tolerance passes any iterate
-        if not all(math.isfinite(t) and t > 0 for t in (self.feasibility_tol, self.gap_tol)):
-            raise ValueError("tolerances must be positive and finite")
+        if not all(_is_real(t) and math.isfinite(t) and t > 0 for t in (self.feasibility_tol, self.gap_tol)):
+            raise ValueError("tolerances must be positive finite numbers")
         # bool is an int subclass, and range() refuses floats and strings
         if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, (int, np.integer)):
             raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
@@ -267,15 +281,14 @@ class SdpSolution:
     reason: str = ""
 
     def to_json(self) -> str:
+        indexer = _indexer(tuple(len(b) for b in self.blocks))
         payload = {
             "objective": self.objective_value,
             "gap": self.gap,
             "residual": self.primal_residual,
             "iterations": self.iterations,
             "status": self.status,
-            "block_eigenvalue_minima": [
-                float(np.linalg.eigvalsh(b)[0]) for b in self.blocks
-            ],
+            "block_eigenvalue_minima": _min_eigenvalues(indexer, indexer.stack(self.blocks)),
         }
         if self.status != "optimal":
             payload["reason"] = self.reason
@@ -363,26 +376,29 @@ def _indexer(dims: tuple[int, ...]) -> _SvecIndexer:
 def _preprocess_rows(a: scipy.sparse.csr_matrix, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
     """Drop linearly dependent rows, duplicates among them, of the constraint matrix.
 
-    Rows of norm at most ``_PIVOT_THRESHOLD`` must have a zero right-hand
-    side.  The other rows are split into connected components, two rows
-    being joined when they share an svec column, and each component is
-    ranked by a column-pivoted QR (LAPACK ``geqp3``) of its rows' transpose,
-    restricted to the columns they touch.  The whole matrix is never
-    densified.
+    One rank threshold, ``_PIVOT_THRESHOLD`` times the largest row norm (the
+    first pivot of one QR of every row), judges every row.  Rows at or
+    below it stay out of the QRs.  The others are split into connected
+    components, two rows being joined when they share an svec column, and
+    each component of two or more rows is ranked by a column-pivoted QR
+    (LAPACK ``geqp3``) of its rows' transpose, restricted to the columns
+    they touch, a pivot counting toward the rank when it exceeds the same
+    threshold.  The whole matrix is never densified.
 
     Rows of different components have disjoint supports and so are
-    orthogonal.  A pivot counts toward the rank when it exceeds
-    ``_PIVOT_THRESHOLD`` times the largest norm of all rows, the first
-    pivot of one QR of every row; then, in exact arithmetic, rank and pivot
-    order within each component match that global QR.  Under rounding,
-    ties between rows of equal norm can break differently, which changes
-    which rows are kept but not the space they span.
+    orthogonal: in exact arithmetic, rank and pivot order within each
+    component match that global QR.  Under rounding, ties between rows of
+    equal norm can break differently, which changes which rows are kept
+    but not the space they span.  The threshold is relative, so a program
+    with every row and right-hand side scaled by one factor keeps the same
+    rows.
 
     Q is never formed: a dropped row equals the kept rows of its component
     combined with the coefficients R11^{-1} R12 (R11 the leading rank x
-    rank triangle of the component's R, R12 the columns beside it; zero at
-    rank 0), and its right-hand side must match the same combination of
-    theirs to 1e-8 times the largest right-hand side.
+    rank triangle of the component's R, R12 the columns beside it), and a
+    row below the threshold equals 0.  One tolerance, 1e-8 times
+    max(1, max |rhs|) over all rows, judges every dropped row's right-hand
+    side against the same combination of the kept ones.
 
     Returns (kept_indices, consistent).  ``consistent`` is False when a
     dropped row's right-hand side disagrees with the kept rows, which
@@ -392,41 +408,30 @@ def _preprocess_rows(a: scipy.sparse.csr_matrix, rhs: np.ndarray) -> tuple[np.nd
     a.sum_duplicates()
     a.eliminate_zeros()
     norms = scipy.sparse.linalg.norm(a, axis=1)
+    threshold = _PIVOT_THRESHOLD * norms.max(initial=0.0)
     # rows cancelled to rounding (seq (3,4) has one of norm 1.8e-17) stay out
     # of the QRs: inside one they would move which of its rows are kept
-    nonzero = norms > _PIVOT_THRESHOLD
-    kept_orig = np.flatnonzero(nonzero)
-    zero_rows_consistent = not np.any(np.abs(rhs[~nonzero]) > 1e-12)
-    if kept_orig.size == 0 or not zero_rows_consistent:
-        return kept_orig, zero_rows_consistent
-    rows, rhs, norms = a[kept_orig], rhs[kept_orig], norms[nonzero]
-    threshold = _PIVOT_THRESHOLD * norms.max()
-    scale = max(1.0, float(np.abs(rhs).max()))
-    pattern = abs(rows)
+    live = np.flatnonzero(norms > threshold)
+    pattern = abs(a[live])
     labels = scipy.sparse.csgraph.connected_components(pattern @ pattern.T, directed=False)[1]
     # members of each component in row order, so that pivot ties break as in one global QR
-    members = np.argsort(labels, kind="stable")
-    keep = []
-    consistent = True
-    for comp in np.split(members, np.cumsum(np.bincount(labels))[:-1]):
+    members = live[np.argsort(labels, kind="stable")]
+    kept = np.zeros(rhs.size, dtype=bool)
+    predicted = np.zeros(rhs.size)
+    for comp in np.split(members, np.cumsum(np.bincount(labels)))[:-1]:
         if comp.size == 1:
-            diag, piv = norms[comp], np.zeros(1, dtype=int)
-        else:
-            sub = rows[comp]
-            sub = sub[:, np.unique(sub.indices)]
-            r, piv = scipy.linalg.qr(sub.toarray().T, overwrite_a=True, mode="raw", pivoting=True)[1:]
-            diag = np.abs(np.diag(r))
-        rank = int(np.sum(diag > threshold))
-        keep.append(comp[piv[:rank]])
-        if rank < comp.size:
-            # dropped rows must be consistent combinations of the kept ones
-            pred = 0.0
-            if rank:
-                coeffs = scipy.linalg.solve_triangular(r[:rank, :rank], r[:rank, rank:])
-                pred = coeffs.T @ rhs[comp[piv[:rank]]]
-            if np.abs(pred - rhs[comp[piv[rank:]]]).max() > 1e-8 * scale:
-                consistent = False
-    return kept_orig[np.sort(np.concatenate(keep))], consistent
+            # a live row alone in its component is its own pivot
+            kept[comp] = True
+            continue
+        sub = a[comp]
+        sub = sub[:, np.unique(sub.indices)]
+        r, piv = scipy.linalg.qr(sub.toarray().T, overwrite_a=True, mode="raw", pivoting=True)[1:]
+        rank = int(np.sum(np.abs(np.diag(r)) > threshold))
+        kept[comp[piv[:rank]]] = True
+        coeffs = scipy.linalg.solve_triangular(r[:rank, :rank], r[:rank, rank:])
+        predicted[comp[piv[rank:]]] = coeffs.T @ rhs[comp[piv[:rank]]]
+    tolerance = 1e-8 * max(1.0, float(np.abs(rhs).max(initial=0.0)))
+    return np.flatnonzero(kept), bool(np.abs(predicted - rhs)[~kept].max(initial=0.0) <= tolerance)
 
 
 def _block_rows(a: scipy.sparse.csr_matrix, indexer: _SvecIndexer) -> list[list[tuple]]:
@@ -463,16 +468,15 @@ def _block_rows(a: scipy.sparse.csr_matrix, indexer: _SvecIndexer) -> list[list[
     flat = np.concatenate([lo, hi[off]]) * sizes[block] + np.concatenate([hi, lo[off]])
     v = entries.data / indexer.scale_vector[entries.col]
     v = np.concatenate([v, v[off]])
-    keys, local, counts = np.unique(block * m + row, return_inverse=True, return_counts=True)
-    key_block = keys // m
-    by_count = np.lexsort((counts, key_block))
-    rank = np.empty_like(by_count)
-    rank[by_count] = np.arange(by_count.size)
-    # the sort is stable, so each row's entries keep their stored order
-    order = np.argsort(rank[local], kind="stable")
-    rows, counts = (keys[by_count] % m).astype(index_type), counts[by_count]
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    bounds = np.searchsorted(key_block[by_count], np.arange(sizes.size + 1))
+    key = block * m + row
+    _, local, counts = np.unique(key, return_inverse=True, return_counts=True)
+    # by block, entry count k and row; the sort is stable, so each row's entries keep their stored order
+    order = np.lexsort((row, counts[local], block))
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    rows, counts = (key[starts] % m).astype(index_type), np.diff(starts, append=key.size)
+    indptr = np.append(starts, key.size)
+    bounds = np.searchsorted(key[starts] // m, np.arange(sizes.size + 1))
     out = []
     for b, (first, last) in enumerate(zip(bounds[:-1], bounds[1:])):
         s, size = indexer.dims[b], last - first
@@ -647,11 +651,9 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
 def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
     problem.validate()
     dims = list(problem.block_dims)
-    nblocks = len(dims)
     indexer = _indexer(tuple(dims))
-    c_mats = [np.asarray(mat, dtype=float) for mat in problem.objective]
-    cvec = indexer.pack(c_mats)
-    c = indexer.stack(c_mats)
+    c = indexer.stack([np.asarray(mat, dtype=float) for mat in problem.objective])
+    cvec = indexer.pack_stacks(c)
 
     m_rows = problem.a.shape[0]
     kept, consistent = _preprocess_rows(problem.a, problem.rhs)
@@ -668,11 +670,12 @@ def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
     a_t = a.T
     block_rows = _block_rows(a, indexer)
 
-    tau = max(
-        1.0,
-        float(np.abs(rhs).max()) if m else 1.0,
-        max(float(np.abs(mat).max()) for mat in c_mats) if nblocks else 1.0,
-    )
+    # the program's scales, read once: the starting iterate tau * I, the
+    # infeasibility norms and the divergence bound derive from them
+    rhs_max = float(np.abs(rhs).max(initial=0.0))
+    c_max = max(float(np.abs(st).max()) for st in c)
+    tau = max(1.0, rhs_max, c_max)
+    norm_rhs, norm_c, divergence = 1.0 + rhs_max, 1.0 + c_max, _DIVERGENCE_BOUND * tau
     # X, Z, their factors and every step are lists of per-size stacks; X and
     # Z of one size are the two halves of one joint stack, X's blocks first
     counts = [len(mem) for mem in indexer.members]
@@ -700,9 +703,6 @@ def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
     status, reason = "max_iter", f"no convergence within {config.max_iterations} iterations"
     mu_history: list[float] = []
     iterations = 0
-    norm_rhs = 1.0 + (float(np.abs(rhs).max()) if m else 0.0)
-    norm_c = 1.0 + max((float(np.abs(mat).max()) for mat in c_mats), default=0.0)
-    divergence = _DIVERGENCE_BOUND * tau
     # the corrector's fraction to the boundary, as if the step before the first were full
     fraction = 0.99
 
@@ -713,7 +713,7 @@ def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
         rd = [cg - atyg + zg for cg, atyg, zg in zip(c, adjoint(y), z)]
         mu = inner(x, z) / ntotal
         mu_history.append(mu)
-        pinf = float(np.abs(rp).max()) / norm_rhs if m else 0.0
+        pinf = float(np.abs(rp).max(initial=0.0)) / norm_rhs
         dinf = max(float(np.abs(rdg).max()) for rdg in rd) / norm_c
         if gap_rel <= config.gap_tol and pinf <= config.feasibility_tol and dinf <= config.feasibility_tol:
             status, reason = "optimal", ""
@@ -770,7 +770,7 @@ def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
         y_new = y + ad * dy
         # written so that a NaN fails the test too
         x_max = max((float(np.abs(st).max()) for st in x_new), default=0.0)
-        y_max = float(np.abs(y_new).max()) if m else 0.0
+        y_max = float(np.abs(y_new).max(initial=0.0))
         if not (x_max <= divergence and y_max <= divergence):
             status = "numerical_failure"
             reason = (
@@ -781,7 +781,7 @@ def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
         x, z, y = x_new, z_new, y_new
 
     xvec, pobj, gap = measure(x, y)
-    residual = float(np.abs(problem.rhs - problem.a @ xvec).max()) if m_rows else 0.0
+    residual = float(np.abs(problem.rhs - problem.a @ xvec).max(initial=0.0))
     dual_full = np.zeros(m_rows)
     dual_full[kept] = y
     if status == "optimal" and residual > config.feasibility_tol * norm_rhs:
@@ -834,7 +834,7 @@ def verify(problem: SdpProblem, solution: SdpSolution) -> VerificationReport:
     for mat, cost in zip(solution.blocks, costs):
         objective += float(np.sum(cost * mat))
     xvec = indexer.pack([(b + b.T) / 2.0 for b in solution.blocks])
-    violation = float(np.abs(problem.a @ xvec - problem.rhs).max()) if m_rows else 0.0
+    violation = float(np.abs(problem.a @ xvec - problem.rhs).max(initial=0.0))
     minima = tuple(_min_eigenvalues(indexer, indexer.stack(solution.blocks)))
     dual_obj = float(problem.rhs @ solution.dual)
     aty = indexer.unpack_stacks(problem.a.T @ solution.dual)

@@ -232,6 +232,12 @@ def test_rejects_unsymmetric_and_complex_data():
         unconstrained(np.array([[0.0, 1.0], [0.0, 0.0]])).validate()
     with pytest.raises(ValueError, match="real"):
         unconstrained(np.eye(2) * (1 + 1j)).validate()
+    # symmetry is judged relative to the largest entry: a tiny matrix can be
+    # wholly unsymmetric, and a huge one symmetric up to rounding
+    with pytest.raises(ValueError, match="not symmetric"):
+        unconstrained(np.array([[0.0, 1e-11], [0.0, 0.0]])).validate()
+    unconstrained(np.array([[1e8, 1e8 + 1e-3], [1e8, 1e8]])).validate()
+    unconstrained(np.zeros((2, 2))).validate()
 
 
 def test_verify_matches_solver_bookkeeping():
@@ -320,6 +326,11 @@ def test_config_validation():
     assert SolverConfig(max_iterations=np.int64(7)).max_iterations == 7
     # NaN fails every comparison, and an infinite tolerance accepts any iterate
     for bad in (math.nan, math.inf, -math.inf):
+        for name in ("feasibility_tol", "gap_tol"):
+            with pytest.raises(ValueError, match="finite"):
+                SolverConfig(**{name: bad})
+    # bool is an int subclass, and strings and None are no tolerances
+    for bad in (True, "1e-6", None):
         for name in ("feasibility_tol", "gap_tol"):
             with pytest.raises(ValueError, match="finite"):
                 SolverConfig(**{name: bad})
@@ -488,11 +499,25 @@ def test_from_json_rejects_unknown_block():
         "float dim": ("block_dims", [3.5, 1, 4]),
         "bool dim": ("block_dims", [3, True, 4]),
         "string dim": ("block_dims", ["3", 1, 4]),
+        "dim past any index": ("block_dims", [4611686018427387904]),
+        "a as a list": ("a", [1, 2]),
+        "no a.data": ("a", {k: v for k, v in a.items() if k != "data"}),
+        "bool data": ("a", {**a, "data": [True] + a["data"][1:]}),
+        "bool rhs": ("rhs", [True] + payload["rhs"][1:]),
+        "scalar rhs": ("rhs", 1.0),
+        "scalar objective": ("objective", 1.0),
+        "scalar triangle": ("objective", [objective[0], 1.0, objective[2]]),
+        "nested triangle": ("objective", [objective[0], [objective[1]], objective[2]]),
     }
     SdpProblem.from_json(json.dumps(payload))
     for key, value in malformed.values():
         with pytest.raises(ValueError):
             SdpProblem.from_json(json.dumps({**payload, key: value}))
+    # a payload that is not an object, or misses a key, is malformed too
+    missing = [{k: v for k, v in payload.items() if k != key} for key in ("block_dims", "rhs", "objective", "a")]
+    for bad in ({}, [], None, 1, *missing):
+        with pytest.raises(ValueError):
+            SdpProblem.from_json(json.dumps(bad))
     # a zero-size block, and no block at all, are refused as block dims, not inside numpy
     for dims, triangles in (([3, 1, 4, 0], objective + [[]]), ([], [])):
         with pytest.raises(ValueError, match="block dims"):
@@ -525,24 +550,24 @@ def reference_preprocess(a, rhs):
     """Row preprocessing by its first algorithm: economic pivoted QR, then lstsq on the rows.
 
     A duplicated row is one more dependent row, judged by the lstsq rule, as
-    in ``_preprocess_rows``.
+    in ``_preprocess_rows``, with its rules: a rank threshold relative to the
+    largest row norm, rows below it predicted as 0, and one tolerance over
+    every dropped row.
     """
     a = a.toarray()
-    nonzero = np.linalg.norm(a, axis=1) > 1e-10
-    if np.any(np.abs(rhs[~nonzero]) > 1e-12):
-        return np.arange(a.shape[0]), False
-    a, rhs = a[nonzero], rhs[nonzero]
-    kept = np.flatnonzero(nonzero)
-    _, r, piv = scipy.linalg.qr(a.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > 1e-10 * max(diag[0], 1e-300)))
-    keep, drop = np.sort(piv[:rank]), np.sort(piv[rank:])
+    norms = np.linalg.norm(a, axis=1)
+    threshold = 1e-10 * norms.max(initial=0.0)
+    live = np.flatnonzero(norms > threshold)
+    _, r, piv = scipy.linalg.qr(a[live].T, mode="economic", pivoting=True)
+    rank = int(np.sum(np.abs(np.diag(r)) > threshold))
+    keep, drop = live[np.sort(piv[:rank])], live[np.sort(piv[rank:])]
+    predicted = np.zeros(rhs.size)
     if drop.size:
         coeffs, *_ = np.linalg.lstsq(a[keep].T, a[drop].T, rcond=None)
-        scale = max(1.0, float(np.abs(rhs).max()))
-        if np.abs(coeffs.T @ rhs[keep] - rhs[drop]).max() > 1e-8 * scale:
-            return kept[keep], False
-    return kept[keep], True
+        predicted[drop] = coeffs.T @ rhs[keep]
+    dropped = np.setdiff1d(np.arange(rhs.size), keep)
+    scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
+    return keep, bool(np.all(np.abs(predicted - rhs)[dropped] <= 1e-8 * scale))
 
 
 def assert_same_row_space(problem):
@@ -649,6 +674,32 @@ def test_preprocess_rows_rank_zero_component(value, consistent):
     ref_kept, ref_flag = reference_preprocess(problem.a, problem.rhs)
     assert flag is ref_flag is consistent
     assert np.array_equal(kept, ref_kept) and np.array_equal(kept, [0])
+
+
+@pytest.mark.parametrize("exponent", [-40, 40])
+@pytest.mark.parametrize(
+    "build",
+    [lambda: build_sequential_sdp(3, 3), lambda: build_parallel_sdp(2, 3), lambda: build_full_sdp(2, 2, "seq")],
+    ids=["seq-3-3", "par-2-3", "full-seq-2-2"],
+)
+def test_preprocess_rows_ignores_a_uniform_scale(build, exponent):
+    # the rank threshold and the tolerance are relative, and a power of two
+    # scales every row and right-hand side exactly: the same rows are kept
+    problem = build()
+    kept, consistent = _preprocess_rows(problem.a, problem.rhs)
+    scaled_kept, scaled_consistent = _preprocess_rows(problem.a * 2.0**exponent, problem.rhs * 2.0**exponent)
+    assert np.array_equal(scaled_kept, kept)
+    assert scaled_consistent is consistent is True
+
+
+def test_rescaled_program_solves_to_its_optimum():
+    # an absolute row-norm floor would drop most of these rows as zero and
+    # certify a wrong optimum of 2 on what is left
+    problem = build_sequential_sdp(2, 2)
+    scale = 2.0**-34
+    solution = solve(SdpProblem(problem.block_dims, problem.objective, problem.a * scale, problem.rhs * scale))
+    assert solution.status == "optimal"
+    assert abs(solution.objective_value - 0.75) <= 1e-5
 
 
 def test_preprocess_rows_factors_components_not_the_matrix(monkeypatch):

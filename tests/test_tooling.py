@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import importlib.util
 import re
@@ -88,3 +89,24 @@ def test_every_name_a_src_module_imports_is_read():
             if (alias.asname or alias.name) not in read
         ]
     assert not unused
+
+
+def test_readme_command_line_lists_every_option():
+    # the README's usage block is written by hand: each command there must
+    # list exactly the options its parser takes, --help aside
+    from unitary_inversion.cli import build_parser
+
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"^## Command line\n+```\n(.*?)^```", readme, re.S | re.M).group(1)
+    listed: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        command = re.match(r"uinv (\w+)", line)
+        name = command.group(1) if command else name
+        listed.setdefault(name, set()).update(re.findall(r"--[a-z][a-z-]*", line))
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {
+        name: {option for action in sub._actions for option in action.option_strings} - {"-h", "--help"}
+        for name, sub in commands.choices.items()
+    }
+    assert set(listed) == {"simulate", "solve", "tables"}
+    assert listed == parsed
