@@ -2,12 +2,12 @@
 
 A comb with n slots over local dimension d is scored by the average-case
 channel fidelity against the inverse of the unknown unitary.  Group
-symmetry lets the comb's Choi matrix be replaced by one real PSD block per
-ordered pair of (n+1)-box Young diagrams; the constraints couple blocks
-through 0/1 tableau-embedding matrices and the objective touches only the
-diagonal pairs through rank-one performance blocks.  The builders carry
-those matrices as index maps and state every row as reads of block
-entries, which :meth:`sdp.SdpProblem.from_reads` turns into svec rows.
+symmetry replaces the comb's Choi matrix by a :class:`ReducedComb`, one real
+PSD block per ordered pair of (n+1)-box Young diagrams; the objective is a
+ReducedComb too, rank-one on the diagonal pairs and zero elsewhere.  The
+constraints couple blocks through 0/1 tableau-embedding matrices, which the
+builders carry as index maps, stating every row as reads of block entries
+that :meth:`sdp.SdpProblem.from_reads` turns into svec rows.
 
 The full-space programs on d^(2(n+1))-dimensional Choi matrices are kept
 as brute-force oracles for cross-validating the reduction at desk scale.
@@ -58,40 +58,11 @@ class SizeCapError(ValueError):
 
 
 @dataclass(frozen=True)
-class PerformanceBlocks:
-    """Rank-one objective blocks, one per diagram with n+1 boxes."""
-
-    d: int
-    n: int
-    omega: dict[tuple[int, ...], np.ndarray]
-
-
-def performance_blocks(d: int, n: int) -> PerformanceBlocks:
-    """Objective blocks [Omega_mu]_{ik,jl} = pi_{ik} pi_{jl} / (d^2 m_mu).
-
-    pi is the orthogonal representation matrix of the long cycle on n+1
-    letters, so each block is the outer product of its vectorization.  The
-    cycle orientation (last letter to the front) is pinned by the Haar
-    integral behind the objective: with the blocks' index convention, the
-    pairing Tr(C^{mu mu} Omega_mu) must reproduce Tr(C Omega) on the full
-    register space, and only this orientation does.
-    """
-    if d < 2 or n < 1:
-        raise ValueError("need d >= 2 and n >= 1")
-    cycle = cycle_permutation(n + 1)
-    omega = {}
-    for mu in young_diagrams(n + 1, d):
-        v = permutation_matrix(mu, cycle).T.reshape(-1)
-        omega[mu] = np.outer(v, v) / (d * d * su_dim(mu, d))
-    return PerformanceBlocks(d, n, omega)
-
-
-@dataclass(frozen=True)
 class ReducedComb:
-    """Symmetry-reduced comb: one real block per ordered diagram pair.
+    """Reduced operator on the commutant, a comb or the objective: one real block per ordered diagram pair.
 
-    Block (mu, nu) has size d_mu*d_nu with row index (i, k): i runs over
-    mu tableaux, k over nu tableaux, k fastest.
+    Block (mu, nu) has size d_mu*d_nu with row index (i, k): i runs over mu
+    tableaux, k over nu tableaux, k fastest.
     """
 
     d: int
@@ -110,11 +81,30 @@ class ReducedComb:
                 raise ValueError(f"block {(mu, nu)} has shape {mat.shape}, expected {size}")
 
 
-def evaluate_fidelity(comb: ReducedComb, blocks: PerformanceBlocks) -> float:
-    """Objective value sum_mu Tr(C^{mu mu} Omega_mu); off-diagonal pairs never enter."""
-    if (comb.d, comb.n) != (blocks.d, blocks.n):
-        raise ValueError("comb and performance blocks have mismatched (d, n)")
-    return sum(float(np.tensordot(comb.blocks[(mu, mu)], omega)) for mu, omega in blocks.omega.items())
+def performance_blocks(d: int, n: int) -> ReducedComb:
+    """Reduced objective Omega, zero off the diagonal pairs: [Omega_mu]_{ik,jl} = pi_ik pi_jl / (d^2 m_mu).
+
+    pi is the orthogonal representation matrix of the long cycle on n+1
+    letters, so each diagonal block is the outer product of its
+    vectorization.  The cycle orientation (last letter to the front) is
+    pinned by the Haar integral behind the objective: with the blocks' index
+    convention, the pairing Tr(C^{mu mu} Omega_mu) must reproduce Tr(C Omega)
+    on the full register space, and only this orientation does.
+    """
+    if d < 2 or n < 1:
+        raise ValueError("need d >= 2 and n >= 1")
+    cycle = cycle_permutation(n + 1)
+    blocks = {(mu, nu): np.zeros((tableau_count(mu) * tableau_count(nu),) * 2) for mu, nu in block_keys(d, n)}
+    for mu in young_diagrams(n + 1, d):
+        v = permutation_matrix(mu, cycle).T.reshape(-1)
+        blocks[(mu, mu)] = np.outer(v, v) / (d * d * su_dim(mu, d))
+    return ReducedComb(d, n, blocks)
+
+
+def evaluate_fidelity(comb: ReducedComb) -> float:
+    """Objective value Tr(C Omega) = sum_mu Tr(C^{mu mu} Omega_mu), Omega from :func:`performance_blocks`."""
+    objective = performance_blocks(comb.d, comb.n).blocks
+    return sum(float(np.tensordot(comb.blocks[key], omega)) for key, omega in objective.items())
 
 
 def block_keys(d: int, n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -132,14 +122,6 @@ def reduced_svec_size(d: int, n: int) -> int:
 
 def solution_blocks_to_comb(d: int, n: int, blocks: list[np.ndarray]) -> ReducedComb:
     return ReducedComb(d, n, dict(zip(block_keys(d, n), blocks, strict=True)))
-
-
-def _objective_list(d: int, n: int) -> list[np.ndarray]:
-    omega = performance_blocks(d, n).omega
-    return [
-        omega[mu].copy() if mu == nu else np.zeros((tableau_count(mu) * tableau_count(nu),) * 2)
-        for mu, nu in block_keys(d, n)
-    ]
 
 
 def _entry_rows(
@@ -197,7 +179,8 @@ def _reduced_problem(d: int, n: int, mode: str, identities) -> SdpProblem:
     rhs = np.zeros(start)
     rhs[-1] = float(d ** (n + 1))
     reads = [np.concatenate(v) for v in zip(*parts)]
-    return SdpProblem.from_reads(dims, _objective_list(d, n), reads, rhs, {"d": d, "n": n, "mode": mode})
+    objective = list(performance_blocks(d, n).blocks.values())
+    return SdpProblem.from_reads(dims, objective, reads, rhs, {"d": d, "n": n, "mode": mode})
 
 
 def _embedding_map(parent: tuple[int, ...], child: tuple[int, ...]) -> np.ndarray:

@@ -143,6 +143,8 @@ class SdpProblem:
         coefficient and rhs 0.  Out-of-range or non-finite reads are rejected.
         """
         row, block, r, c, weight = reads
+        if any(np.asarray(v).dtype == bool for v in (row, block, r, c)):
+            raise ValueError("read indices must be integers, not booleans")
         row, block, r, c = (np.asarray(v).astype(np.int64, casting="safe") for v in (row, block, r, c))
         weight, rhs = np.asarray(weight, dtype=float), np.asarray(rhs, dtype=float)
         if any(v.shape != (row.size,) for v in (row, block, r, c, weight)):
@@ -185,17 +187,15 @@ class SdpProblem:
             data = json.loads(text)
             dims = data["block_dims"]
             _check_block_dims(dims)
-            rhs = _reals(data["rhs"], "rhs")
-            indptr, indices = (np.asarray(data["a"][k]) for k in ("indptr", "indices"))
-            if any(v.size and v.dtype.kind != "i" for v in (indptr, indices)):
-                raise ValueError("constraint indptr and indices must be integer arrays")
+            rhs = _numbers(data["rhs"], "rhs")
+            indptr, indices = (_numbers(data["a"][k], f"a.{k}", int) for k in ("indptr", "indices"))
             svec = sum(s * (s + 1) // 2 for s in dims)
-            values = _reals(data["a"]["data"], "a.data")
+            values = _numbers(data["a"]["data"], "a.data")
             a = scipy.sparse.csr_matrix((values, indices, indptr), shape=(rhs.size, svec))
             a.check_format(full_check=True)
             if a.nnz != indices.size:
                 raise ValueError(f"indptr ends at {a.nnz} of {indices.size} stored entries")
-            objective = [_from_upper_triangle(_reals(v, "an objective triangle")) for v in data["objective"]]
+            objective = [_from_upper_triangle(_numbers(v, "an objective triangle")) for v in data["objective"]]
             metadata = {k: data[k] for k in ("d", "n", "mode") if k in data}
         except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed program payload: {exc!r}") from exc
@@ -205,22 +205,23 @@ class SdpProblem:
 
 
 def _check_block_dims(dims) -> None:
-    """At least one block, each of a positive integer size (bool, an int subclass, is refused)."""
+    """At least one block, each of a positive integer size."""
     sizes = dims if isinstance(dims, (list, tuple)) else []
-    if not sizes or any(isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s < 1 for s in sizes):
+    if not sizes or any(not _is_number(s, int) or s < 1 for s in sizes):
         raise ValueError(f"block dims must be a non-empty list of positive integers, got {dims!r}")
 
 
-def _is_real(value) -> bool:
-    """An int or float of Python or numpy; bool, an int subclass, is not one."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+def _is_number(value, kind: type = float) -> bool:
+    """An int, or for ``kind`` float also a float, of Python or numpy; bool, an int subclass, is neither."""
+    types = (int, np.integer) if kind is int else (int, float, np.integer, np.floating)
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
-def _reals(values, name: str) -> np.ndarray:
-    """A JSON list of numbers as a float vector; nesting, booleans and other types are refused."""
-    if not (isinstance(values, list) and all(_is_real(v) for v in values)):
-        raise ValueError(f"{name} must be a 1-D list of numbers")
-    return np.array(values, dtype=float)
+def _numbers(values, name: str, kind: type = float) -> np.ndarray:
+    """A JSON list as a vector of ``kind``; nesting, booleans, other types and floats for int are refused."""
+    if not (isinstance(values, list) and all(_is_number(v, kind) for v in values)):
+        raise ValueError(f"{name} must be a 1-D list of {'integers' if kind is int else 'numbers'}")
+    return np.array(values, dtype=kind)
 
 
 def _check_objective(mat: np.ndarray, dim: int) -> None:
@@ -258,10 +259,10 @@ class SolverConfig:
 
     def __post_init__(self):
         # NaN fails every comparison, and an infinite tolerance passes any iterate
-        if not all(_is_real(t) and math.isfinite(t) and t > 0 for t in (self.feasibility_tol, self.gap_tol)):
+        if not all(_is_number(t) and math.isfinite(t) and t > 0 for t in (self.feasibility_tol, self.gap_tol)):
             raise ValueError("tolerances must be positive finite numbers")
-        # bool is an int subclass, and range() refuses floats and strings
-        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, (int, np.integer)):
+        # range() refuses floats and strings
+        if not _is_number(self.max_iterations, int):
             raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")

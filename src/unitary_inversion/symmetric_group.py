@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -159,7 +160,10 @@ def generator_matrix(diagram: tuple[int, ...], k: int) -> np.ndarray:
 
 def check_permutation(perm) -> tuple[int, ...]:
     """Validate one-line notation (0-based): perm[i] is the image of i."""
-    perm = tuple(int(p) for p in perm)
+    try:
+        perm = tuple(operator.index(p) for p in perm)
+    except TypeError:
+        raise ValueError(f"perm must be integers, got {perm!r}") from None
     if sorted(perm) != list(range(len(perm))):
         raise ValueError(f"not a permutation of 0..{len(perm) - 1}: {perm}")
     return perm

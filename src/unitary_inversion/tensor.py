@@ -9,6 +9,7 @@ index k - 1.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -18,8 +19,16 @@ import numpy as np
 CONSTRUCTION_ATOL = 1e-12
 
 
+def _indices(values, name: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; a float or a string is refused, not truncated."""
+    try:
+        return tuple(operator.index(v) for v in values)
+    except TypeError:
+        raise ValueError(f"{name} must be integers, got {values!r}") from None
+
+
 def _as_dims(dims) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
+    dims = _indices(dims, "dims")
     if not dims or any(d < 1 for d in dims):
         raise ValueError(f"invalid subsystem dimensions {dims}")
     return dims
@@ -28,7 +37,7 @@ def _as_dims(dims) -> tuple[int, ...]:
 def basis_state(dims, digits) -> np.ndarray:
     """Computational basis state |digits[0] digits[1] ...> over ``dims``."""
     dims = _as_dims(dims)
-    digits = tuple(int(x) for x in digits)
+    digits = _indices(digits, "digits")
     if len(digits) != len(dims) or any(not 0 <= x < d for x, d in zip(digits, dims)):
         raise ValueError(f"digits {digits} invalid for dims {dims}")
     index = 0
@@ -61,7 +70,7 @@ def check_unitary(mat) -> np.ndarray:
 
 
 def _check_targets(targets, n: int) -> tuple[int, ...]:
-    targets = tuple(int(t) for t in targets)
+    targets = _indices(targets, "targets")
     if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate target subsystems in {targets}")
     if any(not 0 <= t < n for t in targets):
@@ -122,7 +131,7 @@ def permute_factors(mat: np.ndarray, dims, order) -> np.ndarray:
     mat = np.asarray(mat)
     if mat.shape != (total, total):
         raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
-    axes = [int(k) for k in order]
+    axes = list(_indices(order, "order"))
     axes += [len(dims) + k for k in axes]
     return mat.reshape(dims * 2).transpose(axes).reshape(total, total)
 

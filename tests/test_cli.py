@@ -260,6 +260,33 @@ def test_solver_failure_prints_its_reason(monkeypatch, capsys):
     assert payload["solver_failures"] == 1
 
 
+def test_solver_options_reach_the_solver(monkeypatch, capsys):
+    # a command that built SolverConfig() instead would still solve, to the defaults
+    real, configs = sdp.solve, []
+
+    def capture(problem, config=None):
+        configs.append(config)
+        return real(problem, config)
+
+    monkeypatch.setattr(sdp, "solve", capture)
+    tolerances = ["--tol-gap", "1e-7", "--tol-feas", "1e-9"]
+    assert main(["solve", "--d", "2", "--n", "1", *tolerances, "--max-iterations", "50"]) == 0
+    assert main(["tables", "--d-max", "2", "--n-max", "1", "--modes", "seq", *tolerances]) == 0
+    capsys.readouterr()
+    assert [(c.gap_tol, c.feasibility_tol, c.max_iterations) for c in configs] == [
+        (1e-7, 1e-9, 50), (1e-7, 1e-9, 200),
+    ]
+
+
+def test_iteration_cap_ends_the_solve_with_its_reason(capsys):
+    code = main(["solve", "--d", "2", "--n", "2", "--max-iterations", "2", "--json"])
+    captured = capsys.readouterr()
+    assert code == 4
+    reason = "no convergence within 2 iterations"
+    assert f"solver max_iter: {reason}" in captured.err
+    assert json.loads(captured.out)["reason"] == reason
+
+
 def reject_constant(name):
     raise ValueError(f"non-finite JSON number {name}")
 

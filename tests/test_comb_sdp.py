@@ -28,14 +28,18 @@ def test_performance_blocks_single_row():
     blocks = cs.performance_blocks(3, 1)
     single = (2,)
     m = su_dim(single, 3)
-    assert blocks.omega[single].shape == (1, 1)
-    assert abs(blocks.omega[single][0, 0] - 1.0 / (9 * m)) <= 1e-15
+    assert blocks.blocks[(single, single)].shape == (1, 1)
+    assert abs(blocks.blocks[(single, single)][0, 0] - 1.0 / (9 * m)) <= 1e-15
 
 
 def test_performance_blocks_rank_one_and_trace():
     for d, n in ((2, 2), (2, 3), (3, 2)):
         blocks = cs.performance_blocks(d, n)
-        for mu, omega in blocks.omega.items():
+        assert list(blocks.blocks) == cs.block_keys(d, n)
+        for (mu, nu), omega in blocks.blocks.items():
+            if mu != nu:
+                assert not omega.any()
+                continue
             eigs = np.linalg.eigvalsh(omega)
             assert eigs[0] >= -1e-10
             assert sum(e > 1e-10 for e in eigs) == 1
@@ -45,7 +49,6 @@ def test_performance_blocks_rank_one_and_trace():
 
 def test_evaluate_fidelity_zero_and_off_diagonal_invariance():
     d, n = 2, 2
-    perf = cs.performance_blocks(d, n)
     zero = cs.ReducedComb(
         d,
         n,
@@ -57,12 +60,12 @@ def test_evaluate_fidelity_zero_and_off_diagonal_invariance():
             for nu in young_diagrams(n + 1, d)
         },
     )
-    assert cs.evaluate_fidelity(zero, perf) == 0.0
+    assert cs.evaluate_fidelity(zero) == 0.0
     bumped = {k: b.copy() for k, b in zero.blocks.items()}
     for (mu, nu), block in bumped.items():
         if mu != nu:
             block += 1.0
-    assert cs.evaluate_fidelity(cs.ReducedComb(d, n, bumped), perf) == 0.0
+    assert cs.evaluate_fidelity(cs.ReducedComb(d, n, bumped)) == 0.0
 
 
 def test_evaluate_fidelity_on_optimizer_output():
@@ -70,7 +73,7 @@ def test_evaluate_fidelity_on_optimizer_output():
     problem = cs.build_sequential_sdp(d, n)
     solution = solve(problem)
     comb = cs.solution_blocks_to_comb(d, n, solution.blocks)
-    value = cs.evaluate_fidelity(comb, cs.performance_blocks(d, n))
+    value = cs.evaluate_fidelity(comb)
     assert abs(value - 0.9330) <= 1e-3
     assert abs(value - solution.objective_value) <= 1e-10
 
@@ -169,6 +172,8 @@ def test_reduce_rejects_unsymmetric_input():
     g = rng.standard_normal((16, 16))
     with pytest.raises(ValueError):
         cs.reduce_comb(g + g.T, d, n)
+    with pytest.raises(ValueError, match="does not match"):
+        cs.reduce_comb(np.eye(8), d, n)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -185,13 +190,9 @@ def test_reduce_of_full_objective_matches_performance_blocks():
         omega = cs.full_performance_operator(d, n)
         comb = cs.reduce_comb(omega, d, n)
         perf = cs.performance_blocks(d, n)
-        for mu, block in perf.omega.items():
-            scaled = su_dim(mu, d) ** 2 * block
-            assert np.abs(comb.blocks[(mu, mu)] - scaled).max() <= 1e-10
-        for mu in perf.omega:
-            for nu in perf.omega:
-                if mu != nu:
-                    assert np.abs(comb.blocks[(mu, nu)]).max() <= 1e-10
+        for (mu, nu), block in perf.blocks.items():
+            scaled = su_dim(mu, d) * su_dim(nu, d) * block
+            assert np.abs(comb.blocks[(mu, nu)] - scaled).max() <= 1e-10
 
 
 def test_full_objective_trace_and_positivity():
@@ -275,6 +276,13 @@ def test_full_space_cap():
         for mode in ("seq", "par"):
             with pytest.raises(ValueError, match="need d >= 2 and n >= 1"):
                 cs.build_full_sdp(d, n, mode)
+
+
+@pytest.mark.parametrize("build", [cs.performance_blocks, cs.build_sequential_sdp, cs.build_parallel_sdp])
+def test_reduced_builders_refuse_below_the_smallest_instance(build):
+    for d, n in ((1, 1), (2, 0)):
+        with pytest.raises(ValueError, match="need d >= 2 and n >= 1"):
+            build(d, n)
 
 
 def test_reduced_svec_sizes():

@@ -219,6 +219,8 @@ def _with_entry(array, index, value) -> np.ndarray:
 def test_non_special_unitary_rejected():
     with pytest.raises(ValueError):
         pr.run_inversion(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="single-qubit operator"):
+        pr.run_inversion(np.eye(3), np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         pr.run_inversion(np.diag([1.0, 1.0j]), np.array([1.0, 0.0]))
     phi = np.array([1.0, 0.0])
@@ -238,6 +240,8 @@ def test_non_special_unitary_rejected():
 def test_unnormalized_state_rejected():
     with pytest.raises(ValueError):
         pr.run_inversion(np.eye(2), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="single-qubit state"):
+        pr.run_inversion(np.eye(2), np.array([1.0, 0.0, 0.0]))
     for bad in NON_FINITE:
         for index in range(2):
             phi = _with_entry([1.0, 0.0], index, bad)

@@ -283,6 +283,16 @@ def test_verify_rejects_a_dual_of_the_wrong_length():
             verify(problem, solution)
 
 
+def test_verify_rejects_blocks_of_the_wrong_count_or_shape():
+    problem = build_sequential_sdp(2, 1)
+    solution = solve(problem)
+    full = solution.blocks
+    for blocks, match in ((full[:-1], "block count"), ([np.eye(len(b) + 1) for b in full], "block shape")):
+        solution.blocks = blocks
+        with pytest.raises(ValueError, match=match):
+            verify(problem, solution)
+
+
 def test_mu_history_monotone_tail():
     problem = build_sequential_sdp(2, 2)
     solution = solve(problem)
@@ -475,6 +485,12 @@ def test_from_reads_sums_halves_then_scales():
         SdpProblem.from_reads(dims, [np.eye(s) for s in dims], columns[:4] + [columns[4][:-1]], rhs)
     with pytest.raises(TypeError):
         SdpProblem.from_reads(dims, [np.eye(s) for s in dims], [columns[0] + 0.5] + columns[1:], rhs)
+    # a boolean array is a mask, not indices: safe-cast, [True, False] named rows 1 and 0
+    for field in range(4):
+        bad = [v.copy() for v in columns]
+        bad[field] = bad[field] > 0
+        with pytest.raises(ValueError, match="booleans"):
+            SdpProblem.from_reads(dims, [np.eye(s) for s in dims], bad, rhs)
 
 
 def test_from_json_rejects_unknown_block():
@@ -493,6 +509,9 @@ def test_from_json_rejects_unknown_block():
         "inf objective": ("objective", [objective[0][:-1] + [math.inf]] + objective[1:]),
         "float indices": ("a", {**a, "indices": [i + 0.5 for i in a["indices"]]}),
         "float indptr": ("a", {**a, "indptr": [float(i) for i in a["indptr"]]}),
+        # loaded as 0 and 1, not refused, by a dtype test on the whole array
+        "bool indptr": ("a", {**a, "indptr": [False] + a["indptr"][1:]}),
+        "bool indices": ("a", {**a, "indices": [bool(a["indices"][0])] + a["indices"][1:]}),
         "objective triangle length": ("objective", [objective[0][:-1]] + objective[1:]),
         "objective of a smaller block": ("objective", [objective[0][:3]] + objective[1:]),
         # refused, not rounded by int() into [3, 1, 4]
@@ -541,6 +560,15 @@ def test_validate_rejects_bad_objective_and_rhs():
     payload["rhs"] = [[v] for v in payload["rhs"]]
     with pytest.raises(ValueError, match="1-D"):
         SdpProblem.from_json(json.dumps(payload))
+    # built directly, with no JSON reader in front of validate
+    one = pack_rows([2], [good], [({0: good}, 1.0)])
+    for bad, match in (
+        (SdpProblem([2], [], one.a, one.rhs), "one objective matrix per block"),
+        (SdpProblem([2], [good], one.a, one.rhs[:, None]), "1-D"),
+        (SdpProblem([2], [good], one.a, np.zeros(2)), "constraint matrix shape"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            bad.validate()
     # an empty program is refused here, before solve meets a ZeroDivisionError
     with pytest.raises(ValueError, match="block dims"):
         SdpProblem([], [], scipy.sparse.csr_matrix((0, 0)), np.zeros(0)).validate()

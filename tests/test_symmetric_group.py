@@ -224,6 +224,25 @@ def test_check_permutation_rejects_malformed():
         permutation_matrix((2, 1), (0, 1))
 
 
+MALFORMED_CALLS = {
+    # int() read these as the swap (1, 0)
+    "float permutation": (lambda: check_permutation((1.9, 0.2)), "perm must be integers"),
+    "float permutation matrix": (lambda: permutation_matrix((1, 1), (1.9, 0.2)), "perm must be integers"),
+    "float permutation operator": (lambda: permutation_operator((1.0, 0), 2, 2), "perm must be integers"),
+    "negative box count": (lambda: young_diagrams(-1, 2), "need n >= 0"),
+    "zero local dimension": (lambda: su_dim((2, 1), 0), "d must be positive"),
+    "transposition index 0": (lambda: generator_matrix((2, 1), 0), "out of range"),
+    "permutation of the wrong length": (lambda: permutation_operator((1, 0), 2, 3), "length 2 != 3"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_CALLS))
+def test_malformed_arguments_are_refused(case):
+    call, match = MALFORMED_CALLS[case]
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_embedding_matrix_examples():
     assert np.array_equal(
         embedding_matrix((), (1,)), np.eye(1)

@@ -138,6 +138,27 @@ def test_cached_layout_still_rejects_bad_calls():
             apply_to_subsystems(state, op, (1, 2), (2, 0, 2))
 
 
+MALFORMED_CALLS = {
+    # int() read each of these indices as the integer below it
+    "float target": (lambda: apply_to_subsystems(np.eye(4)[0], X, [0.7], (2, 2)), "targets must be integers"),
+    "float dim": (lambda: basis_state((2.9, 2), (0, 0)), "dims must be integers"),
+    "float digit": (lambda: basis_state((2, 2), (1.0, 0)), "digits must be integers"),
+    "float order": (lambda: permute_factors(np.eye(4), (2, 2), [1.9, 0.2]), "order must be integers"),
+    "string keep": (lambda: partial_trace(np.eye(4), ("0",), (2, 2)), "targets must be integers"),
+    "float embed target": (lambda: embed_operator(X, (1.0,), (2, 2)), "targets must be integers"),
+    "digit out of range": (lambda: basis_state((2,), (2,)), "invalid for dims"),
+    "mis-sized operator": (lambda: embed_operator(np.eye(4), (0,), (2, 2)), "does not match targets"),
+    "scaled identity": (lambda: project_to_special_unitary(2 * np.eye(2)), "not unitary"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_CALLS))
+def test_malformed_arguments_are_refused(case):
+    call, match = MALFORMED_CALLS[case]
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_norm_preservation(seed):

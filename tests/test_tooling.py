@@ -91,6 +91,29 @@ def test_every_name_a_src_module_imports_is_read():
     assert not unused
 
 
+def test_every_private_name_a_src_module_defines_is_read():
+    # a private helper is read only in its own module, so once its last caller
+    # goes it is dead code that no test or import check notices
+    unread = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        defined = []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((node.lineno, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(node.lineno, n.id) for t in targets
+                            for n in ast.walk(t) if isinstance(n, ast.Name)]
+        unread += [
+            f"{path.relative_to(ROOT)}:{line} {name}"
+            for line, name in defined
+            if name.startswith("_") and not name.startswith("__") and name not in read
+        ]
+    assert not unread
+
+
 def test_readme_command_line_lists_every_option():
     # the README's usage block is written by hand: each command there must
     # list exactly the options its parser takes, --help aside
