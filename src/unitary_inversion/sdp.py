@@ -17,9 +17,10 @@ so a round trip through it is exact.
 Constraint rows are preprocessed on the CSR matrix (see
 :func:`_preprocess_rows`): dependent rows, duplicates among them, are
 dropped by one column-pivoted QR per connected component of rows that
-share svec columns, under one rank threshold relative to the largest row
-norm.  One tolerance, relative to the largest right-hand side, checks
-every dropped row; an inconsistency is reported as infeasibility.
+share svec columns, its input filled straight from the CSR arrays, under
+one rank threshold relative to the largest row norm.  One tolerance,
+relative to the largest right-hand side, checks every dropped row; an
+inconsistency is reported as infeasibility.
 All data must be real symmetric; complex or unsymmetric input is rejected.
 
 The Schur complement M_ij = Tr(A_i X A_j Z^{-1}) is assembled from each
@@ -32,7 +33,8 @@ repository builds has k > s (the trace row has k = s), so no dense path
 is kept.  Rows are taken in chunks of up to ``_SCHUR_CHUNK`` consecutive
 rows of one block, whatever their k, and only the lower triangle of M is
 built: each pair of rows is formed once per block, and added to a
-column-major buffer by one 1-D scatter per chunk.
+column-major buffer by one 1-D scatter per chunk; of a chunk's products,
+only the flat entries p*s + q that its pairs read are copied.
 
 Each iteration factors every matrix once.  LAPACK ``potrf`` factors the
 lower triangle of the Schur complement in place, with no symmetrized
@@ -384,7 +386,9 @@ def _preprocess_rows(a: scipy.sparse.csr_matrix, rhs: np.ndarray) -> tuple[np.nd
     each component of two or more rows is ranked by a column-pivoted QR
     (LAPACK ``geqp3``) of its rows' transpose, restricted to the columns
     they touch, a pivot counting toward the rank when it exceeds the same
-    threshold.  The whole matrix is never densified.
+    threshold.  The whole matrix is never densified: one row slice lays
+    the components out one after another, and each QR input is filled from
+    its component's run of the CSR arrays.
 
     Rows of different components have disjoint supports and so are
     orthogonal: in exact arithmetic, rank and pivot order within each
@@ -417,20 +421,28 @@ def _preprocess_rows(a: scipy.sparse.csr_matrix, rhs: np.ndarray) -> tuple[np.nd
     labels = scipy.sparse.csgraph.connected_components(pattern @ pattern.T, directed=False)[1]
     # members of each component in row order, so that pivot ties break as in one global QR
     members = live[np.argsort(labels, kind="stable")]
+    # one slice lays the rows out component by component, each a run of the CSR arrays
+    ordered = a[members]
     kept = np.zeros(rhs.size, dtype=bool)
     predicted = np.zeros(rhs.size)
-    for comp in np.split(members, np.cumsum(np.bincount(labels)))[:-1]:
+    sizes = np.bincount(labels)
+    for first, last in zip(np.cumsum(sizes) - sizes, np.cumsum(sizes)):
+        comp = members[first:last]
         if comp.size == 1:
             # a live row alone in its component is its own pivot
             kept[comp] = True
             continue
-        sub = a[comp]
-        sub = sub[:, np.unique(sub.indices)]
-        r, piv = scipy.linalg.qr(sub.toarray().T, overwrite_a=True, mode="raw", pivoting=True)[1:]
+        lo, hi = ordered.indptr[first], ordered.indptr[last]
+        row = np.repeat(np.arange(comp.size), np.diff(ordered.indptr[first:last + 1]))
+        column = np.unique(ordered.indices[lo:hi], return_inverse=True)[1]
+        dense = np.zeros((column.max() + 1, comp.size), order="F")
+        dense[column, row] = ordered.data[lo:hi]
+        r, piv = scipy.linalg.qr(dense, overwrite_a=True, mode="raw", pivoting=True)[1:]
         rank = int(np.sum(np.abs(np.diag(r)) > threshold))
         kept[comp[piv[:rank]]] = True
-        coeffs = scipy.linalg.solve_triangular(r[:rank, :rank], r[:rank, rank:])
-        predicted[comp[piv[rank:]]] = coeffs.T @ rhs[comp[piv[:rank]]]
+        if rank < comp.size:
+            coeffs = scipy.linalg.solve_triangular(r[:rank, :rank], r[:rank, rank:])
+            predicted[comp[piv[rank:]]] = coeffs.T @ rhs[comp[piv[:rank]]]
     tolerance = 1e-8 * max(1.0, float(np.abs(rhs).max(initial=0.0)))
     return np.flatnonzero(kept), bool(np.abs(predicted - rhs)[~kept].max(initial=0.0) <= tolerance)
 
@@ -445,11 +457,12 @@ def _block_rows(a: scipy.sparse.csr_matrix, indexer: _SvecIndexer) -> list[list[
     of ``a``'s entries groups them by block and orders each block's rows by
     entry count k, keeping each row's entries in their stored order.  A
     chunk is up to ``_SCHUR_CHUNK`` consecutive rows of one block in that
-    order, whatever their k: (groups, tail, target).  ``groups`` has one
-    (rows, p, q, v) per entry count in the chunk, ``rows`` its slice of the
-    chunk and p, q, v its rows' entries as (rows, k) arrays; ``tail`` is
-    the block's rows from the chunk's first row onward (a CSR view of the
-    stored entries), and ``target`` says where each product of a tail row
+    order, whatever their k: (groups, tail, used, target).  ``groups`` has
+    one (rows, p, q, v) per entry count in the chunk, ``rows`` its slice of
+    the chunk and p, q, v its rows' entries as (rows, k) arrays; ``tail`` is
+    the block's rows from the chunk's first row onward, as CSR over only the
+    columns they read: its column i is flat column ``used[i]``, ``used``
+    increasing.  ``target`` says where each product of a tail row
     with a chunk row goes in the flat column-major m*m + 1 buffer of
     :func:`_schur_complement`.  A pair of rows lands at (max, min) of their
     global indices, the lower triangle.  Inside the chunk's own square both
@@ -482,8 +495,7 @@ def _block_rows(a: scipy.sparse.csr_matrix, indexer: _SvecIndexer) -> list[list[
     for b, (first, last) in enumerate(zip(bounds[:-1], bounds[1:])):
         s, size = indexer.dims[b], last - first
         # each block gets arrays of its own, as scipy copies a CSR view that
-        # holds less than half of its base array; int32 column indices and
-        # row pointers let every tail view them
+        # holds less than half of its base array
         picked = order[indptr[first]:indptr[last]]
         flat_b, v_b = flat[picked].astype(np.int32), v[picked]
         ptr = (indptr[first:last + 1] - indptr[first]).astype(np.int32)
@@ -492,8 +504,9 @@ def _block_rows(a: scipy.sparse.csr_matrix, indexer: _SvecIndexer) -> list[list[
         for start in range(0, size, _SCHUR_CHUNK):
             stop = min(start + _SCHUR_CHUNK, size)
             head = ptr[start]
+            used, columns = np.unique(flat_b[head:], return_inverse=True)
             tail = scipy.sparse.csr_matrix(
-                (v_b[head:], flat_b[head:], ptr[start:] - head), shape=(size - start, s * s)
+                (v_b[head:], columns.astype(np.int32), ptr[start:] - head), shape=(size - start, used.size)
             )
             ks, firsts = np.unique(counts_b[start:stop], return_index=True)
             groups = []
@@ -507,7 +520,7 @@ def _block_rows(a: scipy.sparse.csr_matrix, indexer: _SvecIndexer) -> list[list[
                 np.minimum(later, earlier) * m + np.maximum(later, earlier),
                 m * m,
             )
-            chunks.append((groups, tail, target.ravel()))
+            chunks.append((groups, tail, used, target.ravel()))
         out.append(chunks)
     return out
 
@@ -526,8 +539,10 @@ def _schur_complement(block_rows, x: list[np.ndarray], zinv: list[np.ndarray], m
     As A_ib is symmetric, Tr(A_ib T) = <vec A_ib, vec T>: each chunk enters
     M as one sparse-times-dense product with the block's rows from the
     chunk's first row onward, so each pair of rows is formed once per
-    block, and one 1-D scatter adds it to the lower triangle.  Scratch
-    memory stays at ``_SCHUR_CHUNK`` products.
+    block, and one 1-D scatter adds it to the lower triangle.  The product
+    reads only the flat entries ``used`` of the chunk's products; one gather
+    copies them out, in the row-major layout scipy reads without a further
+    copy, so scratch memory stays at two ``_SCHUR_CHUNK`` products at most.
 
     Returns an (m, m) column-major view whose lower triangle, diagonal
     included, is M; the strict upper triangle holds zeros.
@@ -535,11 +550,11 @@ def _schur_complement(block_rows, x: list[np.ndarray], zinv: list[np.ndarray], m
     buf = np.zeros(m * m + 1)
     for chunks, xb, zb in zip(block_rows, x, zinv):
         s = xb.shape[0]
-        for groups, tail, target in chunks:
+        for groups, tail, used, target in chunks:
             t = np.empty((groups[-1][0].stop, s, s))
             for rows, p, q, v in groups:
                 np.matmul((xb[:, p] * v).transpose(1, 0, 2), zb[q], out=t[rows])
-            np.add.at(buf, target, (tail @ t.reshape(len(t), -1).T).ravel())
+            np.add.at(buf, target, (tail @ t.reshape(len(t), -1).T[used]).ravel())
     return buf[:-1].reshape((m, m), order="F")
 
 

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.csgraph
+import scipy.sparse.linalg
 from hypothesis import given, seed, settings, strategies
 
 from unitary_inversion import sdp
@@ -730,27 +732,98 @@ def test_rescaled_program_solves_to_its_optimum():
     assert abs(solution.objective_value - 0.75) <= 1e-5
 
 
+def live_components(problem):
+    """Rows above the rank threshold, split into components of rows that share an svec column."""
+    norms = scipy.sparse.linalg.norm(problem.a, axis=1)
+    live = np.flatnonzero(norms > 1e-10 * norms.max())
+    pattern = abs(problem.a[live])
+    labels = scipy.sparse.csgraph.connected_components(pattern @ pattern.T, directed=False)[1]
+    return [live[labels == label] for label in range(labels.max() + 1)]
+
+
 def test_preprocess_rows_factors_components_not_the_matrix(monkeypatch):
     problem = build_sequential_sdp(3, 4)
+    other = build_full_sdp(2, 2, "seq")
+    # QR inputs are transposed: one column per row of a component, one row per svec column it touches
+    expected = {
+        name: sorted(
+            (np.unique(prob.a[comp].indices).size, comp.size) for comp in live_components(prob) if comp.size > 1
+        )
+        for name, prob in (("seq-3-4", problem), ("full-seq-2-2", other))
+    }
     real_qr = scipy.linalg.qr
-    real_toarray = type(problem.a).toarray
-    qr_shapes, dense_shapes = [], []
+    real_getitem = scipy.sparse.csr_matrix.__getitem__
+    qr_shapes, slices = [], []
 
     def qr(mat, *args, **kwargs):
         qr_shapes.append(mat.shape)
         return real_qr(mat, *args, **kwargs)
 
-    def toarray(mat, *args, **kwargs):
-        dense_shapes.append(mat.shape)
-        return real_toarray(mat, *args, **kwargs)
+    def getitem(mat, key):
+        slices.append(mat.shape)
+        return real_getitem(mat, key)
 
     monkeypatch.setattr(scipy.linalg, "qr", qr)
-    monkeypatch.setattr(type(problem.a), "toarray", toarray)
+    monkeypatch.setattr(scipy.sparse.csr_matrix, "__getitem__", getitem)
     kept, consistent = _preprocess_rows(problem.a, problem.rhs)
     assert consistent and kept.size == 1043
-    # QR inputs are transposed: one column per constraint row of a component
-    assert qr_shapes and max(cols for _, cols in qr_shapes) <= 233
-    assert dense_shapes and max(rows for rows, _ in dense_shapes) <= 233
+    assert qr_shapes and sorted(qr_shapes) == expected["seq-3-4"]
+    assert max(cols for _, cols in qr_shapes) <= 233
+    # the components are sliced from the CSR arrays, not from the matrix, so
+    # the count of sparse slices does not grow with the number of components
+    assert len(slices) == 2 < len(qr_shapes)
+    # nor with it here, where another count of components is factored
+    qr_shapes.clear()
+    slices.clear()
+    _preprocess_rows(other.a, other.rhs)
+    assert sorted(qr_shapes) == expected["full-seq-2-2"] and len(qr_shapes) != len(expected["seq-3-4"])
+    assert len(slices) == 2
+
+
+def interleaved_components_problem(rng, offset):
+    """Rows of sparse random reads whose components interleave in row order.
+
+    Every right-hand side is the row's value at one planted X, so the rows
+    are consistent, but for ``offset`` added to one exact duplicate.  Exact
+    and scaled duplicates repeat rows, and one row of norm 1e-17, as a row
+    cancelled to rounding is, falls below the rank threshold.
+    """
+    dims = [4, 3, 5]
+    planted = [random_positive_definite(rng, s) for s in dims]
+    coeffs = []
+    for _ in range(18):
+        b = int(rng.integers(len(dims)))
+        mat = np.zeros((dims[b], dims[b]))
+        for _ in range(int(rng.integers(1, 4))):
+            r, c = rng.integers(dims[b], size=2)
+            mat[r, c] = mat[c, r] = rng.standard_normal()
+        coeffs.append({b: mat})
+    picks = rng.choice(len(coeffs), size=6, replace=False)
+    coeffs += [coeffs[i] for i in picks[:3]]
+    coeffs += [{b: factor * mat for b, mat in coeffs[i].items()} for i, factor in zip(picks[3:], (-2.5, 3.0, 0.5))]
+    coeffs.append({0: np.diag([1e-17, 0.0, 0.0, 0.0])})
+    rhs = np.array([sum(float(np.sum(mat * planted[b])) for b, mat in row.items()) for row in coeffs])
+    rhs[18] += offset * max(1.0, float(np.abs(rhs).max()))
+    order = rng.permutation(len(coeffs))
+    return pack_rows(dims, [np.eye(s) for s in dims], [(coeffs[i], rhs[i]) for i in order])
+
+
+@pytest.mark.parametrize("offset, consistent", [(0.0, True), (1e-3, False)])
+@pytest.mark.parametrize("rng_seed", range(8))
+def test_preprocess_rows_matches_reference_on_interleaved_components(rng_seed, offset, consistent):
+    problem = interleaved_components_problem(np.random.default_rng(rng_seed), offset)
+    components = live_components(problem)
+    assert len(components) > 2 and any(np.any(np.diff(comp) > 1) for comp in components)
+    kept, flag = _preprocess_rows(problem.a, problem.rhs)
+    ref_kept, ref_flag = reference_preprocess(problem.a, problem.rhs)
+    assert flag is ref_flag is consistent
+    # which of two equal rows is kept is a rounding tie-break, the row space is not
+    rows = problem.a.toarray()
+    # three exact duplicates, three scaled ones and the cancelled row at least are dropped
+    assert kept.size == ref_kept.size == np.linalg.matrix_rank(rows[kept]) <= len(rows) - 7
+    _, _, vt = np.linalg.svd(rows[kept], full_matrices=False)
+    norms = np.linalg.norm(rows, axis=1)
+    assert np.all(np.linalg.norm(rows - (rows @ vt.T) @ vt, axis=1) <= 1e-10 * norms.max())
 
 
 def counting(monkeypatch, module, name):
@@ -906,8 +979,10 @@ def untouched_block_problem():
         (untouched_block_problem, False, (16,)),
         (lambda: build_parallel_sdp(2, 4), True, (2, 4, 8)),
         (lambda: build_sequential_sdp(4, 3), False, (1, 2, 4, 9)),
+        # one 64 x 64 block whose 421 rows take 7 chunks
+        (lambda: build_full_sdp(2, 2, "seq"), True, (8, 16, 32, 64)),
     ],
-    ids=["seq-2-3", "par-3-2", "full-seq-2-1", "from-rows", "par-2-4", "seq-4-3"],
+    ids=["seq-2-3", "par-3-2", "full-seq-2-1", "from-rows", "par-2-4", "seq-4-3", "full-seq-2-2"],
 )
 def test_schur_complement_matches_dense_definition(build, split, mixed):
     problem = build()
@@ -917,30 +992,37 @@ def test_schur_complement_matches_dense_definition(build, split, mixed):
     block_rows = _block_rows(a, indexer)
     dims = problem.block_dims
     counts = []
-    for chunks in block_rows:
-        sizes = [groups[-1][0].stop for groups, _, _ in chunks]
+    for chunks, s in zip(block_rows, dims):
+        sizes = [groups[-1][0].stop for groups, *_ in chunks]
         # a block's rows, in entry-count order, fill chunks of _SCHUR_CHUNK
         # rows but the last, each contracted against the rows from its first onward
         assert all(size == _SCHUR_CHUNK for size in sizes[:-1])
         assert all(0 < size <= _SCHUR_CHUNK for size in sizes)
-        assert [tail.shape[0] for _, tail, _ in chunks] == [sum(sizes[i:]) for i in range(len(sizes))]
+        assert [tail.shape[0] for _, tail, _, _ in chunks] == [sum(sizes[i:]) for i in range(len(sizes))]
+        # a tail has one column per distinct flat column p*s + q its rows read,
+        # ``used`` naming them in increasing order
+        for _, tail, used, _ in chunks:
+            assert tail.shape[1] == used.size == np.unique(tail.indices).size
+            assert np.all(np.diff(used) > 0) and 0 <= used[0] and used[-1] < s * s
         # one group of consecutive rows per entry count in a chunk
-        for groups, _, _ in chunks:
+        for groups, *_ in chunks:
             ends = [0] + [rows.stop for rows, *_ in groups]
             assert [(rows.start, len(p)) for rows, p, _, _ in groups] == [
                 (start, stop - start) for start, stop in zip(ends, ends[1:])
             ]
             assert len({p.shape[1] for _, p, _, _ in groups}) == len(groups)
-        counts.append([p.shape[1] for groups, _, _ in chunks for _, p, _, _ in groups])
+        counts.append([p.shape[1] for groups, *_ in chunks for _, p, _, _ in groups])
         assert counts[-1] == sorted(counts[-1])
     if len(dims) == 1:
         # the trace row has one entry per diagonal element of the block
         assert max(counts[0]) == dims[0]
+        # a one-block program's rows are sparse in it: every tail is narrower than s^2
+        assert all(tail.shape[1] < dims[0] ** 2 for _, tail, _, _ in block_rows[0])
     # more than _SCHUR_CHUNK rows in a block take several chunks, and some
     # chunk holds rows of exactly the entry counts ``mixed``
     assert any(len(chunks) > 1 for chunks in block_rows) == split
     assert mixed in [
-        tuple(p.shape[1] for _, p, _, _ in groups) for chunks in block_rows for groups, _, _ in chunks
+        tuple(p.shape[1] for _, p, _, _ in groups) for chunks in block_rows for groups, *_ in chunks
     ]
     rng = np.random.default_rng(7)
     x = [random_positive_definite(rng, s) for s in dims]

@@ -133,3 +133,51 @@ def test_readme_command_line_lists_every_option():
     }
     assert set(listed) == {"simulate", "solve", "tables"}
     assert listed == parsed
+
+
+def _private_library_names(source: str) -> list[str]:
+    """Dotted names of numpy or scipy that ``source`` imports or reads with a private (_-prefixed) part.
+
+    Attribute chains are resolved through the module's import aliases, and
+    getattr(<module>, "<name>") counts as reading <module>.<name>.
+    """
+    tree = ast.parse(source)
+    aliases, names = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names.append(alias.name)
+                aliases[alias.asname or alias.name.split(".")[0]] = alias.name if alias.asname else alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            for alias in node.names:
+                names.append(f"{node.module}.{alias.name}")
+                aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "getattr":
+            target, attr = (node.args + [None, None])[:2]
+            if isinstance(attr, ast.Constant) and isinstance(attr.value, str):
+                node = ast.Attribute(value=target, attr=attr.value, ctx=ast.Load())
+        dotted = _dotted(node) if isinstance(node, ast.Attribute) else None
+        root, _, rest = (dotted or "").partition(".")
+        if root in aliases:
+            names.append(f"{aliases[root]}.{rest}")
+    return sorted({
+        name for name in names
+        if name.split(".")[0] in ("numpy", "scipy")
+        and any(part.startswith("_") and not part.endswith("__") for part in name.split("."))
+    })
+
+
+def test_no_src_module_reads_a_private_name_of_numpy_or_scipy():
+    # a private module or attribute, such as scipy.sparse._sparsetools.csr_matvecs
+    # past scipy's dispatch, may change or vanish in any release of the library
+    assert _private_library_names(
+        "import numpy as np\nimport scipy.sparse\nfrom scipy.sparse import _sparsetools as tools\n"
+        "from numpy.linalg import norm\nscipy.sparse._sparsetools.csr_matvecs\ntools.csr_matvecs\n"
+        "getattr(np, '_core')\nnp.linalg.norm\nnp.__version__\nnorm\n"
+    ) == ["numpy._core", "scipy.sparse._sparsetools", "scipy.sparse._sparsetools.csr_matvecs"]
+    found = {
+        str(path.relative_to(ROOT)): _private_library_names(path.read_text())
+        for path in sorted((ROOT / "src").rglob("*.py"))
+    }
+    assert not {path: names for path, names in found.items() if names}
