@@ -39,6 +39,10 @@ only the flat entries p*s + q that its pairs read are copied.
 Each iteration factors every matrix once.  LAPACK ``potrf`` factors the
 lower triangle of the Schur complement in place, with no symmetrized
 copy, and that one factor serves both the predictor and the corrector.
+A solve allocates one buffer for M and each iteration assembles and
+factors M in it, so the previous factor is gone before the next M is
+summed: the solve's peak memory is one M, 8 m^2 bytes, plus the index
+plan of :func:`_block_rows`, not two.
 X and Z move by the fraction-to-boundary step, and each of their blocks is
 factored once after the step; the next iteration inverts those factors
 once and uses the inverses for Z^{-1} and for both step lengths.  The
@@ -525,8 +529,8 @@ def _block_rows(a: scipy.sparse.csr_matrix, indexer: _SvecIndexer) -> list[list[
     return out
 
 
-def _schur_complement(block_rows, x: list[np.ndarray], zinv: list[np.ndarray], m: int) -> np.ndarray:
-    """Lower triangle of M_ij = Tr(A_i X A_j Z^{-1}), summed block by block.
+def _schur_complement(block_rows, x: list[np.ndarray], zinv: list[np.ndarray], buf: np.ndarray) -> np.ndarray:
+    """Lower triangle of M_ij = Tr(A_i X A_j Z^{-1}), summed block by block into ``buf``.
 
     For a row j with entries (p, q, v) in block b, X A_jb Z^{-1} is the
     rank-k sum of v X[:, p] Z^{-1}[q, :] over its entries (the "F2"
@@ -544,10 +548,16 @@ def _schur_complement(block_rows, x: list[np.ndarray], zinv: list[np.ndarray], m
     copies them out, in the row-major layout scipy reads without a further
     copy, so scratch memory stays at two ``_SCHUR_CHUNK`` products at most.
 
-    Returns an (m, m) column-major view whose lower triangle, diagonal
-    included, is M; the strict upper triangle holds zeros.
+    ``buf`` is the caller's m*m + 1 doubles: M column-major, then the spare
+    slot that :func:`_block_rows` sends the unkept pairs to.  It is zeroed
+    first and filled in place, so whatever it held before, such as the
+    previous iteration's factor, is gone, and no second m x m array is
+    made.  Returns the (m, m) column-major view of ``buf`` whose lower
+    triangle, diagonal included, is M; the strict upper triangle holds
+    zeros.
     """
-    buf = np.zeros(m * m + 1)
+    m = math.isqrt(buf.size - 1)
+    buf.fill(0.0)
     for chunks, xb, zb in zip(block_rows, x, zinv):
         s = xb.shape[0]
         for groups, tail, used, target in chunks:
@@ -685,6 +695,8 @@ def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
     # a is fixed from here on, so its transpose (a CSC view) is built once
     a_t = a.T
     block_rows = _block_rows(a, indexer)
+    # the one Schur complement of the solve: each iteration assembles and factors M in it
+    schur = np.empty(m * m + 1)
 
     # the program's scales, read once: the starting iterate tau * I, the
     # infeasibility norms and the divergence bound derive from them
@@ -739,9 +751,9 @@ def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
         # the rounded Z^-1 so that svec pairings see both triangles
         inv_chol = [np.linalg.inv(l) for l in xz_chol]
         zinv = [_sym(li.swapaxes(-1, -2) @ li) for li in _halves(inv_chol, counts)[1]]
-        big_m = _schur_complement(block_rows, indexer.unstack(x), indexer.unstack(zinv), m)
+        big_m = _schur_complement(block_rows, indexer.unstack(x), indexer.unstack(zinv), schur)
         try:
-            # potrf overwrites the lower triangle of M with its factor
+            # potrf overwrites the lower triangle of M with its factor, in the solve's one buffer
             factor = scipy.linalg.cho_factor(big_m, lower=True, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError:
             status = "numerical_failure"

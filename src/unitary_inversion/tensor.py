@@ -84,7 +84,8 @@ def _layout(dims: tuple, targets: tuple) -> tuple[int, int, int]:
 
     A state over ``dims`` reshaped to these three axes has the targets on
     the middle one.  Validates both once per pair; any other target order
-    raises, and exceptions are not cached.
+    raises, and exceptions are not cached.  The cache takes 1.0 for 1, so
+    callers pass tuples of exact ints (see :func:`_wire_view`).
     """
     dims = _as_dims(dims)
     targets = _check_targets(targets, len(dims))
@@ -96,11 +97,22 @@ def _layout(dims: tuple, targets: tuple) -> tuple[int, int, int]:
 
 
 def _wire_view(state: np.ndarray, targets, dims) -> np.ndarray:
-    """``state`` reshaped to (left, target dimension, right) by the cached layout."""
-    left, dim, right = _layout(tuple(dims), tuple(targets))
+    """``state`` reshaped to (left, target dimension, right) by the cached layout.
+
+    Anything but an exact int among the dims and targets, such as a numpy
+    integer or a float, goes through :func:`_indices` before the lookup,
+    so a float is refused whatever the cache holds.  The loop is cheap
+    enough for every circuit step.
+    """
+    dims, targets = tuple(dims), tuple(targets)
+    for v in dims + targets:
+        if type(v) is not int:
+            dims, targets = _indices(dims, "dims"), _indices(targets, "targets")
+            break
+    left, dim, right = _layout(dims, targets)
     state = np.asarray(state)
     if state.shape != (left * dim * right,):
-        raise ValueError(f"state of shape {state.shape} does not match dims {tuple(dims)}")
+        raise ValueError(f"state of shape {state.shape} does not match dims {dims}")
     return state.reshape(left, dim, right)
 
 

@@ -1,7 +1,9 @@
+import ctypes
 import hashlib
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -855,7 +857,9 @@ def test_schur_failure_ends_the_solve(monkeypatch, kind):
     made = []
 
     def spoiled(*args):
+        # every call fills the solve's one buffer, which the factor overwrites in place
         made.append(real(*args))
+        assert np.shares_memory(made[-1], made[0])
         if len(made) == 3:
             if kind == "singular":
                 made[-1][:, 0] = 0.0
@@ -1034,9 +1038,20 @@ def test_schur_complement_matches_dense_definition(build, split, mixed):
     for b, (xb, zb) in enumerate(zip(x, zinv)):
         vec_a = np.array([mats[b].ravel() for mats in coeffs]).reshape(m, -1)
         dense += vec_a @ np.kron(xb, zb) @ vec_a.T
-    big_m = _schur_complement(block_rows, x, zinv, m)
+    buf = np.empty(m * m + 1)
+    big_m = _schur_complement(block_rows, x, zinv, buf)
+    assert np.shares_memory(big_m, buf) and big_m.flags.f_contiguous
     assert np.abs(np.tril(big_m - dense)).max() <= 1e-13 * np.abs(dense).max()
     assert not np.triu(big_m, 1).any()
+    # assembled again into the same buffer, over another M and its spoiled
+    # spare slot: no stale entry survives, and the bytes are those of a fresh one
+    first = big_m.copy()
+    x_other = [random_positive_definite(rng, s) for s in dims]
+    zinv_other = [random_positive_definite(rng, s) for s in dims]
+    _schur_complement(block_rows, x_other, zinv_other, buf)
+    buf[-1] = np.nan
+    again = _schur_complement(block_rows, x, zinv, buf)
+    assert again.tobytes() == first.tobytes()
 
 
 def test_solve_factors_each_matrix_once_per_iteration(monkeypatch):
@@ -1059,6 +1074,28 @@ def test_solve_factors_each_matrix_once_per_iteration(monkeypatch):
     assert all(ok for _, ok in blocks)
     assert sum(count for count, _ in blocks) == 2 * nblocks * solution.iterations
     assert len(blocks) == nsizes * solution.iterations
+
+
+def test_solve_holds_one_schur_complement():
+    # each iteration assembles and factors M in the solve's one buffer, so a
+    # longer solve peaks no higher: at two live copies, iterations after the
+    # first would add a whole 8 m^2 bytes to the traced peak
+    problem = build_full_sdp(2, 2, "seq")
+    m = _preprocess_rows(problem.a, problem.rhs)[0].size
+    assert m == 421
+    solve(problem, SolverConfig(max_iterations=1))
+    peaks = []
+    for iterations in (1, 3):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            solution = solve(problem, SolverConfig(max_iterations=iterations))
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert (solution.status, solution.iterations) == ("max_iter", iterations)
+    assert peaks[0] > 8 * m * m
+    assert peaks[1] - peaks[0] < 0.5 * 8 * m * m
 
 
 @pytest.mark.parametrize(
@@ -1135,6 +1172,42 @@ def test_solve_is_independent_of_blas_threads():
                 solution.dual.tobytes(),
             ))
         assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("load", ["refused", "without-controls"])
+def test_solve_runs_where_no_openblas_thread_control_is_found(monkeypatch, load):
+    problem = build_sequential_sdp(2, 2)
+    value = solve(problem).objective_value
+    controls = _openblas()
+    saved = [get() for get, _ in controls]
+    loaded = []
+
+    def cdll(path, *args, **kwargs):
+        loaded.append(path)
+        if load == "refused":
+            raise OSError(f"{path}: cannot open shared object file")
+        # a library that exports none of the thread-count functions
+        return object()
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    _openblas.cache_clear()
+    try:
+        assert _openblas() == ()
+        if not loaded:
+            pytest.skip("no bundled OpenBLAS library to refuse")
+        for _, put in controls:
+            put(2)
+        # with no controls found, the thread counts are left as the caller set them
+        with _blas_threads(1):
+            assert [get() for get, _ in controls] == [2] * len(controls)
+            solution = solve(problem)
+            assert [get() for get, _ in controls] == [2] * len(controls)
+        assert (solution.status, solution.objective_value) == ("optimal", value)
+        assert abs(value - 0.75) <= 1e-4
+    finally:
+        _openblas.cache_clear()
+        for (_, put), threads in zip(controls, saved):
+            put(threads)
 
 
 PLANTED_DIMS = (6, 6, 4)

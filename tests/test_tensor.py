@@ -138,6 +138,26 @@ def test_cached_layout_still_rejects_bad_calls():
             apply_to_subsystems(state, op, (1, 2), (2, 0, 2))
 
 
+@pytest.mark.parametrize(
+    "kind, bad_targets, bad_dims", [("targets", (1.0,), (2, 2)), ("dims", (1,), (2, 2.0))]
+)
+def test_float_indices_are_refused_after_their_int_twins_are_cached(kind, bad_targets, bad_dims):
+    # 1.0 == 1 and they hash alike, so the layout cache alone would answer
+    # the float call from the int call's entry
+    state = random_state((2, 2), 3)
+    tensor._layout.cache_clear()
+    apply_to_subsystems(state, X, (1,), (2, 2))
+    reduced_density_matrix(state, (1,), (2, 2))
+    assert tensor._layout.cache_info().currsize == 1
+    with pytest.raises(ValueError, match=f"{kind} must be integers"):
+        apply_to_subsystems(state, X, bad_targets, bad_dims)
+    with pytest.raises(ValueError, match=f"{kind} must be integers"):
+        reduced_density_matrix(state, bad_targets, bad_dims)
+    # numpy integers are integers, and share the int entry
+    apply_to_subsystems(state, X, np.array([1]), np.array([2, 2]))
+    assert tensor._layout.cache_info().currsize == 1
+
+
 MALFORMED_CALLS = {
     # int() read each of these indices as the integer below it
     "float target": (lambda: apply_to_subsystems(np.eye(4)[0], X, [0.7], (2, 2)), "targets must be integers"),
