@@ -70,12 +70,9 @@ failed solve returns the last iterate before the failure.
 Blocks of equal size are held as one (count, s, s) stack, so the block
 Cholesky factors, their inverses, the step-length eigenvalues and the
 products of the search directions take one batched numpy call per
-distinct size rather than one call per block.  The factors, their
-inverses and the step-length eigenvalues of X and Z go further: X's
-stack and Z's are joined into one, X's blocks first, so each of these
-kernels runs once per size for both.  Batched LAPACK and matmul run the
-same routine on each matrix of a stack, so these match the per-block
-results bitwise.
+distinct size rather than one call per block.  Batched LAPACK and matmul
+run the same routine on each matrix of a stack, so these match the
+per-block results bitwise.
 
 :func:`solve` runs under one OpenBLAS thread (numpy's and scipy's
 bundled builds) and restores the caller's thread counts on return.  Its
@@ -580,46 +577,23 @@ def _cholesky_blocks(stacks: list[np.ndarray]) -> list[np.ndarray] | None:
         return None
 
 
-def _halves(stacks: list[np.ndarray], counts: list[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """X's and Z's views of joint X/Z stacks, X's ``counts[g]`` blocks first in stack g."""
-    return [st[:n] for st, n in zip(stacks, counts)], [st[n:] for st, n in zip(stacks, counts)]
+def _step_length(inverses: list[np.ndarray], steps: list[np.ndarray], fraction: float) -> float:
+    """Fraction-to-boundary step, at most 1, of one variable, X or Z.
 
-
-def _cholesky_joint(stacks: list[np.ndarray], counts: list[int]) -> tuple[list[np.ndarray] | None, str]:
-    """Factors of joint X/Z stacks, X's ``counts[g]`` blocks first in stack g.
-
-    Returns (factors, "") or, when a matrix is not positive definite,
-    (None, "X") or (None, "Z").  A stack fails exactly when one of its
-    matrices does, so only then is X factored alone, to name the one that
-    failed.
-    """
-    factors = _cholesky_blocks(stacks)
-    if factors is not None:
-        return factors, ""
-    return None, "X" if _cholesky_blocks(_halves(stacks, counts)[0]) is None else "Z"
-
-
-def _step_lengths(inverses: list[np.ndarray], dx: list, dz: list, fraction: float) -> tuple[float, float]:
-    """Fraction-to-boundary steps (X's, Z's), each at most 1, for joint X/Z stacks.
-
-    ``inverses`` holds the inverse Cholesky factors of the joint stacks, X's
-    blocks first, and dx, dz the steps of X and Z.  The largest alpha
-    keeping L L^T + alpha*D positive semidefinite is -1/lambda_min(L^-1 D
-    L^-T), or unbounded when that eigenvalue is not negative; the step is
+    ``inverses`` holds the inverse Cholesky factors of the variable's
+    stacks, and ``steps`` its step.  The largest alpha keeping L L^T +
+    alpha*D positive semidefinite is -1/lambda_min(L^-1 D L^-T), or
+    unbounded when that eigenvalue is not negative; the step is
     ``fraction`` of it: ``_BOUNDARY_FRACTION`` for the predictor, and for
     the corrector SDPT3's adaptive 0.9 + 0.09 min(alpha_p, alpha_d) of the
     previous corrector steps (see the module docstring).  The caller
     factors the updated blocks, and a failed factor ends the solve.
     """
-    x_minima, z_minima = [], []
-    for li, dxg, dzg in zip(inverses, dx, dz):
-        lam = np.linalg.eigvalsh(_sym(li @ np.concatenate((dxg, dzg)) @ li.swapaxes(-1, -2)))[:, 0]
-        x_minima.append(float(lam[:len(dxg)].min()))
-        z_minima.append(float(lam[len(dxg):].min()))
-    return tuple(
-        1.0 if lam >= -1e-14 else min(1.0, fraction * (-1.0 / lam))
-        for lam in (min(x_minima), min(z_minima))
+    lam = min(
+        float(np.linalg.eigvalsh(_sym(li @ d @ li.swapaxes(-1, -2)))[:, 0].min())
+        for li, d in zip(inverses, steps)
     )
+    return 1.0 if lam >= -1e-14 else min(1.0, fraction * (-1.0 / lam))
 
 
 @functools.cache
@@ -704,12 +678,10 @@ def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
     c_max = max(float(np.abs(st).max()) for st in c)
     tau = max(1.0, rhs_max, c_max)
     norm_rhs, norm_c, divergence = 1.0 + rhs_max, 1.0 + c_max, _DIVERGENCE_BOUND * tau
-    # X, Z, their factors and every step are lists of per-size stacks; X and
-    # Z of one size are the two halves of one joint stack, X's blocks first
-    counts = [len(mem) for mem in indexer.members]
-    xz = [np.concatenate((st, st)) for st in indexer.stack([tau * np.eye(s) for s in dims])]
-    x, z = _halves(xz, counts)
-    xz_chol = _cholesky_blocks(xz)
+    # X, Z, their factors and every step are lists of per-size stacks
+    x = indexer.stack([tau * np.eye(s) for s in dims])
+    z = [st.copy() for st in x]
+    x_chol, z_chol = _cholesky_blocks(x), _cholesky_blocks(z)
     y = np.zeros(m)
     ntotal = sum(dims)
 
@@ -749,8 +721,8 @@ def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
 
         # one inverse per factor serves Z^-1 and both step lengths; symmetrize
         # the rounded Z^-1 so that svec pairings see both triangles
-        inv_chol = [np.linalg.inv(l) for l in xz_chol]
-        zinv = [_sym(li.swapaxes(-1, -2) @ li) for li in _halves(inv_chol, counts)[1]]
+        x_linv, z_linv = ([np.linalg.inv(l) for l in chol] for chol in (x_chol, z_chol))
+        zinv = [_sym(li.swapaxes(-1, -2) @ li) for li in z_linv]
         big_m = _schur_complement(block_rows, indexer.unstack(x), indexer.unstack(zinv), schur)
         try:
             # potrf overwrites the lower triangle of M with its factor, in the solve's one buffer
@@ -775,7 +747,8 @@ def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
             return dx, dy, dz
 
         dx_aff, dy_aff, dz_aff = direction(0.0, [0.0] * len(x))
-        ap, ad = _step_lengths(inv_chol, dx_aff, dz_aff, _BOUNDARY_FRACTION)
+        ap = _step_length(x_linv, dx_aff, _BOUNDARY_FRACTION)
+        ad = _step_length(z_linv, dz_aff, _BOUNDARY_FRACTION)
         mu_aff = inner(
             [xg + ap * dxg for xg, dxg in zip(x, dx_aff)], [zg + ad * dzg for zg, dzg in zip(z, dz_aff)]
         ) / ntotal
@@ -785,16 +758,18 @@ def _solve(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
         dx, dy, dz = direction(sigma * mu, cross)
 
         # the factors of the new iterate serve the next iteration
-        ap, ad = _step_lengths(inv_chol, dx, dz, fraction)
+        ap, ad = _step_length(x_linv, dx, fraction), _step_length(z_linv, dz, fraction)
         fraction = 0.9 + 0.09 * min(ap, ad)
-        xz_new = [np.concatenate((xg + ap * dxg, zg + ad * dzg)) for xg, dxg, zg, dzg in zip(x, dx, z, dz)]
-        xz_chol, name = _cholesky_joint(xz_new, counts)
-        if name:
-            alpha = ap if name == "X" else ad
+        x_new = [xg + ap * dxg for xg, dxg in zip(x, dx)]
+        z_new = [zg + ad * dzg for zg, dzg in zip(z, dz)]
+        # Z is factored only once X is, so a step that leaves the cone in both names X
+        x_chol = _cholesky_blocks(x_new)
+        z_chol = None if x_chol is None else _cholesky_blocks(z_new)
+        if z_chol is None:
+            name, alpha = ("X", ap) if x_chol is None else ("Z", ad)
             status = "numerical_failure"
             reason = f"{name} not positive definite after step {alpha:.3g} at iteration {iterations}"
             break
-        x_new, z_new = _halves(xz_new, counts)
         y_new = y + ad * dy
         # written so that a NaN fails the test too
         x_max = max((float(np.abs(st).max()) for st in x_new), default=0.0)

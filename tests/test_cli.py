@@ -293,16 +293,17 @@ def reject_constant(name):
 
 def test_diverged_solve_exits_with_its_reason(monkeypatch, tmp_path, capsys):
     # a NaN step is refused, so the payloads describe the last finite iterate
-    real = sdp._step_lengths
+    real = sdp._step_length
     calls = []
 
     def nan_step(*args):
-        # each call steps X and Z; the fourth is the second iteration's corrector
+        # an iteration steps X then Z for the predictor, and again for the
+        # corrector; the seventh call is X's in the second iteration's corrector
         calls.append(None)
-        ap, ad = real(*args)
-        return (math.nan, ad) if len(calls) == 4 else (ap, ad)
+        alpha = real(*args)
+        return math.nan if len(calls) == 7 else alpha
 
-    monkeypatch.setattr(sdp, "_step_lengths", nan_step)
+    monkeypatch.setattr(sdp, "_step_length", nan_step)
     code = main(["solve", "--d", "2", "--n", "2", "--json", "--out", str(tmp_path)])
     captured = capsys.readouterr()
     assert code == 4
@@ -424,6 +425,11 @@ def test_out_manifest_hashes_exactly_the_written_files(command, tmp_path, capsys
     }
     parameters = vars(cli.build_parser().parse_args(argv))
     del parameters["func"], parameters["out"]
+    if command == "solve":
+        # solve's parser leaves --svec-cap unset, so that main can refuse a
+        # given one under a full mode; main fills in the default it solves with
+        assert parameters["svec_cap"] is None
+        parameters["svec_cap"] = cli.REDUCED_SVEC_CAP
     assert manifest["parameters"] == parameters
     assert manifest["command"] == command
     assert manifest["seed"] == (7 if command == "simulate" else 0)
@@ -477,6 +483,8 @@ def test_simulate_rejects_non_positive_trials(capsys):
         (["tables", "--out", str(Path(__file__) / "sub")], "--out"),
         # full programs have their own fixed cap, which --svec-cap never reached
         (["solve", "--mode", "full-seq", "--d", "2", "--n", "1", "--svec-cap", "1"], "--svec-cap"),
+        # the default's own value included
+        (["solve", "--mode", "full-seq", "--d", "2", "--n", "1", "--svec-cap", "2000"], "--svec-cap"),
     ],
 )
 def test_invalid_sizes_and_tolerances_are_usage_errors(argv, flag, capsys):

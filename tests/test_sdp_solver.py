@@ -190,16 +190,17 @@ def reject_constant(name):
 def test_non_finite_iterate_ends_the_solve(monkeypatch):
     # Cholesky accepts a NaN block, so the divergence test must catch it,
     # and before the NaN iterate replaces the last finite one
-    real = sdp._step_lengths
+    real = sdp._step_length
     calls = []
 
     def nan_step(*args):
-        # each call steps X and Z; the fourth is the second iteration's corrector
+        # an iteration steps X then Z for the predictor, and again for the
+        # corrector; the seventh call is X's in the second iteration's corrector
         calls.append(None)
-        ap, ad = real(*args)
-        return (math.nan, ad) if len(calls) == 4 else (ap, ad)
+        alpha = real(*args)
+        return math.nan if len(calls) == 7 else alpha
 
-    monkeypatch.setattr(sdp, "_step_lengths", nan_step)
+    monkeypatch.setattr(sdp, "_step_length", nan_step)
     for n in (1, 2):
         calls.clear()
         problem = build_sequential_sdp(2, n)
@@ -875,36 +876,34 @@ def test_schur_failure_ends_the_solve(monkeypatch, kind):
     assert all(np.isfinite(block).all() for block in solution.blocks)
 
 
-@pytest.mark.parametrize("name", ["X", "Z"])
+@pytest.mark.parametrize("name", ["X", "Z", "both"])
 def test_step_out_of_the_cone_ends_the_solve(monkeypatch, name):
-    # each call steps X and Z; the fourth, the second iteration's corrector,
-    # steps X or Z twice as far as the boundary of the cone
-    real = sdp._step_lengths
+    # an iteration steps X then Z for the predictor, and again for the
+    # corrector; the second iteration's corrector (calls 7 and 8) steps X, Z
+    # or both twice as far as the boundary of the cone
+    real = sdp._step_length
+    overshoot = {"X": {7}, "Z": {8}, "both": {7, 8}}[name]
     calls = []
 
-    def overshooting(inverses, dx, dz, fraction):
+    def overshooting(inverses, steps, fraction):
         calls.append(None)
-        steps = list(real(inverses, dx, dz, fraction))
-        if len(calls) != 4:
-            return tuple(steps)
-        # X's inverse factors lead each joint stack
-        parts = [
-            (li[:len(dxg)], dxg) if name == "X" else (li[len(dxg):], dzg)
-            for li, dxg, dzg in zip(inverses, dx, dz)
-        ]
+        alpha = real(inverses, steps, fraction)
+        if len(calls) not in overshoot:
+            return alpha
         lam = min(
             float(np.linalg.eigvalsh(sdp._sym(li @ d @ li.swapaxes(-1, -2)))[:, 0].min())
-            for li, d in parts
+            for li, d in zip(inverses, steps)
         )
         assert lam < 0
-        steps["XZ".index(name)] = 2.0 / -lam
-        return tuple(steps)
+        return 2.0 / -lam
 
-    monkeypatch.setattr(sdp, "_step_lengths", overshooting)
+    monkeypatch.setattr(sdp, "_step_length", overshooting)
     solution = solve(build_sequential_sdp(2, 1))
     assert solution.status == "numerical_failure"
-    assert re.fullmatch(rf"{name} not positive definite after step \S+ at iteration 2", solution.reason)
-    assert solution.iterations == 2 and len(calls) == 4
+    # X is factored first, so a step out of both cones names X
+    named = "X" if name == "both" else name
+    assert re.fullmatch(rf"{named} not positive definite after step \S+ at iteration 2", solution.reason)
+    assert solution.iterations == 2 and len(calls) == 8
 
 
 def random_positive_definite(rng, size):
@@ -912,56 +911,50 @@ def random_positive_definite(rng, size):
     return mat @ mat.T + size * np.eye(size)
 
 
-def separate_step_length(inverses, steps, fraction):
-    """One matrix family's fraction-to-boundary step, from its own stacks alone."""
-    lam = min(
-        float(np.linalg.eigvalsh(sdp._sym(li @ d @ li.swapaxes(-1, -2)))[:, 0].min())
-        for li, d in zip(inverses, steps)
-    )
-    return 1.0 if lam >= -1e-14 else min(1.0, fraction * (-1.0 / lam))
+def boundary_step(mats, steps):
+    """The largest alpha with every mats[i] + alpha * steps[i] positive semidefinite, by bisection.
+
+    Independent of the solver's formula: it only asks eigvalsh whether a
+    point is in the cone.  Infinite when the step never leaves it.
+    """
+    def inside(alpha):
+        return all(np.linalg.eigvalsh(m + alpha * d).min() >= 0.0 for m, d in zip(mats, steps))
+
+    high = 1.0
+    while inside(high):
+        high *= 2.0
+        if high > 1e12:
+            return math.inf
+    low = 0.0
+    for _ in range(200):
+        middle = (low + high) / 2.0
+        if middle in (low, high):
+            break
+        low, high = (middle, high) if inside(middle) else (low, middle)
+    return low
 
 
-@pytest.mark.parametrize("limited", ["X", "Z"])
-def test_joint_step_lengths_match_separate_stacks(limited):
+@pytest.mark.parametrize("fraction", [0.98, 0.9 + 0.09 * 0.37])
+@pytest.mark.parametrize("limits", [False, True])
+def test_step_length_matches_bisection_to_the_boundary(limits, fraction):
     rng = np.random.default_rng(11)
-    sizes, counts = (1, 3, 5), (2, 1, 3)
-
-    def stacks(make):
-        return [np.stack([make(rng, s) for _ in range(n)]) for s, n in zip(sizes, counts)]
-
-    def inverse_factors():
-        return [np.linalg.inv(np.linalg.cholesky(st)) for st in stacks(random_positive_definite)]
-
+    mats = [random_positive_definite(rng, s) for s in (1, 3, 5, 3, 1, 5)]
     # a positive definite step never meets the boundary; a large indefinite one does
-    def steps(limits):
-        if limits:
-            return stacks(lambda rng, s: 100 * random_symmetric(rng, s))
-        return stacks(random_positive_definite)
-
-    x_inv, z_inv = inverse_factors(), inverse_factors()
-    dx, dz = steps(limited == "X"), steps(limited == "Z")
-    joint = [np.concatenate(pair) for pair in zip(x_inv, z_inv)]
-    ap, ad = sdp._step_lengths(joint, dx, dz, 0.9)
-    assert (ap, ad) == (separate_step_length(x_inv, dx, 0.9), separate_step_length(z_inv, dz, 0.9))
-    assert (ap < 1.0, ad < 1.0) == (limited == "X", limited == "Z")
-
-
-def test_failed_joint_cholesky_names_its_matrix():
-    rng = np.random.default_rng(12)
-    counts = [2, 1]
-    stacks = [
-        np.stack([random_positive_definite(rng, s) for _ in range(2 * n)]) for s, n in zip((2, 4), counts)
-    ]
-    factors, name = sdp._cholesky_joint(stacks, counts)
-    assert name == "" and all(np.array_equal(f, np.linalg.cholesky(st)) for f, st in zip(factors, stacks))
-    # the Z half of a stack starts after its X blocks
-    z_fails = [st.copy() for st in stacks]
-    z_fails[1][counts[1]] = -np.eye(4)
-    assert sdp._cholesky_joint(z_fails, counts) == (None, "Z")
-    for both in (False, True):
-        x_fails = [st.copy() for st in (z_fails if both else stacks)]
-        x_fails[0][1, 0, 0] = -1.0
-        assert sdp._cholesky_joint(x_fails, counts) == (None, "X")
+    if limits:
+        steps = [100 * random_symmetric(rng, len(m)) for m in mats]
+    else:
+        steps = [random_positive_definite(rng, len(m)) for m in mats]
+    # the solver's layout: one stack per size, of inverse Cholesky factors
+    sizes = sorted({len(m) for m in mats})
+    inverses = [np.linalg.inv(np.linalg.cholesky(np.stack([m for m in mats if len(m) == s]))) for s in sizes]
+    stacked = [np.stack([d for d in steps if len(d) == s]) for s in sizes]
+    alpha = sdp._step_length(inverses, stacked, fraction)
+    boundary = boundary_step(mats, steps)
+    if not limits:
+        assert boundary == math.inf and alpha == 1.0
+    else:
+        assert fraction * boundary < 1.0
+        assert abs(alpha - fraction * boundary) <= 1e-10 * alpha
 
 
 def untouched_block_problem():
@@ -1069,11 +1062,11 @@ def test_solve_factors_each_matrix_once_per_iteration(monkeypatch):
     assert len(schur) == len(schur_calls) and len(blocks) == len(calls)
     # the last iteration only checks convergence
     assert schur == [(1, True)] * (solution.iterations - 1)
-    # X and Z once per block at the start and after each step, together in
-    # one stacked call per block size
+    # X and Z once per block at the start and after each step, each in one
+    # stacked call per block size
     assert all(ok for _, ok in blocks)
     assert sum(count for count, _ in blocks) == 2 * nblocks * solution.iterations
-    assert len(blocks) == nsizes * solution.iterations
+    assert len(blocks) == 2 * nsizes * solution.iterations
 
 
 def test_solve_holds_one_schur_complement():

@@ -135,6 +135,22 @@ def test_readme_command_line_lists_every_option():
     assert listed == parsed
 
 
+def test_readme_acceptance_list_names_every_criterion():
+    # the README's list of acceptance criteria is written by hand: its
+    # numbers must be exactly those of the test_criterion_<N>_ functions
+    readme = (ROOT / "README.md").read_text()
+    paragraph = re.search(r"^The acceptance module checks.*?\n\n(.*?)\n\n", readme, re.S | re.M).group(1)
+    listed = [int(n) for n in re.findall(r"^(\d+)\. ", paragraph, re.M)]
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    criteria = sorted(
+        int(match.group(1))
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and (match := re.match(r"test_criterion_(\d+)_", node.name))
+    )
+    assert criteria == list(range(1, len(criteria) + 1))
+    assert listed == criteria
+
+
 def _private_library_names(source: str) -> list[str]:
     """Dotted names of numpy or scipy that ``source`` imports or reads with a private (_-prefixed) part.
 
