@@ -91,10 +91,8 @@ def performance_blocks(d: int, n: int) -> ReducedComb:
     convention, the pairing Tr(C^{mu mu} Omega_mu) must reproduce Tr(C Omega)
     on the full register space, and only this orientation does.
     """
-    if d < 2 or n < 1:
-        raise ValueError("need d >= 2 and n >= 1")
-    cycle = cycle_permutation(n + 1)
     blocks = {(mu, nu): np.zeros((tableau_count(mu) * tableau_count(nu),) * 2) for mu, nu in block_keys(d, n)}
+    cycle = cycle_permutation(n + 1)
     for mu in young_diagrams(n + 1, d):
         v = permutation_matrix(mu, cycle).T.reshape(-1)
         blocks[(mu, mu)] = np.outer(v, v) / (d * d * su_dim(mu, d))
@@ -108,6 +106,9 @@ def evaluate_fidelity(comb: ReducedComb) -> float:
 
 
 def block_keys(d: int, n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The reduced comb's ordered diagram pairs; the size check of every reduced entry point."""
+    if d < 2 or n < 1:
+        raise ValueError("need d >= 2 and n >= 1")
     shapes = young_diagrams(n + 1, d)
     return [(mu, nu) for mu in shapes for nu in shapes]
 
@@ -199,8 +200,6 @@ def build_sequential_sdp(d: int, n: int) -> SdpProblem:
     (gamma, beta) pair of diagrams with i-1 and i boxes, and the recursion
     bottoms out in the trace normalization.
     """
-    if d < 2 or n < 1:
-        raise ValueError("need d >= 2 and n >= 1")
     key_index = {k: i for i, k in enumerate(block_keys(d, n))}
     top = n + 1
 
@@ -248,8 +247,6 @@ def build_parallel_sdp(d: int, n: int) -> SdpProblem:
     linear in the variables and eliminated by substitution, leaving
     homogeneous equalities plus the trace normalization.
     """
-    if d < 2 or n < 1:
-        raise ValueError("need d >= 2 and n >= 1")
     key_index = {k: i for i, k in enumerate(block_keys(d, n))}
     shapes_top = young_diagrams(n + 1, d)
     identities = []

@@ -271,10 +271,7 @@ def _require_su2(u: np.ndarray) -> np.ndarray:
         raise ValueError("input operator is not unitary")
     det = a * d - b * c
     if not math.hypot(det.real - 1.0, det.imag) <= 1e-10:
-        raise ValueError(
-            f"input must be special unitary (det 1), got det {det:.6f}; "
-            "use tensor.project_to_special_unitary explicitly if intended"
-        )
+        raise ValueError(f"input must be special unitary (det 1), got det {det:.6f}")
     return mat
 
 

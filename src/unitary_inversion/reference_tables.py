@@ -1,10 +1,10 @@
 """Reference optimal-fidelity values for deterministic unitary inversion.
 
 Four-decimal reference values for the sequential and parallel programs,
-shipped as a static dataset together with per-cell comparison tolerances:
-cells following the exact (n+1)/d^2 pattern carry a tight tolerance, cells
-only known through solver output carry a looser one, and the d=5, n=5
-parallel entry sits right at the rounding edge and gets its own.
+shipped as a static dataset.  Every cell is judged by one rule: a computed
+value passes when it lies within ``TOLERANCE`` = 1e-4 of its entry, one
+unit in the table's last printed place, half for the entry's own rounding
+and half for the solver's point value, which nothing certifies yet.
 Parallel n=1 equals sequential n=1 (a single call admits no ordering), so
 both tables list the same n=1 values.
 """
@@ -13,9 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-PATTERN_TOL = 2e-4
-SOLVER_TOL = 1e-3
-EDGE_TOL = 5e-4
+TOLERANCE = 1e-4
 
 _SEQUENTIAL = {
     2: (0.5000, 0.7500, 0.9330, 1.0000, 1.0000),
@@ -40,18 +38,10 @@ class ReferenceCell:
     tolerance: float
 
 
-def _tolerance(mode: str, d: int, n: int, value: float) -> float:
-    if mode == "par" and (d, n) == (5, 5):
-        return EDGE_TOL
-    if abs(value - round((n + 1) / d**2, 4)) < 5e-9:
-        return PATTERN_TOL
-    return SOLVER_TOL
-
-
 def reference_cells() -> dict[tuple[str, int, int], ReferenceCell]:
     cells: dict[tuple[str, int, int], ReferenceCell] = {}
     for mode, table in (("seq", _SEQUENTIAL), ("par", _PARALLEL)):
         for d, row in table.items():
             for n, value in enumerate(row, start=1):
-                cells[(mode, d, n)] = ReferenceCell(value, _tolerance(mode, d, n, value))
+                cells[(mode, d, n)] = ReferenceCell(value, TOLERANCE)
     return cells

@@ -161,7 +161,8 @@ def generator_matrix(diagram: tuple[int, ...], k: int) -> np.ndarray:
 def check_permutation(perm) -> tuple[int, ...]:
     """Validate one-line notation (0-based): perm[i] is the image of i."""
     try:
-        perm = tuple(operator.index(p) for p in perm)
+        # operator.index takes True for 1; None makes it raise instead
+        perm = tuple(operator.index(None if isinstance(p, bool) else p) for p in perm)
     except TypeError:
         raise ValueError(f"perm must be integers, got {perm!r}") from None
     if sorted(perm) != list(range(len(perm))):

@@ -14,15 +14,15 @@ from functools import lru_cache
 
 import numpy as np
 
-# Tolerance of the construction-time algebraic checks (unitarity,
-# determinant).
+# Tolerance of the construction-time unitarity check.
 CONSTRUCTION_ATOL = 1e-12
 
 
 def _indices(values, name: str) -> tuple[int, ...]:
-    """``values`` as a tuple of ints; a float or a string is refused, not truncated."""
+    """``values`` as a tuple of ints; a bool, a float or a string is refused, not truncated."""
     try:
-        return tuple(operator.index(v) for v in values)
+        # operator.index takes True for 1; None makes it raise instead
+        return tuple(operator.index(None if isinstance(v, bool) else v) for v in values)
     except TypeError:
         raise ValueError(f"{name} must be integers, got {values!r}") from None
 
@@ -84,8 +84,8 @@ def _layout(dims: tuple, targets: tuple) -> tuple[int, int, int]:
 
     A state over ``dims`` reshaped to these three axes has the targets on
     the middle one.  Validates both once per pair; any other target order
-    raises, and exceptions are not cached.  The cache takes 1.0 for 1, so
-    callers pass tuples of exact ints (see :func:`_wire_view`).
+    raises, and exceptions are not cached.  The cache takes 1.0 and True
+    for 1, so callers pass tuples of exact ints (see :func:`_wire_view`).
     """
     dims = _as_dims(dims)
     targets = _check_targets(targets, len(dims))
@@ -99,10 +99,10 @@ def _layout(dims: tuple, targets: tuple) -> tuple[int, int, int]:
 def _wire_view(state: np.ndarray, targets, dims) -> np.ndarray:
     """``state`` reshaped to (left, target dimension, right) by the cached layout.
 
-    Anything but an exact int among the dims and targets, such as a numpy
-    integer or a float, goes through :func:`_indices` before the lookup,
-    so a float is refused whatever the cache holds.  The loop is cheap
-    enough for every circuit step.
+    Anything but an exact int among the dims and targets, such as a bool,
+    a numpy integer or a float, goes through :func:`_indices` before the
+    lookup, so a bool or a float is refused whatever the cache holds.  The
+    loop is cheap enough for every circuit step.
     """
     dims, targets = tuple(dims), tuple(targets)
     for v in dims + targets:
@@ -206,13 +206,3 @@ def haar_unitary(d: int, seed) -> np.ndarray:
     det = np.linalg.det(u)
     u = u * np.exp(-1j * np.angle(det) / d)
     return check_unitary(u)
-
-
-def project_to_special_unitary(u: np.ndarray) -> np.ndarray:
-    """Divide out a determinant root.  Never applied implicitly."""
-    mat = np.asarray(u, dtype=complex)
-    d = mat.shape[0]
-    det = np.linalg.det(mat)
-    if not abs(abs(det) - 1.0) <= CONSTRUCTION_ATOL * 100:
-        raise ValueError("input is not unitary; cannot normalize determinant")
-    return check_unitary(mat * np.exp(-1j * np.angle(det) / d))

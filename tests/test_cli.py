@@ -367,13 +367,41 @@ def test_reference_dataset_tolerances():
     from unitary_inversion import reference_tables as rt
 
     cells = rt.reference_cells()
+    # one rule for every cell: a unit in the table's last printed place
+    assert len(cells) == 50 and rt.TOLERANCE == 1e-4
+    assert {cell.tolerance for cell in cells.values()} == {rt.TOLERANCE}
     assert cells[("seq", 2, 3)].value == 0.9330
-    assert cells[("seq", 2, 3)].tolerance == rt.SOLVER_TOL
-    assert cells[("seq", 6, 1)].tolerance == rt.PATTERN_TOL
-    assert cells[("par", 5, 5)].tolerance == rt.EDGE_TOL
     assert cells[("par", 3, 3)].value == 0.4310
     assert cells[("par", 2, 1)].value == 0.5
     assert ("seq", 9, 1) not in cells
+
+
+def test_tables_catches_a_scaled_objective(monkeypatch, capsys):
+    # an objective scaled by 1 + 2e-4 moves each value by 2e-4 of itself:
+    # past the table's 1e-4 at these eight default cells and no other
+    from unitary_inversion import comb_sdp
+
+    real = comb_sdp.performance_blocks
+
+    def scaled(d, n):
+        comb = real(d, n)
+        return dataclasses.replace(
+            comb, blocks={key: block * (1 + 2e-4) for key, block in comb.blocks.items()}
+        )
+
+    monkeypatch.setattr(comb_sdp, "performance_blocks", scaled)
+    code, out = run(capsys, "tables", "--json")
+    assert code == 2
+    payload = json.loads(out)
+    assert (payload["breaches"], payload["solver_failures"]) == (8, 0)
+    breached = {
+        key for key, cell in payload["cells"].items() if cell["deviation"] > cell["tolerance"]
+    }
+    assert breached == {
+        f"{mode}/d{d}/n{n}"
+        for mode in ("seq", "par")
+        for d, n in ((2, 2), (2, 3), (2, 4), (3, 3))
+    }
 
 
 def test_manifest_written_for_simulate(tmp_path, capsys):
@@ -403,7 +431,7 @@ OUT_RUNS = {
     ),
     "tables": (
         [],
-        "eb479a6174f4eca18f9c8d198f4cb1bf7d788e8d0e99c5b9cbb42a82958d8f07",
+        "ce56ca6ead214ffdae7f875eea82b11ced7e9e6707334d5ffba4dbd42718c640",
         {"tables.json", "table_seq.csv", "table_par.csv", "deviations.csv"},
     ),
 }

@@ -278,7 +278,17 @@ def test_full_space_cap():
                 cs.build_full_sdp(d, n, mode)
 
 
-@pytest.mark.parametrize("build", [cs.performance_blocks, cs.build_sequential_sdp, cs.build_parallel_sdp])
+@pytest.mark.parametrize(
+    "build",
+    [
+        cs.performance_blocks,
+        cs.build_sequential_sdp,
+        cs.build_parallel_sdp,
+        cs.reduced_svec_size,
+        cs.reduced_block_dims,
+        cs.block_keys,
+    ],
+)
 def test_reduced_builders_refuse_below_the_smallest_instance(build):
     for d, n in ((1, 1), (2, 0)):
         with pytest.raises(ValueError, match="need d >= 2 and n >= 1"):

@@ -229,6 +229,8 @@ MALFORMED_CALLS = {
     "float permutation": (lambda: check_permutation((1.9, 0.2)), "perm must be integers"),
     "float permutation matrix": (lambda: permutation_matrix((1, 1), (1.9, 0.2)), "perm must be integers"),
     "float permutation operator": (lambda: permutation_operator((1.0, 0), 2, 2), "perm must be integers"),
+    # operator.index reads True, False as the swap (1, 0)
+    "bool permutation": (lambda: check_permutation((True, False)), "perm must be integers"),
     "negative box count": (lambda: young_diagrams(-1, 2), "need n >= 0"),
     "zero local dimension": (lambda: su_dim((2, 1), 0), "d must be positive"),
     "transposition index 0": (lambda: generator_matrix((2, 1), 0), "out of range"),

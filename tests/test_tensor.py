@@ -16,7 +16,6 @@ from unitary_inversion.tensor import (
     haar_unitary,
     partial_trace,
     permute_factors,
-    project_to_special_unitary,
     random_state,
     reduced_density_matrix,
 )
@@ -139,11 +138,12 @@ def test_cached_layout_still_rejects_bad_calls():
 
 
 @pytest.mark.parametrize(
-    "kind, bad_targets, bad_dims", [("targets", (1.0,), (2, 2)), ("dims", (1,), (2, 2.0))]
+    "kind, bad_targets, bad_dims",
+    [("targets", (1.0,), (2, 2)), ("dims", (1,), (2, 2.0)), ("targets", (True,), (2, 2))],
 )
 def test_float_indices_are_refused_after_their_int_twins_are_cached(kind, bad_targets, bad_dims):
-    # 1.0 == 1 and they hash alike, so the layout cache alone would answer
-    # the float call from the int call's entry
+    # 1.0 and True equal 1 and hash alike, so the layout cache alone would
+    # answer the float or bool call from the int call's entry
     state = random_state((2, 2), 3)
     tensor._layout.cache_clear()
     apply_to_subsystems(state, X, (1,), (2, 2))
@@ -168,7 +168,8 @@ MALFORMED_CALLS = {
     "float embed target": (lambda: embed_operator(X, (1.0,), (2, 2)), "targets must be integers"),
     "digit out of range": (lambda: basis_state((2,), (2,)), "invalid for dims"),
     "mis-sized operator": (lambda: embed_operator(np.eye(4), (0,), (2, 2)), "does not match targets"),
-    "scaled identity": (lambda: project_to_special_unitary(2 * np.eye(2)), "not unitary"),
+    # operator.index reads True as 1
+    "bool dim": (lambda: basis_state((True, 2), (0, 1)), "dims must be integers"),
 }
 
 
@@ -225,15 +226,6 @@ def test_haar_first_moment_twirl():
 def test_haar_rejects_small_dimension():
     with pytest.raises(ValueError):
         haar_unitary(1, 0)
-
-
-def test_project_to_special_unitary():
-    u = np.exp(0.3j) * haar_unitary(2, 9)
-    su = project_to_special_unitary(u)
-    assert abs(np.linalg.det(su) - 1.0) <= 1e-12
-    # |det| is 1, so only the unitarity check rejects this matrix
-    with pytest.raises(ValueError):
-        project_to_special_unitary(np.diag([2.0, 0.5]))
 
 
 def test_partial_trace_product_states():

@@ -114,6 +114,51 @@ def test_every_private_name_a_src_module_defines_is_read():
     assert not unread
 
 
+# public names that nothing in src/ or perfbench reads, each kept for a reason
+UNCALLED_PUBLIC_NAMES = {
+    "evaluate_fidelity": "the objective paired with a comb; items 4 and 9 of the roadmap give it callers",
+    "ancilla_restoration": "the independent side of acceptance criterion 1",
+    "basis_state": "pins the digit-order convention of the tensor module",
+}
+
+
+def _names_read(tree) -> set[str]:
+    """Every name ``tree`` loads, and the attribute of every attribute it loads."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_public_name_a_src_module_defines_has_a_reader():
+    # a public function or class whose last caller went is dead code that the
+    # private-name check cannot see; perfbench counts as a reader, by name or by
+    # the strings its tracing table holds, and so does a console script
+    statements = [  # each top-level statement of src/, with the names it reads
+        (node, _names_read(node))
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for node in ast.parse(path.read_text()).body
+    ]
+    outside = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        outside |= _names_read(tree)
+        outside |= {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", pyproject, re.S | re.M)
+    outside |= set(re.findall(r':(\w+)"', scripts.group(1)))
+    uncalled = {
+        node.name
+        for node, _ in statements
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in outside
+        and not any(node.name in read for other, read in statements if other is not node)
+    }
+    assert uncalled == set(UNCALLED_PUBLIC_NAMES)
+
+
 def test_readme_command_line_lists_every_option():
     # the README's usage block is written by hand: each command there must
     # list exactly the options its parser takes, --help aside
