@@ -4,7 +4,8 @@ Exit codes are a stable contract: 0 success, 2 tolerance breach, 3 size
 cap, 4 solver failure.  Every command with a fixed seed emits
 byte-reproducible JSON payloads; wall time and artifact digests go to a
 separate run manifest when an output directory is given.  A command
-returns an `_Outcome` (or exit 3 alone, at a size cap) for `_emit` to print and write.
+returns an `_Outcome` for `_emit` to print and write, or exit 3 alone when
+one of the two size caps defined here refuses its cell before any build.
 
 Only ``solve`` and ``tables`` import the SDP modules, and with them scipy;
 ``simulate`` runs on numpy alone.
@@ -34,6 +35,11 @@ EXIT_SOLVER = 4
 EXACTNESS_BOUND = 1.0 - 1e-10
 # the default --svec-cap: reduced programs with more svec coordinates are skipped
 REDUCED_SVEC_CAP = 2000
+# d^(2n+2) <= 4^4 admits n <= 3 at d=2 and n=1 at d=3, 4; the slowest of them,
+# full-par (2, 3), solves in about 94 s at 1.3 GB.  Full (5, 1) builds but had
+# not solved after 5 min at 1.4 GB, and full (3, 2) keeps 27k-29k of its 30k
+# rows, a 5.7-6.9 GB dense Schur complement
+FULL_SPACE_DIM_CAP = 256
 
 
 class _Outcome(NamedTuple):
@@ -98,16 +104,23 @@ def cmd_simulate(args) -> _Outcome:
     return _Outcome(payload, summary, {}, args.seed, EXIT_OK if exact else EXIT_TOLERANCE)
 
 
-def _build_problem(mode: str, d: int, n: int, svec_cap: int):
-    """The program of one cell, or the reason it exceeds its size cap."""
+def _build_problem(mode: str, d: int, n: int, svec_cap: int | None):
+    """The program of one cell, or the reason it exceeds its size cap, decided before any build.
+
+    d >= 2, so an exponent past the cap's bit length puts d^(2n+2) over it.  Reduced svec
+    grows with n (a box added to row one keeps a diagram's tableau count), so the first k
+    with svec over the cap refuses every n >= k without listing n's diagrams."""
     from . import comb_sdp
 
     if mode.startswith("full-"):
-        try:
+        exponent = 2 * n + 2
+        if exponent <= FULL_SPACE_DIM_CAP.bit_length() and d**exponent <= FULL_SPACE_DIM_CAP:
             return comb_sdp.build_full_sdp(d, n, mode.removeprefix("full-"))
-        except comb_sdp.SizeCapError as exc:
-            return str(exc)
-    if comb_sdp.reduced_svec_size(d, n) > svec_cap:
+        # below 2^2048 < 10^617 every integer prints: Python allows no int-to-str
+        # limit under 640 digits; a larger dimension is written as the power
+        total = d**exponent if (d - 1).bit_length() * exponent <= 2048 else f"{d}^{exponent}"
+        return f"full-space dimension {total} exceeds cap {FULL_SPACE_DIM_CAP} for (d={d}, n={n})"
+    if any(comb_sdp.reduced_svec_size(d, k) > svec_cap for k in range(1, n + 1)):
         return f"reduced instance (d={d}, n={n}) exceeds svec cap {svec_cap}"
     return (comb_sdp.build_sequential_sdp if mode == "seq" else comb_sdp.build_parallel_sdp)(d, n)
 
@@ -325,14 +338,14 @@ def main(argv=None) -> int:
             if low > high:
                 parser.error(f"--{name}-min {low} exceeds --{name}-max {high}")
     if args.command == "solve":
-        if args.mode.startswith("full-") and args.svec_cap is not None:
-            from .comb_sdp import FULL_SPACE_DIM_CAP
-
+        full = args.mode.startswith("full-")
+        if full and args.svec_cap is not None:
             parser.error(
                 f"--svec-cap applies to seq and par only; full programs have the fixed "
                 f"{FULL_SPACE_DIM_CAP}-dimension cap"
             )
-        if args.svec_cap is None:
+        # a full mode keeps its parsed None, so its manifest records no svec cap
+        if not full and args.svec_cap is None:
             args.svec_cap = REDUCED_SVEC_CAP
     start = time.perf_counter()
     outcome = args.func(args)

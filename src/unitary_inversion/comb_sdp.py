@@ -46,17 +46,6 @@ from .symmetric_group import (
     young_diagrams,
 )
 
-# d^(2n+2) <= 4^4 admits n <= 3 at d=2 and n=1 at d=3, 4; the slowest of them,
-# full-par (2, 3), solves in about 94 s at 1.3 GB.  Full (5, 1) builds but had
-# not solved after 5 min at 1.4 GB, and full (3, 2) keeps 27k-29k of its 30k
-# rows, a 5.7-6.9 GB dense Schur complement
-FULL_SPACE_DIM_CAP = 256
-
-
-class SizeCapError(ValueError):
-    """``build_full_sdp``'s refusal of a program above ``FULL_SPACE_DIM_CAP``."""
-
-
 @dataclass(frozen=True)
 class ReducedComb:
     """Reduced operator on the commutant, a comb or the objective: one real block per ordered diagram pair.
@@ -335,10 +324,6 @@ def build_full_sdp(d: int, n: int, mode: str) -> SdpProblem:
     if d < 2 or n < 1:
         raise ValueError("need d >= 2 and n >= 1")
     total = d ** (2 * n + 2)
-    if total > FULL_SPACE_DIM_CAP:
-        raise SizeCapError(
-            f"full-space dimension {total} exceeds cap {FULL_SPACE_DIM_CAP} for (d={d}, n={n})"
-        )
     dims = full_register_dims(d, n)
     reg = register_indices(n)
     if mode == "seq":

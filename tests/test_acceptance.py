@@ -4,6 +4,7 @@ Each test prints one machine-greppable pass/fail line.  The table cells and
 oracle instances are solved once per session and shared across criteria.
 """
 
+import itertools
 import math
 import time
 
@@ -12,8 +13,10 @@ import pytest
 
 from unitary_inversion import comb_sdp as cs
 from unitary_inversion import protocol as pr
+from unitary_inversion.reference_tables import reference_cells
 from unitary_inversion.sdp import _SvecIndexer, solve
 from unitary_inversion.symmetric_group import (
+    children,
     matrix_unit,
     su_dim,
     tableau_count,
@@ -296,4 +299,108 @@ def test_criterion_10_parallel_combs_are_sequential(table_results):
         f"{len(cells)} cells, worst par-in-seq residual "
         f"{worst_in_seq:.1e} d^(n+1), least seq-in-par violation (n >= 2) {least_in_par[0]:.1e} d^(n+1) "
         f"at {least_in_par[1]}, objectives identical: {same_objective}",
+    )
+
+
+def estimation_fidelity(d: int, n: int) -> float:
+    """F_est(d, n) = sigma_max(B)^2 / d^2 of covariant estimate-and-prepare.
+
+    B[nu, lambda] = 1 when nu, with n+1 boxes, is lambda, with n boxes, plus
+    one box, both with at most d rows (Chiribella, D'Ariano & Sacchi, PRA 72,
+    042338 (2005)).
+    """
+    rows = {nu: i for i, nu in enumerate(young_diagrams(n + 1, d))}
+    shapes = young_diagrams(n, d)
+    grow = np.zeros((len(rows), len(shapes)))
+    for j, lam in enumerate(shapes):
+        grow[[rows[nu] for nu in children(lam, max_depth=d)], j] = 1.0
+    return float(np.linalg.norm(grow, 2)) ** 2 / d**2
+
+
+def test_criterion_11_estimation_bounds_the_parallel_column(table_results):
+    # estimating U from n parallel calls and preparing the inverse of the
+    # estimate is a parallel comb, so F_est <= par is proved; that par equals
+    # F_est on every solved cell is observed, not proved
+    below, above = [], []  # F_est - value and b.y - F_est per cell
+    for d, n in PAR_CELLS:
+        solution = table_results[("par", d, n)]
+        bound = float(cs.build_parallel_sdp(d, n).rhs @ solution.dual)
+        estimate = estimation_fidelity(d, n)
+        below.append(estimate - solution.objective_value)
+        above.append(bound - estimate)
+    inside = min(below) >= -1e-6 and min(above) >= -1e-9
+    # at d=2, B is a path and F_est = cos^2(pi/(n+3))
+    path = max(abs(estimation_fidelity(2, n) - math.cos(math.pi / (n + 3)) ** 2) for n in range(1, 7))
+    refs = reference_cells()
+    predictions = ", ".join(
+        f"({d},5) {estimation_fidelity(d, 5):.7f} vs {refs[('par', d, 5)].value:.4f}" for d in range(3, 7)
+    )
+    report(
+        "criterion 11 (estimation bounds par)",
+        inside and path <= 1e-12,
+        f"{len(PAR_CELLS)} cells, F_est - value in [{min(below):.1e}, {max(below):.1e}], "
+        f"b.y - F_est in [{min(above):.1e}, {max(above):.1e}], "
+        f"d=2 path deviation {path:.1e}; par n=5 predictions {predictions}",
+    )
+
+
+def binary_icosahedral() -> np.ndarray:
+    """The 120 unit quaternions (a, b, c, d) of the binary icosahedral group, from the exact golden ratio.
+
+    The 8 units +-e_i, the 16 points (+-1/2, +-1/2, +-1/2, +-1/2), and the
+    96 even permutations of (+-phi, +-1, +-1/phi, 0)/2.
+    """
+    phi = (1.0 + math.sqrt(5.0)) / 2.0
+    points = [sign * row for row in np.eye(4) for sign in (1.0, -1.0)]
+    points += [np.array(signs) / 2.0 for signs in itertools.product((1.0, -1.0), repeat=4)]
+    even = [
+        perm for perm in itertools.permutations(range(4))
+        if sum(perm[i] > perm[j] for i, j in itertools.combinations(range(4), 2)) % 2 == 0
+    ]
+    for signs in itertools.product((1.0, -1.0), repeat=3):
+        base = np.array([signs[0] * phi, signs[1], signs[2] / phi, 0.0]) / 2.0
+        points += [base[list(perm)] for perm in even]
+    return np.array(points)
+
+
+def test_criterion_12_exactness_on_a_design():
+    # E(U) = sum over phi in {|0>, |1>} of |Out(U) - Exp(U)|^2 is a polynomial of
+    # degree <= 8 in U's quaternion coordinates, and the 120 points are a
+    # spherical 11-design, so their average is E's exact Haar integral; a zero
+    # integral of a nonnegative continuous E proves E = 0 for every U in SU(2)
+    quaternions = binary_icosahedral()
+    a, b, c, d = quaternions.T
+    unitaries = np.stack([a + 1j * b, c + 1j * d, -c + 1j * d, a - 1j * b], axis=1).reshape(-1, 2, 2)
+    products = np.einsum("xij,yjk->xyik", unitaries, unitaries).reshape(-1, 4)
+    # a product's first row [a + ib, c + id] gives back its quaternion (a, b, c, d)
+    coordinates = np.stack([part(products[:, i]) for i in (0, 1) for part in (np.real, np.imag)], axis=1)
+    nearest = (coordinates @ quaternions.T).argmax(axis=1)  # unit vectors: the largest overlap
+    closure = float(np.abs(coordinates - quaternions[nearest]).max())
+    moments = [float(np.mean((a * a + b * b) ** k)) for k in range(7)]
+    moment_miss = max(abs(moments[k] - 1.0 / (k + 1)) for k in range(6))
+    inputs = np.eye(2, dtype=complex)
+    averages, elapsed = {}, 0.0
+    for path in ("gate", "matrix"):
+        circuit = pr.build_protocol(path)
+        start = time.perf_counter()
+        for run in ("inversion", "catalytic"):
+            total = 0.0
+            for u in unitaries:
+                for phi in inputs:
+                    if run == "inversion":
+                        out, _ = pr.run_inversion(u, phi, circuit)
+                    else:
+                        out, _, _ = pr.run_catalytic(u, phi, pr.honest_catalyst(u), circuit)
+                    total += float(np.linalg.norm(out - pr.expected_output(u, phi)) ** 2)
+            averages[(path, run)] = total / len(unitaries)
+        elapsed = max(elapsed, time.perf_counter() - start)
+    worst = max(averages.values())
+    report(
+        "criterion 12 (exactness on a design)",
+        len(quaternions) == 120 and closure <= 1e-12 and moment_miss <= 1e-14 and worst <= 1e-20
+        and elapsed <= 1.0,
+        f"{len(quaternions)} points closed to {closure:.1e}, moments k <= 5 within {moment_miss:.1e} "
+        f"(k = 6: {moments[6]:.7f} vs 1/7), design average of E "
+        + ", ".join(f"{path} {run} {value:.1e}" for (path, run), value in averages.items())
+        + f", {elapsed:.3f}s per path",
     )

@@ -1,14 +1,19 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from unitary_inversion import cli, sdp
 from unitary_inversion.cli import main
@@ -122,9 +127,17 @@ def test_solve_full_matches_reduced(capsys):
     assert abs(full_value - reduced_value) <= 1e-5
 
 
-def test_solve_size_cap_exit_code(capsys):
+def test_solve_size_cap_exit_code(monkeypatch, capsys):
+    # both caps refuse from mode, d and n alone, before any builder runs
+    from unitary_inversion import comb_sdp
+
+    def unbuilt(*args):
+        raise AssertionError("a cell over its cap reached a builder")
+
+    for name in ("build_full_sdp", "build_sequential_sdp", "build_parallel_sdp"):
+        monkeypatch.setattr(comb_sdp, name, unbuilt)
     code = main(["solve", "--d", "6", "--n", "5", "--mode", "seq"])
-    capsys.readouterr()
+    assert capsys.readouterr().err == "size cap: reduced instance (d=6, n=5) exceeds svec cap 2000\n"
     assert code == 3
     code = main(["solve", "--d", "3", "--n", "3", "--mode", "full-seq"])
     capsys.readouterr()
@@ -159,14 +172,72 @@ def test_only_a_size_cap_exits_3(monkeypatch, capsys):
             main(argv)
     assert "size cap" not in capsys.readouterr().err
 
-    def capped(*args):
-        raise comb_sdp.SizeCapError("full-space dimension 64 exceeds cap 16 for (d=2, n=2)")
 
-    monkeypatch.setattr(comb_sdp, "build_full_sdp", capped)
-    assert main(["solve", "--d", "2", "--n", "2", "--mode", "full-par"]) == 3
-    captured = capsys.readouterr()
-    assert captured.err == "size cap: full-space dimension 64 exceeds cap 16 for (d=2, n=2)\n"
-    assert captured.out == ""
+# cells far over a cap: the exponent d^(2n+2) cannot be printed at full-seq
+# (2, 8000), and the reduced ones have a million to hundreds of millions of
+# ordered diagram pairs
+OVERSIZED = [
+    ["solve", "--mode", "full-seq", "--d", "2", "--n", "8000"],
+    ["solve", "--d", "6", "--n", "40"],
+    ["solve", "--d", "2", "--n", "2000"],
+    ["solve", "--d", "2", "--n", "4000"],
+    ["solve", "--d", "10", "--n", "40"],
+    ["tables", "--d-min", "10", "--d-max", "10", "--n-min", "40", "--n-max", "40"],
+]
+
+
+@pytest.mark.parametrize("argv", OVERSIZED, ids=" ".join)
+def test_an_oversized_cell_is_refused_in_bounded_time(argv):
+    # a subprocess with a timeout, so that a refusal that builds or enumerates
+    # the instance fails here instead of hanging or exhausting memory
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "unitary_inversion.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 3, done.stderr
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("size cap: ")
+    assert elapsed < 2.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mode=st.sampled_from(["seq", "par", "full-seq", "full-par"]),
+    d=st.integers(2, 50),
+    n=st.integers(1, 10**6),
+)
+@example(mode="seq", d=3, n=4)
+@example(mode="par", d=2, n=5)
+@example(mode="full-seq", d=2, n=4)
+@example(mode="full-par", d=5, n=1)
+@example(mode="full-par", d=3, n=2)
+def test_every_cell_over_its_cap_exits_3(mode, d, n):
+    # the default caps admit d^(2n+2) <= 256 in full modes, and n <= 3 or
+    # (d, n) = (2, 4) in reduced ones: the 32 default table cells and, at
+    # d > 6, cells with the block sizes of d = 6
+    if mode.startswith("full-"):
+        admitted = n <= 3 and d ** (2 * n + 2) <= 256
+    else:
+        admitted = n <= 3 or (d, n) == (2, 4)
+    assume(not admitted)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["solve", "--mode", mode, "--d", str(d), "--n", str(n)])
+    assert code == 3
+    assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("size cap: ")
+
+
+def test_solve_manifest_records_only_a_cap_that_applies(tmp_path, capsys):
+    # a full mode has no svec cap, so its manifest keeps the parsed None
+    for mode, cap in (("full-par", None), ("seq", cli.REDUCED_SVEC_CAP)):
+        code = main(["solve", "--mode", mode, "--d", "2", "--n", "1", "--out", str(tmp_path / mode)])
+        assert code == 0
+        manifest = json.loads((tmp_path / mode / "manifest.json").read_text())
+        assert manifest["parameters"]["svec_cap"] == cap
+    capsys.readouterr()
 
 
 def test_solve_out_writes_reproducible_instance(tmp_path, capsys):
