@@ -80,6 +80,7 @@ def performance_blocks(d: int, n: int) -> ReducedComb:
     convention, the pairing Tr(C^{mu mu} Omega_mu) must reproduce Tr(C Omega)
     on the full register space, and only this orientation does.
     """
+    d, n = _size(d, n)
     blocks = {(mu, nu): np.zeros((tableau_count(mu) * tableau_count(nu),) * 2) for mu, nu in block_keys(d, n)}
     cycle = cycle_permutation(n + 1)
     for mu in young_diagrams(n + 1, d):
@@ -94,10 +95,17 @@ def evaluate_fidelity(comb: ReducedComb) -> float:
     return sum(float(np.tensordot(comb.blocks[key], omega)) for key, omega in objective.items())
 
 
-def block_keys(d: int, n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The reduced comb's ordered diagram pairs; the size check of every reduced entry point."""
+def _size(d: int, n: int) -> tuple[int, int]:
+    """(d, n) as Python ints: the size check of every entry point, which refuses bools and floats."""
+    d, n = tensor.as_ints((d, n), "d and n")
     if d < 2 or n < 1:
         raise ValueError("need d >= 2 and n >= 1")
+    return d, n
+
+
+def block_keys(d: int, n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The reduced comb's ordered diagram pairs."""
+    d, n = _size(d, n)
     shapes = young_diagrams(n + 1, d)
     return [(mu, nu) for mu in shapes for nu in shapes]
 
@@ -189,6 +197,7 @@ def build_sequential_sdp(d: int, n: int) -> SdpProblem:
     (gamma, beta) pair of diagrams with i-1 and i boxes, and the recursion
     bottoms out in the trace normalization.
     """
+    d, n = _size(d, n)
     key_index = {k: i for i, k in enumerate(block_keys(d, n))}
     top = n + 1
 
@@ -236,6 +245,7 @@ def build_parallel_sdp(d: int, n: int) -> SdpProblem:
     linear in the variables and eliminated by substitution, leaving
     homogeneous equalities plus the trace normalization.
     """
+    d, n = _size(d, n)
     key_index = {k: i for i, k in enumerate(block_keys(d, n))}
     shapes_top = young_diagrams(n + 1, d)
     identities = []
@@ -321,8 +331,7 @@ def build_full_sdp(d: int, n: int, mode: str) -> SdpProblem:
     """
     if mode not in ("seq", "par"):
         raise ValueError("mode must be 'seq' or 'par'")
-    if d < 2 or n < 1:
-        raise ValueError("need d >= 2 and n >= 1")
+    d, n = _size(d, n)
     total = d ** (2 * n + 2)
     dims = full_register_dims(d, n)
     reg = register_indices(n)

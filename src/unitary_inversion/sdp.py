@@ -11,8 +11,8 @@ and one column per svec coordinate: blocks in order, each block's upper
 triangle row by row, off-diagonal entries scaled by sqrt(2), so that
 A @ svec(X) is the vector of sum_b Tr(A_{i,b} X_b).  Builders state rows
 as reads of matrix entries, and only :meth:`SdpProblem.from_reads` turns
-them into CSR arrays.  The JSON instance format stores A as those arrays,
-so a round trip through it is exact.
+them into CSR arrays.  The JSON instance format of :meth:`SdpProblem.to_json`
+holds those arrays exactly.
 
 Constraint rows are preprocessed on the CSR matrix (see
 :func:`_preprocess_rows`): dependent rows, duplicates among them, are
@@ -183,29 +183,6 @@ class SdpProblem:
         payload.update({k: self.metadata[k] for k in ("d", "n", "mode") if k in self.metadata})
         return json.dumps(payload, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "SdpProblem":
-        """The program of a :meth:`to_json` payload; ValueError for any malformed payload."""
-        try:
-            data = json.loads(text)
-            dims = data["block_dims"]
-            _check_block_dims(dims)
-            rhs = _numbers(data["rhs"], "rhs")
-            indptr, indices = (_numbers(data["a"][k], f"a.{k}", int) for k in ("indptr", "indices"))
-            svec = sum(s * (s + 1) // 2 for s in dims)
-            values = _numbers(data["a"]["data"], "a.data")
-            a = scipy.sparse.csr_matrix((values, indices, indptr), shape=(rhs.size, svec))
-            a.check_format(full_check=True)
-            if a.nnz != indices.size:
-                raise ValueError(f"indptr ends at {a.nnz} of {indices.size} stored entries")
-            objective = [_from_upper_triangle(_numbers(v, "an objective triangle")) for v in data["objective"]]
-            metadata = {k: data[k] for k in ("d", "n", "mode") if k in data}
-        except (KeyError, TypeError, OverflowError) as exc:
-            raise ValueError(f"malformed program payload: {exc!r}") from exc
-        problem = cls(dims, objective, a, rhs, metadata)
-        problem.validate()
-        return problem
-
 
 def _check_block_dims(dims) -> None:
     """At least one block, each of a positive integer size."""
@@ -218,13 +195,6 @@ def _is_number(value, kind: type = float) -> bool:
     """An int, or for ``kind`` float also a float, of Python or numpy; bool, an int subclass, is neither."""
     types = (int, np.integer) if kind is int else (int, float, np.integer, np.floating)
     return isinstance(value, types) and not isinstance(value, bool)
-
-
-def _numbers(values, name: str, kind: type = float) -> np.ndarray:
-    """A JSON list as a vector of ``kind``; nesting, booleans, other types and floats for int are refused."""
-    if not (isinstance(values, list) and all(_is_number(v, kind) for v in values)):
-        raise ValueError(f"{name} must be a 1-D list of {'integers' if kind is int else 'numbers'}")
-    return np.array(values, dtype=kind)
 
 
 def _check_objective(mat: np.ndarray, dim: int) -> None:
@@ -243,15 +213,6 @@ def _check_objective(mat: np.ndarray, dim: int) -> None:
 
 def _upper_triangle(mat: np.ndarray) -> list[float]:
     return np.asarray(mat, dtype=float)[np.triu_indices(len(mat))].tolist()
-
-
-def _from_upper_triangle(values) -> np.ndarray:
-    dim = (math.isqrt(8 * len(values) + 1) - 1) // 2
-    ii, jj = np.triu_indices(dim)
-    mat = np.zeros((dim, dim))
-    mat[ii, jj] = values
-    mat[jj, ii] = values
-    return mat
 
 
 @dataclass(frozen=True)
@@ -366,9 +327,6 @@ class _SvecIndexer:
 
     def pack(self, mats: list[np.ndarray]) -> np.ndarray:
         return self.pack_stacks(self.stack(mats))
-
-    def unpack(self, vec: np.ndarray) -> list[np.ndarray]:
-        return self.unstack(self.unpack_stacks(vec))
 
 
 @functools.lru_cache(maxsize=128)

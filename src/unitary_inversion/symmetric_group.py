@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from functools import lru_cache
 
 import numpy as np
+
+from .tensor import as_ints
 
 
 def young_diagrams(n: int, d: int) -> list[tuple[int, ...]]:
@@ -42,6 +43,7 @@ def young_diagrams(n: int, d: int) -> list[tuple[int, ...]]:
     They are the n-step walk of :func:`children` from ().  The first entry is
     the single row (n,) and the last the most column-like shape allowed.
     """
+    n, d = as_ints((n, d), "n and d")
     if n < 0 or d < 1:
         raise ValueError("need n >= 0 and d >= 1")
     shapes = {()}
@@ -70,10 +72,10 @@ def parents(shape: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [_with_box(shape, r, -1) for r in _removable_rows(shape)]
 
 
-def children(shape: tuple[int, ...], max_depth: int | None = None) -> list[tuple[int, ...]]:
-    """Shapes obtained by adding one box, in row order, optionally at most ``max_depth`` deep."""
+def children(shape: tuple[int, ...], max_depth: int) -> list[tuple[int, ...]]:
+    """Shapes obtained by adding one box, in row order, at most ``max_depth`` deep."""
     rows = [r for r in range(len(shape)) if r == 0 or shape[r - 1] > shape[r]]
-    if max_depth is None or len(shape) < max_depth:
+    if len(shape) < max_depth:
         rows.append(len(shape))
     return [_with_box(shape, r, 1) for r in rows]
 
@@ -160,11 +162,7 @@ def generator_matrix(diagram: tuple[int, ...], k: int) -> np.ndarray:
 
 def check_permutation(perm) -> tuple[int, ...]:
     """Validate one-line notation (0-based): perm[i] is the image of i."""
-    try:
-        # operator.index takes True for 1; None makes it raise instead
-        perm = tuple(operator.index(None if isinstance(p, bool) else p) for p in perm)
-    except TypeError:
-        raise ValueError(f"perm must be integers, got {perm!r}") from None
+    perm = as_ints(perm, "perm")
     if sorted(perm) != list(range(len(perm))):
         raise ValueError(f"not a permutation of 0..{len(perm) - 1}: {perm}")
     return perm

@@ -18,7 +18,7 @@ import numpy as np
 CONSTRUCTION_ATOL = 1e-12
 
 
-def _indices(values, name: str) -> tuple[int, ...]:
+def as_ints(values, name: str) -> tuple[int, ...]:
     """``values`` as a tuple of ints; a bool, a float or a string is refused, not truncated."""
     try:
         # operator.index takes True for 1; None makes it raise instead
@@ -28,7 +28,7 @@ def _indices(values, name: str) -> tuple[int, ...]:
 
 
 def _as_dims(dims) -> tuple[int, ...]:
-    dims = _indices(dims, "dims")
+    dims = as_ints(dims, "dims")
     if not dims or any(d < 1 for d in dims):
         raise ValueError(f"invalid subsystem dimensions {dims}")
     return dims
@@ -37,7 +37,7 @@ def _as_dims(dims) -> tuple[int, ...]:
 def basis_state(dims, digits) -> np.ndarray:
     """Computational basis state |digits[0] digits[1] ...> over ``dims``."""
     dims = _as_dims(dims)
-    digits = _indices(digits, "digits")
+    digits = as_ints(digits, "digits")
     if len(digits) != len(dims) or any(not 0 <= x < d for x, d in zip(digits, dims)):
         raise ValueError(f"digits {digits} invalid for dims {dims}")
     index = 0
@@ -70,7 +70,7 @@ def check_unitary(mat) -> np.ndarray:
 
 
 def _check_targets(targets, n: int) -> tuple[int, ...]:
-    targets = _indices(targets, "targets")
+    targets = as_ints(targets, "targets")
     if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate target subsystems in {targets}")
     if any(not 0 <= t < n for t in targets):
@@ -100,14 +100,14 @@ def _wire_view(state: np.ndarray, targets, dims) -> np.ndarray:
     """``state`` reshaped to (left, target dimension, right) by the cached layout.
 
     Anything but an exact int among the dims and targets, such as a bool,
-    a numpy integer or a float, goes through :func:`_indices` before the
+    a numpy integer or a float, goes through :func:`as_ints` before the
     lookup, so a bool or a float is refused whatever the cache holds.  The
     loop is cheap enough for every circuit step.
     """
     dims, targets = tuple(dims), tuple(targets)
     for v in dims + targets:
         if type(v) is not int:
-            dims, targets = _indices(dims, "dims"), _indices(targets, "targets")
+            dims, targets = as_ints(dims, "dims"), as_ints(targets, "targets")
             break
     left, dim, right = _layout(dims, targets)
     state = np.asarray(state)
@@ -143,7 +143,7 @@ def permute_factors(mat: np.ndarray, dims, order) -> np.ndarray:
     mat = np.asarray(mat)
     if mat.shape != (total, total):
         raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
-    axes = list(_indices(order, "order"))
+    axes = list(as_ints(order, "order"))
     axes += [len(dims) + k for k in axes]
     return mat.reshape(dims * 2).transpose(axes).reshape(total, total)
 

@@ -287,6 +287,46 @@ def test_reduced_builders_refuse_below_the_smallest_instance(build):
             build(d, n)
 
 
+def _full_seq(d, n):
+    return cs.build_full_sdp(d, n, "seq")
+
+
+def _full_par(d, n):
+    return cs.build_full_sdp(d, n, "par")
+
+
+def _plain(built):
+    """A build's result as comparable data; a program by its payload, which needs Python ints."""
+    if isinstance(built, SdpProblem):
+        return built.to_json()
+    if isinstance(built, cs.ReducedComb):
+        return type(built.d), type(built.n), built.d, built.n, {k: v.tobytes() for k, v in built.blocks.items()}
+    return built
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        cs.performance_blocks,
+        cs.build_sequential_sdp,
+        cs.build_parallel_sdp,
+        cs.reduced_svec_size,
+        cs.reduced_block_dims,
+        cs.block_keys,
+        _full_seq,
+        _full_par,
+    ],
+)
+def test_sizes_follow_the_integer_rule(build):
+    # a bool or a float is refused, not read as 1 or walked as a diagram of
+    # 2.5 rows; a numpy integer builds what its int builds
+    for bad in (True, 2.5, 2.0):
+        for d, n in ((bad, 1), (2, bad)):
+            with pytest.raises(ValueError, match="d and n must be integers"):
+                build(d, n)
+    assert _plain(build(np.int64(2), np.int64(1))) == _plain(build(2, 1))
+
+
 def test_reduced_svec_sizes():
     assert cs.reduced_svec_size(2, 1) == 4
     block_sizes = cs.reduced_block_dims(2, 4)

@@ -86,7 +86,7 @@ def test_partition_enumeration_valid_and_complete(n, d):
     for y in diagrams:
         assert set(parents(y)) <= set(smaller)
         for x in smaller:
-            assert (x in parents(y)) == (y in children(x))
+            assert (x in parents(y)) == (y in children(x, len(x) + 1))
 
 
 def test_tableau_enumeration_counts():
@@ -232,6 +232,9 @@ MALFORMED_CALLS = {
     # operator.index reads True, False as the swap (1, 0)
     "bool permutation": (lambda: check_permutation((True, False)), "perm must be integers"),
     "negative box count": (lambda: young_diagrams(-1, 2), "need n >= 0"),
+    # range(True) walked one box, and range(2.0) raised TypeError
+    "bool box count": (lambda: young_diagrams(True, 2), "n and d must be integers"),
+    "float box count": (lambda: young_diagrams(2.0, 2), "n and d must be integers"),
     "zero local dimension": (lambda: su_dim((2, 1), 0), "d must be positive"),
     "transposition index 0": (lambda: generator_matrix((2, 1), 0), "out of range"),
     "permutation of the wrong length": (lambda: permutation_operator((1, 0), 2, 3), "length 2 != 3"),
@@ -251,7 +254,7 @@ def test_embedding_matrix_examples():
     )
     for n in range(1, 5):
         for parent in young_diagrams(n, 4):
-            for child in children(parent):
+            for child in children(parent, len(parent) + 1):
                 x = embedding_matrix(parent, child)
                 assert np.array_equal(
                     x @ x.T, np.eye(tableau_count(parent))
@@ -267,7 +270,7 @@ def test_embedding_matrix_matches_restriction():
     for boxes in range(7):
         for parent in young_diagrams(boxes, max(boxes, 1)):
             parent_tabs = standard_tableaux(parent)
-            for child in children(parent):
+            for child in children(parent, len(parent) + 1):
                 child_tabs = standard_tableaux(child)
                 expected = np.zeros((len(parent_tabs), len(child_tabs)))
                 for a, t in enumerate(child_tabs):
@@ -288,7 +291,7 @@ def test_embedding_matrix_rejects_non_extensions():
 
 def test_branching_census_two_one():
     parent = (2, 1)
-    extensions = children(parent)
+    extensions = children(parent, len(parent) + 1)
     assert sorted(extensions) == [(2, 1, 1), (2, 2), (3, 1)]
     total = sum(tableau_count(c) for c in extensions)
     assert total == 3 + 2 + 3
@@ -437,7 +440,7 @@ def test_representation_data_is_pinned():
         generator_matrix(mu, k) for mu in shapes for k in range(1, sum(mu))
     )
     embeddings = _digest(
-        embedding_matrix(mu, child) for mu in shapes if sum(mu) < 7 for child in children(mu)
+        embedding_matrix(mu, child) for mu in shapes if sum(mu) < 7 for child in children(mu, len(mu) + 1)
     )
     cycles = _digest(
         permutation_matrix(mu, cycle_permutation(sum(mu))) for mu in shapes if sum(mu)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import collections
 import importlib.util
 import re
 import subprocess
@@ -114,7 +115,8 @@ def test_every_private_name_a_src_module_defines_is_read():
     assert not unread
 
 
-# public names that nothing in src/ or perfbench reads, each kept for a reason
+# public names that nothing in src/ or perfbench reads, each kept for a reason;
+# a method is named Class.method
 UNCALLED_PUBLIC_NAMES = {
     "evaluate_fidelity": "the objective paired with a comb; items 4 and 9 of the roadmap give it callers",
     "ancilla_restoration": "the independent side of acceptance criterion 1",
@@ -122,39 +124,44 @@ UNCALLED_PUBLIC_NAMES = {
 }
 
 
-def _names_read(tree) -> set[str]:
-    """Every name ``tree`` loads, and the attribute of every attribute it loads."""
-    return {
+def _loads(tree) -> collections.Counter:
+    """How often ``tree`` loads each name, an attribute load counting for its attribute."""
+    return collections.Counter(
         node.id if isinstance(node, ast.Name) else node.attr
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
-    }
+    )
 
 
 def test_every_public_name_a_src_module_defines_has_a_reader():
-    # a public function or class whose last caller went is dead code that the
-    # private-name check cannot see; perfbench counts as a reader, by name or by
-    # the strings its tracing table holds, and so does a console script
-    statements = [  # each top-level statement of src/, with the names it reads
-        (node, _names_read(node))
-        for path in sorted((ROOT / "src").rglob("*.py"))
-        for node in ast.parse(path.read_text()).body
-    ]
+    # a public function, class or method whose last caller went is dead code
+    # that the private-name check cannot see.  A definition has a reader when
+    # its name is loaded in src/ outside its own def, or in perfbench, by name
+    # or by the strings its tracing table holds, or by a console script.
+    # Methods count in every class, a private one such as _SvecIndexer too
+    trees = [ast.parse(path.read_text()) for path in sorted((ROOT / "src").rglob("*.py"))]
+    loads = sum(map(_loads, trees), collections.Counter())
+    defs = {}  # qualified name -> def node
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[node.name] = node
+            if isinstance(node, ast.ClassDef):
+                defs |= {f"{node.name}.{m.name}": m for m in node.body if isinstance(m, ast.FunctionDef)}
     outside = set()
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         tree = ast.parse(path.read_text())
-        outside |= _names_read(tree)
+        outside |= set(_loads(tree))
         outside |= {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
     pyproject = (ROOT / "pyproject.toml").read_text()
     scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", pyproject, re.S | re.M)
     outside |= set(re.findall(r':(\w+)"', scripts.group(1)))
     uncalled = {
-        node.name
-        for node, _ in statements
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
+        name
+        for name, node in defs.items()
+        if not node.name.startswith("_")
         and node.name not in outside
-        and not any(node.name in read for other, read in statements if other is not node)
+        and loads[node.name] == _loads(node)[node.name]
     }
     assert uncalled == set(UNCALLED_PUBLIC_NAMES)
 
