@@ -389,9 +389,9 @@ def reduce_comb(full: np.ndarray, d: int, n: int) -> ReducedComb:
     onto the real commutant.  C is rejected when it has a non-finite entry
     or differs from that projection by more than 1e-8 max(1, max|C|).
     """
+    d, n = _size(d, n)
     mat = np.asarray(full)
-    total = d ** (2 * n + 2)
-    if mat.shape != (total, total):
+    if mat.shape != (d ** (2 * n + 2),) * 2:
         raise ValueError(f"matrix shape {mat.shape} does not match (d={d}, n={n})")
     # a NaN would pass the commutant test below, since NaN > tolerance is False
     if not np.isfinite(mat).all():

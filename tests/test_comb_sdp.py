@@ -295,6 +295,10 @@ def _full_par(d, n):
     return cs.build_full_sdp(d, n, "par")
 
 
+def _reduce(d, n):
+    return cs.reduce_comb(cs.expand_comb(cs.performance_blocks(2, 1)), d, n)
+
+
 def _plain(built):
     """A build's result as comparable data; a program by its payload, which needs Python ints."""
     if isinstance(built, SdpProblem):
@@ -315,6 +319,7 @@ def _plain(built):
         cs.block_keys,
         _full_seq,
         _full_par,
+        _reduce,
     ],
 )
 def test_sizes_follow_the_integer_rule(build):

@@ -141,13 +141,13 @@ def test_every_public_name_a_src_module_defines_has_a_reader():
     # Methods count in every class, a private one such as _SvecIndexer too
     trees = [ast.parse(path.read_text()) for path in sorted((ROOT / "src").rglob("*.py"))]
     loads = sum(map(_loads, trees), collections.Counter())
-    defs = {}  # qualified name -> def node
+    defs = []  # (qualified name, def node)
     for tree in trees:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs[node.name] = node
+                defs.append((node.name, node))
             if isinstance(node, ast.ClassDef):
-                defs |= {f"{node.name}.{m.name}": m for m in node.body if isinstance(m, ast.FunctionDef)}
+                defs += [(f"{node.name}.{m.name}", m) for m in node.body if isinstance(m, ast.FunctionDef)]
     outside = set()
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -158,7 +158,7 @@ def test_every_public_name_a_src_module_defines_has_a_reader():
     outside |= set(re.findall(r':(\w+)"', scripts.group(1)))
     uncalled = {
         name
-        for name, node in defs.items()
+        for name, node in defs
         if not node.name.startswith("_")
         and node.name not in outside
         and loads[node.name] == _loads(node)[node.name]
